@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .branches import classify_branch
 from .curve import Folium, ProjectivePoint
@@ -20,7 +19,7 @@ from .fields import Field, field_from_spec
 from .geometry import chord_or_tangent, collinear3, third_intersection
 from .laws import LawKind, apply_law, law_inverse, perp, proj_mul, star_mul
 from .parametrization import ParamMap, pbar_inv
-from .plotting import DEFAULT_EXCLUSION, parse_overlay, write_plot
+from .plotting import DEFAULT_EXCLUSION, parse_overlay, parse_rational, write_plot
 from .verify import run_report
 
 EXIT_OK = 0
@@ -215,13 +214,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    exclusion = Fraction(args.exclusion) if args.exclusion else DEFAULT_EXCLUSION
+    exclusion = parse_rational(args.exclusion) if args.exclusion else DEFAULT_EXCLUSION
     overlays = [parse_overlay(text) for text in args.overlay]
     write_plot(
         args.out,
-        Fraction(args.a),
-        Fraction(args.t_min),
-        Fraction(args.t_max),
+        parse_rational(args.a),
+        parse_rational(args.t_min),
+        parse_rational(args.t_max),
         args.samples,
         overlays=overlays,
         exclusion=exclusion,

@@ -1,25 +1,25 @@
 """Composition laws transported onto the folium.
 
-Each law conjugates a group structure of the base field through one of the
-parametrizations, which makes that parametrization a group isomorphism by
-construction:
+pbar is a bijection K -> curve, so each law is one field operation moved
+through one chart:  P o Q = chart(op(chart^-1(P), chart^-1(Q))).
 
-* ``proj_mul``   (neutral V):  pbar(t) . pbar(t') = pbar(t t')
-* ``proj_mul2``  (neutral V):  the same transport through pbarbar
-* ``star_mul``   (neutral I):  pbar(t) * pbar(t') = pbar(-t t')
-* ``add_south``  (neutral O):  pbar(t) + pbar(t') = pbar(t + t')
-* ``add_west``   (neutral O):  the additive transport through pbarbar
-* ``south_mul``  (neutral O):  affine transport through p_affine after the
-  shift tau = t + 1; needs -1 to be the only cube root of -1
-* ``west_mul``   (neutral O):  the swapped affine transport
-
-``folium_mul`` extends proj_mul to the whole curve by letting the node
-absorb, which together with add_south makes the curve a field.
+A law is a chart, a field operation, a neutral parameter, an inverse and a
+gate.  The charts are pbar, pbarbar, and for the affine exotic laws
+p_affine . alpha and p_affine_prime . alpha on tau = t + 1; the operations
+are u v, -(u v) and u + v; the inverses are reciprocal and negation.  The
+gate excludes the node, or requires -1 to be the only cube root of -1,
+without which the affine charts are not bijections.  The law table states
+each law once, and apply_law, law_inverse, law_neutral and the per-law
+functions all read it.  fieldmul is plain multiplication through pbar, so
+the node absorbs (pbar(0 t) = O); with addsouth it makes the curve a field.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable
 from enum import Enum
+from typing import NamedTuple
 
 from .curve import Folium, ProjectivePoint
 from .errors import (
@@ -30,147 +30,15 @@ from .errors import (
 )
 from .fields import FieldElement
 from .parametrization import (
+    alpha,
+    alpha_inv,
     p_affine,
     p_affine_prime,
     pbar,
     pbar_inv,
     pbarbar,
     pbarbar_inv,
-    sigma,
 )
-
-
-def nonzero_param(curve: Folium, point: ProjectivePoint) -> FieldElement:
-    """Slope parameter of a curve point, rejecting the node."""
-    t = pbar_inv(curve, point)
-    if t.is_zero():
-        raise OriginNotInGroup("the node (0 : 0 : 1) is excluded here")
-    return t
-
-
-def _affine_tau(curve: Folium, point: ProjectivePoint) -> FieldElement:
-    if point.is_at_infinity:
-        raise PointAtInfinity(f"{point} is not an affine point")
-    # t != -1 for affine points, so the shifted parameter is never zero.
-    return pbar_inv(curve, point) + 1
-
-
-def _affine_tau_prime(curve: Folium, point: ProjectivePoint) -> FieldElement:
-    if point.is_at_infinity:
-        raise PointAtInfinity(f"{point} is not an affine point")
-    return pbarbar_inv(curve, point) + 1
-
-
-def _require_unique_cube_root(curve: Folium) -> None:
-    if not curve.field.has_unique_cube_root():
-        raise FieldLacksUniqueCubeRoot(
-            f"{curve.field} has epsilon roots, so the affine parametrization "
-            "is not a bijection onto the affine curve"
-        )
-
-
-def proj_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
-    """The multiplicative law with neutral V = pbar(1); node excluded."""
-    return pbar(curve, nonzero_param(curve, p1) * nonzero_param(curve, p2))
-
-
-def proj_mul2(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
-    """The multiplicative transport through pbarbar; coincides with proj_mul pointwise."""
-    t1 = pbarbar_inv(curve, p1)
-    t2 = pbarbar_inv(curve, p2)
-    if t1.is_zero() or t2.is_zero():
-        raise OriginNotInGroup("the node (0 : 0 : 1) is excluded here")
-    return pbarbar(curve, t1 * t2)
-
-
-def proj_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
-    """Inverse under proj_mul: the coordinate swap (x : y : z) -> (y : x : z)."""
-    nonzero_param(curve, point)
-    return sigma(point)
-
-
-def star_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
-    """The derived law pbar(t) * pbar(t') = pbar(-t t') with neutral I."""
-    return pbar(curve, -(nonzero_param(curve, p1) * nonzero_param(curve, p2)))
-
-
-def perp(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
-    """The involution P -> pbar(-1/t); exchanges V and I."""
-    return pbar(curve, -nonzero_param(curve, point).inverse())
-
-
-def add_south(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
-    """The additive law pbar(t) + pbar(t') = pbar(t + t'); total, neutral O."""
-    return pbar(curve, pbar_inv(curve, p1) + pbar_inv(curve, p2))
-
-
-def neg(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
-    """Additive inverse pbar(-t); the same map serves add_south and add_west."""
-    return pbar(curve, -pbar_inv(curve, point))
-
-
-def add_west(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
-    """The additive transport through pbarbar; total, neutral O, distinct from add_south."""
-    return pbarbar(curve, pbarbar_inv(curve, p1) + pbarbar_inv(curve, p2))
-
-
-def south_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
-    """The affine exotic law: transport of (K\\{0}, *) through p_affine . alpha."""
-    _require_unique_cube_root(curve)
-    tau = _affine_tau(curve, p1) * _affine_tau(curve, p2)
-    return p_affine(curve, tau - 1)
-
-
-def west_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
-    """The swapped affine exotic law: transport through p_affine_prime . alpha."""
-    _require_unique_cube_root(curve)
-    tau = _affine_tau_prime(curve, p1) * _affine_tau_prime(curve, p2)
-    return p_affine_prime(curve, tau - 1)
-
-
-def south_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
-    """Inverse under south_mul: shifted parameter tau goes to 1/tau."""
-    _require_unique_cube_root(curve)
-    return p_affine(curve, _affine_tau(curve, point).inverse() - 1)
-
-
-def west_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
-    """Inverse under west_mul."""
-    _require_unique_cube_root(curve)
-    return p_affine_prime(curve, _affine_tau_prime(curve, point).inverse() - 1)
-
-
-# -- the curve as a field ----------------------------------------------
-
-
-def folium_add(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
-    """Field addition on the curve: add_south."""
-    return add_south(curve, p1, p2)
-
-
-def folium_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
-    """Field multiplication: proj_mul extended by letting the node absorb."""
-    curve.require_on_curve(p1)
-    curve.require_on_curve(p2)
-    if p1 == curve.origin or p2 == curve.origin:
-        return curve.origin
-    return proj_mul(curve, p1, p2)
-
-
-def folium_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
-    """Field inversion; the node has none."""
-    curve.require_on_curve(point)
-    if point == curve.origin:
-        raise DivisionByZeroPoint("the node (0 : 0 : 1) has no multiplicative inverse")
-    return sigma(point)
-
-
-def folium_div(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
-    """Field division p1 / p2; dividing by the node is an error."""
-    return folium_mul(curve, p1, folium_inv(curve, p2))
-
-
-# -- law catalogue ------------------------------------------------------
 
 
 class LawKind(Enum):
@@ -186,43 +54,196 @@ class LawKind(Enum):
     FIELD_MUL = "fieldmul"
 
 
-_APPLY = {
-    LawKind.PROJ_MUL: proj_mul,
-    LawKind.PROJ_MUL2: proj_mul2,
-    LawKind.STAR_MUL: star_mul,
-    LawKind.ADD_SOUTH: add_south,
-    LawKind.ADD_WEST: add_west,
-    LawKind.SOUTH_MUL: south_mul,
-    LawKind.WEST_MUL: west_mul,
-    LawKind.FIELD_MUL: folium_mul,
+class Chart(NamedTuple):
+    """A parametrization K -> curve and its inverse; `affine` ones need a unique cube root of -1."""
+
+    point: Callable
+    param: Callable
+    affine: bool = False
+
+
+class Law(NamedTuple):
+    """One transported law: P o Q = chart.point(op(chart.param(P), chart.param(Q)))."""
+
+    kind: LawKind
+    chart: Chart
+    op: Callable
+    neutral: int  # the chart parameter of the neutral element
+    inverse: Callable
+    excludes_node: bool
+    domain: str  # the point pool the verify suites draw from
+    units: str | None = None  # the pool of invertible points, when narrower than the domain
+
+    def require_field(self, curve: Folium) -> None:
+        if self.chart.affine and not curve.field.has_unique_cube_root():
+            raise FieldLacksUniqueCubeRoot(
+                f"{curve.field} has epsilon roots, so the affine parametrization "
+                "is not a bijection onto the affine curve"
+            )
+
+    def param(self, curve: Folium, point: ProjectivePoint) -> FieldElement:
+        u = self.chart.param(curve, point)
+        if self.excludes_node and u.is_zero():
+            raise OriginNotInGroup("the node (0 : 0 : 1) is excluded here")
+        return u
+
+    def apply(self, curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
+        self.require_field(curve)
+        return self.chart.point(curve, self.op(self.param(curve, p1), self.param(curve, p2)))
+
+    def invert(self, curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
+        self.require_field(curve)
+        return self.chart.point(curve, self.inverse(self.param(curve, point)))
+
+
+def _require_affine(point: ProjectivePoint) -> ProjectivePoint:
+    if point.is_at_infinity:
+        raise PointAtInfinity(f"{point} is not an affine point")
+    return point
+
+
+def _reciprocal(u: FieldElement) -> FieldElement:
+    # Parameter 0 is the node; only fieldmul admits it, and it has no inverse there.
+    if u.is_zero():
+        raise DivisionByZeroPoint("the node (0 : 0 : 1) has no multiplicative inverse")
+    return u.inverse()
+
+
+# The charts call the parametrizations by their module-level names, so a
+# wrapper installed on those names sees every call a law makes.
+_PBAR = Chart(lambda c, u: pbar(c, u), lambda c, P: pbar_inv(c, P))
+_PBARBAR = Chart(lambda c, u: pbarbar(c, u), lambda c, P: pbarbar_inv(c, P))
+# t != -1 for affine points, so the shifted parameter tau = t + 1 is never zero.
+_SOUTH = Chart(
+    lambda c, tau: p_affine(c, alpha(tau)),
+    lambda c, P: alpha_inv(pbar_inv(c, _require_affine(P))),
+    affine=True,
+)
+_WEST = Chart(
+    lambda c, tau: p_affine_prime(c, alpha(tau)),
+    lambda c, P: alpha_inv(pbarbar_inv(c, _require_affine(P))),
+    affine=True,
+)
+
+# -- the law table --------------------------------------------------------
+
+_PROJ_MUL = Law(LawKind.PROJ_MUL, _PBAR, operator.mul, 1, _reciprocal, True, "nonzero")
+_PROJ_MUL2 = Law(LawKind.PROJ_MUL2, _PBARBAR, operator.mul, 1, _reciprocal, True, "nonzero")
+_STAR_MUL = Law(LawKind.STAR_MUL, _PBAR, lambda u, v: -(u * v), -1, _reciprocal, True, "nonzero")
+_ADD_SOUTH = Law(LawKind.ADD_SOUTH, _PBAR, operator.add, 0, operator.neg, False, "all")
+_ADD_WEST = Law(LawKind.ADD_WEST, _PBARBAR, operator.add, 0, operator.neg, False, "all")
+_SOUTH_MUL = Law(LawKind.SOUTH_MUL, _SOUTH, operator.mul, 1, _reciprocal, False, "affine")
+_WEST_MUL = Law(LawKind.WEST_MUL, _WEST, operator.mul, 1, _reciprocal, False, "affine")
+_FIELD_MUL = Law(LawKind.FIELD_MUL, _PBAR, operator.mul, 1, _reciprocal, False, "all", "nonzero")
+
+LAWS = {
+    law.kind: law
+    for law in (_PROJ_MUL, _PROJ_MUL2, _STAR_MUL, _ADD_SOUTH, _ADD_WEST, _SOUTH_MUL, _WEST_MUL, _FIELD_MUL)
 }
 
 
 def apply_law(curve: Folium, law: LawKind, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
     """Apply one of the composition laws, enforcing its domain."""
-    return _APPLY[law](curve, p1, p2)
+    return LAWS[law].apply(curve, p1, p2)
 
 
 def law_neutral(curve: Folium, law: LawKind) -> ProjectivePoint:
-    """The neutral element of the law (V for the multiplicative laws, O otherwise)."""
-    if law in (LawKind.PROJ_MUL, LawKind.PROJ_MUL2, LawKind.FIELD_MUL):
-        return curve.vertex()
-    if law is LawKind.STAR_MUL:
-        return curve.infinity
-    return curve.origin
+    """The neutral element of the law (V for the multiplicative laws, I for star, O otherwise)."""
+    record = LAWS[law]
+    return record.chart.point(curve, record.neutral)
 
 
 def law_inverse(curve: Folium, law: LawKind, point: ProjectivePoint) -> ProjectivePoint:
     """The inverse of a point under the law; domain errors mirror the law's own."""
-    if law in (LawKind.PROJ_MUL, LawKind.PROJ_MUL2):
-        return proj_inv(curve, point)
-    if law is LawKind.STAR_MUL:
-        # The star inverse coincides with the proj_mul inverse: P * sigma(P) = I.
-        return proj_inv(curve, point)
-    if law in (LawKind.ADD_SOUTH, LawKind.ADD_WEST):
-        return neg(curve, point)
-    if law is LawKind.SOUTH_MUL:
-        return south_inv(curve, point)
-    if law is LawKind.WEST_MUL:
-        return west_inv(curve, point)
-    return folium_inv(curve, point)
+    return LAWS[law].invert(curve, point)
+
+
+# -- the laws by name -----------------------------------------------------
+
+
+def nonzero_param(curve: Folium, point: ProjectivePoint) -> FieldElement:
+    """Slope parameter of a curve point, rejecting the node."""
+    return _PROJ_MUL.param(curve, point)
+
+
+def proj_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
+    """The multiplicative law with neutral V = pbar(1); node excluded."""
+    return _PROJ_MUL.apply(curve, p1, p2)
+
+
+def proj_mul2(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
+    """The multiplicative transport through pbarbar; coincides with proj_mul pointwise."""
+    return _PROJ_MUL2.apply(curve, p1, p2)
+
+
+def proj_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
+    """Inverse under proj_mul: the coordinate swap (x : y : z) -> (y : x : z)."""
+    return _PROJ_MUL.invert(curve, point)
+
+
+def star_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
+    """The derived law pbar(t) * pbar(t') = pbar(-t t') with neutral I."""
+    return _STAR_MUL.apply(curve, p1, p2)
+
+
+def perp(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
+    """The involution P -> pbar(-1/t); exchanges V and I."""
+    return pbar(curve, -nonzero_param(curve, point).inverse())
+
+
+def add_south(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
+    """The additive law pbar(t) + pbar(t') = pbar(t + t'); total, neutral O."""
+    return _ADD_SOUTH.apply(curve, p1, p2)
+
+
+def neg(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
+    """Additive inverse pbar(-t); the same map serves add_south and add_west."""
+    return _ADD_SOUTH.invert(curve, point)
+
+
+def add_west(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
+    """The additive transport through pbarbar; total, neutral O, distinct from add_south."""
+    return _ADD_WEST.apply(curve, p1, p2)
+
+
+def south_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
+    """The affine exotic law: transport of (K\\{0}, *) through p_affine . alpha."""
+    return _SOUTH_MUL.apply(curve, p1, p2)
+
+
+def west_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
+    """The swapped affine exotic law: transport through p_affine_prime . alpha."""
+    return _WEST_MUL.apply(curve, p1, p2)
+
+
+def south_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
+    """Inverse under south_mul: shifted parameter tau goes to 1/tau."""
+    return _SOUTH_MUL.invert(curve, point)
+
+
+def west_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
+    """Inverse under west_mul."""
+    return _WEST_MUL.invert(curve, point)
+
+
+# -- the curve as a field ----------------------------------------------
+
+
+def folium_add(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
+    """Field addition on the curve: add_south."""
+    return _ADD_SOUTH.apply(curve, p1, p2)
+
+
+def folium_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
+    """Field multiplication: proj_mul extended by letting the node absorb."""
+    return _FIELD_MUL.apply(curve, p1, p2)
+
+
+def folium_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
+    """Field inversion; the node has none."""
+    return _FIELD_MUL.invert(curve, point)
+
+
+def folium_div(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
+    """Field division p1 / p2; dividing by the node is an error."""
+    return folium_mul(curve, p1, folium_inv(curve, p2))

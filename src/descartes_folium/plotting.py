@@ -34,6 +34,14 @@ class Overlay:
     params: tuple = ()
 
 
+def parse_rational(text: str) -> Fraction:
+    """A plot literal such as -0.9 or 3/7; a zero denominator is a ValueError, like any bad literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in literal {text!r}") from exc
+
+
 def parse_overlay(text: str) -> Overlay:
     """Parse the CLI overlay grammar: bisector | asymptote | point:<t> | tangent:<t> | chord:<t1>,<t2>."""
     head, _, tail = text.partition(":")
@@ -43,14 +51,14 @@ def parse_overlay(text: str) -> Overlay:
             raise ValueError(f"overlay {head!r} takes no parameters")
         return Overlay(head)
     if head == "point":
-        return Overlay("point", (Fraction(tail.strip()),))
+        return Overlay("point", (parse_rational(tail.strip()),))
     if head == "tangent":
-        return Overlay("tangent", (Fraction(tail.strip()),))
+        return Overlay("tangent", (parse_rational(tail.strip()),))
     if head == "chord":
         parts = [part.strip() for part in tail.split(",")]
         if len(parts) != 2:
             raise ValueError("overlay chord takes two parameters: chord:<t1>,<t2>")
-        return Overlay("chord", (Fraction(parts[0]), Fraction(parts[1])))
+        return Overlay("chord", (parse_rational(parts[0]), parse_rational(parts[1])))
     raise ValueError(f"unknown overlay {text!r}")
 
 

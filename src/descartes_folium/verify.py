@@ -32,6 +32,7 @@ from .geometry import (
     third_intersection,
 )
 from .laws import (
+    LAWS,
     LawKind,
     add_south,
     add_west,
@@ -136,25 +137,17 @@ class _Context:
             self._points[kind] = [pbar(self.curve, t) for t in self.params(kind)]
         return self._points[kind]
 
-    def _draws(self, pool: list, arity: int, count: int) -> list:
-        return [
-            tuple(self.rng.choice(pool) for _ in range(arity)) for _ in range(count)
-        ]
-
-    def tuples(self, kind: str, arity: int, bound: int | None = None) -> list:
-        pool = self.points(kind)
-        if bound is None:
-            bound = EXHAUSTIVE_PAIR_BOUND if arity <= 2 else EXHAUSTIVE_TRIPLE_BOUND
-        if self.finite and len(pool) ** arity <= bound:
-            return list(itertools.product(pool, repeat=arity))
-        return self._draws(pool, arity, self.samples)
-
-    def param_tuples(self, kind: str, arity: int) -> list:
-        pool = self.params(kind)
+    def tuples(self, kind: str, arity: int, params: bool = False) -> list:
+        """Tuples of points (or of parameters) from the named pool."""
+        pool = self.params(kind) if params else self.points(kind)
         bound = EXHAUSTIVE_PAIR_BOUND if arity <= 2 else EXHAUSTIVE_TRIPLE_BOUND
+        return self.product_or_draws(pool, arity, bound, self.samples)
+
+    def product_or_draws(self, pool: list, arity: int, bound: int, count: int) -> list:
+        """All tuples over a finite field when at most `bound`, else `count` seeded draws."""
         if self.finite and len(pool) ** arity <= bound:
             return list(itertools.product(pool, repeat=arity))
-        return self._draws(pool, arity, self.samples)
+        return [tuple(self.rng.choice(pool) for _ in range(arity)) for _ in range(count)]
 
     def affine_gate_note(self) -> str | None:
         """None when the affine exotic laws apply; otherwise the reason they do not."""
@@ -313,52 +306,38 @@ def _suite_parametrize(ctx: _Context) -> list:
     return results
 
 
-_LAW_DOMAIN = {
-    LawKind.PROJ_MUL: "nonzero",
-    LawKind.PROJ_MUL2: "nonzero",
-    LawKind.STAR_MUL: "nonzero",
-    LawKind.ADD_SOUTH: "all",
-    LawKind.ADD_WEST: "all",
-    LawKind.SOUTH_MUL: "affine",
-    LawKind.WEST_MUL: "affine",
-    LawKind.FIELD_MUL: "all",
-}
-
-
-def _law_axioms(ctx: _Context, law: LawKind) -> list:
+def _law_axioms(ctx: _Context, kind: LawKind) -> list:
     curve = ctx.curve
-    names = [f"{law.value}_{prop}" for prop in ("associative", "commutative", "neutral", "inverse")]
-    if law in (LawKind.SOUTH_MUL, LawKind.WEST_MUL):
-        note = ctx.affine_gate_note()
-        if note is not None:
-            return [_skip(name, note) for name in names]
-    domain = _LAW_DOMAIN[law]
-    neutral = law_neutral(curve, law)
-    results = [
+    law = LAWS[kind]
+    names = [f"{kind.value}_{prop}" for prop in ("associative", "commutative", "neutral", "inverse")]
+    note = ctx.affine_gate_note() if law.chart.affine else None
+    if note is not None:
+        return [_skip(name, note) for name in names]
+    neutral = law_neutral(curve, kind)
+    return [
         _run(
             names[0],
-            ctx.tuples(domain, 3),
-            lambda P, Q, R: apply_law(curve, law, apply_law(curve, law, P, Q), R)
-            == apply_law(curve, law, P, apply_law(curve, law, Q, R)),
+            ctx.tuples(law.domain, 3),
+            lambda P, Q, R: apply_law(curve, kind, apply_law(curve, kind, P, Q), R)
+            == apply_law(curve, kind, P, apply_law(curve, kind, Q, R)),
         ),
         _run(
             names[1],
-            ctx.tuples(domain, 2),
-            lambda P, Q: apply_law(curve, law, P, Q) == apply_law(curve, law, Q, P),
+            ctx.tuples(law.domain, 2),
+            lambda P, Q: apply_law(curve, kind, P, Q) == apply_law(curve, kind, Q, P),
         ),
-        # under FIELD_MUL the node absorbs, and indeed O * V == O == P there
+        # under fieldmul the node absorbs, and indeed O * V == O == P there
         _run(
             names[2],
-            ctx.tuples(domain, 1),
-            lambda P: apply_law(curve, law, P, neutral) == P,
+            ctx.tuples(law.domain, 1),
+            lambda P: apply_law(curve, kind, P, neutral) == P,
         ),
         _run(
             names[3],
-            ctx.tuples("nonzero" if law is LawKind.FIELD_MUL else domain, 1),
-            lambda P: apply_law(curve, law, P, law_inverse(curve, law, P)) == neutral,
+            ctx.tuples(law.units or law.domain, 1),
+            lambda P: apply_law(curve, kind, P, law_inverse(curve, kind, P)) == neutral,
         ),
     ]
-    return results
 
 
 def _suite_axioms(ctx: _Context) -> list:
@@ -413,11 +392,8 @@ def _chain_cases(ctx: _Context) -> list:
     pool = ctx.points("nonzero")
     cases = []
     for length in range(2, 8):
-        if ctx.finite and len(pool) ** length <= EXHAUSTIVE_CHAIN_BOUND:
-            cases.extend(itertools.product(pool, repeat=length))
-        else:
-            count = max(10, ctx.samples // 20)
-            cases.extend(ctx._draws(pool, length, count))
+        count = max(10, ctx.samples // 20)
+        cases.extend(ctx.product_or_draws(pool, length, EXHAUSTIVE_CHAIN_BOUND, count))
     return cases
 
 
@@ -499,7 +475,7 @@ def _suite_star(ctx: _Context) -> list:
     results.append(
         _run(
             "perp_parameter_collinearity",
-            ctx.param_tuples("nonzero", 3),
+            ctx.tuples("nonzero", 3, params=True),
             perp_parameter_collinearity,
         )
     )
@@ -629,7 +605,7 @@ def _suite_southmul(ctx: _Context) -> list:
     if note is not None:
         return [_skip(name, note) for name in names]
     results = []
-    tau_pairs = ctx.param_tuples("nonzero", 2)
+    tau_pairs = ctx.tuples("nonzero", 2, params=True)
 
     def south_transport(tau1, tau2):
         lhs = south_mul(
@@ -700,7 +676,7 @@ def _suite_perpendicular(ctx: _Context) -> list:
 
     pairs = [
         (t1, t2)
-        for (t1, t2) in ctx.param_tuples("nonzero_affine", 2)
+        for (t1, t2) in ctx.tuples("nonzero_affine", 2, params=True)
         if t1 != one and t2 != one
     ]
     results.append(_run(names[1], pairs, equivalence))
@@ -768,7 +744,7 @@ def _suite_fieldstructure(ctx: _Context) -> list:
             == add_south(curve, folium_mul(curve, P, Q), folium_mul(curve, P, R)),
         )
     )
-    param_pairs = ctx.param_tuples("all", 2)
+    param_pairs = ctx.tuples("all", 2, params=True)
     results.append(
         _run(
             "pbar_transports_field_ops",

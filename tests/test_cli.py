@@ -6,18 +6,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*argv, expect=0):
+def cli_process(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "descartes_folium", *argv],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def run_cli(*argv, expect=0):
+    proc = cli_process(*argv)
     assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
     return proc.stdout
 
@@ -152,3 +158,21 @@ def test_plot_csv(tmp_path):
 
 def test_plot_degenerate_range_exits_three(tmp_path):
     run_cli("plot", "--t-min", "2", "--t-max", "2", "--out", str(tmp_path / "x.svg"), expect=3)
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--t-min", "1/0"),
+        ("--t-max", "1/0"),
+        ("--a", "1/0"),
+        ("--exclusion", "1/0"),
+        ("--overlay", "point:1/0"),
+        ("--overlay", "tangent:1/0"),
+        ("--overlay", "chord:2,1/0"),
+    ],
+)
+def test_plot_zero_denominator_is_a_domain_error(tmp_path, flag, value):
+    proc = cli_process("plot", flag, value, "--out", str(tmp_path / "x.svg"))
+    assert proc.returncode == 3, (proc.stdout, proc.stderr)
+    assert proc.stderr == "error: zero denominator in literal '1/0'\n"

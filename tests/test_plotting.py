@@ -10,6 +10,7 @@ from descartes_folium.parametrization import p_affine
 from descartes_folium.plotting import (
     Overlay,
     parse_overlay,
+    parse_rational,
     render_csv,
     render_svg,
     sample_segments,
@@ -94,6 +95,13 @@ def test_overlay_parsing():
     for bad in ("chord:2", "circle:1", "bisector:3", "point:x"):
         with pytest.raises(ValueError):
             parse_overlay(bad)
+
+
+def test_rational_literals():
+    assert parse_rational("-0.9") == Fraction(-9, 10)
+    assert parse_rational("3/7") == Fraction(3, 7)
+    with pytest.raises(ValueError, match="zero denominator in literal '1/0'"):
+        parse_rational("1/0")
 
 
 def test_overlays_render_marks_and_labels():
