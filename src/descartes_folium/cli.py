@@ -9,6 +9,7 @@ verification failure, 2 usage error, 3 domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -76,49 +77,31 @@ def _curve_point(curve: Folium, literal: str) -> ProjectivePoint:
     return point
 
 
-# -- subcommand handlers --------------------------------------------------
+# -- the curve subcommands -----------------------------------------------
 
 
-def _cmd_eval(args) -> int:
-    curve = _curve(args)
-    param_map = ParamMap(args.map)
+def _point_result(point: ProjectivePoint, **fields) -> tuple:
+    return point_text(point), {**fields, "point": point_json(point)}
+
+
+def _eval(curve: Folium, args) -> tuple:
     t = curve.field.from_literal(args.t)
-    point = param_map.evaluate(curve, t)
-    _emit(args, point_text(point), {"map": args.map, "t": str(t), "point": point_json(point)})
-    return EXIT_OK
+    return _point_result(ParamMap(args.map).evaluate(curve, t), map=args.map, t=str(t))
 
 
-def _cmd_op(args) -> int:
-    curve = _curve(args)
-    law = LawKind(args.law)
-    p1 = _curve_point(curve, args.p1)
-    p2 = _curve_point(curve, args.p2)
-    result = apply_law(curve, law, p1, p2)
-    _emit(args, point_text(result), {"law": args.law, "point": point_json(result)})
-    return EXIT_OK
+def _op(curve: Folium, args, p1: ProjectivePoint, p2: ProjectivePoint) -> tuple:
+    return _point_result(apply_law(curve, LawKind(args.law), p1, p2), law=args.law)
 
 
-def _cmd_inv(args) -> int:
-    curve = _curve(args)
-    law = LawKind(args.law)
-    point = _curve_point(curve, args.point)
-    result = law_inverse(curve, law, point)
-    _emit(args, point_text(result), {"law": args.law, "point": point_json(result)})
-    return EXIT_OK
+def _inv(curve: Folium, args, point: ProjectivePoint) -> tuple:
+    return _point_result(law_inverse(curve, LawKind(args.law), point), law=args.law)
 
 
-def _cmd_perp(args) -> int:
-    curve = _curve(args)
-    point = _curve_point(curve, args.point)
-    result = perp(curve, point)
-    _emit(args, point_text(result), {"point": point_json(result)})
-    return EXIT_OK
+def _perp(curve: Folium, args, point: ProjectivePoint) -> tuple:
+    return _point_result(perp(curve, point))
 
 
-def _cmd_chord(args) -> int:
-    curve = _curve(args)
-    p1 = _curve_point(curve, args.p1)
-    p2 = _curve_point(curve, args.p2)
+def _chord(curve: Folium, args, p1: ProjectivePoint, p2: ProjectivePoint) -> tuple:
     line = chord_or_tangent(curve, p1, p2)
     third = third_intersection(curve, p1, p2)
     dot = proj_mul(curve, p1, p2)
@@ -131,22 +114,16 @@ def _cmd_chord(args) -> int:
             f"star:  {point_text(star)}",
         ]
     )
-    _emit(
-        args,
-        text,
-        {
-            "line": line_json(line),
-            "third": point_json(third),
-            "dot": point_json(dot),
-            "star": point_json(star),
-        },
-    )
-    return EXIT_OK
+    payload = {
+        "line": line_json(line),
+        "third": point_json(third),
+        "dot": point_json(dot),
+        "star": point_json(star),
+    }
+    return text, payload
 
 
-def _cmd_collinear(args) -> int:
-    curve = _curve(args)
-    points = [_curve_point(curve, literal) for literal in (args.p1, args.p2, args.p3)]
+def _collinear(curve: Folium, args, *points: ProjectivePoint) -> tuple:
     result = collinear3(curve, *points)
     identity = points[0].x * points[1].x * points[2].x + points[0].y * points[1].y * points[2].y
     t_product = None
@@ -157,58 +134,80 @@ def _cmd_collinear(args) -> int:
         f"collinear: {str(result).lower()} "
         f"(x1x2x3 + y1y2y3 = {identity}, t1t2t3 = {t_product or 'n/a'})"
     )
-    _emit(
-        args,
-        text,
-        {"collinear": result, "coordinate_identity": str(identity), "t_product": t_product},
-    )
-    return EXIT_OK
+    return text, {"collinear": result, "coordinate_identity": str(identity), "t_product": t_product}
 
 
-def _cmd_branch(args) -> int:
-    curve = _curve(args)
-    point = _curve_point(curve, args.point)
-    label = classify_branch(curve, point)
-    _emit(args, label.value, {"branch": label.value})
-    return EXIT_OK
+def _branch(curve: Folium, args, point: ProjectivePoint) -> tuple:
+    label = classify_branch(curve, point).value
+    return label, {"branch": label}
 
 
-def _cmd_count(args) -> int:
-    curve = _curve(args)
-    points = curve.enumerate_points()
+def _count(curve: Folium, args) -> tuple:
+    enumerated = len(curve.enumerate_points())
     predicted = curve.field.characteristic
-    match = len(points) == predicted
-    _emit(
-        args,
-        f"enumerated: {len(points)}, predicted: {predicted}",
-        {"enumerated": len(points), "predicted": predicted, "match": match},
+    match = enumerated == predicted
+    return (
+        f"enumerated: {enumerated}, predicted: {predicted}",
+        {"enumerated": enumerated, "predicted": predicted, "match": match},
+        EXIT_OK if match else EXIT_VERIFY_FAILED,
     )
-    return EXIT_OK if match else EXIT_VERIFY_FAILED
+
+
+_LAW = ("--law", {"required": True, "choices": [k.value for k in LawKind]})
+_POINT = ("point", {"help": "point literal"})
+_TWO_POINTS = (("p1", {"help": "first point literal"}), ("p2", {"help": "second point literal"}))
+_THREE_POINTS = (("p1", {}), ("p2", {}), ("p3", {}))
+_EVAL_ARGUMENTS = (
+    ("--map", {"required": True, "choices": [m.value for m in ParamMap]}),
+    ("--t", {"required": True, "help": "parameter value (field literal)"}),
+)
+
+# (name, help, arguments, compute): each argument is a (name or flag,
+# add_argument keywords) pair, and every positional one is a point literal.
+# `compute(curve, args, *points)` returns (text, payload[, exit code]).
+_CURVE_COMMANDS = (
+    ("eval", "evaluate a parametrization", _EVAL_ARGUMENTS, _eval),
+    ("op", "apply a composition law to two points", (_LAW, *_TWO_POINTS), _op),
+    ("inv", "invert a point under a law", (_LAW, _POINT), _inv),
+    ("perp", "the perpendicular-chord involution", (_POINT,), _perp),
+    ("chord", "chord/tangent data for two points", _TWO_POINTS, _chord),
+    ("collinear", "test three points for collinearity", _THREE_POINTS, _collinear),
+    ("branch", "branch label of a rational affine point", (_POINT,), _branch),
+    ("count", "brute-force point count over fp:<p>", (), _count),
+)
+
+
+def _run_curve_command(arguments: tuple, compute, args) -> int:
+    """Build the curve, then check each point literal on it in argv order, then compute."""
+    curve = _curve(args)
+    literals = [getattr(args, name) for name, _ in arguments if not name.startswith("-")]
+    points = [_curve_point(curve, literal) for literal in literals]
+    text, payload, *code = compute(curve, args, *points)
+    _emit(args, text, payload)
+    return code[0] if code else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     curve = _curve(args)
     report = run_report(curve, args.suite, seed=args.seed, samples=args.samples)
     failed = sum(1 for prop in report["properties"] if not prop["passed"])
+    skipped = sum(1 for prop in report["properties"] if prop.get("note"))
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
         for prop in report["properties"]:
             if prop.get("note"):
-                status = "SKIP"
-            elif prop["passed"]:
-                status = "PASS"
+                status, detail = "SKIP", f" — {prop['note']}"
             else:
-                status = "FAIL"
-            detail = f" ({prop['instances']} instances)"
-            if prop.get("note"):
-                detail = f" — {prop['note']}"
+                status = "PASS" if prop["passed"] else "FAIL"
+                detail = f" ({prop['instances']} instances)"
             if prop.get("counterexample"):
                 detail += f" — counterexample: {prop['counterexample']}"
             print(f"{status} {prop['name']}{detail}")
         print(
             f"suite={report['suite']} field={report['field']} a={report['a']}: "
-            f"{len(report['properties']) - failed} passed, {failed} failed"
+            f"{len(report['properties']) - failed - skipped} passed, {failed} failed, "
+            f"{skipped} skipped"
         )
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
@@ -247,43 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate a parametrization")
-    p_eval.add_argument("--map", required=True, choices=[m.value for m in ParamMap])
-    p_eval.add_argument("--t", required=True, help="parameter value (field literal)")
-    p_eval.set_defaults(handler=_cmd_eval)
-
-    p_op = sub.add_parser("op", parents=[common], help="apply a composition law to two points")
-    p_op.add_argument("--law", required=True, choices=[k.value for k in LawKind])
-    p_op.add_argument("p1", help="first point literal")
-    p_op.add_argument("p2", help="second point literal")
-    p_op.set_defaults(handler=_cmd_op)
-
-    p_inv = sub.add_parser("inv", parents=[common], help="invert a point under a law")
-    p_inv.add_argument("--law", required=True, choices=[k.value for k in LawKind])
-    p_inv.add_argument("point", help="point literal")
-    p_inv.set_defaults(handler=_cmd_inv)
-
-    p_perp = sub.add_parser("perp", parents=[common], help="the perpendicular-chord involution")
-    p_perp.add_argument("point", help="point literal")
-    p_perp.set_defaults(handler=_cmd_perp)
-
-    p_chord = sub.add_parser("chord", parents=[common], help="chord/tangent data for two points")
-    p_chord.add_argument("p1", help="first point literal")
-    p_chord.add_argument("p2", help="second point literal")
-    p_chord.set_defaults(handler=_cmd_chord)
-
-    p_col = sub.add_parser("collinear", parents=[common], help="test three points for collinearity")
-    p_col.add_argument("p1")
-    p_col.add_argument("p2")
-    p_col.add_argument("p3")
-    p_col.set_defaults(handler=_cmd_collinear)
-
-    p_branch = sub.add_parser("branch", parents=[common], help="branch label of a rational affine point")
-    p_branch.add_argument("point", help="point literal")
-    p_branch.set_defaults(handler=_cmd_branch)
-
-    p_count = sub.add_parser("count", parents=[common], help="brute-force point count over fp:<p>")
-    p_count.set_defaults(handler=_cmd_count)
+    for name, help_text, arguments, compute in _CURVE_COMMANDS:
+        p_command = sub.add_parser(name, parents=[common], help=help_text)
+        for argument, options in arguments:
+            p_command.add_argument(argument, **options)
+        p_command.set_defaults(handler=functools.partial(_run_curve_command, arguments, compute))
 
     p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p_verify.add_argument("--suite", default="all", help="suite name or all")

@@ -12,32 +12,39 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldTooLargeForScan, MixedFields
+from .errors import DivisionByZero, MixedFields
 
-# Exhaustive residue scans (epsilon roots) stay below this bound.
-EPSILON_SCAN_BOUND = 1 << 16
-# Primality is checked by trial division below this bound; larger moduli
-# are accepted as declared.
-PRIME_CHECK_BOUND = 1 << 32
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015); larger moduli are rejected, not guessed at.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _RATIONAL_LITERAL = re.compile(r"^[+-]?\d+(\s*/\s*\d+)?$")
 _INTEGER_LITERAL = re.compile(r"^[+-]?\d+$")
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division, adequate below PRIME_CHECK_BOUND."""
+    """Deterministic Miller-Rabin; raises ValueError at or above MILLER_RABIN_BOUND."""
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"primality is decided only below {MILLER_RABIN_BOUND}, got {n}")
     if n < 2:
         return False
-    for small in (2, 3, 5, 7):
-        if n == small:
-            return True
-        if n % small == 0:
+    for base in _MILLER_RABIN_BASES:
+        if n % base == 0:
+            return n == base
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-    i = 11
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
     return True
 
 
@@ -194,10 +201,6 @@ class Field:
     def one(self) -> FieldElement:
         return self.element(1)
 
-    @property
-    def is_ordered(self) -> bool:
-        return self.characteristic == 0
-
     def epsilon_roots(self):
         """Both roots of e^2 - e + 1 = 0 in this field, or None if there are none.
 
@@ -210,7 +213,7 @@ class Field:
         """True iff -1 is the only root of x^3 + 1 = 0 in this field.
 
         x^3 + 1 = (x + 1)(x^2 - x + 1) and -1 never solves the quadratic
-        away from characteristic 3, so this reduces to the epsilon scan.
+        away from characteristic 3, so this reduces to the epsilon roots.
         """
         return self.epsilon_roots() is None
 
@@ -272,7 +275,7 @@ class Rationals(Field):
 
 
 class PrimeField(Field):
-    """The prime field F_p, p prime and p != 3."""
+    """The prime field F_p, p prime, p != 3 and p < MILLER_RABIN_BOUND."""
 
     def __init__(self, p: int):
         p = int(p)
@@ -280,7 +283,7 @@ class PrimeField(Field):
             raise ValueError("characteristic 3 is rejected: the folium cubic degenerates")
         if p < 2:
             raise ValueError(f"modulus must be a prime >= 2, got {p}")
-        if p < PRIME_CHECK_BOUND and not is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
@@ -301,14 +304,15 @@ class PrimeField(Field):
         return FieldElement(self, int(text) % self.p)
 
     def epsilon_roots(self):
-        if self.p >= EPSILON_SCAN_BOUND:
-            raise FieldTooLargeForScan(
-                f"epsilon scan requires p < {EPSILON_SCAN_BOUND}, got p = {self.p}"
-            )
-        roots = [e for e in range(self.p) if (e * e - e + 1) % self.p == 0]
-        if not roots:
+        # The roots are the primitive sixth roots of unity -w and -w^2, w a
+        # primitive cube root of unity; F_p^* has one exactly when 3 | p - 1.
+        p = self.p
+        if p == 2 or p % 3 == 2:
             return None
-        # p != 3 keeps the discriminant -3 nonzero, so the roots are distinct.
+        g = 2
+        while (w := pow(g, (p - 1) // 3, p)) == 1:
+            g += 1
+        roots = sorted((-w % p, -w * w % p))
         return (FieldElement(self, roots[0]), FieldElement(self, roots[1]))
 
     def random_element(self, rng) -> FieldElement:

@@ -112,6 +112,36 @@ def test_verify_skip_note_for_f7_southmul():
     assert "SKIP" in out and "epsilon roots" in out
 
 
+def test_verify_summary_counts_skips_apart():
+    out = run_cli("verify", "--field", "fp:7", "--suite", "southmul")
+    assert out.count("SKIP") == 5
+    assert out.splitlines()[-1].endswith(": 0 passed, 0 failed, 5 skipped")
+
+
+def test_verify_southmul_runs_over_large_p_two_mod_three():
+    out = run_cli("verify", "--field", "fp:65537", "--suite", "southmul", "--samples", "50")
+    assert [line.split()[0] for line in out.splitlines()[:-1]] == ["PASS"] * 5
+    assert out.splitlines()[-1].endswith(": 5 passed, 0 failed, 0 skipped")
+
+
+def test_op_southmul_over_large_p_two_mod_three():
+    p = 65537
+
+    def affine(t):  # pbar(t) = (3t : 3t^2 : 1 + t^3), scaled to z = 1
+        d = pow(1 + t**3, -1, p)
+        return f"({3 * t * d % p} : {3 * t * t * d % p} : 1)"
+
+    t1, t2 = 2, 5
+    out = run_cli("op", "--field", f"fp:{p}", "--law", "southmul", affine(t1), affine(t2))
+    assert out.strip() == affine((t1 + 1) * (t2 + 1) - 1)
+
+
+def test_composite_modulus_is_a_domain_error():
+    proc = cli_process("eval", "--field", "fp:4294967297", "--map", "paffine", "--t", "640")
+    assert proc.returncode == 3, (proc.stdout, proc.stderr)
+    assert proc.stderr == "error: 4294967297 is not prime\n"
+
+
 def test_verify_json_deterministic():
     argv = ("verify", "--field", "fp:5", "--suite", "all", "--seed", "0",
             "--samples", "100", "--format", "json")

@@ -118,10 +118,9 @@ def test_special_points_f7_has_three_at_infinity():
     assert all(curve.contains(point) for point in special.points_at_infinity)
 
 
-def test_special_points_propagates_scan_bound():
+def test_special_points_f65537_has_one_at_infinity():
     curve = Folium(PrimeField(65537), 1)
-    with pytest.raises(FieldTooLargeForScan):
-        curve.special_points()
+    assert curve.special_points().points_at_infinity == [curve.infinity]
 
 
 def test_special_points_char_two_vertex_collapses():

@@ -1,13 +1,15 @@
 """Exact field arithmetic, epsilon roots, and the cube-root predicate."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from descartes_folium import (
     DivisionByZero,
-    FieldTooLargeForScan,
     MixedFields,
     PrimeField,
     Rationals,
@@ -78,12 +80,39 @@ def test_is_prime_helper():
     assert not any(is_prime(n) for n in [1, 4, 9, 49, 121, 169, 1000003 * 3])
 
 
-def test_large_modulus_accepted_unchecked():
-    # primality is only checked below 2**32; arithmetic still works above
+@pytest.mark.parametrize(
+    "composite",
+    # 2^32 + 1 = 641 * 6700417, two strong pseudoprimes to small bases, a Carmichael number
+    [4294967297, 3215031751, 3825123056546413051, 561],
+)
+def test_is_prime_rejects_pseudoprimes(composite):
+    assert not is_prime(composite)
+    with pytest.raises(ValueError, match=f"{composite} is not prime"):
+        PrimeField(composite)
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@given(st.integers(min_value=-10, max_value=10**6))
+def test_is_prime_agrees_with_trial_division(n):
+    assert is_prime(n) == _trial_division(n)
+
+
+def test_modulus_beyond_the_primality_bound_rejected():
+    with pytest.raises(ValueError, match="primality is decided only below"):
+        PrimeField(2**89 - 1)
+
+
+def test_large_prime_modulus_checked():
+    assert is_prime(2**61 - 1)
     big = PrimeField(2**61 - 1)
     assert (big.element(2) ** 62).value == 2
-    with pytest.raises(FieldTooLargeForScan):
-        big.epsilon_roots()
+    e1, e2 = big.epsilon_roots()
+    assert e1 * e1 * e1 == -big.one
+    assert e2 * e2 * e2 == -big.one
+    assert e1 * e2 == big.one
 
 
 def test_mixed_fields_rejected():
@@ -121,11 +150,10 @@ def test_epsilon_roots_properties(p):
     assert e1 * e2 == field.one
 
 
-def test_epsilon_scan_bound():
-    with pytest.raises(FieldTooLargeForScan):
-        PrimeField(65537).epsilon_roots()
-    with pytest.raises(FieldTooLargeForScan):
-        PrimeField(65537).has_unique_cube_root()
+def test_epsilon_roots_absent_over_f65537():
+    # 65537 = 2 (mod 3), so -1 is the only cube root of -1 there
+    assert PrimeField(65537).epsilon_roots() is None
+    assert PrimeField(65537).has_unique_cube_root()
 
 
 def test_cube_root_unique_examples():
@@ -135,11 +163,12 @@ def test_cube_root_unique_examples():
 
 
 def test_cube_root_unique_matches_congruence():
-    # scan result against the congruence oracle, up to the scan bound
+    # the closed form against a residue scan for the cube roots of -1
     primes = [p for p in range(2, 200) if is_prime(p) and p != 3]
     primes += [251, 1009, 4001, 65521]
     for p in primes:
-        assert PrimeField(p).has_unique_cube_root() == (p % 3 == 2 or p == 2), p
+        cube_roots = [x for x in range(p) if (x * x * x + 1) % p == 0]
+        assert PrimeField(p).has_unique_cube_root() == (len(cube_roots) == 1), p
 
 
 @pytest.mark.parametrize("p", [2, 5, 7, 11, 13])
