@@ -2,7 +2,8 @@
 
 import pytest
 
-from descartes_folium import UnknownSuite
+from descartes_folium import UnknownSuite, verify
+from descartes_folium.cli import main
 from descartes_folium.verify import SUITES, run_report, run_suite
 from helpers import prime_curve, rational_curve
 
@@ -69,3 +70,50 @@ def test_all_runs_every_suite():
     assert "projmul_equals_projmul2" in names
     assert "split_lines_satisfy_identities" in names
     assert len(names) == len(report["properties"])
+
+
+def _failures(results):
+    return [
+        (result.name, result.instances, result.counterexample)
+        for result in results
+        if not result.passed
+    ]
+
+
+def test_forall_failure_reports_the_first_counterexample(monkeypatch):
+    real = verify.proj_mul
+    monkeypatch.setattr(verify, "proj_mul2", lambda curve, P, Q: real(curve, P, P))
+    results = run_suite(prime_curve(5), "coincidence", seed=0, samples=30)
+    assert _failures(results) == [
+        ("projmul_equals_projmul2", 2, "(4 : 4 : 1), (4 : 3 : 1)")
+    ]
+
+
+def test_existence_failure_reports_no_witness(monkeypatch):
+    monkeypatch.setattr(verify, "add_west", verify.add_south)
+    results = run_suite(prime_curve(5), "coincidence", seed=0, samples=30)
+    assert _failures(results) == [("additive_laws_differ", 25, "no witness found")]
+
+
+def test_nullary_failure_reports_no_arguments(monkeypatch):
+    monkeypatch.setattr(verify, "perp", lambda curve, P: P)
+    failures = dict(
+        (name, (instances, witness))
+        for name, instances, witness in _failures(
+            run_suite(prime_curve(5), "star", seed=0, samples=30)
+        )
+    )
+    assert failures["i_perp_is_v"] == (1, "(no arguments)")
+    assert failures["v_perp_is_i"] == (1, "(no arguments)")
+
+
+def test_cli_prints_fail_line_and_exits_one(monkeypatch, capsys):
+    real = verify.proj_mul
+    monkeypatch.setattr(verify, "proj_mul2", lambda curve, P, Q: real(curve, P, P))
+    code = main(["verify", "--field", "fp:5", "--suite", "coincidence", "--samples", "30"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0] == (
+        "FAIL projmul_equals_projmul2 (2 instances) — counterexample: (4 : 4 : 1), (4 : 3 : 1)"
+    )
+    assert lines[-1] == "suite=coincidence field=fp:5 a=1: 2 passed, 1 failed, 0 skipped"
