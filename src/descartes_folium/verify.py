@@ -1,22 +1,29 @@
 """Named verification suites for every structure the curve carries.
 
-Each suite checks a family of identities: exhaustively over small prime
-fields, and on seeded random samples over the rationals.  A suite returns
-one PropertyResult per identity; a result with instances = 0 and a note
-records a suite that does not apply to the chosen field (for example the
-affine exotic laws when epsilon roots exist).
+Each property is a declared row, a `_Prop`: a name, a skip note or None,
+a lazy case builder and a predicate.  A universal row holds when the
+predicate holds on every case; an existence row (`exists=True`) holds when
+it holds on one.  A suite maps a case context to its rows, and one runner,
+`_evaluate`, turns each row into a PropertyResult.  The runner alone counts
+instances, formats a counterexample and emits a skip (instances = 0 and a
+note), including the skip for an oracle that raises FieldTooLargeForScan.
+
+Cases are exhaustive over prime fields up to EXHAUSTIVE_PAIR_BOUND and
+seeded random samples over the rationals and over larger primes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Callable, Iterable, NamedTuple
 
 from .branches import BranchLabel, classify_branch
 from .curve import Folium
-from .errors import DivisionByZeroPoint, UnknownSuite
+from .errors import DivisionByZeroPoint, FieldTooLargeForScan, UnknownSuite
 from .fields import PrimeField
 from .geometry import (
     all_lines,
@@ -66,6 +73,9 @@ EXHAUSTIVE_TRIPLE_BOUND = 3_000
 EXHAUSTIVE_CHAIN_BOUND = 5_000
 LINE_SCAN_PRIME_BOUND = 31
 
+# Sampled parameter pools start from these; a prime field keeps the integers.
+_ANCHORS = (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3), 3)
+
 
 @dataclass
 class PropertyResult:
@@ -76,27 +86,41 @@ class PropertyResult:
     note: str | None = None
 
 
-def _run(name: str, cases, predicate) -> PropertyResult:
-    instances = 0
-    for case in cases:
-        instances += 1
-        if not predicate(*case):
-            witness = ", ".join(str(part) for part in case) or "(no arguments)"
-            return PropertyResult(name, instances, False, counterexample=witness)
-    return PropertyResult(name, instances, True)
+class _Prop(NamedTuple):
+    """One property row: its cases are built, and its predicate run, only when `skip` is None."""
+
+    name: str
+    holds: Callable[..., bool]
+    cases: Callable[[], Iterable[tuple]] = lambda: [()]
+    skip: str | None = None
+    exists: bool = False  # holds on one witness rather than on every case
+    # the counterexample text of a failing case
+    witness: Callable[..., str] = lambda *case: ", ".join(map(str, case)) or "(no arguments)"
 
 
-def _exists(name: str, cases, predicate) -> PropertyResult:
-    instances = 0
-    for case in cases:
-        instances += 1
-        if predicate(*case):
-            return PropertyResult(name, instances, True)
-    return PropertyResult(name, instances, False, counterexample="no witness found")
+def _gate(applies: bool, note: str) -> str | None:
+    """The skip note of a row that does not apply to the field, None for one that does."""
+    return None if applies else note
 
 
-def _skip(name: str, note: str) -> PropertyResult:
-    return PropertyResult(name, 0, True, note=note)
+def _evaluate(prop: _Prop) -> PropertyResult:
+    """Run one row; the only place a PropertyResult is built."""
+    if prop.skip is not None:
+        return PropertyResult(prop.name, 0, True, note=prop.skip)
+    instances, counterexample = 0, None
+    try:
+        for case in prop.cases():
+            instances += 1
+            if bool(prop.holds(*case)) == prop.exists:
+                if not prop.exists:
+                    counterexample = prop.witness(*case)
+                break
+        else:
+            if prop.exists:
+                counterexample = "no witness found"
+    except FieldTooLargeForScan as refusal:
+        return PropertyResult(prop.name, 0, True, note=f"skipped: {refusal}")
+    return PropertyResult(prop.name, instances, counterexample is None, counterexample)
 
 
 class _Context:
@@ -107,24 +131,30 @@ class _Context:
         self.rng = random.Random(seed)
         self.samples = max(1, samples)
         self.finite = isinstance(curve.field, PrimeField)
+        self.exhaustive = self.finite and curve.field.p <= EXHAUSTIVE_PAIR_BOUND
+        self.affine_note = _gate(
+            curve.field.has_unique_cube_root(),
+            "skipped: the field has epsilon roots (no unique cube root of -1)",
+        )
         self._params: dict = {}
         self._points: dict = {}
 
-    def _random_fraction(self):
-        return self.curve.field.element(
-            Fraction(self.rng.randint(-12, 12), self.rng.randint(1, 8))
-        )
+    def _draw(self):
+        field = self.curve.field
+        if self.finite:
+            return field.random_element(self.rng)
+        return field.element(Fraction(self.rng.randint(-12, 12), self.rng.randint(1, 8)))
 
     def params(self, kind: str) -> list:
+        """Every residue of a field up to EXHAUSTIVE_PAIR_BOUND, else anchors plus seeded draws."""
         if kind not in self._params:
             field = self.curve.field
-            if self.finite:
+            if self.exhaustive:
                 pool = [field.element(r) for r in range(field.p)]
             else:
-                anchors = [0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3), 3]
-                pool = [field.element(v) for v in anchors]
+                pool = [field.element(v) for v in _ANCHORS if not self.finite or isinstance(v, int)]
                 while len(pool) < self.samples:
-                    pool.append(self._random_fraction())
+                    pool.append(self._draw())
             if kind in ("nonzero", "nonzero_affine"):
                 pool = [t for t in pool if not t.is_zero()]
             if kind in ("affine", "nonzero_affine"):
@@ -137,42 +167,43 @@ class _Context:
             self._points[kind] = [pbar(self.curve, t) for t in self.params(kind)]
         return self._points[kind]
 
-    def tuples(self, kind: str, arity: int, params: bool = False) -> list:
-        """Tuples of points (or of parameters) from the named pool."""
-        pool = self.params(kind) if params else self.points(kind)
-        bound = EXHAUSTIVE_PAIR_BOUND if arity <= 2 else EXHAUSTIVE_TRIPLE_BOUND
-        return self.product_or_draws(pool, arity, bound, self.samples)
+    def tuples(self, kind: str, arity: int, params: bool = False) -> Callable[[], list]:
+        """A case builder: tuples of points (or of parameters) from the named pool, drawn once."""
+
+        @functools.cache
+        def build():
+            pool = self.params(kind) if params else self.points(kind)
+            bound = EXHAUSTIVE_PAIR_BOUND if arity <= 2 else EXHAUSTIVE_TRIPLE_BOUND
+            return self.product_or_draws(pool, arity, bound, self.samples)
+
+        return build
 
     def product_or_draws(self, pool: list, arity: int, bound: int, count: int) -> list:
-        """All tuples over a finite field when at most `bound`, else `count` seeded draws."""
-        if self.finite and len(pool) ** arity <= bound:
+        """All tuples over a whole small field when at most `bound`, else `count` seeded draws."""
+        if self.exhaustive and len(pool) ** arity <= bound:
             return list(itertools.product(pool, repeat=arity))
         return [tuple(self.rng.choice(pool) for _ in range(arity)) for _ in range(count)]
 
-    def affine_gate_note(self) -> str | None:
-        """None when the affine exotic laws apply; otherwise the reason they do not."""
-        if self.curve.field.has_unique_cube_root():
-            return None
-        return "skipped: the field has epsilon roots (no unique cube root of -1)"
+    def singles(self, kind: str) -> Callable[[], list]:
+        """A case builder: one-parameter cases over the named pool."""
+        return lambda: [(t,) for t in self.params(kind)]
 
 
-# -- suites ---------------------------------------------------------------
+# -- suites: each returns its rows, in report order -------------------------
 
 
 def _suite_field(ctx: _Context) -> list:
     field = ctx.curve.field
-    results = []
+    zero, one = field.zero, field.one
 
-    if ctx.finite and field.p <= 13:
-        elements = [field.element(r) for r in range(field.p)]
-        triples = list(itertools.product(elements, repeat=3))
-    else:
-        triples = [
+    def triples():
+        if ctx.finite and field.p <= 13:
+            elements = [field.element(r) for r in range(field.p)]
+            return list(itertools.product(elements, repeat=3))
+        return [
             tuple(field.random_element(ctx.rng) for _ in range(3))
             for _ in range(ctx.samples)
         ]
-
-    zero, one = field.zero, field.one
 
     def axioms(u, v, w):
         if (u + v) + w != u + (v + w) or (u * v) * w != u * (v * w):
@@ -187,8 +218,6 @@ def _suite_field(ctx: _Context) -> list:
             return False
         return True
 
-    results.append(_run("field_axioms", triples, axioms))
-
     def epsilon_consistent():
         roots = field.epsilon_roots()
         if roots is None:
@@ -201,187 +230,147 @@ def _suite_field(ctx: _Context) -> list:
             and e1 * e2 == one
         )
 
-    results.append(_run("epsilon_roots_consistent", [()], epsilon_consistent))
+    def cube_root_scan():
+        # A residue scan, independent of the closed form behind has_unique_cube_root.
+        cube_roots = sum(1 for x in range(field.p) if (x * x * x + 1) % field.p == 0)
+        return field.has_unique_cube_root() == (cube_roots == 1)
 
     if ctx.finite:
-        p = field.p
-        if p < 1 << 16:
-            # A residue scan, independent of the closed form behind has_unique_cube_root.
-            cube_roots = sum(1 for x in range(p) if (x * x * x + 1) % p == 0)
-            results.append(
-                _run(
-                    "cube_root_unique_matches_congruence",
-                    [()],
-                    lambda: field.has_unique_cube_root() == (cube_roots == 1),
-                )
-            )
-        else:
-            results.append(
-                _skip("cube_root_unique_matches_congruence", "skipped: p too large to scan")
-            )
-    else:
-        results.append(
-            _run("rationals_have_unique_cube_root", [()], field.has_unique_cube_root)
+        cube_root = _Prop(
+            "cube_root_unique_matches_congruence",
+            cube_root_scan,
+            skip=_gate(field.p < 1 << 16, "skipped: p too large to scan"),
         )
-    return results
+    else:
+        cube_root = _Prop("rationals_have_unique_cube_root", field.has_unique_cube_root)
+    return [
+        _Prop("field_axioms", axioms, triples),
+        _Prop("epsilon_roots_consistent", epsilon_consistent),
+        cube_root,
+    ]
 
 
 def _suite_count(ctx: _Context) -> list:
-    if not ctx.finite:
-        return [_skip("point_count_equals_p", "skipped: enumeration needs a finite prime field")]
-    points = ctx.curve.enumerate_points()
-    expected = ctx.curve.field.p
-    ok = len(points) == expected and len(set(points)) == len(points)
-    witness = None if ok else f"enumerated {len(points)} points, expected {expected}"
-    return [PropertyResult("point_count_equals_p", 1, ok, counterexample=witness)]
+    curve = ctx.curve
+    return [
+        _Prop(
+            "point_count_equals_p",
+            lambda points: len(points) == curve.field.p and len(set(points)) == len(points),
+            lambda: [(curve.enumerate_points(),)],
+            skip=_gate(ctx.finite, "skipped: enumeration needs a finite prime field"),
+            witness=lambda points: f"enumerated {len(points)} points, expected {curve.field.p}",
+        )
+    ]
 
 
 def _suite_parametrize(ctx: _Context) -> list:
     curve = ctx.curve
-    results = []
-    params = [(t,) for t in ctx.params("all")]
-    results.append(
-        _run("pbar_round_trip", params, lambda t: pbar_inv(curve, pbar(curve, t)) == t)
-    )
-    results.append(
-        _run(
-            "pbarbar_round_trip",
-            params,
-            lambda t: pbarbar_inv(curve, pbarbar(curve, t)) == t,
-        )
-    )
-    results.append(
-        _run("pbar_lands_on_curve", params, lambda t: curve.contains(pbar(curve, t)))
-    )
-    if ctx.finite:
+    params = ctx.singles("all")
+
+    def image_and_enumeration():
+        # one case per point of either set: the sets agree iff every case lies in both
         image = {pbar(curve, t) for t in ctx.params("all")}
-        ok = image == set(curve.enumerate_points())
-        results.append(
-            PropertyResult(
-                "pbar_image_is_whole_curve",
-                len(image),
-                ok,
-                counterexample=None if ok else "image and enumeration disagree",
-            )
-        )
-    else:
-        results.append(
-            _skip("pbar_image_is_whole_curve", "skipped: surjectivity scan needs a finite prime field")
-        )
-    points = [(P,) for P in ctx.points("all")]
-    results.append(
-        _run(
-            "pbar_point_round_trip",
-            points,
-            lambda P: pbar(curve, pbar_inv(curve, P)) == P,
-        )
-    )
-    results.append(_run("sigma_involution", points, lambda P: sigma(sigma(P)) == P))
-    results.append(
-        _run(
+        enumerated = set(curve.enumerate_points())
+        return [(P in image, P in enumerated) for P in image | enumerated]
+
+    def points():
+        return [(P,) for P in ctx.points("all")]
+
+    return [
+        _Prop("pbar_round_trip", lambda t: pbar_inv(curve, pbar(curve, t)) == t, params),
+        _Prop(
+            "pbarbar_round_trip", lambda t: pbarbar_inv(curve, pbarbar(curve, t)) == t, params
+        ),
+        _Prop("pbar_lands_on_curve", lambda t: curve.contains(pbar(curve, t)), params),
+        _Prop(
+            "pbar_image_is_whole_curve",
+            lambda in_image, enumerated: in_image and enumerated,
+            image_and_enumeration,
+            skip=_gate(ctx.finite, "skipped: surjectivity scan needs a finite prime field"),
+            witness=lambda *_: "image and enumeration disagree",
+        ),
+        _Prop("pbar_point_round_trip", lambda P: pbar(curve, pbar_inv(curve, P)) == P, points),
+        _Prop("sigma_involution", lambda P: sigma(sigma(P)) == P, points),
+        _Prop(
             "sigma_inverts_parameter",
-            [(t,) for t in ctx.params("nonzero")],
             lambda t: sigma(pbar(curve, t)) == pbar(curve, t.inverse()),
-        )
-    )
-    results.append(
-        _run(
+            ctx.singles("nonzero"),
+        ),
+        _Prop(
             "affine_matches_projective",
-            [(t,) for t in ctx.params("affine")],
             lambda t: p_affine(curve, t) == pbar(curve, t)
             and p_affine_prime(curve, t) == pbarbar(curve, t),
-        )
-    )
-    results.append(
-        _run(
+            ctx.singles("affine"),
+        ),
+        _Prop(
             "alpha_round_trip",
-            [(t,) for t in ctx.params("all")],
             lambda t: alpha(alpha_inv(t)) == t and alpha_inv(alpha(t)) == t,
-        )
-    )
-    return results
+            params,
+        ),
+    ]
 
 
 def _law_axioms(ctx: _Context, kind: LawKind) -> list:
     curve = ctx.curve
     law = LAWS[kind]
-    names = [f"{kind.value}_{prop}" for prop in ("associative", "commutative", "neutral", "inverse")]
-    note = ctx.affine_gate_note() if law.chart.affine else None
-    if note is not None:
-        return [_skip(name, note) for name in names]
-    neutral = law_neutral(curve, kind)
-    return [
-        _run(
-            names[0],
-            ctx.tuples(law.domain, 3),
+    skip = ctx.affine_note if law.chart.affine else None
+    neutral = functools.cache(lambda: law_neutral(curve, kind))
+    rows = [
+        (
+            "associative",
             lambda P, Q, R: apply_law(curve, kind, apply_law(curve, kind, P, Q), R)
             == apply_law(curve, kind, P, apply_law(curve, kind, Q, R)),
+            ctx.tuples(law.domain, 3),
         ),
-        _run(
-            names[1],
-            ctx.tuples(law.domain, 2),
+        (
+            "commutative",
             lambda P, Q: apply_law(curve, kind, P, Q) == apply_law(curve, kind, Q, P),
+            ctx.tuples(law.domain, 2),
         ),
         # under fieldmul the node absorbs, and indeed O * V == O == P there
-        _run(
-            names[2],
+        (
+            "neutral",
+            lambda P: apply_law(curve, kind, P, neutral()) == P,
             ctx.tuples(law.domain, 1),
-            lambda P: apply_law(curve, kind, P, neutral) == P,
         ),
-        _run(
-            names[3],
+        (
+            "inverse",
+            lambda P: apply_law(curve, kind, P, law_inverse(curve, kind, P)) == neutral(),
             ctx.tuples(law.units or law.domain, 1),
-            lambda P: apply_law(curve, kind, P, law_inverse(curve, kind, P)) == neutral,
         ),
     ]
+    return [_Prop(f"{kind.value}_{prop}", holds, cases, skip) for prop, holds, cases in rows]
 
 
 def _suite_axioms(ctx: _Context) -> list:
-    results = []
-    for law in LawKind:
-        results.extend(_law_axioms(ctx, law))
-    return results
+    return [row for kind in LawKind for row in _law_axioms(ctx, kind)]
 
 
 def _suite_coincidence(ctx: _Context) -> list:
     curve = ctx.curve
-    results = [
-        _run(
-            "projmul_equals_projmul2",
-            ctx.tuples("nonzero", 2),
-            lambda P, Q: proj_mul(curve, P, Q) == proj_mul2(curve, P, Q),
-        )
-    ]
     tiny = ctx.finite and curve.field.p == 2
-    if tiny:
-        results.append(
-            _skip("additive_laws_differ", "skipped: the two points over F_2 admit a single structure")
-        )
-    else:
-        results.append(
-            _exists(
-                "additive_laws_differ",
-                ctx.tuples("all", 2),
-                lambda P, Q: add_south(curve, P, Q) != add_west(curve, P, Q),
-            )
-        )
-    note = ctx.affine_gate_note()
-    if note is not None or tiny:
-        results.append(
-            _skip(
-                "exotic_affine_laws_differ",
-                note or "skipped: the affine curve over F_2 is a single point",
-            )
-        )
-    else:
-        results.append(
-            _exists(
-                "exotic_affine_laws_differ",
-                ctx.tuples("affine", 2),
-                lambda P, Q: south_mul(curve, P, Q) != west_mul(curve, P, Q),
-            )
-        )
-    return results
+    return [
+        _Prop(
+            "projmul_equals_projmul2",
+            lambda P, Q: proj_mul(curve, P, Q) == proj_mul2(curve, P, Q),
+            ctx.tuples("nonzero", 2),
+        ),
+        _Prop(
+            "additive_laws_differ",
+            lambda P, Q: add_south(curve, P, Q) != add_west(curve, P, Q),
+            ctx.tuples("all", 2),
+            skip=_gate(not tiny, "skipped: the two points over F_2 admit a single structure"),
+            exists=True,
+        ),
+        _Prop(
+            "exotic_affine_laws_differ",
+            lambda P, Q: south_mul(curve, P, Q) != west_mul(curve, P, Q),
+            ctx.tuples("affine", 2),
+            skip=ctx.affine_note
+            or _gate(not tiny, "skipped: the affine curve over F_2 is a single point"),
+            exists=True,
+        ),
+    ]
 
 
 def _chain_cases(ctx: _Context) -> list:
@@ -397,35 +386,10 @@ def _suite_star(ctx: _Context) -> list:
     curve = ctx.curve
     infinity = curve.infinity
     vertex = curve.vertex()
-    results = []
-    results.append(
-        _run("i_squared_is_v", [()], lambda: proj_mul(curve, infinity, infinity) == vertex)
-    )
-    results.append(
-        _run(
-            "i_cubed_is_i",
-            [()],
-            lambda: proj_mul(curve, proj_mul(curve, infinity, infinity), infinity)
-            == infinity,
-        )
-    )
+    minus_one = -curve.field.one
+    one = curve.field.one
     pairs = ctx.tuples("nonzero", 2)
-    results.append(
-        _run(
-            "star_equals_dot_times_i",
-            pairs,
-            lambda P, Q: star_mul(curve, P, Q)
-            == proj_mul(curve, proj_mul(curve, P, Q), infinity),
-        )
-    )
-    results.append(
-        _run(
-            "dot_equals_star_star_v",
-            pairs,
-            lambda P, Q: proj_mul(curve, P, Q)
-            == star_mul(curve, star_mul(curve, P, Q), vertex),
-        )
-    )
+    singles = ctx.tuples("nonzero", 1)
 
     def chain_identities(*points):
         star_acc, dot_acc = points[0], points[0]
@@ -438,73 +402,61 @@ def _suite_star(ctx: _Context) -> list:
             )
         return star_acc == dot_acc
 
-    results.append(_run("parity_chain_identities", _chain_cases(ctx), chain_identities))
-
-    singles = ctx.tuples("nonzero", 1)
-    results.append(
-        _run(
-            "perp_equals_inverse_dot_i",
-            singles,
-            lambda P: perp(curve, P) == proj_mul(curve, proj_inv(curve, P), infinity)
-            and perp(curve, P) == star_mul(curve, proj_inv(curve, P), vertex),
-        )
-    )
-    results.append(_run("perp_involution", singles, lambda P: perp(curve, perp(curve, P)) == P))
-    results.append(_run("i_perp_is_v", [()], lambda: perp(curve, infinity) == vertex))
-    results.append(_run("v_perp_is_i", [()], lambda: perp(curve, vertex) == infinity))
-
-    minus_one = -curve.field.one
-
     def star_cube_locus(P):
         t = pbar_inv(curve, P)
         cubed = star_mul(curve, star_mul(curve, P, P), P)
         return (cubed == infinity) == (t * t * t == minus_one)
 
-    results.append(_run("star_cube_locus", singles, star_cube_locus))
-
-    one = curve.field.one
-
     def perp_parameter_collinearity(s1, s2, s3):
         points = [perp(curve, pbar(curve, s)) for s in (s1, s2, s3)]
         return collinear3(curve, *points) == (s1 * s2 * s3 == one)
 
-    results.append(
-        _run(
+    return [
+        _Prop("i_squared_is_v", lambda: proj_mul(curve, infinity, infinity) == vertex),
+        _Prop(
+            "i_cubed_is_i",
+            lambda: proj_mul(curve, proj_mul(curve, infinity, infinity), infinity) == infinity,
+        ),
+        _Prop(
+            "star_equals_dot_times_i",
+            lambda P, Q: star_mul(curve, P, Q)
+            == proj_mul(curve, proj_mul(curve, P, Q), infinity),
+            pairs,
+        ),
+        _Prop(
+            "dot_equals_star_star_v",
+            lambda P, Q: proj_mul(curve, P, Q)
+            == star_mul(curve, star_mul(curve, P, Q), vertex),
+            pairs,
+        ),
+        _Prop("parity_chain_identities", chain_identities, lambda: _chain_cases(ctx)),
+        _Prop(
+            "perp_equals_inverse_dot_i",
+            lambda P: perp(curve, P) == proj_mul(curve, proj_inv(curve, P), infinity)
+            and perp(curve, P) == star_mul(curve, proj_inv(curve, P), vertex),
+            singles,
+        ),
+        _Prop("perp_involution", lambda P: perp(curve, perp(curve, P)) == P, singles),
+        _Prop("i_perp_is_v", lambda: perp(curve, infinity) == vertex),
+        _Prop("v_perp_is_i", lambda: perp(curve, vertex) == infinity),
+        _Prop("star_cube_locus", star_cube_locus, singles),
+        _Prop(
             "perp_parameter_collinearity",
-            ctx.tuples("nonzero", 3, params=True),
             perp_parameter_collinearity,
-        )
-    )
-    return results
+            ctx.tuples("nonzero", 3, params=True),
+        ),
+    ]
 
 
 def _suite_geometry(ctx: _Context) -> list:
     curve = ctx.curve
-    results = []
+    minus_one = -curve.field.one
     pairs = ctx.tuples("nonzero", 2)
-    results.append(
-        _run(
-            "geometric_mul_matches_projmul",
-            pairs,
-            lambda P, Q: geometric_mul(curve, P, Q) == proj_mul(curve, P, Q),
-        )
-    )
-    results.append(
-        _run(
-            "vertex_route_matches_projmul",
-            pairs,
-            lambda P, Q: geometric_mul_via_vertex(curve, P, Q) == proj_mul(curve, P, Q),
-        )
-    )
 
     def incident(P, Q):
         line = chord_or_tangent(curve, P, Q)
         third = third_intersection(curve, P, Q)
         return line.contains(third) and third != curve.origin
-
-    results.append(_run("third_intersection_incident", pairs, incident))
-
-    cubic_pairs = pairs if ctx.finite else pairs[: max(20, ctx.samples // 10)]
 
     def cubic_oracle(P, Q):
         line = chord_or_tangent(curve, P, Q)
@@ -515,45 +467,56 @@ def _suite_geometry(ctx: _Context) -> list:
                 return False
         return slope_cubic_check(curve, line)
 
-    results.append(_run("slope_cubic_oracle", cubic_pairs, cubic_oracle))
+    def split_line_identities(line):
+        intersections = line_curve_intersections(curve, line)
+        if sum(mult for _, mult in intersections) != 3:
+            return True  # not fully split over the base field
+        triple = []
+        for point, mult in intersections:
+            triple.extend([point] * mult)
+        p1, p2, p3 = triple
+        if not (p1.x * p2.x * p3.x + p1.y * p2.y * p3.y).is_zero():
+            return False
+        t_product = pbar_inv(curve, p1) * pbar_inv(curve, p2) * pbar_inv(curve, p3)
+        if t_product != minus_one:
+            return False
+        dot = proj_mul(curve, proj_mul(curve, p1, p2), p3)
+        star = star_mul(curve, star_mul(curve, p1, p2), p3)
+        return dot == curve.infinity and star == curve.infinity and collinear3(curve, *triple)
 
-    if ctx.finite and curve.field.p <= LINE_SCAN_PRIME_BOUND:
-        minus_one = -curve.field.one
-
-        def split_line_identities(line):
-            intersections = line_curve_intersections(curve, line)
-            if sum(mult for _, mult in intersections) != 3:
-                return True  # not fully split over the base field
-            triple = []
-            for point, mult in intersections:
-                triple.extend([point] * mult)
-            p1, p2, p3 = triple
-            if not (p1.x * p2.x * p3.x + p1.y * p2.y * p3.y).is_zero():
-                return False
-            t_product = pbar_inv(curve, p1) * pbar_inv(curve, p2) * pbar_inv(curve, p3)
-            if t_product != minus_one:
-                return False
-            dot = proj_mul(curve, proj_mul(curve, p1, p2), p3)
-            star = star_mul(curve, star_mul(curve, p1, p2), p3)
-            return dot == curve.infinity and star == curve.infinity and collinear3(curve, *triple)
-
-        cases = [(line,) for line in all_lines(curve.field) if not line.through_origin]
-        results.append(_run("split_lines_satisfy_identities", cases, split_line_identities))
-    else:
-        results.append(
-            _skip(
-                "split_lines_satisfy_identities",
+    return [
+        _Prop(
+            "geometric_mul_matches_projmul",
+            lambda P, Q: geometric_mul(curve, P, Q) == proj_mul(curve, P, Q),
+            pairs,
+        ),
+        _Prop(
+            "vertex_route_matches_projmul",
+            lambda P, Q: geometric_mul_via_vertex(curve, P, Q) == proj_mul(curve, P, Q),
+            pairs,
+        ),
+        _Prop("third_intersection_incident", incident, pairs),
+        _Prop(
+            "slope_cubic_oracle",
+            cubic_oracle,
+            lambda: pairs() if ctx.finite else pairs()[: max(20, ctx.samples // 10)],
+        ),
+        _Prop(
+            "split_lines_satisfy_identities",
+            split_line_identities,
+            lambda: [(line,) for line in all_lines(curve.field) if not line.through_origin],
+            skip=_gate(
+                ctx.finite and curve.field.p <= LINE_SCAN_PRIME_BOUND,
                 "skipped: exhaustive line enumeration needs a prime field with p <= 31",
-            )
-        )
-    return results
+            ),
+        ),
+    ]
 
 
 def _suite_collinearity(ctx: _Context) -> list:
     curve = ctx.curve
     infinity = curve.infinity
     minus_one = -curve.field.one
-    results = []
 
     def equivalences(P1, P2, P3):
         t_product = (
@@ -566,90 +529,54 @@ def _suite_collinearity(ctx: _Context) -> list:
         star = star_mul(curve, star_mul(curve, P1, P2), P3)
         return (dot == infinity) == target and (star == infinity) == target
 
-    results.append(
-        _run("collinearity_equivalences", ctx.tuples("nonzero", 3), equivalences)
-    )
-
     def constructed(P1, P2):
         P3 = third_intersection(curve, P1, P2)
         line = chord_or_tangent(curve, P1, P2)
         return collinear3(curve, P1, P2, P3) and line.contains(P3)
 
-    results.append(
-        _run("constructed_triples_collinear", ctx.tuples("nonzero", 2), constructed)
-    )
-    results.append(
-        _run(
+    return [
+        _Prop("collinearity_equivalences", equivalences, ctx.tuples("nonzero", 3)),
+        _Prop("constructed_triples_collinear", constructed, ctx.tuples("nonzero", 2)),
+        _Prop(
             "node_triples_collinear",
-            ctx.tuples("all", 2),
             lambda P, Q: collinear3(curve, curve.origin, P, Q),
-        )
-    )
-    return results
+            ctx.tuples("all", 2),
+        ),
+    ]
 
 
 def _suite_southmul(ctx: _Context) -> list:
     curve = ctx.curve
-    names = (
-        "southmul_transport",
-        "westmul_transport",
-        "sigma_intertwines_south_west",
-        "south_neutral_node",
-        "west_neutral_node",
-    )
-    note = ctx.affine_gate_note()
-    if note is not None:
-        return [_skip(name, note) for name in names]
-    results = []
+    skip, O = ctx.affine_note, curve.origin
     tau_pairs = ctx.tuples("nonzero", 2, params=True)
-
-    def south_transport(tau1, tau2):
-        lhs = south_mul(
-            curve,
-            p_affine(curve, alpha(tau1)),
-            p_affine(curve, alpha(tau2)),
-        )
-        return lhs == p_affine(curve, alpha(tau1 * tau2))
-
-    results.append(_run(names[0], tau_pairs, south_transport))
-
-    def west_transport(tau1, tau2):
-        lhs = west_mul(
-            curve,
-            p_affine_prime(curve, alpha(tau1)),
-            p_affine_prime(curve, alpha(tau2)),
-        )
-        return lhs == p_affine_prime(curve, alpha(tau1 * tau2))
-
-    results.append(_run(names[1], tau_pairs, west_transport))
-
-    affine_pairs = ctx.tuples("affine", 2)
-    results.append(
-        _run(
-            names[2],
-            affine_pairs,
-            lambda P, Q: sigma(south_mul(curve, P, Q))
-            == west_mul(curve, sigma(P), sigma(Q)),
-        )
-    )
     singles = ctx.tuples("affine", 1)
-    results.append(
-        _run(names[3], singles, lambda P: south_mul(curve, P, curve.origin) == P)
-    )
-    results.append(
-        _run(names[4], singles, lambda P: west_mul(curve, P, curve.origin) == P)
-    )
-    return results
+
+    def transport(mul, chart):
+        def holds(tau1, tau2):
+            lhs = mul(curve, chart(curve, alpha(tau1)), chart(curve, alpha(tau2)))
+            return lhs == chart(curve, alpha(tau1 * tau2))
+
+        return holds
+
+    return [
+        _Prop("southmul_transport", transport(south_mul, p_affine), tau_pairs, skip),
+        _Prop("westmul_transport", transport(west_mul, p_affine_prime), tau_pairs, skip),
+        _Prop(
+            "sigma_intertwines_south_west",
+            lambda P, Q: sigma(south_mul(curve, P, Q)) == west_mul(curve, sigma(P), sigma(Q)),
+            ctx.tuples("affine", 2),
+            skip,
+        ),
+        _Prop("south_neutral_node", lambda P: south_mul(curve, P, O) == P, singles, skip),
+        _Prop("west_neutral_node", lambda P: west_mul(curve, P, O) == P, singles, skip),
+    ]
 
 
 def _suite_perpendicular(ctx: _Context) -> list:
     curve = ctx.curve
-    names = ("vertex_chord_perpendicular", "perpendicular_iff_vertex_collinear")
-    if ctx.finite:
-        return [_skip(name, "skipped: perpendicularity needs the ordered field of rationals") for name in names]
+    skip = _gate(not ctx.finite, "skipped: perpendicularity needs the ordered field of rationals")
     vertex = curve.vertex()
     one = curve.field.one
-    params = [t for t in ctx.params("nonzero_affine") if t != one]
 
     def forward(t):
         P = pbar(curve, t)
@@ -660,8 +587,6 @@ def _suite_perpendicular(ctx: _Context) -> list:
             and line_through(vertex, P).contains(Q)
         )
 
-    results = [_run(names[0], [(t,) for t in params], forward)]
-
     def equivalence(t1, t2):
         P, Q = pbar(curve, t1), pbar(curve, t2)
         if perpendicular_chord_check(curve, P, Q) != collinear3(curve, vertex, P, Q):
@@ -670,13 +595,22 @@ def _suite_perpendicular(ctx: _Context) -> list:
         R = pbar(curve, -t1.inverse())
         return perpendicular_chord_check(curve, P, R) and collinear3(curve, vertex, P, R)
 
-    pairs = [
-        (t1, t2)
-        for (t1, t2) in ctx.tuples("nonzero_affine", 2, params=True)
-        if t1 != one and t2 != one
+    def pairs():
+        return [
+            (t1, t2)
+            for (t1, t2) in ctx.tuples("nonzero_affine", 2, params=True)()
+            if t1 != one and t2 != one
+        ]
+
+    return [
+        _Prop(
+            "vertex_chord_perpendicular",
+            forward,
+            lambda: [(t,) for t in ctx.params("nonzero_affine") if t != one],
+            skip,
+        ),
+        _Prop("perpendicular_iff_vertex_collinear", equivalence, pairs, skip),
     ]
-    results.append(_run(names[1], pairs, equivalence))
-    return results
 
 
 _SIGMA_LABEL = {
@@ -705,9 +639,7 @@ def _coordinate_label(curve: Folium, point) -> BranchLabel:
 
 def _suite_branch(ctx: _Context) -> list:
     curve = ctx.curve
-    names = ("sigma_swaps_branches", "labels_match_coordinate_oracle")
-    if ctx.finite:
-        return [_skip(name, "skipped: branches need the ordered field of rationals") for name in names]
+    skip = _gate(not ctx.finite, "skipped: branches need the ordered field of rationals")
     points = ctx.tuples("affine", 1)
 
     def swaps(P):
@@ -716,57 +648,25 @@ def _suite_branch(ctx: _Context) -> list:
     def oracle(P):
         return classify_branch(curve, P) == _coordinate_label(curve, P)
 
-    return [_run(names[0], points, swaps), _run(names[1], points, oracle)]
+    return [
+        _Prop("sigma_swaps_branches", swaps, points, skip),
+        _Prop("labels_match_coordinate_oracle", oracle, points, skip),
+    ]
 
 
 def _suite_fieldstructure(ctx: _Context) -> list:
     curve = ctx.curve
     origin = curve.origin
-    results = []
-    singles = ctx.tuples("all", 1)
-    results.append(
-        _run(
-            "node_absorbs",
-            singles,
-            lambda P: folium_mul(curve, origin, P) == origin
-            and folium_mul(curve, P, origin) == origin,
-        )
-    )
-    results.append(
-        _run(
-            "distributivity_on_curve",
-            ctx.tuples("all", 3),
-            lambda P, Q, R: folium_mul(curve, P, add_south(curve, Q, R))
-            == add_south(curve, folium_mul(curve, P, Q), folium_mul(curve, P, R)),
-        )
-    )
     param_pairs = ctx.tuples("all", 2, params=True)
-    results.append(
-        _run(
-            "pbar_transports_field_ops",
-            param_pairs,
-            lambda u, v: pbar(curve, u + v) == add_south(curve, pbar(curve, u), pbar(curve, v))
-            and pbar(curve, u * v) == folium_mul(curve, pbar(curve, u), pbar(curve, v)),
-        )
-    )
-    results.append(
-        _run(
-            "pbarbar_transports_field_ops",
-            param_pairs,
-            lambda u, v: pbarbar(curve, u + v)
-            == add_west(curve, pbarbar(curve, u), pbarbar(curve, v))
-            and pbarbar(curve, u * v)
-            == folium_mul(curve, pbarbar(curve, u), pbarbar(curve, v)),
-        )
-    )
-    results.append(
-        _run(
-            "sigma_field_isomorphism",
-            ctx.tuples("all", 2),
-            lambda P, Q: sigma(add_south(curve, P, Q)) == add_west(curve, sigma(P), sigma(Q))
-            and sigma(folium_mul(curve, P, Q)) == folium_mul(curve, sigma(P), sigma(Q)),
-        )
-    )
+
+    def transports(chart, add):
+        def holds(u, v):
+            P, Q = chart(curve, u), chart(curve, v)
+            if chart(curve, u + v) != add(curve, P, Q):
+                return False
+            return chart(curve, u * v) == folium_mul(curve, P, Q)
+
+        return holds
 
     def node_inverse_rejected():
         try:
@@ -775,54 +675,68 @@ def _suite_fieldstructure(ctx: _Context) -> list:
             return True
         return False
 
-    results.append(_run("node_inverse_rejected", [()], node_inverse_rejected))
-    return results
+    return [
+        _Prop(
+            "node_absorbs",
+            lambda P: folium_mul(curve, origin, P) == origin
+            and folium_mul(curve, P, origin) == origin,
+            ctx.tuples("all", 1),
+        ),
+        _Prop(
+            "distributivity_on_curve",
+            lambda P, Q, R: folium_mul(curve, P, add_south(curve, Q, R))
+            == add_south(curve, folium_mul(curve, P, Q), folium_mul(curve, P, R)),
+            ctx.tuples("all", 3),
+        ),
+        _Prop("pbar_transports_field_ops", transports(pbar, add_south), param_pairs),
+        _Prop("pbarbar_transports_field_ops", transports(pbarbar, add_west), param_pairs),
+        _Prop(
+            "sigma_field_isomorphism",
+            lambda P, Q: sigma(add_south(curve, P, Q)) == add_west(curve, sigma(P), sigma(Q))
+            and sigma(folium_mul(curve, P, Q)) == folium_mul(curve, sigma(P), sigma(Q)),
+            ctx.tuples("all", 2),
+        ),
+        _Prop("node_inverse_rejected", node_inverse_rejected),
+    ]
+
+
+def _runner(rows: Callable[[_Context], list]):
+    """A suite callable(ctx) -> list[PropertyResult]: the suite's rows through `_evaluate`."""
+    return lambda ctx: [_evaluate(prop) for prop in rows(ctx)]
 
 
 SUITES = {
-    "field": _suite_field,
-    "count": _suite_count,
-    "parametrize": _suite_parametrize,
-    "axioms": _suite_axioms,
-    "coincidence": _suite_coincidence,
-    "star": _suite_star,
-    "geometry": _suite_geometry,
-    "collinearity": _suite_collinearity,
-    "southmul": _suite_southmul,
-    "perpendicular": _suite_perpendicular,
-    "branch": _suite_branch,
-    "fieldstructure": _suite_fieldstructure,
+    "field": _runner(_suite_field),
+    "count": _runner(_suite_count),
+    "parametrize": _runner(_suite_parametrize),
+    "axioms": _runner(_suite_axioms),
+    "coincidence": _runner(_suite_coincidence),
+    "star": _runner(_suite_star),
+    "geometry": _runner(_suite_geometry),
+    "collinearity": _runner(_suite_collinearity),
+    "southmul": _runner(_suite_southmul),
+    "perpendicular": _runner(_suite_perpendicular),
+    "branch": _runner(_suite_branch),
+    "fieldstructure": _runner(_suite_fieldstructure),
 }
 
 
 def run_suite(curve: Folium, name: str, seed: int = 0, samples: int = 1000) -> list:
     """Run one named suite (or `all`) and return its PropertyResults."""
-    if name == "all":
-        ctx = _Context(curve, seed, samples)
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite(ctx))
-        return results
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         known = ", ".join([*SUITES, "all"])
         raise UnknownSuite(f"unknown suite {name!r}; choose from: {known}")
-    return SUITES[name](_Context(curve, seed, samples))
+    ctx = _Context(curve, seed, samples)
+    suites = SUITES.values() if name == "all" else [SUITES[name]]
+    return [result for suite in suites for result in suite(ctx)]
 
 
 def run_report(curve: Folium, name: str, seed: int = 0, samples: int = 1000) -> dict:
     """Machine-checkable report: {suite, field, a, properties: [...]}; deterministic under a fixed seed."""
-    properties = []
-    for result in run_suite(curve, name, seed=seed, samples=samples):
-        entry = {
-            "name": result.name,
-            "instances": result.instances,
-            "passed": result.passed,
-        }
-        if result.counterexample is not None:
-            entry["counterexample"] = result.counterexample
-        if result.note is not None:
-            entry["note"] = result.note
-        properties.append(entry)
+    properties = [
+        {key: value for key, value in asdict(result).items() if value is not None}
+        for result in run_suite(curve, name, seed=seed, samples=samples)
+    ]
     return {
         "suite": name,
         "field": curve.field.spec_string(),

@@ -206,3 +206,31 @@ def test_plot_zero_denominator_is_a_domain_error(tmp_path, flag, value):
     proc = cli_process("plot", flag, value, "--out", str(tmp_path / "x.svg"))
     assert proc.returncode == 3, (proc.stdout, proc.stderr)
     assert proc.stderr == "error: zero denominator in literal '1/0'\n"
+
+
+ENUMERATION_SKIP = " — skipped: point enumeration requires p <= 10000"
+
+
+@pytest.mark.parametrize(
+    "suite, skipped",
+    [
+        ("count", ["point_count_equals_p"]),
+        ("parametrize", ["pbar_image_is_whole_curve"]),
+        ("geometry", ["slope_cubic_oracle"]),
+    ],
+)
+def test_verify_skips_enumeration_above_its_bound(suite, skipped):
+    out = run_cli("verify", "--field", "fp:65537", "--suite", suite, "--samples", "20")
+    skips = [line for line in out.splitlines() if line.endswith(ENUMERATION_SKIP)]
+    assert skips == [f"SKIP {name}{ENUMERATION_SKIP}" for name in skipped]
+
+
+@pytest.mark.parametrize(
+    "field, summary",
+    [("fp:65537", "73 passed, 0 failed, 9 skipped"), ("fp:2147483647", "59 passed, 0 failed, 23 skipped")],
+)
+def test_verify_all_over_large_primes_exits_zero(field, summary):
+    out = run_cli("verify", "--field", field, "--suite", "all", "--samples", "20")
+    skipped = [line.split()[1] for line in out.splitlines() if line.endswith(ENUMERATION_SKIP)]
+    assert skipped == ["point_count_equals_p", "pbar_image_is_whole_curve", "slope_cubic_oracle"]
+    assert out.splitlines()[-1].endswith(f": {summary}")

@@ -117,3 +117,12 @@ def test_cli_prints_fail_line_and_exits_one(monkeypatch, capsys):
         "FAIL projmul_equals_projmul2 (2 instances) — counterexample: (4 : 4 : 1), (4 : 3 : 1)"
     )
     assert lines[-1] == "suite=coincidence field=fp:5 a=1: 2 passed, 1 failed, 0 skipped"
+
+
+def test_pools_are_sampled_above_the_exhaustive_bound():
+    results = {r.name: r for r in run_suite(prime_curve(65537), "parametrize", seed=0, samples=20)}
+    assert 0 < results["pbar_round_trip"].instances <= 20
+    assert results["pbar_round_trip"].passed
+    image = results["pbar_image_is_whole_curve"]
+    assert (image.instances, image.passed) == (0, True)
+    assert image.note == "skipped: point enumeration requires p <= 10000"
