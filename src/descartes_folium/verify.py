@@ -269,8 +269,8 @@ def _suite_parametrize(ctx: _Context) -> list:
 
     def image_and_enumeration():
         # one case per point of either set: the sets agree iff every case lies in both
-        image = {pbar(curve, t) for t in ctx.params("all")}
         enumerated = set(curve.enumerate_points())
+        image = {pbar(curve, t) for t in ctx.params("all")}
         return [(P in image, P in enumerated) for P in image | enumerated]
 
     def points():
