@@ -5,6 +5,14 @@ lines are held in a canonical form chosen so the classical literals
 O = (0, 0, 1), I = (1, -1, 0) and affine points (x, y, 1) are already
 canonical: the scaling pivot is z when nonzero, else x, else y (for lines
 the pivot order is p, m, n on m*x + n*y + p*z = 0).
+
+A point built by a chart (pbar, pbarbar, p_affine, and the curve's own
+origin, infinity and vertex) lies on the curve by construction, so it
+carries that Folium in its `on` slot.  The mark has one reader,
+Folium.require_on_curve, which skips the cubic for a point marked with
+itself; every other point, those from raw coordinates included, is checked
+in full.  The oracles (evaluate, contains, enumerate_points) never read it,
+and it takes no part in equality, hashing or text.
 """
 
 from __future__ import annotations
@@ -19,11 +27,15 @@ ENUMERATION_BOUND = 10_000
 
 
 class ProjectivePoint:
-    """A point of P^2(K) in canonical form; equality is exact triple equality."""
+    """A point of P^2(K) in canonical form; equality is exact triple equality.
 
-    __slots__ = ("x", "y", "z")
+    `on` is the Folium that built the point, when a chart did; None otherwise.
+    """
 
-    def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement):
+    __slots__ = ("x", "y", "z", "on")
+
+    def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement, on=None):
+        self.on = on
         if x.field != y.field or x.field != z.field:
             raise MixedFields("point coordinates must share one field")
         for pivot in (z, x, y):
@@ -36,8 +48,8 @@ class ProjectivePoint:
         raise ValueError("(0 : 0 : 0) is not a projective point")
 
     @classmethod
-    def of(cls, field: Field, x, y, z=1) -> "ProjectivePoint":
-        return cls(field.element(x), field.element(y), field.element(z))
+    def of(cls, field: Field, x, y, z=1, on=None) -> "ProjectivePoint":
+        return cls(field.element(x), field.element(y), field.element(z), on)
 
     @property
     def field(self) -> Field:
@@ -148,8 +160,8 @@ class Folium:
         self.field = field
         self.a = a
         self.three_a = field.element(3) * a
-        self.origin = ProjectivePoint.of(field, 0, 0, 1)
-        self.infinity = ProjectivePoint.of(field, 1, -1, 0)
+        self.origin = ProjectivePoint.of(field, 0, 0, 1, on=self)
+        self.infinity = ProjectivePoint.of(field, 1, -1, 0, on=self)
 
     def point(self, x, y, z=1) -> ProjectivePoint:
         return ProjectivePoint.of(self.field, x, y, z)
@@ -168,12 +180,19 @@ class Folium:
         return self.evaluate(point).is_zero()
 
     def require_on_curve(self, point: ProjectivePoint) -> None:
+        """Raise NotOnCurve off the curve.
+
+        A point this curve built (`point.on is self`) is on it by construction
+        and passes without evaluating the cubic; any other point is evaluated.
+        """
+        if point.on is self:
+            return
         if not self.contains(point):
             raise NotOnCurve(f"{point} is not on {self}")
 
     def vertex(self) -> ProjectivePoint:
         """The point (3a : 3a : 2); coincides with the infinite point in char 2."""
-        return self.point(self.three_a, self.three_a, 2)
+        return ProjectivePoint.of(self.field, self.three_a, self.three_a, 2, on=self)
 
     def special_points(self) -> SpecialPoints:
         roots = self.field.epsilon_roots()

@@ -11,6 +11,9 @@ node:
 
 The inverses are totalized at the node with value 0, which makes pbar a
 bijection K -> curve and lets the additive laws act on the whole curve.
+Each map marks the point it builds with its curve (ProjectivePoint.on), so
+require_on_curve does not evaluate the cubic on it again; sigma keeps the
+mark, since the cubic is symmetric in x and y.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ def pbar(curve: Folium, t) -> ProjectivePoint:
     """Projective parametrization (3at : 3at^2 : 1 + t^3); total on the field."""
     t = curve.field.element(t)
     x = curve.three_a * t
-    return ProjectivePoint(x, x * t, t * t * t + 1)
+    return ProjectivePoint(x, x * t, t * t * t + 1, curve)
 
 
 def pbar_inv(curve: Folium, point: ProjectivePoint) -> FieldElement:
@@ -42,7 +45,7 @@ def pbarbar(curve: Folium, t) -> ProjectivePoint:
     """Coordinate-swapped parametrization (3at^2 : 3at : 1 + t^3)."""
     t = curve.field.element(t)
     y = curve.three_a * t
-    return ProjectivePoint(y * t, y, t * t * t + 1)
+    return ProjectivePoint(y * t, y, t * t * t + 1, curve)
 
 
 def pbarbar_inv(curve: Folium, point: ProjectivePoint) -> FieldElement:
@@ -60,7 +63,7 @@ def p_affine(curve: Folium, t) -> ProjectivePoint:
     if w.is_zero():
         raise ParameterAtInfinity(f"t = {t} satisfies t^3 = -1; no affine image")
     x = curve.three_a * t / w
-    return ProjectivePoint(x, x * t, curve.field.one)
+    return ProjectivePoint(x, x * t, curve.field.one, curve)
 
 
 def p_affine_prime(curve: Folium, t) -> ProjectivePoint:
@@ -79,8 +82,8 @@ def alpha_inv(t: FieldElement) -> FieldElement:
 
 
 def sigma(point: ProjectivePoint) -> ProjectivePoint:
-    """The coordinate swap (x : y : z) -> (y : x : z); maps the curve to itself."""
-    return ProjectivePoint(point.y, point.x, point.z)
+    """The coordinate swap (x : y : z) -> (y : x : z); maps the curve to itself and keeps the mark."""
+    return ProjectivePoint(point.y, point.x, point.z, point.on)
 
 
 class ParamMap(Enum):

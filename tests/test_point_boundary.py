@@ -9,6 +9,7 @@ from descartes_folium.branches import classify_branch
 from descartes_folium.cli import point_json, point_text
 from descartes_folium.geometry import chord_or_tangent, collinear3, third_intersection
 from descartes_folium.laws import apply_law, law_inverse, perp
+from descartes_folium.parametrization import p_affine, p_affine_prime, pbarbar, sigma
 from helpers import rational_curve
 
 CURVE = rational_curve(1)
@@ -61,3 +62,11 @@ def test_built_and_raw_points_are_indistinguishable():
         assert point_json(built) == point_json(raw)
     assert CURVE.origin == ProjectivePoint.of(Rationals(), 0, 0, 1)
     assert hash(CURVE.infinity) == hash(ProjectivePoint.of(Rationals(), 1, -1, 0))
+
+
+def test_chart_points_carry_their_curve_and_raw_points_do_not():
+    built = [pbar(CURVE, 2), pbarbar(CURVE, 2), p_affine(CURVE, 2), p_affine_prime(CURVE, 2)]
+    built += [sigma(ON), CURVE.origin, CURVE.infinity, CURVE.vertex()]
+    assert all(point.on is CURVE for point in built)
+    raw = [OFF, CURVE.point(0, 0), ProjectivePoint.of(Rationals(), 6, 12, 9), sigma(OFF)]
+    assert all(point.on is None for point in raw)
