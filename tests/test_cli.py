@@ -234,3 +234,9 @@ def test_verify_all_over_large_primes_exits_zero(field, summary):
     skipped = [line.split()[1] for line in out.splitlines() if line.endswith(ENUMERATION_SKIP)]
     assert skipped == ["point_count_equals_p", "pbar_image_is_whole_curve", "slope_cubic_oracle"]
     assert out.splitlines()[-1].endswith(f": {summary}")
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_verify_existence_rows_pass_with_one_sample(seed):
+    out = run_cli("verify", "--field", "q", "--suite", "coincidence", "--samples", "1", "--seed", seed)
+    assert out.splitlines()[-1].endswith(": 3 passed, 0 failed, 0 skipped")

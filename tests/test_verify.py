@@ -2,7 +2,7 @@
 
 import pytest
 
-from descartes_folium import UnknownSuite, verify
+from descartes_folium import ProjectivePoint, UnknownSuite, verify
 from descartes_folium.cli import main
 from descartes_folium.verify import SUITES, run_report, run_suite
 from helpers import prime_curve, rational_curve
@@ -126,3 +126,33 @@ def test_pools_are_sampled_above_the_exhaustive_bound():
     image = results["pbar_image_is_whole_curve"]
     assert (image.instances, image.passed) == (0, True)
     assert image.note == "skipped: point enumeration requires p <= 10000"
+
+
+def test_existence_rows_fall_back_to_the_pool_when_draws_miss():
+    # with one sample over q, the single drawn pair has addsouth = addwest at seed 0,
+    # and southmul = westmul at seed 7; the ordered pool still yields a witness
+    for seed in (0, 7):
+        results = run_suite(rational_curve(1), "coincidence", seed=seed, samples=1)
+        assert _failures(results) == []
+
+
+def test_sampled_existence_failure_searches_the_whole_pool(monkeypatch):
+    monkeypatch.setattr(verify, "add_west", verify.add_south)
+    results = run_suite(rational_curve(1), "coincidence", seed=0, samples=1)
+    # one drawn pair, then every pair over the eight anchor parameters
+    assert _failures(results) == [("additive_laws_differ", 1 + 8 * 8, "no witness found")]
+
+
+def test_pbar_lands_on_curve_ignores_the_mark(monkeypatch):
+    def wrong_pbar(curve, t):  # y = 3at in place of 3at^2, still marked as built on `curve`
+        t = curve.field.element(t)
+        x = curve.three_a * t
+        return ProjectivePoint(x, x, t * t * t + 1, curve)
+
+    curve = rational_curve(1)
+    assert wrong_pbar(curve, -1).on is curve and not curve.contains(wrong_pbar(curve, -1))
+    monkeypatch.setattr(verify, "pbar", wrong_pbar)
+    results = {r.name: r for r in run_suite(curve, "parametrize", seed=0, samples=30)}
+    # anchors 0 and 1 give the node and the vertex, both on the curve; -1 gives (1 : 1 : 0)
+    landed = results["pbar_lands_on_curve"]
+    assert (landed.passed, landed.instances, landed.counterexample) == (False, 3, "-1")
