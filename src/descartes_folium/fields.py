@@ -338,7 +338,7 @@ def field_from_spec(spec: str) -> Field:
         return Rationals()
     if spec.startswith("fp:"):
         tail = spec[3:]
-        if not tail.isdigit():
+        if not tail.isdecimal():  # isdigit would admit '²', which int() refuses
             raise ValueError(f"bad field spec {spec!r}; expected fp:<prime>")
         return PrimeField(int(tail))
     raise ValueError(f"bad field spec {spec!r}; expected q or fp:<prime>")
