@@ -82,7 +82,10 @@ def alpha_inv(t: FieldElement) -> FieldElement:
 
 
 def sigma(point: ProjectivePoint) -> ProjectivePoint:
-    """The coordinate swap (x : y : z) -> (y : x : z); maps the curve to itself and keeps the mark."""
+    """The coordinate swap (x : y : z) -> (y : x : z); maps the curve to itself.
+
+    The cubic is symmetric in x and y, so the swapped point keeps the mark.
+    """
     return ProjectivePoint(point.y, point.x, point.z, point.on)
 
 

@@ -9,7 +9,9 @@ instances, formats a counterexample and emits a skip (instances = 0 and a
 note), including the skip for an oracle that raises FieldTooLargeForScan.
 
 Cases are exhaustive over prime fields up to EXHAUSTIVE_PAIR_BOUND and
-seeded random samples over the rationals and over larger primes.
+seeded random samples over the rationals and over larger primes.  Where an
+existence row's cases are sampled, it goes on to its pool's pairs in order,
+so a witness the draws missed still counts.
 """
 
 from __future__ import annotations
@@ -178,17 +180,17 @@ class _Context:
 
         return build
 
-    def witnesses(self, kind: str, arity: int) -> Callable[[], Iterable[tuple]]:
-        """An existence row's case builder: the drawn point tuples, then, when those were
-        sampled, the pool's own tuples in order (no rng, at most EXHAUSTIVE_PAIR_BOUND), so
+    def witness_pairs(self, kind: str) -> Callable[[], Iterable[tuple]]:
+        """An existence row's case builder: the drawn point pairs, then, when those were
+        sampled, the pool's own pairs in order (no rng, at most EXHAUSTIVE_PAIR_BOUND), so
         a witness that the draws missed is still found."""
-        drawn = self.tuples(kind, arity)
+        drawn = self.tuples(kind, 2)
 
         def build():
             cases, pool = drawn(), self.points(kind)
-            if self.whole(pool, arity, EXHAUSTIVE_PAIR_BOUND):
+            if self.whole(pool, 2, EXHAUSTIVE_PAIR_BOUND):
                 return cases
-            ordered = itertools.product(pool, repeat=arity)
+            ordered = itertools.product(pool, repeat=2)
             return itertools.chain(cases, itertools.islice(ordered, EXHAUSTIVE_PAIR_BOUND))
 
         return build
@@ -377,14 +379,14 @@ def _suite_coincidence(ctx: _Context) -> list:
         _Prop(
             "additive_laws_differ",
             lambda P, Q: add_south(curve, P, Q) != add_west(curve, P, Q),
-            ctx.witnesses("all", 2),
+            ctx.witness_pairs("all"),
             skip=_gate(not tiny, "skipped: the two points over F_2 admit a single structure"),
             exists=True,
         ),
         _Prop(
             "exotic_affine_laws_differ",
             lambda P, Q: south_mul(curve, P, Q) != west_mul(curve, P, Q),
-            ctx.witnesses("affine", 2),
+            ctx.witness_pairs("affine"),
             skip=ctx.affine_note
             or _gate(not tiny, "skipped: the affine curve over F_2 is a single point"),
             exists=True,

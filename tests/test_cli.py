@@ -142,6 +142,13 @@ def test_composite_modulus_is_a_domain_error():
     assert proc.stderr == "error: 4294967297 is not prime\n"
 
 
+def test_non_decimal_modulus_is_a_bad_field_spec():
+    # '²' is a digit to str.isdigit but not to int()
+    proc = cli_process("eval", "--field", "fp:²", "--map", "pbar", "--t", "1")
+    assert proc.returncode == 3, (proc.stdout, proc.stderr)
+    assert proc.stderr == "error: bad field spec 'fp:²'; expected fp:<prime>\n"
+
+
 def test_verify_json_deterministic():
     argv = ("verify", "--field", "fp:5", "--suite", "all", "--seed", "0",
             "--samples", "100", "--format", "json")
@@ -238,5 +245,6 @@ def test_verify_all_over_large_primes_exits_zero(field, summary):
 
 @pytest.mark.parametrize("seed", ["0", "7"])
 def test_verify_existence_rows_pass_with_one_sample(seed):
-    out = run_cli("verify", "--field", "q", "--suite", "coincidence", "--samples", "1", "--seed", seed)
+    argv = ("verify", "--field", "q", "--suite", "coincidence", "--samples", "1", "--seed", seed)
+    out = run_cli(*argv)
     assert out.splitlines()[-1].endswith(": 3 passed, 0 failed, 0 skipped")

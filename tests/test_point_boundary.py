@@ -22,9 +22,10 @@ def _curve_point_calls(curve, bad, good):
     """Every public call that takes curve points, with `bad` in one operand slot."""
     calls = []
     for kind in LawKind:
-        calls.append((f"apply_law.{kind.value}.left", lambda k=kind: apply_law(curve, k, bad, good)))
-        calls.append((f"apply_law.{kind.value}.right", lambda k=kind: apply_law(curve, k, good, bad)))
-        calls.append((f"law_inverse.{kind.value}", lambda k=kind: law_inverse(curve, k, bad)))
+        name = kind.value
+        calls.append((f"apply_law.{name}.left", lambda k=kind: apply_law(curve, k, bad, good)))
+        calls.append((f"apply_law.{name}.right", lambda k=kind: apply_law(curve, k, good, bad)))
+        calls.append((f"law_inverse.{name}", lambda k=kind: law_inverse(curve, k, bad)))
     calls += [
         ("perp", lambda: perp(curve, bad)),
         ("third_intersection", lambda: third_intersection(curve, bad, good)),
