@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .curve import Folium, ProjectivePoint
-from .errors import PointAtInfinity, UnorderedField
+from .curve import Folium, ProjectivePoint, _require_affine
+from .errors import UnorderedField
 from .fields import Rationals
 from .parametrization import pbar_inv
 
@@ -27,9 +27,7 @@ def classify_branch(curve: Folium, point: ProjectivePoint) -> BranchLabel:
     """Label an affine rational curve point by the interval its parameter falls in."""
     if not isinstance(curve.field, Rationals):
         raise UnorderedField("branch classification needs the ordered field of rationals")
-    if point.is_at_infinity:
-        raise PointAtInfinity(f"{point} is not an affine point")
-    t = pbar_inv(curve, point).value
+    t = pbar_inv(curve, _require_affine(point)).value
     if t == 0:
         return BranchLabel.NODE
     if t == 1:

@@ -1,10 +1,15 @@
 """The projective Descartes folium and the plane objects it lives on.
 
-The curve is x^3 + y^3 - 3axyz = 0 in P^2(K) with a != 0.  Points and
-lines are held in a canonical form chosen so the classical literals
-O = (0, 0, 1), I = (1, -1, 0) and affine points (x, y, 1) are already
-canonical: the scaling pivot is z when nonzero, else x, else y (for lines
-the pivot order is p, m, n on m*x + n*y + p*z = 0).
+The curve is x^3 + y^3 - 3axyz = 0 in P^2(K) with a != 0.  Points
+(x : y : z) and lines [m : n : p] (for m*x + n*y + p*z = 0) share one
+canonical form, `_canonical`: the triple is scaled so that the first
+nonzero of its third, first and second entries is 1.  The classical
+literals O = (0, 0, 1), I = (1, -1, 0) and affine points (x, y, 1) are
+already canonical.
+
+The exhaustive scans (point enumeration here, the line scan and the root
+scan in geometry) take their residues from one guard, `_scan_range`, which
+refuses the rationals and primes above ENUMERATION_BOUND.
 
 A point built by a chart (pbar, pbarbar, p_affine, and the curve's own
 origin, infinity and vertex) lies on the curve by construction, so it
@@ -19,11 +24,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldTooLargeForScan, MixedFields, NotOnCurve
-from .fields import Field, FieldElement, PrimeField
+from .errors import FieldTooLargeForScan, MixedFields, NotOnCurve, PointAtInfinity
+from .fields import Field, FieldElement
 
 # Brute-force point enumeration stays below this many residues.
 ENUMERATION_BOUND = 10_000
+
+
+def _scan_range(field: Field, what: str) -> range:
+    """The residues 0, ..., p - 1 of a prime field small enough to scan exhaustively."""
+    p = field.characteristic
+    if not p:
+        raise FieldTooLargeForScan(f"{what} needs a finite prime field")
+    if p > ENUMERATION_BOUND:
+        raise FieldTooLargeForScan(f"{what} requires p <= {ENUMERATION_BOUND}")
+    return range(p)
+
+
+def _canonical(first, second, third, parts: str, noun: str) -> tuple:
+    """The triple scaled so the first nonzero of (third, first, second) is 1."""
+    if first.field != second.field or first.field != third.field:
+        raise MixedFields(f"{parts} must share one field")
+    for pivot in (third, first, second):
+        if not pivot.is_zero():
+            if pivot.is_one():
+                return first, second, third
+            scale = pivot.inverse()
+            return first * scale, second * scale, third * scale
+    raise ValueError(f"(0 : 0 : 0) is not a {noun}")
+
+
+def _require_affine(point: ProjectivePoint) -> ProjectivePoint:
+    if point.is_at_infinity:
+        raise PointAtInfinity(f"{point} is not an affine point")
+    return point
 
 
 class ProjectivePoint:
@@ -36,16 +70,7 @@ class ProjectivePoint:
 
     def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement, on=None):
         self.on = on
-        if x.field != y.field or x.field != z.field:
-            raise MixedFields("point coordinates must share one field")
-        for pivot in (z, x, y):
-            if not pivot.is_zero():
-                if not pivot.is_one():
-                    scale = pivot.inverse()
-                    x, y, z = x * scale, y * scale, z * scale
-                self.x, self.y, self.z = x, y, z
-                return
-        raise ValueError("(0 : 0 : 0) is not a projective point")
+        self.x, self.y, self.z = _canonical(x, y, z, "point coordinates", "projective point")
 
     @classmethod
     def of(cls, field: Field, x, y, z=1, on=None) -> "ProjectivePoint":
@@ -83,21 +108,12 @@ class ProjectivePoint:
 
 
 class ProjectiveLine:
-    """The line m*x + n*y + p*z = 0, canonicalized with pivot order (p, m, n)."""
+    """The line m*x + n*y + p*z = 0 in canonical form (pivot order p, m, n)."""
 
     __slots__ = ("m", "n", "p")
 
     def __init__(self, m: FieldElement, n: FieldElement, p: FieldElement):
-        if m.field != n.field or m.field != p.field:
-            raise MixedFields("line coefficients must share one field")
-        for pivot in (p, m, n):
-            if not pivot.is_zero():
-                if not pivot.is_one():
-                    scale = pivot.inverse()
-                    m, n, p = m * scale, n * scale, p * scale
-                self.m, self.n, self.p = m, n, p
-                return
-        raise ValueError("(0 : 0 : 0) is not a line")
+        self.m, self.n, self.p = _canonical(m, n, p, "line coefficients", "line")
 
     @classmethod
     def of(cls, field: Field, m, n, p) -> "ProjectiveLine":
@@ -229,18 +245,15 @@ class Folium:
         Deliberately naive so it can serve as an oracle independent of the
         parametrization.  Prime fields with p <= 10^4 only.
         """
-        if not isinstance(self.field, PrimeField):
-            raise FieldTooLargeForScan("point enumeration needs a finite prime field")
-        p = self.field.p
-        if p > ENUMERATION_BOUND:
-            raise FieldTooLargeForScan(f"point enumeration requires p <= {ENUMERATION_BOUND}")
+        residues = _scan_range(self.field, "point enumeration")
+        p = self.field.characteristic
         a3 = self.three_a.value
         points = []
-        for x in range(p):
-            for y in range(p):
+        for x in residues:
+            for y in residues:
                 if (x * x * x + y * y * y - a3 * x * y) % p == 0:
                     points.append(self.point(x, y, 1))
-        for y in range(p):
+        for y in residues:
             if (1 + y * y * y) % p == 0:
                 points.append(self.point(1, y, 0))
         if 1 % p == 0:  # last representative (0 : 1 : 0): cubic value is y^3 = 1 there

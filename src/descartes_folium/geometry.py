@@ -13,18 +13,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .curve import ENUMERATION_BOUND, Folium, ProjectiveLine, ProjectivePoint
+from .curve import Folium, ProjectiveLine, ProjectivePoint, _require_affine, _scan_range
 from .errors import (
     CoincidentPoints,
-    FieldTooLargeForScan,
     LineThroughOrigin,
     OriginNotAllowed,
-    PointAtInfinity,
     SingularPoint,
     UnorderedField,
     VertexNotAllowed,
 )
-from .fields import Field, FieldElement, PrimeField, Rationals
+from .fields import Field, FieldElement, Rationals
 from .laws import nonzero_param, perp
 from .parametrization import pbar, pbar_inv
 
@@ -132,10 +130,8 @@ def _divisors(n: int) -> list:
 
 def _root_candidates(field: Field, coeffs: list):
     """Candidate roots: every residue over F_p, rational-root candidates over Q."""
-    if isinstance(field, PrimeField):
-        if field.p > ENUMERATION_BOUND:
-            raise FieldTooLargeForScan(f"root scan requires p <= {ENUMERATION_BOUND}")
-        return [field.element(r) for r in range(field.p)]
+    if field.characteristic:
+        return [field.element(r) for r in _scan_range(field, "root scan")]
     scale = lcm(*(c.value.denominator for c in coeffs))
     cleared = [int(c.value * scale) for c in coeffs]
     lead, const = cleared[0], cleared[-1]
@@ -180,7 +176,7 @@ def line_curve_intersections(curve: Folium, line: ProjectiveLine) -> list:
 
 
 def _curve_points_on_line(curve: Folium, line: ProjectiveLine) -> list:
-    if isinstance(curve.field, PrimeField):
+    if curve.field.characteristic:
         # independent route: brute-force enumeration filtered by incidence
         return [
             point
@@ -208,16 +204,13 @@ def slope_cubic_check(curve: Folium, line: ProjectiveLine) -> bool:
     return True
 
 
-def all_lines(field: PrimeField):
-    """All p^2 + p + 1 canonical lines of P^2(F_p)."""
-    if not isinstance(field, PrimeField):
-        raise FieldTooLargeForScan("line enumeration needs a finite prime field")
-    if field.p > ENUMERATION_BOUND:
-        raise FieldTooLargeForScan(f"line enumeration requires p <= {ENUMERATION_BOUND}")
-    for m in range(field.p):
-        for n in range(field.p):
+def all_lines(field: Field):
+    """All p^2 + p + 1 canonical lines of P^2(F_p); the scan guard runs at the first line."""
+    residues = _scan_range(field, "line enumeration")
+    for m in residues:
+        for n in residues:
             yield ProjectiveLine.of(field, m, n, 1)
-    for n in range(field.p):
+    for n in residues:
         yield ProjectiveLine.of(field, 1, n, 0)
     yield ProjectiveLine.of(field, 0, 1, 0)
 
@@ -239,6 +232,5 @@ def perpendicular_chord_check(
             raise OriginNotAllowed("the node has no chord direction")
         if point == vertex:
             raise VertexNotAllowed("the vertex is excluded from the perpendicularity test")
-        if point.is_at_infinity:
-            raise PointAtInfinity(f"{point} is not an affine point")
+        _require_affine(point)
     return (p.x * q.x + p.y * q.y).is_zero()

@@ -21,13 +21,8 @@ from collections.abc import Callable
 from enum import Enum
 from typing import NamedTuple
 
-from .curve import Folium, ProjectivePoint
-from .errors import (
-    DivisionByZeroPoint,
-    FieldLacksUniqueCubeRoot,
-    OriginNotInGroup,
-    PointAtInfinity,
-)
+from .curve import Folium, ProjectivePoint, _require_affine
+from .errors import DivisionByZeroPoint, FieldLacksUniqueCubeRoot, OriginNotInGroup
 from .fields import FieldElement
 from .parametrization import (
     alpha,
@@ -94,12 +89,6 @@ class Law(NamedTuple):
     def invert(self, curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
         self.require_field(curve)
         return self.chart.point(curve, self.inverse(self.param(curve, point)))
-
-
-def _require_affine(point: ProjectivePoint) -> ProjectivePoint:
-    if point.is_at_infinity:
-        raise PointAtInfinity(f"{point} is not an affine point")
-    return point
 
 
 def _reciprocal(u: FieldElement) -> FieldElement:

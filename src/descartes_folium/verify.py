@@ -26,7 +26,6 @@ from typing import Callable, Iterable, NamedTuple
 from .branches import BranchLabel, classify_branch
 from .curve import Folium
 from .errors import DivisionByZeroPoint, FieldTooLargeForScan, UnknownSuite
-from .fields import PrimeField
 from .geometry import (
     all_lines,
     chord_or_tangent,
@@ -132,8 +131,8 @@ class _Context:
         self.curve = curve
         self.rng = random.Random(seed)
         self.samples = max(1, samples)
-        self.finite = isinstance(curve.field, PrimeField)
-        self.exhaustive = self.finite and curve.field.p <= EXHAUSTIVE_PAIR_BOUND
+        self.finite = curve.field.characteristic != 0
+        self.exhaustive = 0 < curve.field.characteristic <= EXHAUSTIVE_PAIR_BOUND
         self.affine_note = _gate(
             curve.field.has_unique_cube_root(),
             "skipped: the field has epsilon roots (no unique cube root of -1)",
@@ -152,7 +151,7 @@ class _Context:
         if kind not in self._params:
             field = self.curve.field
             if self.exhaustive:
-                pool = [field.element(r) for r in range(field.p)]
+                pool = [field.element(r) for r in range(field.characteristic)]
             else:
                 pool = [field.element(v) for v in _ANCHORS if not self.finite or isinstance(v, int)]
                 while len(pool) < self.samples:
@@ -215,12 +214,12 @@ class _Context:
 
 def _suite_field(ctx: _Context) -> list:
     field = ctx.curve.field
+    p = field.characteristic
     zero, one = field.zero, field.one
 
     def triples():
-        if ctx.finite and field.p <= 13:
-            elements = [field.element(r) for r in range(field.p)]
-            return list(itertools.product(elements, repeat=3))
+        if ctx.exhaustive and p**3 <= EXHAUSTIVE_TRIPLE_BOUND:
+            return list(itertools.product(ctx.params("all"), repeat=3))
         return [
             tuple(field.random_element(ctx.rng) for _ in range(3))
             for _ in range(ctx.samples)
@@ -253,14 +252,14 @@ def _suite_field(ctx: _Context) -> list:
 
     def cube_root_scan():
         # A residue scan, independent of the closed form behind has_unique_cube_root.
-        cube_roots = sum(1 for x in range(field.p) if (x * x * x + 1) % field.p == 0)
+        cube_roots = sum(1 for x in range(p) if (x * x * x + 1) % p == 0)
         return field.has_unique_cube_root() == (cube_roots == 1)
 
     if ctx.finite:
         cube_root = _Prop(
             "cube_root_unique_matches_congruence",
             cube_root_scan,
-            skip=_gate(field.p < 1 << 16, "skipped: p too large to scan"),
+            skip=_gate(p < 1 << 16, "skipped: p too large to scan"),
         )
     else:
         cube_root = _Prop("rationals_have_unique_cube_root", field.has_unique_cube_root)
@@ -273,13 +272,14 @@ def _suite_field(ctx: _Context) -> list:
 
 def _suite_count(ctx: _Context) -> list:
     curve = ctx.curve
+    p = curve.field.characteristic
     return [
         _Prop(
             "point_count_equals_p",
-            lambda points: len(points) == curve.field.p and len(set(points)) == len(points),
+            lambda points: len(points) == p and len(set(points)) == len(points),
             lambda: [(curve.enumerate_points(),)],
             skip=_gate(ctx.finite, "skipped: enumeration needs a finite prime field"),
-            witness=lambda points: f"enumerated {len(points)} points, expected {curve.field.p}",
+            witness=lambda points: f"enumerated {len(points)} points, expected {p}",
         )
     ]
 
@@ -369,7 +369,7 @@ def _suite_axioms(ctx: _Context) -> list:
 
 def _suite_coincidence(ctx: _Context) -> list:
     curve = ctx.curve
-    tiny = ctx.finite and curve.field.p == 2
+    tiny = curve.field.characteristic == 2
     return [
         _Prop(
             "projmul_equals_projmul2",
@@ -527,7 +527,7 @@ def _suite_geometry(ctx: _Context) -> list:
             split_line_identities,
             lambda: [(line,) for line in all_lines(curve.field) if not line.through_origin],
             skip=_gate(
-                ctx.finite and curve.field.p <= LINE_SCAN_PRIME_BOUND,
+                0 < curve.field.characteristic <= LINE_SCAN_PRIME_BOUND,
                 "skipped: exhaustive line enumeration needs a prime field with p <= 31",
             ),
         ),
