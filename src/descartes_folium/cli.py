@@ -232,6 +232,17 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def _samples(text: str) -> int:
+    """The verify --samples value: an int, at least 1."""
+    try:
+        samples = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if samples < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {samples}")
+    return samples
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="q", help="base field: q or fp:<prime> (default q)")
@@ -254,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p_verify.add_argument("--suite", default="all", help="suite name or all")
-    p_verify.add_argument("--samples", type=int, default=1000, help="random instances over q (default 1000)")
+    p_verify.add_argument("--samples", type=_samples, default=1000, help="random instances over q (default 1000)")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_plot = sub.add_parser("plot", parents=[common], help="emit an SVG (or CSV) of the real curve")

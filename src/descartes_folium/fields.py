@@ -10,6 +10,7 @@ No floating point appears anywhere in this module.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DivisionByZero, MixedFields
@@ -21,6 +22,16 @@ MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _RATIONAL_LITERAL = re.compile(r"^[+-]?\d+(\s*/\s*\d+)?$")
 _INTEGER_LITERAL = re.compile(r"^[+-]?\d+$")
+_DIGIT_RUN = re.compile(r"[\d_]+")
+
+
+def _within_digit_limit(text: str) -> str:
+    """The literal itself, unless one of its integers has more digits than int() converts."""
+    limit = sys.get_int_max_str_digits()
+    digits = max((len(run.replace("_", "")) for run in _DIGIT_RUN.findall(text)), default=0)
+    if limit and digits > limit:
+        raise ValueError(f"an integer of {digits} digits is over the limit of {limit} digits")
+    return text
 
 
 def is_prime(n: int) -> bool:
@@ -246,7 +257,7 @@ class Rationals(Field):
         if not _RATIONAL_LITERAL.match(text):
             raise ValueError(f"bad rational literal {text!r}; expected <int> or <int>/<int>")
         try:
-            return FieldElement(self, Fraction(text.replace(" ", "")))
+            return FieldElement(self, Fraction(_within_digit_limit(text).replace(" ", "")))
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in literal {text!r}") from exc
 
@@ -301,7 +312,7 @@ class PrimeField(Field):
         text = text.strip()
         if not _INTEGER_LITERAL.match(text):
             raise ValueError(f"bad residue literal {text!r}; expected <int>")
-        return FieldElement(self, int(text) % self.p)
+        return FieldElement(self, int(_within_digit_limit(text)) % self.p)
 
     def epsilon_roots(self):
         # The roots are the primitive sixth roots of unity -w and -w^2, w a
@@ -340,5 +351,5 @@ def field_from_spec(spec: str) -> Field:
         tail = spec[3:]
         if not tail.isdecimal():  # isdigit would admit '²', which int() refuses
             raise ValueError(f"bad field spec {spec!r}; expected fp:<prime>")
-        return PrimeField(int(tail))
+        return PrimeField(int(_within_digit_limit(tail)))
     raise ValueError(f"bad field spec {spec!r}; expected q or fp:<prime>")

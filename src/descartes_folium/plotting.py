@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .curve import Folium
 from .errors import DegenerateRange, FileWriteError
-from .fields import Rationals
+from .fields import Rationals, _within_digit_limit
 from .geometry import chord_or_tangent, tangent_at, third_intersection
 from .parametrization import p_affine
 
@@ -37,7 +37,7 @@ class Overlay:
 def parse_rational(text: str) -> Fraction:
     """A plot literal such as -0.9 or 3/7; a zero denominator is a ValueError, like any bad literal."""
     try:
-        return Fraction(text)
+        return Fraction(_within_digit_limit(text))
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in literal {text!r}") from exc
 
@@ -246,10 +246,13 @@ def write_plot(
     exclusion: Fraction = DEFAULT_EXCLUSION,
 ) -> None:
     """Write SVG (or CSV when the path ends in .csv) to the given path."""
-    if str(path).lower().endswith(".csv"):
-        payload = render_csv(a, t_min, t_max, samples, exclusion)
-    else:
-        payload = render_svg(a, t_min, t_max, samples, overlays, exclusion)
+    try:
+        if str(path).lower().endswith(".csv"):
+            payload = render_csv(a, t_min, t_max, samples, exclusion)
+        else:
+            payload = render_svg(a, t_min, t_max, samples, overlays, exclusion)
+    except OverflowError as exc:  # an exact value beyond the float range at the output boundary
+        raise ValueError("a plotted value is too large to write as a float") from exc
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(payload)

@@ -6,7 +6,8 @@ predicate holds on every case; an existence row (`exists=True`) holds when
 it holds on one.  A suite maps a case context to its rows, and one runner,
 `_evaluate`, turns each row into a PropertyResult.  The runner alone counts
 instances, formats a counterexample and emits a skip (instances = 0 and a
-note), including the skip for an oracle that raises FieldTooLargeForScan.
+note), including the skip for an oracle that raises FieldTooLargeForScan and
+for a universal row whose cases came out empty, which never passes.
 
 Cases are exhaustive over prime fields up to EXHAUSTIVE_PAIR_BOUND and
 seeded random samples over the rationals and over larger primes.  Where an
@@ -121,6 +122,8 @@ def _evaluate(prop: _Prop) -> PropertyResult:
                 counterexample = "no witness found"
     except FieldTooLargeForScan as refusal:
         return PropertyResult(prop.name, 0, True, note=f"skipped: {refusal}")
+    if instances == 0 and not prop.exists:  # a universal row over no cases checked nothing
+        return PropertyResult(prop.name, 0, True, note="skipped: no cases to check")
     return PropertyResult(prop.name, instances, counterexample is None, counterexample)
 
 

@@ -161,6 +161,20 @@ def test_usage_errors_exit_two():
     run_cli(expect=2)
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_samples_below_one_is_a_usage_error(samples):
+    proc = cli_process("verify", "--field", "fp:5", "--suite", "field", "--samples", samples)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(f"error: argument --samples: must be at least 1, got {samples}\n")
+
+
+def test_verify_q_with_one_sample_skips_the_empty_row():
+    out = run_cli("verify", "--field", "q", "--suite", "all", "--samples", "1")
+    assert "SKIP perpendicular_iff_vertex_collinear — skipped: no cases to check" in out
+    assert "(0 instances)" not in out
+    assert out.splitlines()[-1].endswith(": 78 passed, 0 failed, 4 skipped")
+
+
 def test_domain_errors_exit_three():
     run_cli("op", "--law", "projmul", "(1, 1)", "(2/3, 4/3)", expect=3)  # off the curve
     run_cli("eval", "--field", "fp:9", "--map", "pbar", "--t", "1", expect=3)  # 9 is not prime
@@ -248,3 +262,26 @@ def test_verify_existence_rows_pass_with_one_sample(seed):
     argv = ("verify", "--field", "q", "--suite", "coincidence", "--samples", "1", "--seed", seed)
     out = run_cli(*argv)
     assert out.splitlines()[-1].endswith(": 3 passed, 0 failed, 0 skipped")
+
+
+LIMIT = sys.get_int_max_str_digits()
+LONG = "7" * (LIMIT + 700)
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="the interpreter converts integers of any length")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--map", "pbar", "--t", LONG),
+        ("eval", "--field", "fp:5", "--map", "pbar", "--t", LONG),
+        ("eval", "--field", f"fp:{LONG}", "--map", "pbar", "--t", "1"),
+        ("op", "--law", "projmul", f"(1 : {LONG} : 1)", "(0, 0)"),
+        ("plot", "--t-max", LONG, "--out", os.devnull),
+        ("plot", "--overlay", f"chord:1,0.{LONG}", "--out", os.devnull),
+    ],
+    ids=["eval-q", "eval-fp", "field", "point", "plot-t-max", "plot-overlay"],
+)
+def test_over_long_literal_names_the_digit_limit(argv):
+    proc = cli_process(*argv)
+    message = f"error: an integer of {LIMIT + 700} digits is over the limit of {LIMIT} digits\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)

@@ -1,8 +1,9 @@
 """Property tests of the command line: printed points parse back, and no input
-ends in anything but exit 0, 2 or 3 with a message."""
+ends in anything but a documented exit code with a message."""
 
 import contextlib
 import io
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,13 +113,83 @@ def invocations(draw):
     return [*command, f"--field={field_spec}", f"--a={a}"]
 
 
-@settings(max_examples=150)
-@given(invocations())
-def test_fuzzed_input_ends_in_a_documented_exit(argv):
+def _run(argv, codes):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    assert code in (0, 2, 3), (code, stderr.getvalue())
+    assert code in codes, (code, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+    assert "set_int_max_str_digits" not in stdout.getvalue() + stderr.getvalue()
     if code == 3:
         assert stderr.getvalue().startswith("error: ")
+
+
+@settings(max_examples=150)
+@given(invocations())
+def test_fuzzed_input_ends_in_a_documented_exit(argv):
+    _run(argv, (0, 2, 3))
+
+
+# an integer literal one digit over the interpreter's conversion limit
+OVER_LONG = "7" * (sys.get_int_max_str_digits() + 1)
+counts = mostly(st.integers(-3, 5).map(str), st.sampled_from(["", "x", "1.5", "1e2", "٣", OVER_LONG]))
+# exponents near and past the float range as often as small ones
+exponents = st.one_of(st.integers(-20, 20), st.integers(300, 400), st.integers(-400, -300))
+plot_numbers = mostly(
+    st.one_of(
+        numbers,
+        st.decimals(-100, 100, places=3).map(str),
+        st.tuples(st.integers(-9, 9), exponents).map(lambda c: f"{c[0]}e{c[1]}"),
+    ),
+    st.sampled_from(["nan", "inf", "1_0", "-1", OVER_LONG, f"0.{OVER_LONG}", f"1/{OVER_LONG}"]),
+)
+overlays = mostly(
+    st.one_of(
+        st.sampled_from(["bisector", "asymptote"]),
+        st.tuples(st.sampled_from(["point", "tangent"]), plot_numbers).map(":".join),
+        st.tuples(plot_numbers, plot_numbers).map(lambda c: f"chord:{c[0]},{c[1]}"),
+    ),
+    st.one_of(st.sampled_from(["bisector:1", "chord:1", "chord:1,2,3", "circle"]), st.text(max_size=8)),
+)
+small_suites = mostly(
+    st.sampled_from(
+        ["field", "count", "parametrize", "coincidence", "geometry", "collinearity",
+         "southmul", "perpendicular", "branch", "fieldstructure"]
+    ),
+    st.sampled_from(["", "nope", "ALL", OVER_LONG]),
+)
+seeds = mostly(st.integers(-(10**30), 10**30).map(str), st.sampled_from(["", "x", "1.5", OVER_LONG]))
+small_fields = mostly(
+    st.sampled_from(["fp:5", "q"]),
+    st.sampled_from(["fp:2", "fp:31", "fp:65537", "fp:10007", "fp:4", "zz", f"fp:{OVER_LONG}"]),
+)
+
+
+@st.composite
+def tool_invocations(draw, out_dir):
+    """An argv for verify, count or plot, with fuzzed counts, seeds, ranges and overlays."""
+    field, a = f"--field={draw(small_fields)}", f"--a={draw(a_values)}"
+    seed = f"--seed={draw(seeds)}"
+    command = draw(st.sampled_from(["verify", "count", "plot"]))
+    if command == "verify":
+        return ["verify", field, a, seed, f"--suite={draw(small_suites)}", f"--samples={draw(counts)}"]
+    if command == "count":
+        return ["count", field, a, seed]
+    out = out_dir / draw(st.sampled_from(["plot.svg", "plot.csv", "missing/plot.svg"]))
+    samples = draw(mostly(st.integers(2, 5).map(str), counts))
+    argv = ["plot", f"--a={draw(plot_numbers)}", seed, f"--samples={samples}", f"--out={out}"]
+    for flag in ("--t-min", "--t-max", "--exclusion"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(plot_numbers)}")
+    return argv + [f"--overlay={overlay}" for overlay in draw(st.lists(overlays, max_size=3))]
+
+
+def test_fuzzed_tool_input_ends_in_a_documented_exit(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=200)
+    @given(tool_invocations(out_dir))
+    def check(argv):
+        _run(argv, (0, 1, 2, 3))
+
+    check()

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from descartes_folium import (
     field_from_spec,
 )
 from descartes_folium.fields import is_prime
+from descartes_folium.plotting import parse_rational
 
 
 def test_rational_arithmetic_example():
@@ -234,6 +236,29 @@ def test_field_spec_parsing():
     for bad in ("fp:4", "fp:x", "r", "fp:"):
         with pytest.raises(ValueError):
             field_from_spec(bad)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no integer digit limit")
+def test_over_long_literals_name_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    long = "7" * (limit + 1)
+    message = f"an integer of {limit + 1} digits is over the limit of {limit} digits"
+    calls = [
+        lambda: Rationals().from_literal(long),
+        lambda: Rationals().from_literal(f"1/{long}"),
+        lambda: PrimeField(7).from_literal(f"-{long}"),
+        lambda: field_from_spec(f"fp:{long}"),
+        lambda: parse_rational(f"1.{long}"),
+        lambda: parse_rational(long[:limit] + "_" + long[limit:]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as refusal:
+            call()
+        assert str(refusal.value) == message
+    # at the limit itself the literals still parse
+    assert Rationals().from_literal(long[1:]).value == int(long[1:])
+    assert PrimeField(7).from_literal(long[1:]).value == int(long[1:]) % 7
+    assert parse_rational(f"-{long[1:]}/3") == Fraction(-int(long[1:]), 3)
 
 
 def test_spec_strings_round_trip():

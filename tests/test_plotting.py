@@ -133,3 +133,17 @@ def test_write_plot_svg_and_csv(tmp_path):
     write_plot(str(csv_path), 1, Fraction(-9, 10), 4, 50)
     assert svg_path.read_text().startswith("<?xml")
     assert csv_path.read_text().startswith("t,x,y")
+
+
+@pytest.mark.parametrize(
+    "name, a, t_max, overlays",
+    [
+        ("plot.csv", 1, Fraction(10**400), ()),  # t itself is written as a float
+        ("plot.svg", Fraction(10**400), 4, ()),  # so are x and y, which scale with a
+        ("plot.svg", 1, 4, (Overlay("tangent", (Fraction(10**400),)),)),
+    ],
+)
+def test_values_beyond_the_float_range_are_a_value_error(tmp_path, name, a, t_max, overlays):
+    with pytest.raises(ValueError, match=r"^a plotted value is too large to write as a float$"):
+        write_plot(str(tmp_path / name), a, 0, t_max, 3, overlays)
+    assert not (tmp_path / name).exists()

@@ -156,3 +156,25 @@ def test_pbar_lands_on_curve_ignores_the_mark(monkeypatch):
     # anchors 0 and 1 give the node and the vertex, both on the curve; -1 gives (1 : 1 : 0)
     landed = results["pbar_lands_on_curve"]
     assert (landed.passed, landed.instances, landed.counterexample) == (False, 3, "-1")
+
+
+def test_universal_row_without_cases_is_a_skip():
+    empty = verify._Prop("empty_universal", lambda P: True, lambda: [])
+    result = verify._evaluate(empty)
+    assert (result.instances, result.passed, result.note) == (0, True, "skipped: no cases to check")
+    # an existence row over no cases still fails: nothing witnessed it
+    missing = verify._evaluate(empty._replace(exists=True))
+    assert (missing.passed, missing.counterexample, missing.note) == (False, "no witness found", None)
+
+
+def test_no_vacuous_pass_over_q_with_one_sample():
+    # one sample over q leaves no nonzero affine pair apart from the vertex parameter
+    rows = {p["name"]: p for p in run_report(rational_curve(1), "all", seed=0, samples=1)["properties"]}
+    row = rows["perpendicular_iff_vertex_collinear"]
+    assert row == {
+        "name": "perpendicular_iff_vertex_collinear",
+        "instances": 0,
+        "passed": True,
+        "note": "skipped: no cases to check",
+    }
+    assert all(p["instances"] > 0 for p in rows.values() if "note" not in p)
