@@ -103,24 +103,15 @@ def _perp(curve: Folium, args, point: ProjectivePoint) -> tuple:
 
 def _chord(curve: Folium, args, p1: ProjectivePoint, p2: ProjectivePoint) -> tuple:
     line = chord_or_tangent(curve, p1, p2)
-    third = third_intersection(curve, p1, p2)
-    dot = proj_mul(curve, p1, p2)
-    star = star_mul(curve, p1, p2)
-    text = "\n".join(
-        [
-            f"line:  {line}",
-            f"third: {point_text(third)}",
-            f"dot:   {point_text(dot)}",
-            f"star:  {point_text(star)}",
-        ]
-    )
-    payload = {
-        "line": line_json(line),
-        "third": point_json(third),
-        "dot": point_json(dot),
-        "star": point_json(star),
+    points = {
+        "third": third_intersection(curve, p1, p2),
+        "dot": proj_mul(curve, p1, p2),
+        "star": star_mul(curve, p1, p2),
     }
-    return text, payload
+    rows = [("line", str(line))] + [(name, point_text(P)) for name, P in points.items()]
+    text = "\n".join(f"{name + ':':<7}{value}" for name, value in rows)
+    payload = {name: point_json(P) for name, P in points.items()}
+    return text, {"line": line_json(line), **payload}
 
 
 def _collinear(curve: Folium, args, *points: ProjectivePoint) -> tuple:

@@ -108,7 +108,7 @@ class ProjectivePoint:
 
 
 class ProjectiveLine:
-    """The line m*x + n*y + p*z = 0 in canonical form (pivot order p, m, n)."""
+    """The line m*x + n*y + p*z = 0 in canonical form."""
 
     __slots__ = ("m", "n", "p")
 

@@ -22,13 +22,12 @@ MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _RATIONAL_LITERAL = re.compile(r"^[+-]?\d+(\s*/\s*\d+)?$")
 _INTEGER_LITERAL = re.compile(r"^[+-]?\d+$")
-_DIGIT_RUN = re.compile(r"[\d_]+")
 
 
 def _within_digit_limit(text: str) -> str:
     """The literal itself, unless one of its integers has more digits than int() converts."""
     limit = sys.get_int_max_str_digits()
-    digits = max((len(run.replace("_", "")) for run in _DIGIT_RUN.findall(text)), default=0)
+    digits = max((len(run.replace("_", "")) for run in re.findall(r"[\d_]+", text)), default=0)
     if limit and digits > limit:
         raise ValueError(f"an integer of {digits} digits is over the limit of {limit} digits")
     return text

@@ -11,7 +11,7 @@ independent of the transported laws.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .curve import Folium, ProjectiveLine, ProjectivePoint, _require_affine, _scan_range
 from .errors import (
@@ -115,17 +115,10 @@ def _deflate(coeffs: list, root: FieldElement):
     return quotient, acc
 
 
-def _divisors(n: int) -> list:
+def _divisors(n: int) -> set:
     n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i * i != n:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+    return {*small, *(n // i for i in small)}
 
 
 def _root_candidates(field: Field, coeffs: list):

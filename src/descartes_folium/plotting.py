@@ -90,12 +90,6 @@ def sample_segments(
     return [segment for segment in segments if len(segment) >= 2]
 
 
-def _rational_curve(a) -> Folium:
-    field = Rationals()
-    curve = Folium(field, field.element(Fraction(a)))
-    return curve
-
-
 def render_csv(
     a,
     t_min,
@@ -104,7 +98,7 @@ def render_csv(
     exclusion: Fraction = DEFAULT_EXCLUSION,
 ) -> str:
     """CSV of (t, x, y) samples; floats at the boundary only."""
-    curve = _rational_curve(a)
+    curve = Folium(Rationals(), Fraction(a))
     rows = ["t,x,y"]
     for segment in sample_segments(curve, Fraction(t_min), Fraction(t_max), samples, exclusion):
         for t, x, y in segment:
@@ -201,7 +195,7 @@ def render_svg(
     size: int = 640,
 ) -> str:
     """Deterministic SVG document for the real curve with optional overlays."""
-    curve = _rational_curve(a)
+    curve = Folium(Rationals(), Fraction(a))
     segments = sample_segments(curve, Fraction(t_min), Fraction(t_max), samples, exclusion)
     if not segments:
         raise DegenerateRange("the sampled range contains no drawable segment")

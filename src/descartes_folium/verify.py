@@ -474,7 +474,6 @@ def _suite_star(ctx: _Context) -> list:
 
 def _suite_geometry(ctx: _Context) -> list:
     curve = ctx.curve
-    minus_one = -curve.field.one
     pairs = ctx.tuples("nonzero", 2)
 
     def incident(P, Q):
@@ -499,14 +498,8 @@ def _suite_geometry(ctx: _Context) -> list:
         for point, mult in intersections:
             triple.extend([point] * mult)
         p1, p2, p3 = triple
-        if not (p1.x * p2.x * p3.x + p1.y * p2.y * p3.y).is_zero():
-            return False
-        t_product = pbar_inv(curve, p1) * pbar_inv(curve, p2) * pbar_inv(curve, p3)
-        if t_product != minus_one:
-            return False
-        dot = proj_mul(curve, proj_mul(curve, p1, p2), p3)
-        star = star_mul(curve, star_mul(curve, p1, p2), p3)
-        return dot == curve.infinity and star == curve.infinity and collinear3(curve, *triple)
+        identity = (p1.x * p2.x * p3.x + p1.y * p2.y * p3.y).is_zero()
+        return identity and all(_collinearity_tests(curve, *triple))
 
     return [
         _Prop(
@@ -537,21 +530,25 @@ def _suite_geometry(ctx: _Context) -> list:
     ]
 
 
+def _collinearity_tests(curve: Folium, P1, P2, P3) -> tuple:
+    """The four tests that agree on three non-node points: collinear3, t1 t2 t3 = -1,
+    and P1 P2 P3 = I under the dot law and under the star law."""
+    t_product = pbar_inv(curve, P1) * pbar_inv(curve, P2) * pbar_inv(curve, P3)
+    dot = proj_mul(curve, proj_mul(curve, P1, P2), P3)
+    star = star_mul(curve, star_mul(curve, P1, P2), P3)
+    return (
+        collinear3(curve, P1, P2, P3),
+        t_product == -curve.field.one,
+        dot == curve.infinity,
+        star == curve.infinity,
+    )
+
+
 def _suite_collinearity(ctx: _Context) -> list:
     curve = ctx.curve
-    infinity = curve.infinity
-    minus_one = -curve.field.one
 
     def equivalences(P1, P2, P3):
-        t_product = (
-            pbar_inv(curve, P1) * pbar_inv(curve, P2) * pbar_inv(curve, P3)
-        )
-        target = t_product == minus_one
-        if collinear3(curve, P1, P2, P3) != target:
-            return False
-        dot = proj_mul(curve, proj_mul(curve, P1, P2), P3)
-        star = star_mul(curve, star_mul(curve, P1, P2), P3)
-        return (dot == infinity) == target and (star == infinity) == target
+        return len(set(_collinearity_tests(curve, P1, P2, P3))) == 1
 
     def constructed(P1, P2):
         P3 = third_intersection(curve, P1, P2)
