@@ -22,7 +22,11 @@ from enum import Enum
 from typing import NamedTuple
 
 from .curve import Folium, ProjectivePoint, _require_affine
-from .errors import DivisionByZeroPoint, FieldLacksUniqueCubeRoot, OriginNotInGroup
+from .errors import (
+    DivisionByZeroPoint,
+    FieldLacksUniqueCubeRoot,
+    OriginNotInGroup,
+)
 from .fields import FieldElement
 from .parametrization import (
     alpha,

@@ -168,7 +168,8 @@ def test_universal_row_without_cases_is_a_skip():
 
 
 def test_no_vacuous_pass_over_q_with_one_sample():
-    # one sample over q leaves no nonzero affine pair apart from the vertex parameter
+    # one sample over q draws a single parameter pair, and it holds the vertex parameter 1,
+    # which the row excludes
     rows = {p["name"]: p for p in run_report(rational_curve(1), "all", seed=0, samples=1)["properties"]}
     row = rows["perpendicular_iff_vertex_collinear"]
     assert row == {
