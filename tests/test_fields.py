@@ -1,7 +1,9 @@
 """Exact field arithmetic, epsilon roots, and the cube-root predicate."""
 
 import math
+import operator
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from descartes_folium import (
     DivisionByZero,
+    FieldElement,
     MixedFields,
     PrimeField,
     Rationals,
@@ -52,17 +55,59 @@ def test_residues_stored_canonical():
     assert (-f7.element(3)).value == 4
 
 
+# Every operator form against plain int or Fraction arithmetic, over Q and over
+# F_p for the smallest prime, two small ones and a 61-bit Mersenne prime.
+OPERATOR_FIELDS = (Rationals(), PrimeField(2), PrimeField(5), PrimeField(13), PrimeField(2**61 - 1))
+
+
+def _plain(field):
+    """Field values, int or Fraction operands, and the plain reduce and divide to compare with."""
+    p = field.characteristic
+    if p == 0:
+        values = [Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(22, 7), Fraction(10**20, 3)]
+        operands = [-7, 0, 1, 3, 10**20, Fraction(-5, 8), Fraction(9, 4)]
+        return values, operands, Fraction, lambda x, y: Fraction(x) / y
+    values = sorted({0, 1, 2 % p, p // 2, p - 1, 12345 % p})
+    operands = [-7, 0, 1, 3, p + 4, 10**20]
+    return values, operands, lambda x: x % p, lambda x, y: x * pow(y, -1, p) % p
+
+
 def test_operator_coverage():
-    f11 = PrimeField(11)
-    a, b = f11.element(7), f11.element(9)
-    assert (a - b).value == 9
-    assert (a / b).value == (7 * pow(9, -1, 11)) % 11
-    assert (a**3).value == pow(7, 3, 11)
-    assert (a**-1).value == pow(7, -1, 11)
-    assert (3 + a).value == 10
-    assert (3 - a).value == (3 - 7) % 11
-    assert (2 * a).value == 3
-    assert (1 / a).value == pow(7, -1, 11)
+    for field in OPERATOR_FIELDS:
+        values, operands, reduce, divide = _plain(field)
+
+        def check(result, expected):
+            assert isinstance(result, FieldElement) and result.field == field
+            assert type(result.value) is (int if field.characteristic else Fraction)
+            assert result.value == reduce(expected), (field, result, expected)
+
+        for x in values:
+            a = field.element(x)
+            for y in values:
+                b = field.element(y)
+                check(a + b, x + y)
+                check(a - b, x - y)
+                check(a * b, x * y)
+                if y:
+                    check(a / b, divide(x, y))
+            check(-a, -x)
+            for k in range(4):
+                check(a**k, x**k)
+            if x:
+                check(a.inverse(), divide(1, x))
+                for k in range(1, 4):
+                    check(a**-k, divide(1, x**k))
+            for n in operands:
+                check(a + n, x + n)
+                check(n + a, n + x)
+                check(a - n, x - n)
+                check(n - a, n - x)
+                check(a * n, x * n)
+                check(n * a, n * x)
+                if reduce(n):
+                    check(a / n, divide(x, n))
+                if x:
+                    check(n / a, divide(n, x))
 
 
 def test_constructor_rejects_char_three():
@@ -117,13 +162,31 @@ def test_large_prime_modulus_checked():
     assert e1 * e2 == big.one
 
 
+BINARY_OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
 def test_mixed_fields_rejected():
     f5, f7, q = PrimeField(5), PrimeField(7), Rationals()
-    with pytest.raises(MixedFields):
-        f5.element(1) + f7.element(1)
-    with pytest.raises(MixedFields):
-        q.element(1) * f5.element(1)
+    for a, b in [(f5.element(1), f7.element(1)), (q.element(1), f5.element(1)), (f5.element(2), q.element(3))]:
+        for op in BINARY_OPERATORS:
+            with pytest.raises(MixedFields, match=f"^cannot combine elements of {a.field} and {b.field}$"):
+                op(a, b)
+        with pytest.raises(MixedFields, match=re.escape(f"{b!r} does not belong to {a.field}")):
+            a.field.element(b)
     assert f5.element(2) != f7.element(2)
+
+
+def test_foreign_values_rejected():
+    with pytest.raises(TypeError, match=re.escape("cannot build a rational from 1.5")):
+        Rationals().element(1.5)
+    with pytest.raises(TypeError, match=re.escape("cannot build a residue mod 5 from Fraction(1, 2)")):
+        PrimeField(5).element(Fraction(1, 2))
+    a = PrimeField(5).element(2)
+    for op in (*BINARY_OPERATORS, operator.pow):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(a, Fraction(1, 2))
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(Fraction(1, 2), a)
 
 
 def test_division_by_zero():
