@@ -12,7 +12,6 @@ from enum import Enum
 
 from .curve import Folium, ProjectivePoint, _require_affine
 from .errors import UnorderedField
-from .fields import Rationals
 from .parametrization import pbar_inv
 
 
@@ -25,7 +24,7 @@ class BranchLabel(Enum):
 
 def classify_branch(curve: Folium, point: ProjectivePoint) -> BranchLabel:
     """Label an affine rational curve point by the interval its parameter falls in."""
-    if not isinstance(curve.field, Rationals):
+    if curve.field.characteristic != 0:
         raise UnorderedField("branch classification needs the ordered field of rationals")
     t = pbar_inv(curve, _require_affine(point)).value
     if t == 0:

@@ -5,10 +5,16 @@ Two fields are supported: the rationals (values are reduced
 fields F_p (values are canonical residues in [0, p)).  Characteristic 3 is
 rejected outright because the cubic x^3 + y^3 - 3axyz degenerates there.
 No floating point appears anywhere in this module.
+
+Each element rule is stated once: `Field.element` checks membership through
+each field's `_raw`, which also coerces operands; one template makes `+`, `-`
+and `*`; `characteristic` alone tells the fields apart.  Division stays
+explicit: over Q, `a / b` is one Fraction operation where `a * (1 / b)` is two.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -22,12 +28,16 @@ MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _RATIONAL_LITERAL = re.compile(r"^[+-]?\d+(\s*/\s*\d+)?$")
 _INTEGER_LITERAL = re.compile(r"^[+-]?\d+$")
+# Fraction builds 10**exponent in full, in time quadratic in its digits.
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*$")
 
 
 def _within_digit_limit(text: str) -> str:
-    """The literal itself, unless one of its integers has more digits than int() converts."""
+    """The literal itself, unless an integer it spells out, 10**exponent included, is over int()'s limit."""
     limit = sys.get_int_max_str_digits()
     digits = max((len(run.replace("_", "")) for run in re.findall(r"[\d_]+", text)), default=0)
+    if limit and digits <= limit and (exponent := _EXPONENT.search(text)):
+        digits = abs(int(exponent[1])) + sum(c.isdecimal() for c in text[: exponent.start()])
     if limit and digits > limit:
         raise ValueError(f"an integer of {digits} digits is over the limit of {limit} digits")
     return text
@@ -58,12 +68,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _ring_operation(combine):
+    """The operator method that coerces the other operand, combines raw values and reduces mod p."""
+
+    def method(self, other):
+        v = self._coerced(other)
+        if v is None:
+            return NotImplemented
+        p = self.field.characteristic
+        raw = combine(self.value, v)
+        return FieldElement(self.field, raw % p if p else raw)
+
+    return method
+
+
 class FieldElement:
     """An immutable exact value in a fixed base field.
 
     Elements of distinct fields never mix: any binary operation across
-    fields raises MixedFields.  Plain ints are accepted as the other
-    operand and coerced into the element's own field.
+    fields raises MixedFields.
     """
 
     __slots__ = ("field", "value")
@@ -89,47 +112,15 @@ class FieldElement:
                     f"cannot combine elements of {self.field} and {other.field}"
                 )
             return other.value
-        if isinstance(other, int):
-            return self.field.element(other).value
-        if isinstance(other, Fraction) and self.field.characteristic == 0:
-            return other
-        return None
+        try:
+            return self.field._raw(other)
+        except TypeError:
+            return None
 
-    def __add__(self, other):
-        v = self._coerced(other)
-        if v is None:
-            return NotImplemented
-        p = self.field.characteristic
-        raw = self.value + v
-        return FieldElement(self.field, raw % p if p else raw)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerced(other)
-        if v is None:
-            return NotImplemented
-        p = self.field.characteristic
-        raw = self.value - v
-        return FieldElement(self.field, raw % p if p else raw)
-
-    def __rsub__(self, other):
-        v = self._coerced(other)
-        if v is None:
-            return NotImplemented
-        p = self.field.characteristic
-        raw = v - self.value
-        return FieldElement(self.field, raw % p if p else raw)
-
-    def __mul__(self, other):
-        v = self._coerced(other)
-        if v is None:
-            return NotImplemented
-        p = self.field.characteristic
-        raw = self.value * v
-        return FieldElement(self.field, raw % p if p else raw)
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _ring_operation(operator.add)
+    __sub__ = _ring_operation(operator.sub)
+    __rsub__ = _ring_operation(lambda value, other: other - value)
+    __mul__ = __rmul__ = _ring_operation(operator.mul)
 
     def __truediv__(self, other):
         v = self._coerced(other)
@@ -187,7 +178,11 @@ class FieldElement:
         return hash((self.field, self.value))
 
     def __str__(self):
-        return str(self.value)
+        try:
+            return str(self.value)
+        except ValueError as exc:  # the one place an element becomes text
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"cannot print a value of over {limit} digits, the integer digit limit") from exc
 
     __repr__ = __str__
 
@@ -198,6 +193,15 @@ class Field:
     characteristic: int
 
     def element(self, value) -> FieldElement:
+        """One of this field's own elements, or the element of a plain value `_raw` accepts."""
+        if isinstance(value, FieldElement):
+            if value.field != self:
+                raise MixedFields(f"{value!r} does not belong to {self}")
+            return value
+        return FieldElement(self, self._raw(value))
+
+    def _raw(self, value):
+        """The stored value of a plain int (or Fraction, over Q); TypeError for any other value."""
         raise NotImplementedError
 
     def from_literal(self, text: str) -> FieldElement:
@@ -242,13 +246,9 @@ class Rationals(Field):
 
     characteristic = 0
 
-    def element(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise MixedFields(f"{value!r} does not belong to {self}")
-            return value
+    def _raw(self, value):
         if isinstance(value, (int, Fraction)):
-            return FieldElement(self, Fraction(value))
+            return Fraction(value)
         raise TypeError(f"cannot build a rational from {value!r}")
 
     def from_literal(self, text: str) -> FieldElement:
@@ -265,11 +265,8 @@ class Rationals(Field):
         # square, so there is never a rational root.
         return None
 
-    def random_element(self, rng, max_numerator: int = 99, max_denominator: int = 40) -> FieldElement:
-        return FieldElement(
-            self,
-            Fraction(rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator)),
-        )
+    def random_element(self, rng) -> FieldElement:
+        return FieldElement(self, Fraction(rng.randint(-99, 99), rng.randint(1, 40)))
 
     def spec_string(self) -> str:
         return "q"
@@ -298,13 +295,9 @@ class PrimeField(Field):
         self.p = p
         self.characteristic = p
 
-    def element(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise MixedFields(f"{value!r} does not belong to {self}")
-            return value
+    def _raw(self, value):
         if isinstance(value, int):
-            return FieldElement(self, value % self.p)
+            return value % self.p
         raise TypeError(f"cannot build a residue mod {self.p} from {value!r}")
 
     def from_literal(self, text: str) -> FieldElement:

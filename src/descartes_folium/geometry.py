@@ -22,7 +22,7 @@ from .errors import (
     UnorderedField,
     VertexNotAllowed,
 )
-from .fields import Field, FieldElement, Rationals
+from .fields import Field, FieldElement
 from .laws import nonzero_param, perp
 from .parametrization import pbar, pbar_inv
 
@@ -176,21 +176,20 @@ def _curve_points_on_line(curve: Folium, line: ProjectiveLine) -> list:
             for point in curve.enumerate_points()
             if point != curve.origin and line.contains(point)
         ]
-    points = []
-    for point, _ in line_curve_intersections(curve, line):
-        if curve.contains(point) and line.contains(point):
-            points.append(point)
-    return points
+    return [point for point, _ in line_curve_intersections(curve, line)]
 
 
 def slope_cubic_check(curve: Folium, line: ProjectiveLine) -> bool:
     """True iff every non-node curve point on the line has its parameter among the cubic's roots.
 
     Over prime fields the points come from the enumeration oracle; over the
-    rationals from exact rational-root extraction.
+    rationals from exact rational-root extraction, where a root whose point
+    is off the line or the curve makes the check fail.
     """
     c2, c1 = slope_cubic(curve, line)
     for point in _curve_points_on_line(curve, line):
+        if not (curve.contains(point) and line.contains(point)):
+            return False
         t = pbar_inv(curve, point)
         if not (((t + c2) * t + c1) * t + 1).is_zero():
             return False
@@ -216,7 +215,7 @@ def perpendicular_chord_check(
     Only meaningful over the rationals; equivalent to collinearity with the
     vertex.  Both points must be affine, distinct from the node and vertex.
     """
-    if not isinstance(curve.field, Rationals):
+    if curve.field.characteristic != 0:
         raise UnorderedField("perpendicularity needs the ordered field of rationals")
     vertex = curve.vertex()
     for point in (p, q):

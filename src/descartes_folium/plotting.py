@@ -35,11 +35,14 @@ class Overlay:
 
 
 def parse_rational(text: str) -> Fraction:
-    """A plot literal such as -0.9 or 3/7; a zero denominator is a ValueError, like any bad literal."""
+    """A plot literal such as -0.9, 1e-3 or 3/7; a zero denominator is a ValueError, like any bad literal."""
+    _within_digit_limit(text)
     try:
-        return Fraction(_within_digit_limit(text))
+        return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in literal {text!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"bad plot literal {text!r}; expected a number such as -0.9, 1e-3 or 3/7") from exc
 
 
 def parse_overlay(text: str) -> Overlay:

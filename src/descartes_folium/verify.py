@@ -7,7 +7,8 @@ it holds on one.  A suite maps a case context to its rows, and one runner,
 `_evaluate`, turns each row into a PropertyResult.  The runner alone counts
 instances, formats a counterexample and emits a skip (instances = 0 and a
 note), including the skip for an oracle that raises FieldTooLargeForScan and
-for a universal row whose cases came out empty, which never passes.
+for a universal row whose cases came out empty, which never passes.  Any
+other FoliumError fails its row, naming the case and the error.
 
 Cases are exhaustive over prime fields up to EXHAUSTIVE_PAIR_BOUND and
 seeded random samples over the rationals and over larger primes.  Where an
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .branches import BranchLabel, classify_branch
 from .curve import Folium
-from .errors import DivisionByZeroPoint, FieldTooLargeForScan, UnknownSuite
+from .errors import DivisionByZeroPoint, FieldTooLargeForScan, FoliumError, UnknownSuite
 from .geometry import (
     all_lines,
     chord_or_tangent,
@@ -109,7 +110,7 @@ def _evaluate(prop: _Prop) -> PropertyResult:
     """Run one row; the only place a PropertyResult is built."""
     if prop.skip is not None:
         return PropertyResult(prop.name, 0, True, note=prop.skip)
-    instances, counterexample = 0, None
+    instances, counterexample, case = 0, None, None
     try:
         for case in prop.cases():
             instances += 1
@@ -117,11 +118,15 @@ def _evaluate(prop: _Prop) -> PropertyResult:
                 if not prop.exists:
                     counterexample = prop.witness(*case)
                 break
+            case = None  # an error before the next case comes from building it
         else:
             if prop.exists:
                 counterexample = "no witness found"
     except FieldTooLargeForScan as refusal:
         return PropertyResult(prop.name, 0, True, note=f"skipped: {refusal}")
+    except FoliumError as fault:  # a domain error inside a row is that row's failure
+        where = "building the cases" if case is None else prop.witness(*case)
+        return PropertyResult(prop.name, instances, False, f"{where} raised {type(fault).__name__}: {fault}")
     if instances == 0 and not prop.exists:  # a universal row over no cases checked nothing
         return PropertyResult(prop.name, 0, True, note="skipped: no cases to check")
     return PropertyResult(prop.name, instances, counterexample is None, counterexample)

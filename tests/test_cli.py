@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -285,3 +286,27 @@ def test_over_long_literal_names_the_digit_limit(argv):
     proc = cli_process(*argv)
     message = f"error: an integer of {LIMIT + 700} digits is over the limit of {LIMIT} digits\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="the interpreter converts integers of any length")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_over_long_result_names_the_digit_limit(fmt):
+    # pbar(t) has the denominator 1 + t^3, three times as long as t
+    proc = cli_process("eval", "--map", "pbar", "--t", "7" * (LIMIT // 2), "--format", fmt)
+    message = f"error: cannot print a value of over {LIMIT} digits, the integer digit limit\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+    t = 7 * (10 ** (LIMIT // 4) - 1) // 9  # all sevens; its pbar fits under the limit
+    out = run_cli("eval", "--map", "pbar", "--t", str(t), "--format", fmt)
+    x = Fraction(3 * t, 1 + t**3)
+    assert str(x) in out and str(x * t) in out
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="the interpreter converts integers of any length")
+@pytest.mark.parametrize("value", ["nan", "inf", "1e-1000000", "1e1000000"])
+def test_plot_literal_refusals_name_the_literal(value):
+    proc = cli_process("plot", f"--t-min={value}", "--samples", "3", "--out", os.devnull)
+    if "e" in value:
+        message = f"an integer of 1000001 digits is over the limit of {LIMIT} digits"
+    else:
+        message = f"bad plot literal {value!r}; expected a number such as -0.9, 1e-3 or 3/7"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")

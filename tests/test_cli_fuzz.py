@@ -120,6 +120,7 @@ def _run(argv, codes):
     assert code in codes, (code, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
     assert "set_int_max_str_digits" not in stdout.getvalue() + stderr.getvalue()
+    assert "Invalid literal for Fraction" not in stderr.getvalue()
     if code == 3:
         assert stderr.getvalue().startswith("error: ")
 
@@ -141,7 +142,9 @@ plot_numbers = mostly(
         st.decimals(-100, 100, places=3).map(str),
         st.tuples(st.integers(-9, 9), exponents).map(lambda c: f"{c[0]}e{c[1]}"),
     ),
-    st.sampled_from(["nan", "inf", "1_0", "-1", OVER_LONG, f"0.{OVER_LONG}", f"1/{OVER_LONG}"]),
+    st.sampled_from(
+        ["nan", "inf", "1_0", "-1", OVER_LONG, f"0.{OVER_LONG}", f"1/{OVER_LONG}", "1e-1000000", "-7e1000000"]
+    ),
 )
 overlays = mostly(
     st.one_of(

@@ -313,6 +313,8 @@ def test_over_long_literals_name_the_digit_limit():
         lambda: field_from_spec(f"fp:{long}"),
         lambda: parse_rational(f"1.{long}"),
         lambda: parse_rational(long[:limit] + "_" + long[limit:]),
+        lambda: parse_rational(f"1e{limit}"),
+        lambda: parse_rational(f"-7.7e-{limit - 1}"),
     ]
     for call in calls:
         with pytest.raises(ValueError) as refusal:
@@ -322,6 +324,7 @@ def test_over_long_literals_name_the_digit_limit():
     assert Rationals().from_literal(long[1:]).value == int(long[1:])
     assert PrimeField(7).from_literal(long[1:]).value == int(long[1:]) % 7
     assert parse_rational(f"-{long[1:]}/3") == Fraction(-int(long[1:]), 3)
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
 
 
 def test_spec_strings_round_trip():

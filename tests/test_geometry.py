@@ -36,6 +36,7 @@ from descartes_folium import (
     tangent_at,
     third_intersection,
 )
+from descartes_folium import geometry
 from helpers import nonzero_points, prime_curve, random_nonzero_fraction, rational_curve
 
 
@@ -202,6 +203,20 @@ def test_slope_cubic_rejects_lines_through_node():
         slope_cubic(curve, line)
     with pytest.raises(LineThroughOrigin):
         slope_cubic_check(curve, line)
+
+
+def test_slope_cubic_check_fails_on_a_wrong_cubic_over_q(monkeypatch):
+    curve = rational_curve(1)
+    line = chord_or_tangent(curve, q_point(curve, -2), q_point(curve, Fraction(-3, 2)))
+    assert slope_cubic_check(curve, line)
+    real = geometry.slope_cubic
+
+    def shifted(curve, line):  # c2 off by one: the one rational root, -1/2, is off the chord
+        c2, c1 = real(curve, line)
+        return c2 + 1, c1
+
+    monkeypatch.setattr(geometry, "slope_cubic", shifted)
+    assert not slope_cubic_check(curve, line)
 
 
 def test_slope_cubic_check_over_f11():

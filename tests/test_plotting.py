@@ -1,6 +1,7 @@
 """The SVG/CSV emitters: determinism, float accuracy, and range guards."""
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,19 @@ def test_rational_literals():
     assert parse_rational("3/7") == Fraction(3, 7)
     with pytest.raises(ValueError, match="zero denominator in literal '1/0'"):
         parse_rational("1/0")
+    assert parse_rational("-3e-350") == Fraction(-3, 10**350)
+    assert parse_rational("1_0e1_0") == 10**11
+    for bad in ("nan", "inf", "-Infinity", "1e1__0", "1e5/3"):
+        with pytest.raises(ValueError, match=f"^bad plot literal '{bad}'; expected a number"):
+            parse_rational(bad)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no integer digit limit")
+def test_million_digit_exponents_are_refused():
+    limit = sys.get_int_max_str_digits()
+    for text in ("1e-1000000", "1e1000000"):
+        with pytest.raises(ValueError, match=f"^an integer of 1000001 digits is over the limit of {limit} digits$"):
+            parse_rational(text)
 
 
 def test_overlays_render_marks_and_labels():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from descartes_folium import ProjectivePoint, UnknownSuite, verify
+from descartes_folium import FieldElement, ParameterAtInfinity, ProjectivePoint, UnknownSuite, verify
 from descartes_folium.cli import main
 from descartes_folium.verify import SUITES, run_report, run_suite
 from helpers import prime_curve, rational_curve
@@ -117,6 +117,39 @@ def test_cli_prints_fail_line_and_exits_one(monkeypatch, capsys):
         "FAIL projmul_equals_projmul2 (2 instances) — counterexample: (4 : 4 : 1), (4 : 3 : 1)"
     )
     assert lines[-1] == "suite=coincidence field=fp:5 a=1: 2 passed, 1 failed, 0 skipped"
+
+
+def test_domain_error_in_a_row_is_that_rows_failure(monkeypatch, capsys):
+    def refusing(curve, P, Q):
+        raise ParameterAtInfinity("injected fault")
+
+    monkeypatch.setattr(verify, "proj_mul2", refusing)
+    witness = "(4 : 4 : 1), (4 : 4 : 1) raised ParameterAtInfinity: injected fault"
+    results = run_suite(prime_curve(5), "coincidence", seed=0, samples=30)
+    assert _failures(results) == [("projmul_equals_projmul2", 1, witness)]
+    code = main(["verify", "--field", "fp:5", "--suite", "coincidence", "--samples", "30"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"FAIL projmul_equals_projmul2 (1 instances) — counterexample: {witness}"
+    )
+
+
+def test_domain_error_while_building_cases_is_a_failure(monkeypatch):
+    def refusing(curve, t):
+        raise ParameterAtInfinity("injected fault")
+
+    monkeypatch.setattr(verify, "pbar", refusing)
+    results = {r.name: r for r in run_suite(prime_curve(5), "coincidence", seed=0, samples=30)}
+    result = results["projmul_equals_projmul2"]
+    assert (result.passed, result.instances) == (False, 0)
+    assert result.counterexample == "building the cases raised ParameterAtInfinity: injected fault"
+
+
+def test_a_field_fault_gives_failures_not_an_aborted_report(monkeypatch):
+    monkeypatch.setattr(FieldElement, "__sub__", FieldElement.__add__)
+    report = run_report(prime_curve(5), "all", seed=0, samples=40)
+    failed = [prop for prop in report["properties"] if not prop["passed"]]
+    assert any("raised ParameterAtInfinity" in prop["counterexample"] for prop in failed)
 
 
 def test_pools_are_sampled_above_the_exhaustive_bound():
