@@ -15,7 +15,7 @@ import sys
 
 from .branches import classify_branch
 from .curve import Folium, ProjectivePoint
-from .errors import FoliumError
+from .errors import BadLiteral, FoliumError
 from .fields import Field, field_from_spec
 from .geometry import chord_or_tangent, collinear3, third_intersection
 from .laws import LawKind, apply_law, law_inverse, perp, proj_mul, star_mul
@@ -37,12 +37,12 @@ def parse_point(field: Field, text: str) -> ProjectivePoint:
     if ":" in body:
         parts = body.split(":")
         if len(parts) != 3:
-            raise ValueError(f"bad point literal {text!r}; expected (x : y : z)")
+            raise BadLiteral(f"bad point literal {text!r}; expected (x : y : z)")
         x, y, z = (field.from_literal(part) for part in parts)
         return ProjectivePoint(x, y, z)
     parts = body.split(",")
     if len(parts) != 2:
-        raise ValueError(f"bad point literal {text!r}; expected (x : y : z) or (x, y)")
+        raise BadLiteral(f"bad point literal {text!r}; expected (x : y : z) or (x, y)")
     x, y = (field.from_literal(part) for part in parts)
     return ProjectivePoint(x, y, field.one)
 
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
-    except (FoliumError, ValueError) as exc:
+    except FoliumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

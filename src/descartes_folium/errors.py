@@ -9,6 +9,11 @@ class FoliumError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class BadLiteral(FoliumError, ValueError):
+    """A caller's literal, field spec, modulus or parameter is malformed or out of range,
+    or a value is too large to print or plot."""
+
+
 class MixedFields(FoliumError):
     """Two values from distinct base fields met in one operation."""
 

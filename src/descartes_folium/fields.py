@@ -19,7 +19,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import DivisionByZero, MixedFields
+from .errors import BadLiteral, DivisionByZero, MixedFields
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson and Webster, 2015); larger moduli are rejected, not guessed at.
@@ -39,14 +39,14 @@ def _within_digit_limit(text: str) -> str:
     if limit and digits <= limit and (exponent := _EXPONENT.search(text)):
         digits = abs(int(exponent[1])) + sum(c.isdecimal() for c in text[: exponent.start()])
     if limit and digits > limit:
-        raise ValueError(f"an integer of {digits} digits is over the limit of {limit} digits")
+        raise BadLiteral(f"an integer of {digits} digits is over the limit of {limit} digits")
     return text
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; raises ValueError at or above MILLER_RABIN_BOUND."""
+    """Deterministic Miller-Rabin; raises BadLiteral at or above MILLER_RABIN_BOUND."""
     if n >= MILLER_RABIN_BOUND:
-        raise ValueError(f"primality is decided only below {MILLER_RABIN_BOUND}, got {n}")
+        raise BadLiteral(f"primality is decided only below {MILLER_RABIN_BOUND}, got {n}")
     if n < 2:
         return False
     for base in _MILLER_RABIN_BASES:
@@ -107,7 +107,7 @@ class FieldElement:
 
     def _coerced(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise MixedFields(
                     f"cannot combine elements of {self.field} and {other.field}"
                 )
@@ -171,7 +171,7 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
+            return (self.field is other.field or self.field == other.field) and self.value == other.value
         return NotImplemented
 
     def __hash__(self):
@@ -182,7 +182,7 @@ class FieldElement:
             return str(self.value)
         except ValueError as exc:  # the one place an element becomes text
             limit = sys.get_int_max_str_digits()
-            raise ValueError(f"cannot print a value of over {limit} digits, the integer digit limit") from exc
+            raise BadLiteral(f"cannot print a value of over {limit} digits, the integer digit limit") from exc
 
     __repr__ = __str__
 
@@ -254,11 +254,11 @@ class Rationals(Field):
     def from_literal(self, text: str) -> FieldElement:
         text = text.strip()
         if not _RATIONAL_LITERAL.match(text):
-            raise ValueError(f"bad rational literal {text!r}; expected <int> or <int>/<int>")
+            raise BadLiteral(f"bad rational literal {text!r}; expected <int> or <int>/<int>")
         try:
             return FieldElement(self, Fraction(_within_digit_limit(text).replace(" ", "")))
         except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in literal {text!r}") from exc
+            raise BadLiteral(f"zero denominator in literal {text!r}") from exc
 
     def epsilon_roots(self):
         # The discriminant of e^2 - e + 1 is -3, which is not a rational
@@ -287,11 +287,11 @@ class PrimeField(Field):
     def __init__(self, p: int):
         p = int(p)
         if p == 3:
-            raise ValueError("characteristic 3 is rejected: the folium cubic degenerates")
+            raise BadLiteral("characteristic 3 is rejected: the folium cubic degenerates")
         if p < 2:
-            raise ValueError(f"modulus must be a prime >= 2, got {p}")
+            raise BadLiteral(f"modulus must be a prime >= 2, got {p}")
         if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise BadLiteral(f"{p} is not prime")
         self.p = p
         self.characteristic = p
 
@@ -303,7 +303,7 @@ class PrimeField(Field):
     def from_literal(self, text: str) -> FieldElement:
         text = text.strip()
         if not _INTEGER_LITERAL.match(text):
-            raise ValueError(f"bad residue literal {text!r}; expected <int>")
+            raise BadLiteral(f"bad residue literal {text!r}; expected <int>")
         return FieldElement(self, int(_within_digit_limit(text)) % self.p)
 
     def epsilon_roots(self):
@@ -342,6 +342,6 @@ def field_from_spec(spec: str) -> Field:
     if spec.startswith("fp:"):
         tail = spec[3:]
         if not tail.isdecimal():  # isdigit would admit '²', which int() refuses
-            raise ValueError(f"bad field spec {spec!r}; expected fp:<prime>")
+            raise BadLiteral(f"bad field spec {spec!r}; expected fp:<prime>")
         return PrimeField(int(_within_digit_limit(tail)))
-    raise ValueError(f"bad field spec {spec!r}; expected q or fp:<prime>")
+    raise BadLiteral(f"bad field spec {spec!r}; expected q or fp:<prime>")

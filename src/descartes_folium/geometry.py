@@ -169,22 +169,29 @@ def line_curve_intersections(curve: Folium, line: ProjectiveLine) -> list:
 
 
 def _curve_points_on_line(curve: Folium, line: ProjectiveLine) -> list:
-    if curve.field.characteristic:
-        # independent route: brute-force enumeration filtered by incidence
+    """The non-node curve points on a line that misses the node, found without the slope cubic or a chart."""
+    field = curve.field
+    if field.characteristic:
+        # brute-force enumeration filtered by incidence
         return [
             point
             for point in curve.enumerate_points()
             if point != curve.origin and line.contains(point)
         ]
-    return [point for point, _ in line_curve_intersections(curve, line)]
+    # z = -(m x + n y)/p turns the cubic into x^3 + 3a(m/p) x^2 y + 3a(n/p) x y^2 + y^3.
+    # On the curve y = 0 forces x = 0, the node, so the points are (s : 1 : z) for
+    # the rational roots s = x/y of that binary cubic with y set to 1.
+    m, n, one = line.m / line.p, line.n / line.p, field.one
+    roots = roots_with_multiplicity(field, [one, curve.three_a * m, curve.three_a * n, one])
+    return [ProjectivePoint(s, one, -(m * s + n)) for s, _ in roots]
 
 
 def slope_cubic_check(curve: Folium, line: ProjectiveLine) -> bool:
     """True iff every non-node curve point on the line has its parameter among the cubic's roots.
 
     Over prime fields the points come from the enumeration oracle; over the
-    rationals from exact rational-root extraction, where a root whose point
-    is off the line or the curve makes the check fail.
+    rationals from the rational roots of the line substituted into the curve's
+    own cubic, so a point off the line or the curve makes the check fail.
     """
     c2, c1 = slope_cubic(curve, line)
     for point in _curve_points_on_line(curve, line):

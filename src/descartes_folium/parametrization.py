@@ -11,9 +11,17 @@ node:
 
 The inverses are totalized at the node with value 0, which makes pbar a
 bijection K -> curve and lets the additive laws act on the whole curve.
+After require_on_curve they find the node by one coordinate: on the curve
+x = 0 forces y^3 = 0 and y = 0 forces x^3 = 0, so either vanishes at the
+node alone.
+
 Each map marks the point it builds with its curve (ProjectivePoint.on), so
 require_on_curve does not evaluate the cubic on it again; sigma keeps the
-mark, since the cubic is symmetric in x and y.
+mark, since the cubic is symmetric in x and y.  Away from t^3 = -1 the maps
+scale their point themselves, to (x : x t : 1) with x = 3at/(1 + t^3), and
+build it through ProjectivePoint._from_chart, which skips the pivot loop;
+this module is its only caller.  The points at infinity take the general
+canonicalizer.
 """
 
 from __future__ import annotations
@@ -25,33 +33,46 @@ from .errors import ParameterAtInfinity
 from .fields import FieldElement
 
 
+def _chart_point(curve: Folium, t, swap: bool) -> ProjectivePoint:
+    """pbar(t), or pbarbar(t) when `swap`, scaled by the chart itself where it can be.
+
+    Away from t^3 = -1 the canonical form is (x : x t : 1) with x = 3at/(1 + t^3),
+    so the chart builds it directly; the points at infinity go through the
+    general canonicalizer.
+    """
+    t = curve.field.element(t)
+    w = t * t * t + 1
+    if w.is_zero():
+        x, z, build = curve.three_a * t, w, ProjectivePoint
+    else:
+        x, z, build = curve.three_a * t / w, curve.field.one, ProjectivePoint._from_chart
+    return build(x * t, x, z, curve) if swap else build(x, x * t, z, curve)
+
+
 def pbar(curve: Folium, t) -> ProjectivePoint:
     """Projective parametrization (3at : 3at^2 : 1 + t^3); total on the field."""
-    t = curve.field.element(t)
-    x = curve.three_a * t
-    return ProjectivePoint(x, x * t, t * t * t + 1, curve)
+    return _chart_point(curve, t, swap=False)
 
 
 def pbar_inv(curve: Folium, point: ProjectivePoint) -> FieldElement:
     """Slope parameter y/x of a curve point; 0 at the node."""
     curve.require_on_curve(point)
-    if point == curve.origin:
+    # On the curve x = 0 forces y^3 = 0, so x vanishes at the node alone.
+    if point.x.is_zero():
         return curve.field.zero
-    # On the curve x = 0 forces y = 0, so x is nonzero away from the node.
     return point.y / point.x
 
 
 def pbarbar(curve: Folium, t) -> ProjectivePoint:
     """Coordinate-swapped parametrization (3at^2 : 3at : 1 + t^3)."""
-    t = curve.field.element(t)
-    y = curve.three_a * t
-    return ProjectivePoint(y * t, y, t * t * t + 1, curve)
+    return _chart_point(curve, t, swap=True)
 
 
 def pbarbar_inv(curve: Folium, point: ProjectivePoint) -> FieldElement:
     """Inverse slope parameter x/y; 0 at the node."""
     curve.require_on_curve(point)
-    if point == curve.origin:
+    # Likewise y = 0 forces x^3 = 0 on the curve.
+    if point.y.is_zero():
         return curve.field.zero
     return point.x / point.y
 
@@ -63,7 +84,7 @@ def p_affine(curve: Folium, t) -> ProjectivePoint:
     if w.is_zero():
         raise ParameterAtInfinity(f"t = {t} satisfies t^3 = -1; no affine image")
     x = curve.three_a * t / w
-    return ProjectivePoint(x, x * t, curve.field.one, curve)
+    return ProjectivePoint._from_chart(x, x * t, curve.field.one, curve)
 
 
 def p_affine_prime(curve: Folium, t) -> ProjectivePoint:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import Folium
-from .errors import DegenerateRange, FileWriteError
+from .errors import BadLiteral, DegenerateRange, FileWriteError
 from .fields import Rationals, _within_digit_limit
 from .geometry import chord_or_tangent, tangent_at, third_intersection
 from .parametrization import p_affine
@@ -35,14 +35,14 @@ class Overlay:
 
 
 def parse_rational(text: str) -> Fraction:
-    """A plot literal such as -0.9, 1e-3 or 3/7; a zero denominator is a ValueError, like any bad literal."""
+    """A plot literal such as -0.9, 1e-3 or 3/7; a zero denominator is a BadLiteral, like any bad literal."""
     _within_digit_limit(text)
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in literal {text!r}") from exc
+        raise BadLiteral(f"zero denominator in literal {text!r}") from exc
     except ValueError as exc:
-        raise ValueError(f"bad plot literal {text!r}; expected a number such as -0.9, 1e-3 or 3/7") from exc
+        raise BadLiteral(f"bad plot literal {text!r}; expected a number such as -0.9, 1e-3 or 3/7") from exc
 
 
 def parse_overlay(text: str) -> Overlay:
@@ -51,7 +51,7 @@ def parse_overlay(text: str) -> Overlay:
     head = head.strip().lower()
     if head in ("bisector", "asymptote"):
         if tail:
-            raise ValueError(f"overlay {head!r} takes no parameters")
+            raise BadLiteral(f"overlay {head!r} takes no parameters")
         return Overlay(head)
     if head == "point":
         return Overlay("point", (parse_rational(tail.strip()),))
@@ -60,9 +60,9 @@ def parse_overlay(text: str) -> Overlay:
     if head == "chord":
         parts = [part.strip() for part in tail.split(",")]
         if len(parts) != 2:
-            raise ValueError("overlay chord takes two parameters: chord:<t1>,<t2>")
+            raise BadLiteral("overlay chord takes two parameters: chord:<t1>,<t2>")
         return Overlay("chord", (parse_rational(parts[0]), parse_rational(parts[1])))
-    raise ValueError(f"unknown overlay {text!r}")
+    raise BadLiteral(f"unknown overlay {text!r}")
 
 
 def _sample_grid(t_min: Fraction, t_max: Fraction, samples: int) -> list:
@@ -249,7 +249,7 @@ def write_plot(
         else:
             payload = render_svg(a, t_min, t_max, samples, overlays, exclusion)
     except OverflowError as exc:  # an exact value beyond the float range at the output boundary
-        raise ValueError("a plotted value is too large to write as a float") from exc
+        raise BadLiteral("a plotted value is too large to write as a float") from exc
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(payload)

@@ -251,11 +251,13 @@ def _suite_field(ctx: _Context) -> list:
         if roots is None:
             return field.has_unique_cube_root()
         e1, e2 = roots
+        # sum and product 1 make them the two roots of e^2 - e + 1 (Vieta)
         return (
             not field.has_unique_cube_root()
             and e1 * e1 * e1 == -one
             and e2 * e2 * e2 == -one
             and e1 * e2 == one
+            and e1 + e2 == one
         )
 
     def cube_root_scan():

@@ -9,6 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from descartes_folium import BadLiteral, Folium, FoliumError, PrimeField, ProjectivePoint, Rationals, field_from_spec
+from descartes_folium.cli import parse_point
+from descartes_folium.fields import MILLER_RABIN_BOUND
+from descartes_folium.plotting import parse_overlay, parse_rational
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -184,6 +189,42 @@ def test_domain_errors_exit_three():
     run_cli("count", "--field", "q", expect=3)  # rationals cannot be enumerated
     run_cli("branch", "--field", "fp:5", "(0, 0)", expect=3)  # unordered field
     run_cli("eval", "--map", "pbar", "--t", "1", "--a", "0", expect=3)  # a must be nonzero
+
+
+def test_an_internal_value_error_is_not_a_domain_error(monkeypatch):
+    from descartes_folium import cli
+
+    def broken(curve, point):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(cli, "perp", broken)
+    with pytest.raises(ValueError, match="^an internal fault$"):
+        cli.main(["perp", "(3/2, 3/2)"])
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: field_from_spec("fp:9"),
+        lambda: field_from_spec("r"),
+        lambda: PrimeField(3),
+        lambda: PrimeField(1),
+        lambda: PrimeField(MILLER_RABIN_BOUND),
+        lambda: Rationals().from_literal("1.5"),
+        lambda: Rationals().from_literal("1/0"),
+        lambda: PrimeField(5).from_literal("1/2"),
+        lambda: Folium(Rationals(), 0),
+        lambda: ProjectivePoint.of(Rationals(), 0, 0, 0),
+        lambda: parse_point(Rationals(), "(1 : 2)"),
+        lambda: parse_point(Rationals(), "(1, 2, 3)"),
+        lambda: parse_rational("nan"),
+        lambda: parse_overlay("chord:1"),
+    ],
+)
+def test_caller_input_refusals_are_bad_literals(refused):
+    with pytest.raises(BadLiteral) as refusal:
+        refused()
+    assert isinstance(refusal.value, FoliumError) and isinstance(refusal.value, ValueError)
 
 
 def test_op_rejects_node_for_multiplicative_law():
