@@ -107,7 +107,7 @@ class FieldElement:
 
     def _coerced(self, other):
         if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
+            if other.field != self.field:
                 raise MixedFields(
                     f"cannot combine elements of {self.field} and {other.field}"
                 )
@@ -171,7 +171,7 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return (self.field is other.field or self.field == other.field) and self.value == other.value
+            return self.field == other.field and self.value == other.value
         return NotImplemented
 
     def __hash__(self):

@@ -34,12 +34,7 @@ from .fields import FieldElement
 
 
 def _chart_point(curve: Folium, t, swap: bool) -> ProjectivePoint:
-    """pbar(t), or pbarbar(t) when `swap`, scaled by the chart itself where it can be.
-
-    Away from t^3 = -1 the canonical form is (x : x t : 1) with x = 3at/(1 + t^3),
-    so the chart builds it directly; the points at infinity go through the
-    general canonicalizer.
-    """
+    """pbar(t), or pbarbar(t) when `swap`; away from t^3 = -1, (x : x t : 1) with x = 3at/(1 + t^3)."""
     t = curve.field.element(t)
     w = t * t * t + 1
     if w.is_zero():

@@ -131,17 +131,6 @@ def test_every_seeded_fault_fails_a_row(fault, spec, monkeypatch):
     assert _failed_rows(field), f"{fault} survived run_report(all) over {spec}"
 
 
-def test_the_chart_faults_change_chart_points(monkeypatch):
-    # each chart fault alters what pbar returns, so a survival would be a real gap
-    curve = Folium(PrimeField(5), 1)
-    params = [curve.field.element(r) for r in range(5)]
-    honest = [(P.x, P.y, P.z) for P in (parametrization.pbar(curve, t) for t in params)]
-    for fault in ("wrong_chart_coefficient", "unscaled_marked_point", "w_zero_branch_dropped"):
-        with monkeypatch.context() as patch:
-            FAULTS[fault](patch)
-            assert [(P.x, P.y, P.z) for P in (parametrization.pbar(curve, t) for t in params)] != honest
-
-
 def test_wrong_epsilon_roots_fail_where_the_field_has_roots(monkeypatch):
     # over fp:7 the cube-root scan agrees with any non-None pair, so the roots themselves are checked
     _wrong_epsilon_roots(monkeypatch)
