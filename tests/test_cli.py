@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from descartes_folium import BadLiteral, Folium, FoliumError, PrimeField, ProjectivePoint, Rationals, field_from_spec
+from descartes_folium import (
+    BadLiteral,
+    Folium,
+    FoliumError,
+    PrimeField,
+    ProjectivePoint,
+    Rationals,
+    field_from_spec,
+)
 from descartes_folium.cli import parse_point
 from descartes_folium.fields import MILLER_RABIN_BOUND
 from descartes_folium.plotting import parse_overlay, parse_rational

@@ -206,22 +206,8 @@ def test_slope_cubic_rejects_lines_through_node():
 
 
 def test_slope_cubic_check_fails_on_a_wrong_cubic_over_q(monkeypatch):
-    curve = rational_curve(1)
-    line = chord_or_tangent(curve, q_point(curve, -2), q_point(curve, Fraction(-3, 2)))
-    assert slope_cubic_check(curve, line)
-    real = geometry.slope_cubic
-
-    def shifted(curve, line):  # c2 off by one
-        c2, c1 = real(curve, line)
-        return c2 + 1, c1
-
-    monkeypatch.setattr(geometry, "slope_cubic", shifted)
-    assert not slope_cubic_check(curve, line)
-
-
-def test_slope_cubic_check_fails_a_wrong_cubic_on_every_rational_chord(monkeypatch):
-    # The wrong cubic mostly has no rational root, so the chord's points must come
-    # from the line and the curve, not from the cubic under test.
+    # The wrong cubic mostly has no rational root, so every chord's points must
+    # come from the line and the curve, not from the cubic under test.
     curve = rational_curve(1)
     params = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 2), Fraction(5, 4)]
     chords = [
@@ -231,7 +217,7 @@ def test_slope_cubic_check_fails_a_wrong_cubic_on_every_rational_chord(monkeypat
     assert all(slope_cubic_check(curve, line) for line in chords)
     real = geometry.slope_cubic
 
-    def shifted(curve, line):
+    def shifted(curve, line):  # c2 off by one
         c2, c1 = real(curve, line)
         return c2 + 1, c1
 
