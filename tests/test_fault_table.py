@@ -2,9 +2,10 @@
 
 Each entry patches one fault into the package with monkeypatch; the full
 report over q and over fp:5 (seed 0, 40 samples) must then FAIL at least one
-row.  The first three faults sit in the charts' direct canonical-point path,
-which skips the general canonicalizer.  A fault that survives is a gap in
-the suites: add a property that catches it, never drop the fault.  The
+row.  Unpatched, both reports pass; tests/golden pins them.  The first three
+faults sit in the charts' direct canonical-point path, which skips the
+general canonicalizer.  A fault that survives is a gap in the suites: add a
+property that catches it, never drop the fault.  The
 `neg`-as-identity fault is pinned by test_law_dispatch.py instead, since
 `verify` reads inverses through the law table, not the per-law names.
 """
@@ -116,11 +117,6 @@ FIELDS = {"q": Rationals, "fp:5": lambda: PrimeField(5)}
 def _failed_rows(field) -> list:
     report = run_report(Folium(field, 1), "all", 0, 40)
     return [prop["name"] for prop in report["properties"] if not prop["passed"]]
-
-
-@pytest.mark.parametrize("spec", FIELDS)
-def test_unpatched_reports_pass(spec):
-    assert _failed_rows(FIELDS[spec]()) == []
 
 
 @pytest.mark.parametrize("spec", FIELDS)
