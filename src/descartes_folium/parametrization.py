@@ -18,10 +18,8 @@ node alone.
 Each map marks the point it builds with its curve (ProjectivePoint.on), so
 require_on_curve does not evaluate the cubic on it again; sigma keeps the
 mark, since the cubic is symmetric in x and y.  Away from t^3 = -1 the maps
-scale their point themselves, to (x : x t : 1) with x = 3at/(1 + t^3), and
-build it through ProjectivePoint._from_chart, which skips the pivot loop;
-this module is its only caller.  The points at infinity take the general
-canonicalizer.
+scale their point themselves, to (x : x t : 1) with x = 3at/(1 + t^3), so
+the canonicalizer finds z = 1 and neither inverts nor multiplies again.
 """
 
 from __future__ import annotations
@@ -38,10 +36,10 @@ def _chart_point(curve: Folium, t, swap: bool) -> ProjectivePoint:
     t = curve.field.element(t)
     w = t * t * t + 1
     if w.is_zero():
-        x, z, build = curve.three_a * t, w, ProjectivePoint
+        x, z = curve.three_a * t, w
     else:
-        x, z, build = curve.three_a * t / w, curve.field.one, ProjectivePoint._from_chart
-    return build(x * t, x, z, curve) if swap else build(x, x * t, z, curve)
+        x, z = curve.three_a * t / w, curve.field.one
+    return ProjectivePoint(x * t, x, z, curve) if swap else ProjectivePoint(x, x * t, z, curve)
 
 
 def pbar(curve: Folium, t) -> ProjectivePoint:
@@ -75,11 +73,9 @@ def pbarbar_inv(curve: Folium, point: ProjectivePoint) -> FieldElement:
 def p_affine(curve: Folium, t) -> ProjectivePoint:
     """Affine parametrization (3at/(1+t^3), 3at^2/(1+t^3)) as a z = 1 point."""
     t = curve.field.element(t)
-    w = t * t * t + 1
-    if w.is_zero():
+    if (t * t * t + 1).is_zero():
         raise ParameterAtInfinity(f"t = {t} satisfies t^3 = -1; no affine image")
-    x = curve.three_a * t / w
-    return ProjectivePoint._from_chart(x, x * t, curve.field.one, curve)
+    return _chart_point(curve, t, swap=False)
 
 
 def p_affine_prime(curve: Folium, t) -> ProjectivePoint:

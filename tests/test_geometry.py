@@ -36,7 +36,7 @@ from descartes_folium import (
     tangent_at,
     third_intersection,
 )
-from descartes_folium import geometry
+from descartes_folium import geometry, parametrization
 from helpers import nonzero_points, prime_curve, random_nonzero_fraction, rational_curve
 
 
@@ -223,6 +223,28 @@ def test_slope_cubic_check_fails_on_a_wrong_cubic_over_q(monkeypatch):
 
     monkeypatch.setattr(geometry, "slope_cubic", shifted)
     assert [line for line in chords if slope_cubic_check(curve, line)] == []
+
+
+def test_curve_points_on_a_line_over_q_need_no_chart_or_cubic(monkeypatch):
+    # The chord through pbar(t1) and pbar(t2) meets the curve again at pbar(-1/(t1 t2)).
+    curve = rational_curve(1)
+    params = [1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 2)]
+    cases = []
+    for t1, t2 in itertools.combinations(params, 2):
+        t3 = -1 / (Fraction(t1) * t2)
+        cases.append((line_through(q_point(curve, t1), q_point(curve, t2)), {q_point(curve, t) for t in (t1, t2, t3)}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the line-point oracle used a chart or the slope cubic")
+
+    forbidden = [pbar, pbar_inv, slope_cubic, line_curve_intersections, parametrization._chart_point]
+    for module in (geometry, parametrization):
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in forbidden):
+                monkeypatch.setattr(module, name, refuse)
+    for line, expected in cases:
+        points = geometry._curve_points_on_line(curve, line)
+        assert len(points) == len(set(points)) and set(points) == expected
 
 
 def test_slope_cubic_check_over_f11():
