@@ -18,8 +18,10 @@ node alone.
 Each map marks the point it builds with its curve (ProjectivePoint.on), so
 require_on_curve does not evaluate the cubic on it again; sigma keeps the
 mark, since the cubic is symmetric in x and y.  Away from t^3 = -1 the maps
-scale their point themselves, to (x : x t : 1) with x = 3at/(1 + t^3), so
-the canonicalizer finds z = 1 and neither inverts nor multiplies again.
+scale their point themselves, to (x : x t : 1) with x = 3at/(1 + t^3), and
+build it through ProjectivePoint._from_chart, which skips the pivot loop;
+`_chart_point` is its only caller, and p_affine goes through it too.  The
+points at infinity take the general canonicalizer.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ def _chart_point(curve: Folium, t, swap: bool) -> ProjectivePoint:
     t = curve.field.element(t)
     w = t * t * t + 1
     if w.is_zero():
-        x, z = curve.three_a * t, w
+        x, z, build = curve.three_a * t, w, ProjectivePoint
     else:
-        x, z = curve.three_a * t / w, curve.field.one
-    return ProjectivePoint(x * t, x, z, curve) if swap else ProjectivePoint(x, x * t, z, curve)
+        x, z, build = curve.three_a * t / w, curve.field.one, ProjectivePoint._from_chart
+    return build(x * t, x, z, curve) if swap else build(x, x * t, z, curve)
 
 
 def pbar(curve: Folium, t) -> ProjectivePoint:
