@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldTooLargeForScan, MixedFields, NotOnCurve, PointAtInfinity
+from .errors import BadLiteral, FieldTooLargeForScan, MixedFields, NotOnCurve, PointAtInfinity
 from .fields import Field, FieldElement
 
 # Brute-force point enumeration stays below this many residues.
@@ -51,7 +51,7 @@ def _canonical(first, second, third, parts: str, noun: str) -> tuple:
                 return first, second, third
             scale = pivot.inverse()
             return first * scale, second * scale, third * scale
-    raise ValueError(f"(0 : 0 : 0) is not a {noun}")
+    raise BadLiteral(f"(0 : 0 : 0) is not a {noun}")
 
 
 def _require_affine(point: ProjectivePoint) -> ProjectivePoint:
@@ -172,7 +172,7 @@ class Folium:
     def __init__(self, field: Field, a):
         a = field.element(a)
         if a.is_zero():
-            raise ValueError("the folium needs a nonzero parameter a")
+            raise BadLiteral("the folium needs a nonzero parameter a")
         self.field = field
         self.a = a
         self.three_a = field.element(3) * a

@@ -18,10 +18,9 @@ node alone.
 Each map marks the point it builds with its curve (ProjectivePoint.on), so
 require_on_curve does not evaluate the cubic on it again; sigma keeps the
 mark, since the cubic is symmetric in x and y.  Away from t^3 = -1 the maps
-scale their point themselves, to (x : x t : 1) with x = 3at/(1 + t^3), and
-build it through ProjectivePoint._from_chart, which skips the pivot loop;
-`_chart_point` is its only caller, and p_affine goes through it too.  The
-points at infinity take the general canonicalizer.
+scale their point themselves, to (x : x t : 1) with x = 3at/(1 + t^3),
+so the canonicalizer finds z = 1 and neither inverts nor multiplies again;
+`_affine_chart_point` writes that formula once for all three maps.
 """
 
 from __future__ import annotations
@@ -34,14 +33,20 @@ from .fields import FieldElement
 
 
 def _chart_point(curve: Folium, t, swap: bool) -> ProjectivePoint:
-    """pbar(t), or pbarbar(t) when `swap`; away from t^3 = -1, (x : x t : 1) with x = 3at/(1 + t^3)."""
+    """pbar(t), or pbarbar(t) when `swap`."""
     t = curve.field.element(t)
     w = t * t * t + 1
     if w.is_zero():
-        x, z, build = curve.three_a * t, w, ProjectivePoint
-    else:
-        x, z, build = curve.three_a * t / w, curve.field.one, ProjectivePoint._from_chart
-    return build(x * t, x, z, curve) if swap else build(x, x * t, z, curve)
+        x = curve.three_a * t
+        return ProjectivePoint(x * t, x, w, curve) if swap else ProjectivePoint(x, x * t, w, curve)
+    return _affine_chart_point(curve, t, w, swap)
+
+
+def _affine_chart_point(curve: Folium, t: FieldElement, w: FieldElement, swap: bool) -> ProjectivePoint:
+    """(x : x t : 1), or (x t : x : 1) when `swap`, with x = 3at/w and w = 1 + t^3 nonzero."""
+    x = curve.three_a * t / w
+    one = curve.field.one
+    return ProjectivePoint(x * t, x, one, curve) if swap else ProjectivePoint(x, x * t, one, curve)
 
 
 def pbar(curve: Folium, t) -> ProjectivePoint:
@@ -75,9 +80,10 @@ def pbarbar_inv(curve: Folium, point: ProjectivePoint) -> FieldElement:
 def p_affine(curve: Folium, t) -> ProjectivePoint:
     """Affine parametrization (3at/(1+t^3), 3at^2/(1+t^3)) as a z = 1 point."""
     t = curve.field.element(t)
-    if (t * t * t + 1).is_zero():
+    w = t * t * t + 1
+    if w.is_zero():
         raise ParameterAtInfinity(f"t = {t} satisfies t^3 = -1; no affine image")
-    return _chart_point(curve, t, swap=False)
+    return _affine_chart_point(curve, t, w, swap=False)
 
 
 def p_affine_prime(curve: Folium, t) -> ProjectivePoint:

@@ -3,9 +3,9 @@
 Each entry patches one fault into the package with monkeypatch; the full
 report over q and over fp:5 (seed 0, 40 samples) must then FAIL at least one
 row.  Unpatched, both reports pass; tests/golden pins them.  The first three
-faults sit in the charts' direct canonical-point path, which skips the
-general canonicalizer.  A fault that survives is a gap in the suites: add a
-property that catches it, never drop the fault.  The
+faults sit in the chart branches that scale the point to z = 1 themselves
+or keep the point at infinity.  A fault that survives is a gap in the
+suites: add a property that catches it, never drop the fault.  The
 `neg`-as-identity fault is pinned by test_law_dispatch.py instead, since
 `verify` reads inverses through the law table, not the per-law names.
 """
@@ -30,40 +30,32 @@ def _patch_everywhere(monkeypatch, original, replacement):
 
 
 def _wrong_chart_coefficient(monkeypatch):
-    # 6a in place of 3a, in the branch that builds (x : x t : 1) directly
-    build = ProjectivePoint._from_chart
-    monkeypatch.setattr(
-        ProjectivePoint, "_from_chart", staticmethod(lambda x, y, one, on: build(x + x, y + y, one, on))
-    )
+    # 6a in place of 3a, in the branch that scales (x : x t : 1) itself
+    real = parametrization._affine_chart_point
+
+    def affine_chart_point(curve, t, w, swap):
+        point = real(curve, t, w, swap)
+        return ProjectivePoint(point.x + point.x, point.y + point.y, point.z, curve)
+
+    monkeypatch.setattr(parametrization, "_affine_chart_point", affine_chart_point)
 
 
-def _unscaled_marked_point(monkeypatch):
-    # the direct branch returns (3at, 3at^2, 1 + t^3) unscaled, still marked
-    real = parametrization._chart_point
+def _chart_point_keeps_w(monkeypatch):
+    # the scaled branch divides by w but keeps z = w: (3at/w : 3at^2/w : w), still marked
+    real = parametrization._affine_chart_point
 
-    def chart_point(curve, t, swap):
-        point = real(curve, t, swap)
-        t = curve.field.element(t)
-        w = t * t * t + 1
-        if w.is_zero():
-            return point
-        return ProjectivePoint._from_chart(point.x * w, point.y * w, w, curve)
+    def affine_chart_point(curve, t, w, swap):
+        point = real(curve, t, w, swap)
+        return ProjectivePoint(point.x, point.y, w, curve)
 
-    monkeypatch.setattr(parametrization, "_chart_point", chart_point)
+    monkeypatch.setattr(parametrization, "_affine_chart_point", affine_chart_point)
 
 
 def _w_zero_branch_dropped(monkeypatch):
-    # the points at infinity go through the direct branch too, unscaled
-    real = parametrization._chart_point
-
+    # every parameter takes the scaled branch, so t^3 = -1 divides by zero
     def chart_point(curve, t, swap):
         t = curve.field.element(t)
-        w = t * t * t + 1
-        if not w.is_zero():
-            return real(curve, t, swap)
-        x = curve.three_a * t
-        first, second = (x * t, x) if swap else (x, x * t)
-        return ProjectivePoint._from_chart(first, second, w, curve)
+        return parametrization._affine_chart_point(curve, t, t * t * t + 1, swap)
 
     monkeypatch.setattr(parametrization, "_chart_point", chart_point)
 
@@ -101,7 +93,7 @@ def _wrong_epsilon_roots(monkeypatch):
 
 FAULTS = {
     "wrong_chart_coefficient": _wrong_chart_coefficient,
-    "unscaled_marked_point": _unscaled_marked_point,
+    "chart_point_keeps_w": _chart_point_keeps_w,
     "w_zero_branch_dropped": _w_zero_branch_dropped,
     "wrong_law_op": _wrong_law_op,
     "wrong_neutral": _wrong_neutral,

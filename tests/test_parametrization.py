@@ -9,6 +9,7 @@ from descartes_folium import (
     NotOnCurve,
     ParameterAtInfinity,
     ParamMap,
+    ProjectivePoint,
     Rationals,
     alpha,
     alpha_inv,
@@ -168,3 +169,40 @@ def test_alpha_is_a_bijection_between_punctured_lines():
         assert alpha(alpha_inv(tau)) == tau
         if not tau.is_zero():
             assert alpha(tau) != q.element(-1)
+
+
+def _chart_parameters():
+    """Every residue of fp:2, 5, 7 and 13 (7 and 13 have epsilon roots, so t^3 = -1
+    has three solutions there), and rationals from 0 and +-1 up to height about 2^31."""
+    for p in (2, 5, 7, 13):
+        for a in (1, 2):
+            if a % p:
+                curve = prime_curve(p, a)
+                yield from ((curve, curve.field.element(r)) for r in range(p))
+    q_params = (0, 1, -1, Fraction(1, 2), Fraction(-7, 3), Fraction(2**31 - 1, 2**31 + 11))
+    for a in (1, 2):
+        curve = rational_curve(a)
+        yield from ((curve, curve.field.element(t)) for t in q_params)
+
+
+def _same_marked_point(point, expected, curve):
+    assert type(point) is ProjectivePoint
+    assert (point.x, point.y, point.z) == (expected.x, expected.y, expected.z)
+    assert point.on is curve
+
+
+def test_charts_match_the_general_canonicalizer():
+    reached_w_zero = 0
+    for curve, t in _chart_parameters():
+        x, y, w = curve.three_a * t, curve.three_a * t * t, t * t * t + 1
+        _same_marked_point(pbar(curve, t), ProjectivePoint(x, y, w), curve)
+        _same_marked_point(pbarbar(curve, t), ProjectivePoint(y, x, w), curve)
+        if w.is_zero():
+            reached_w_zero += 1
+            with pytest.raises(ParameterAtInfinity):
+                p_affine(curve, t)
+        else:
+            _same_marked_point(p_affine(curve, t), ProjectivePoint(x / w, y / w, curve.field.one), curve)
+    # t = -1 on each of the nine curves, and both epsilon roots on the four over fp:7 and fp:13
+    assert reached_w_zero == 9 + 4 * 2
+
