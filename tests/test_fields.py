@@ -1,7 +1,9 @@
 """Exact field arithmetic, epsilon roots, and the cube-root predicate."""
 
+import copy
 import math
 import operator
+import pickle
 import random
 import re
 import sys
@@ -14,12 +16,14 @@ from hypothesis import strategies as st
 from descartes_folium import (
     DivisionByZero,
     FieldElement,
+    Folium,
     MixedFields,
     PrimeField,
     Rationals,
     field_from_spec,
 )
 from descartes_folium.fields import is_prime
+from descartes_folium.parametrization import pbar
 from descartes_folium.plotting import parse_rational
 
 
@@ -330,3 +334,20 @@ def test_over_long_literals_name_the_digit_limit():
 def test_spec_strings_round_trip():
     for field in (Rationals(), PrimeField(13)):
         assert field_from_spec(field.spec_string()) == field
+
+
+CLONES = {
+    "pickle": lambda thing: pickle.loads(pickle.dumps(thing)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("clone", CLONES)
+@pytest.mark.parametrize("spec", ["q", "fp:13"])
+def test_field_objects_survive_pickle_and_copy(spec, clone):
+    field = field_from_spec(spec)
+    curve = Folium(field, 2)
+    for original in (field, field.element(5), pbar(curve, field.element(2)), curve):
+        twin = CLONES[clone](original)
+        assert twin == original
