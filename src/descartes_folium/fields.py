@@ -6,6 +6,11 @@ fields F_p (values are canonical residues in [0, p)).  Characteristic 3 is
 rejected outright because the cubic x^3 + y^3 - 3axyz degenerates there.
 No floating point appears anywhere in this module.
 
+Each field is one object: `Rationals()` always returns the same instance,
+and `PrimeField(p)` returns the one live instance for p, creating it (after
+validation, under a lock) when there is none.  So field equality and hashing
+are `object`'s identity, and each field builds its `zero` and `one` once.
+
 Each element rule is stated once: `Field.element` checks membership through
 each field's `_raw`, which also coerces operands; one template makes `+`, `-`
 and `*`; `characteristic` alone tells the fields apart.  Division stays
@@ -17,6 +22,8 @@ from __future__ import annotations
 import operator
 import re
 import sys
+import threading
+import weakref
 from fractions import Fraction
 
 from .errors import BadLiteral, DivisionByZero, MixedFields
@@ -188,9 +195,15 @@ class FieldElement:
 
 
 class Field:
-    """Common interface of the supported exact base fields."""
+    """Common interface of the supported exact base fields; each field is one object."""
 
     characteristic: int
+
+    def _with_constants(self) -> "Field":
+        """This field, with its `zero` and `one` built once."""
+        self.zero = FieldElement(self, self._raw(0))
+        self.one = FieldElement(self, self._raw(1))
+        return self
 
     def element(self, value) -> FieldElement:
         """One of this field's own elements, or the element of a plain value `_raw` accepts."""
@@ -206,14 +219,6 @@ class Field:
 
     def from_literal(self, text: str) -> FieldElement:
         raise NotImplementedError
-
-    @property
-    def zero(self) -> FieldElement:
-        return self.element(0)
-
-    @property
-    def one(self) -> FieldElement:
-        return self.element(1)
 
     def epsilon_roots(self):
         """Both roots of e^2 - e + 1 = 0 in this field, or None if there are none.
@@ -242,9 +247,15 @@ class Field:
 
 
 class Rationals(Field):
-    """The field of rational numbers with exact Fraction arithmetic."""
+    """The field of rational numbers with exact Fraction arithmetic; one instance."""
 
     characteristic = 0
+
+    def __new__(cls):
+        return _RATIONALS
+
+    def __reduce__(self):
+        return (Rationals, ())
 
     def _raw(self, value):
         if isinstance(value, (int, Fraction)):
@@ -271,29 +282,31 @@ class Rationals(Field):
     def spec_string(self) -> str:
         return "q"
 
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("rationals")
-
     def __repr__(self):
         return "Rationals()"
 
 
 class PrimeField(Field):
-    """The prime field F_p, p prime, p != 3 and p < MILLER_RABIN_BOUND."""
+    """The prime field F_p, p prime, p != 3 and p < MILLER_RABIN_BOUND; one live instance per p."""
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
         p = int(p)
-        if p == 3:
-            raise BadLiteral("characteristic 3 is rejected: the folium cubic degenerates")
-        if p < 2:
-            raise BadLiteral(f"modulus must be a prime >= 2, got {p}")
-        if not is_prime(p):
-            raise BadLiteral(f"{p} is not prime")
-        self.p = p
-        self.characteristic = p
+        with _PRIME_FIELDS_LOCK:
+            field = _PRIME_FIELDS.get(p)
+            if field is None:
+                if p == 3:
+                    raise BadLiteral("characteristic 3 is rejected: the folium cubic degenerates")
+                if p < 2:
+                    raise BadLiteral(f"modulus must be a prime >= 2, got {p}")
+                if not is_prime(p):
+                    raise BadLiteral(f"{p} is not prime")
+                field = super().__new__(cls)
+                field.p = field.characteristic = p
+                _PRIME_FIELDS[p] = field._with_constants()
+            return field
+
+    def __reduce__(self):
+        return (PrimeField, (self.p,))
 
     def _raw(self, value):
         if isinstance(value, int):
@@ -324,14 +337,14 @@ class PrimeField(Field):
     def spec_string(self) -> str:
         return f"fp:{self.p}"
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime-field", self.p))
-
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+_RATIONALS = object.__new__(Rationals)._with_constants()
+# The live prime fields by modulus; an entry goes when its field is collected.
+_PRIME_FIELDS = weakref.WeakValueDictionary()
+_PRIME_FIELDS_LOCK = threading.Lock()
 
 
 def field_from_spec(spec: str) -> Field:

@@ -242,7 +242,10 @@ def _suite_field(ctx: _Context) -> list:
             return False
         if u + zero != u or u * one != u or u + (-u) != zero:
             return False
-        if not u.is_zero() and u * u.inverse() != one:
+        # the reflected operators and powers against the forward ones
+        if 1 + u != u + 1 or 1 - u != one - u or 3 * u != u * 3 or u**3 != u * u * u:
+            return False
+        if not u.is_zero() and (u * u.inverse() != one or 1 / u != one / u or u**-2 != one / (u * u)):
             return False
         return True
 

@@ -1,11 +1,15 @@
 """Seeded faults that `verify` must catch.
 
-Each entry patches one fault into the package with monkeypatch; the full
-report over q and over fp:5 (seed 0, 40 samples) must then FAIL at least one
-row.  Unpatched, both reports pass; tests/golden pins them.  The first three
-faults sit in the chart branches that scale the point to z = 1 themselves
-or keep the point at infinity.  A fault that survives is a gap in the
-suites: add a property that catches it, never drop the fault.  The
+Each entry patches one fault into the package with monkeypatch and names the
+suites that catch it: over q and over fp:5 (seed 0, 40 samples) each of them
+must then FAIL at least one row.  Only those suites run, not `all`; `star`,
+whose parity chains take most of a report over fp:5, is named for no fault,
+since every fault it catches also FAILs a cheaper suite.  Unpatched, every
+suite passes; tests/golden pins both reports.  The first three faults sit in
+the chart branches that scale the point to z = 1 themselves or keep the point
+at infinity; the last five add one to a reflected operator or to `**`.  A
+fault that survives is a gap in the suites: add a property that catches it,
+never drop the fault.  The
 `neg`-as-identity fault is pinned by test_law_dispatch.py instead, since
 `verify` reads inverses through the law table, not the per-law names.
 """
@@ -15,9 +19,9 @@ import sys
 
 import pytest
 
-from descartes_folium import Folium, PrimeField, ProjectivePoint, Rationals, geometry, laws, parametrization
+from descartes_folium import FieldElement, Folium, PrimeField, ProjectivePoint, Rationals, geometry, laws, parametrization
 from descartes_folium.laws import LAWS, LawKind
-from descartes_folium.verify import run_report, run_suite
+from descartes_folium.verify import run_suite
 
 
 def _patch_everywhere(monkeypatch, original, replacement):
@@ -91,32 +95,52 @@ def _wrong_epsilon_roots(monkeypatch):
     monkeypatch.setattr(PrimeField, "epsilon_roots", roots)
 
 
+def _plus_one(name):
+    # the operator's result plus one, where it has a result
+    def patch(monkeypatch):
+        real = getattr(FieldElement, name)
+
+        def method(self, other):
+            result = real(self, other)
+            return result if result is NotImplemented else result + 1
+
+        monkeypatch.setattr(FieldElement, name, method)
+
+    return patch
+
+
+# Each fault with the suites that catch it over q and over fp:5.
+CHART_SUITES = ("parametrize", "axioms", "coincidence", "geometry", "collinearity", "fieldstructure")
 FAULTS = {
-    "wrong_chart_coefficient": _wrong_chart_coefficient,
-    "chart_point_keeps_w": _chart_point_keeps_w,
-    "w_zero_branch_dropped": _w_zero_branch_dropped,
-    "wrong_law_op": _wrong_law_op,
-    "wrong_neutral": _wrong_neutral,
-    "identity_sigma": _identity_sigma,
-    "third_intersection_is_proj_mul": _third_intersection_is_proj_mul,
-    "collinear3_always_true": _collinear3_always_true,
-    "wrong_epsilon_roots": _wrong_epsilon_roots,
+    "wrong_chart_coefficient": (_wrong_chart_coefficient, ("parametrize", "geometry")),
+    "chart_point_keeps_w": (_chart_point_keeps_w, (*CHART_SUITES, "southmul")),
+    "w_zero_branch_dropped": (_w_zero_branch_dropped, CHART_SUITES),
+    "wrong_law_op": (_wrong_law_op, ("axioms",)),
+    "wrong_neutral": (_wrong_neutral, ("axioms",)),
+    "identity_sigma": (_identity_sigma, ("parametrize", "axioms", "southmul", "fieldstructure")),
+    "third_intersection_is_proj_mul": (_third_intersection_is_proj_mul, ("geometry", "collinearity")),
+    "collinear3_always_true": (_collinear3_always_true, ("collinearity",)),
+    "wrong_epsilon_roots": (_wrong_epsilon_roots, ("field",)),
+    "radd_plus_one": (_plus_one("__radd__"), ("field",)),
+    "rsub_plus_one": (_plus_one("__rsub__"), ("field",)),
+    "rmul_plus_one": (_plus_one("__rmul__"), ("field",)),
+    "rtruediv_plus_one": (_plus_one("__rtruediv__"), ("field",)),
+    "pow_plus_one": (_plus_one("__pow__"), ("field",)),
 }
 
 FIELDS = {"q": Rationals, "fp:5": lambda: PrimeField(5)}
-
-
-def _failed_rows(field) -> list:
-    report = run_report(Folium(field, 1), "all", 0, 40)
-    return [prop["name"] for prop in report["properties"] if not prop["passed"]]
 
 
 @pytest.mark.parametrize("spec", FIELDS)
 @pytest.mark.parametrize("fault", FAULTS)
 def test_every_seeded_fault_fails_a_row(fault, spec, monkeypatch):
     field = FIELDS[spec]()
-    FAULTS[fault](monkeypatch)
-    assert _failed_rows(field), f"{fault} survived run_report(all) over {spec}"
+    patch, suites = FAULTS[fault]
+    patch(monkeypatch)
+    curve = Folium(field, 1)
+    for suite in suites:
+        rows = run_suite(curve, suite, seed=0, samples=40)
+        assert [row.name for row in rows if not row.passed], f"{fault} survived the {suite} suite over {spec}"
 
 
 def test_wrong_epsilon_roots_fail_where_the_field_has_roots(monkeypatch):

@@ -1,12 +1,14 @@
 """Exact field arithmetic, epsilon roots, and the cube-root predicate."""
 
 import copy
+import gc
 import math
 import operator
 import pickle
 import random
 import re
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from descartes_folium import (
+    BadLiteral,
     DivisionByZero,
     FieldElement,
     Folium,
@@ -22,7 +25,8 @@ from descartes_folium import (
     Rationals,
     field_from_spec,
 )
-from descartes_folium.fields import is_prime
+from descartes_folium import fields
+from descartes_folium.fields import MILLER_RABIN_BOUND, is_prime
 from descartes_folium.parametrization import pbar
 from descartes_folium.plotting import parse_rational
 
@@ -351,3 +355,45 @@ def test_field_objects_survive_pickle_and_copy(spec, clone):
     for original in (field, field.element(5), pbar(curve, field.element(2)), curve):
         twin = CLONES[clone](original)
         assert twin == original
+        assert getattr(twin, "field", twin) is field
+
+
+def test_each_field_is_one_object():
+    assert PrimeField(13) is PrimeField(13) is field_from_spec("fp:13")
+    assert Rationals() is Rationals() is field_from_spec("q")
+    assert PrimeField(13).one is PrimeField(13).one
+    with pytest.raises(MixedFields):
+        PrimeField(5).one + PrimeField(7).one
+
+
+@pytest.mark.parametrize("bad", [3, 1, 91, MILLER_RABIN_BOUND])
+def test_a_refused_modulus_is_refused_on_every_call(bad):
+    for _ in range(3):
+        with pytest.raises(BadLiteral):
+            PrimeField(bad)
+    assert bad not in fields._PRIME_FIELDS
+
+
+def test_threads_building_one_prime_get_one_field():
+    p, built = 1_000_033, []
+    start = threading.Barrier(4)
+
+    def build():
+        start.wait()
+        built.append(PrimeField(p))
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(built) == 4 and all(field is built[0] for field in built)
+
+
+def test_the_registry_keeps_no_field_alive():
+    p = 1_000_037
+    field = PrimeField(p)
+    assert fields._PRIME_FIELDS[p] is field
+    del field
+    gc.collect()
+    assert p not in fields._PRIME_FIELDS
