@@ -206,3 +206,45 @@ def test_charts_match_the_general_canonicalizer():
     # t = -1 on each of the nine curves, and both epsilon roots on the four over fp:7 and fp:13
     assert reached_w_zero == 9 + 4 * 2
 
+
+
+def _inverse_chart_points():
+    """Every point of the curve over fp:2, 5, 7 and 13, and pbar of a Q grid with 0, -1 and the node."""
+    for p in (2, 5, 7, 13):
+        for a in (1, 2):
+            if a % p:
+                curve = prime_curve(p, a)
+                yield from ((curve, point) for point in curve.enumerate_points())
+    q_params = (0, -1, 1, 2, Fraction(1, 2), Fraction(-7, 3), Fraction(-1, 2), Fraction(2**31 - 1, 2**31 + 11))
+    for a in (1, 2):
+        curve = rational_curve(a)
+        yield curve, curve.origin
+        yield from ((curve, pbar(curve, curve.field.element(t))) for t in q_params)
+
+
+def test_inverse_charts_are_the_coordinate_quotients():
+    for curve, point in _inverse_chart_points():
+        zero = curve.field.zero
+        assert pbar_inv(curve, point) == (zero if point.x.is_zero() else point.y / point.x)
+        assert pbarbar_inv(curve, point) == (zero if point.y.is_zero() else point.x / point.y)
+
+
+def _assert_canonical_values(point):
+    p = point.field.characteristic
+    for coordinate in (point.x, point.y, point.z):
+        if p:
+            assert type(coordinate.value) is int and 0 <= coordinate.value < p, (point, coordinate.value)
+        else:
+            assert type(coordinate.value) is Fraction, (point, coordinate.value)
+
+
+def test_chart_coordinates_hold_canonical_values():
+    # equality compares .value, so an unreduced residue would compare unequal without an error
+    rng = random.Random(6)
+    big = prime_curve(65537, 2)
+    sampled = [(big, big.field.element(r)) for r in (0, 1, 65536, *(rng.randrange(65537) for _ in range(200)))]
+    for curve, t in [*_chart_parameters(), *sampled]:
+        _assert_canonical_values(pbar(curve, t))
+        _assert_canonical_values(pbarbar(curve, t))
+        if not (t * t * t + 1).is_zero():
+            _assert_canonical_values(p_affine(curve, t))
