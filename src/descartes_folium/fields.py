@@ -13,8 +13,11 @@ are `object`'s identity, and each field builds its `zero` and `one` once.
 
 Each element rule is stated once: `Field.element` checks membership through
 each field's `_raw`, which also coerces operands; one template makes `+`, `-`
-and `*`; `characteristic` alone tells the fields apart.  Division stays
-explicit: over Q, `a / b` is one Fraction operation where `a * (1 / b)` is two.
+and `*`; `characteristic` alone tells the fields apart.  `_reduced` turns a
+ring result on stored values into an element (`raw % p` over F_p, `raw` itself
+over Q) for the operators, negation and the charts of parametrization.py, which
+compute on stored values.  `_quotient` is division's one body, kept apart: over
+Q, `a / b` is one Fraction operation where `a * (1 / b)` is two.
 """
 
 from __future__ import annotations
@@ -75,16 +78,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _reduced(field, raw) -> "FieldElement":
+    """The element a ring result on stored values stands for: `raw % p` over F_p, `raw` itself over Q."""
+    p = field.characteristic
+    return FieldElement(field, raw % p if p else raw)
+
+
+def _quotient(field, u, v) -> "FieldElement":
+    """The element u / v of two stored values; DivisionByZero when v is zero."""
+    if v == 0:
+        raise DivisionByZero("division by the zero element")
+    p = field.characteristic
+    return FieldElement(field, u * pow(v, -1, p) % p if p else u / v)
+
+
 def _ring_operation(combine):
-    """The operator method that coerces the other operand, combines raw values and reduces mod p."""
+    """The operator method that coerces the other operand and combines the stored values."""
 
     def method(self, other):
         v = self._coerced(other)
         if v is None:
             return NotImplemented
-        p = self.field.characteristic
-        raw = combine(self.value, v)
-        return FieldElement(self.field, raw % p if p else raw)
+        return _reduced(self.field, combine(self.value, v))
 
     return method
 
@@ -133,27 +148,16 @@ class FieldElement:
         v = self._coerced(other)
         if v is None:
             return NotImplemented
-        if v == 0:
-            raise DivisionByZero("division by the zero element")
-        p = self.field.characteristic
-        if p:
-            return FieldElement(self.field, self.value * pow(v, -1, p) % p)
-        return FieldElement(self.field, self.value / v)
+        return _quotient(self.field, self.value, v)
 
     def __rtruediv__(self, other):
         v = self._coerced(other)
         if v is None:
             return NotImplemented
-        if self.value == 0:
-            raise DivisionByZero("division by the zero element")
-        p = self.field.characteristic
-        if p:
-            return FieldElement(self.field, v * pow(self.value, -1, p) % p)
-        return FieldElement(self.field, v / self.value)
+        return _quotient(self.field, v, self.value)
 
     def __neg__(self):
-        p = self.field.characteristic
-        return FieldElement(self.field, (-self.value) % p if p else -self.value)
+        return _reduced(self.field, -self.value)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):

@@ -21,6 +21,13 @@ mark, since the cubic is symmetric in x and y.  Away from t^3 = -1 the maps
 scale their point themselves, to (x : x t : 1) with x = 3at/(1 + t^3),
 so the canonicalizer finds z = 1 and neither inverts nor multiplies again;
 `_affine_chart_point` writes that formula once for all three maps.
+
+The charts and their inverses compute on stored values (ints mod p or
+Fractions) and build one FieldElement per coordinate of the result, through
+`fields._reduced` and `fields._quotient`.  The oracles that check them
+(Folium.evaluate and contains, enumerate_points, ProjectiveLine.contains and
+geometry.all_lines) and each Law.op keep element arithmetic on purpose, so a
+fault in this kernel cannot hide behind the same fault in its checker.
 """
 
 from __future__ import annotations
@@ -29,13 +36,13 @@ from enum import Enum
 
 from .curve import Folium, ProjectivePoint
 from .errors import ParameterAtInfinity
-from .fields import FieldElement
+from .fields import FieldElement, _quotient, _reduced
 
 
 def _chart_point(curve: Folium, t, swap: bool) -> ProjectivePoint:
     """pbar(t), or pbarbar(t) when `swap`."""
     t = curve.field.element(t)
-    w = t * t * t + 1
+    w = _reduced(curve.field, t.value**3 + 1)
     if w.is_zero():
         x = curve.three_a * t
         return ProjectivePoint(x * t, x, w, curve) if swap else ProjectivePoint(x, x * t, w, curve)
@@ -44,9 +51,10 @@ def _chart_point(curve: Folium, t, swap: bool) -> ProjectivePoint:
 
 def _affine_chart_point(curve: Folium, t: FieldElement, w: FieldElement, swap: bool) -> ProjectivePoint:
     """(x : x t : 1), or (x t : x : 1) when `swap`, with x = 3at/w and w = 1 + t^3 nonzero."""
-    x = curve.three_a * t / w
-    one = curve.field.one
-    return ProjectivePoint(x * t, x, one, curve) if swap else ProjectivePoint(x, x * t, one, curve)
+    field = curve.field
+    x = _quotient(field, curve.three_a.value * t.value, w.value)
+    y = _reduced(field, x.value * t.value)
+    return ProjectivePoint(y, x, field.one, curve) if swap else ProjectivePoint(x, y, field.one, curve)
 
 
 def pbar(curve: Folium, t) -> ProjectivePoint:
@@ -60,7 +68,7 @@ def pbar_inv(curve: Folium, point: ProjectivePoint) -> FieldElement:
     # On the curve x = 0 forces y^3 = 0, so x vanishes at the node alone.
     if point.x.is_zero():
         return curve.field.zero
-    return point.y / point.x
+    return _quotient(curve.field, point.y.value, point.x.value)
 
 
 def pbarbar(curve: Folium, t) -> ProjectivePoint:
@@ -74,13 +82,13 @@ def pbarbar_inv(curve: Folium, point: ProjectivePoint) -> FieldElement:
     # Likewise y = 0 forces x^3 = 0 on the curve.
     if point.y.is_zero():
         return curve.field.zero
-    return point.x / point.y
+    return _quotient(curve.field, point.x.value, point.y.value)
 
 
 def p_affine(curve: Folium, t) -> ProjectivePoint:
     """Affine parametrization (3at/(1+t^3), 3at^2/(1+t^3)) as a z = 1 point."""
     t = curve.field.element(t)
-    w = t * t * t + 1
+    w = _reduced(curve.field, t.value**3 + 1)
     if w.is_zero():
         raise ParameterAtInfinity(f"t = {t} satisfies t^3 = -1; no affine image")
     return _affine_chart_point(curve, t, w, swap=False)

@@ -5,13 +5,14 @@ suites that catch it: over q and over fp:5 (seed 0, 40 samples) each of them
 must then FAIL at least one row.  Only those suites run, not `all`; `star`,
 whose parity chains take most of a report over fp:5, is named for no fault,
 since every fault it catches also FAILs a cheaper suite.  Unpatched, every
-suite passes; tests/golden pins both reports.  The first three faults sit in
-the chart branches that scale the point to z = 1 themselves or keep the point
-at infinity; the last five add one to a reflected operator or to `**`.  A
-fault that survives is a gap in the suites: add a property that catches it,
-never drop the fault.  The
-`neg`-as-identity fault is pinned by test_law_dispatch.py instead, since
-`verify` reads inverses through the law table, not the per-law names.
+suite passes; tests/golden pins both reports.  The first five faults sit in
+the charts, which compute on stored values: the branch that scales the point
+to z = 1 itself, the branch that keeps the point at infinity, and the inverse
+chart; the last five add one to a reflected operator or to `**`.  A fault
+that survives is a gap in the suites: add a property that catches it, never
+drop the fault.  The `neg`-as-identity fault is pinned by test_law_dispatch.py
+instead, since `verify` reads inverses through the law table, not the per-law
+names.
 """
 
 import operator
@@ -62,6 +63,30 @@ def _w_zero_branch_dropped(monkeypatch):
         return parametrization._affine_chart_point(curve, t, t * t * t + 1, swap)
 
     monkeypatch.setattr(parametrization, "_chart_point", chart_point)
+
+
+def _scaled_chart_ignores_swap(monkeypatch):
+    # pbarbar builds pbar's point whenever 1 + t^3 is nonzero
+    real = parametrization._affine_chart_point
+    monkeypatch.setattr(parametrization, "_affine_chart_point", lambda curve, t, w, swap: real(curve, t, w, False))
+
+
+def _inverse_chart_divides_the_wrong_way(monkeypatch):
+    # pbar_inv returns x/y, the pbarbar parameter, in place of y/x
+    _patch_everywhere(monkeypatch, parametrization.pbar_inv, parametrization.pbarbar_inv)
+
+
+def _chart_leaves_y_unreduced(monkeypatch):
+    # y = x t stored as the bare product, which over F_p can reach p or more
+    real = parametrization._affine_chart_point
+
+    def affine_chart_point(curve, t, w, swap):
+        point = real(curve, t, w, swap)
+        x = point.y if swap else point.x
+        y = FieldElement(curve.field, x.value * t.value)
+        return ProjectivePoint(y, x, point.z, curve) if swap else ProjectivePoint(x, y, point.z, curve)
+
+    monkeypatch.setattr(parametrization, "_affine_chart_point", affine_chart_point)
 
 
 def _wrong_law_op(monkeypatch):
@@ -115,6 +140,8 @@ FAULTS = {
     "wrong_chart_coefficient": (_wrong_chart_coefficient, ("parametrize", "geometry")),
     "chart_point_keeps_w": (_chart_point_keeps_w, (*CHART_SUITES, "southmul")),
     "w_zero_branch_dropped": (_w_zero_branch_dropped, CHART_SUITES),
+    "scaled_chart_ignores_swap": (_scaled_chart_ignores_swap, ("parametrize", "axioms", "coincidence", "fieldstructure")),
+    "inverse_chart_divides_the_wrong_way": (_inverse_chart_divides_the_wrong_way, (*CHART_SUITES, "southmul")),
     "wrong_law_op": (_wrong_law_op, ("axioms",)),
     "wrong_neutral": (_wrong_neutral, ("axioms",)),
     "identity_sigma": (_identity_sigma, ("parametrize", "axioms", "southmul", "fieldstructure")),
@@ -148,3 +175,10 @@ def test_wrong_epsilon_roots_fail_where_the_field_has_roots(monkeypatch):
     _wrong_epsilon_roots(monkeypatch)
     rows = run_suite(Folium(PrimeField(7), 1), "field", seed=0, samples=40)
     assert [row.name for row in rows if not row.passed] == ["epsilon_roots_consistent"]
+
+
+def test_an_unreduced_chart_coordinate_fails_a_row(monkeypatch):
+    # over q there is nothing to reduce; over fp:5 the stored product compares unequal to its residue
+    _chart_leaves_y_unreduced(monkeypatch)
+    rows = run_suite(Folium(PrimeField(5), 1), "parametrize", seed=0, samples=40)
+    assert [row.name for row in rows if not row.passed] == ["pbar_image_is_whole_curve", "sigma_inverts_parameter"]
