@@ -131,6 +131,22 @@ def test_special_points_char_two_vertex_collapses():
     assert pbar(curve, curve.field.one) == curve.infinity
 
 
+def test_special_points_repr_equality_and_immutability():
+    assert repr(prime_curve(2).special_points()) == (
+        "SpecialPoints(origin=(0 : 0 : 1), infinity=(1 : 1 : 0), vertex=None, "
+        "vertex_equals_infinity=True, points_at_infinity=[(1 : 1 : 0)])"
+    )
+    assert repr(rational_curve(1).special_points()) == (
+        "SpecialPoints(origin=(0 : 0 : 1), infinity=(1 : -1 : 0), vertex=(3/2 : 3/2 : 1), "
+        "vertex_equals_infinity=False, points_at_infinity=[(1 : -1 : 0)])"
+    )
+    assert rational_curve(1).special_points() == rational_curve(1).special_points()
+    assert rational_curve(1).special_points() != rational_curve(2).special_points()
+    special = rational_curve(1).special_points()
+    with pytest.raises(AttributeError):
+        special.vertex = None
+    assert special.vertex is not None
+
 def test_enumerate_f5_exact_set():
     curve = prime_curve(5)
     expected = {
@@ -157,6 +173,12 @@ def test_enumerate_count_matches_p_for_every_a():
             assert len(points) == p, (p, a)
             assert len(set(points)) == p
 
+
+def test_the_point_zero_one_zero_is_never_enumerated():
+    # (0 : 1 : 0) has cubic value 1 in every characteristic.
+    for p in (2, 5, 7, 13, 31):
+        curve = prime_curve(p)
+        assert curve.point(0, 1, 0) not in curve.enumerate_points(), p
 
 def test_enumerate_guards():
     with pytest.raises(FieldTooLargeForScan):

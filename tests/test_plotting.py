@@ -98,6 +98,17 @@ def test_overlay_parsing():
             parse_overlay(bad)
 
 
+def test_overlay_repr_equality_and_immutability():
+    chord = Overlay("chord", (Fraction(2), Fraction(3)))
+    assert repr(chord) == "Overlay(kind='chord', params=(Fraction(2, 1), Fraction(3, 1)))"
+    assert repr(Overlay("bisector")) == "Overlay(kind='bisector', params=())"
+    assert chord == Overlay("chord", (Fraction(2), Fraction(3)))
+    assert chord != Overlay("chord", (Fraction(3), Fraction(2)))
+    assert hash(chord) == hash(Overlay("chord", (Fraction(2), Fraction(3))))
+    with pytest.raises(AttributeError):
+        chord.kind = "tangent"
+    assert chord.kind == "chord"
+
 def test_rational_literals():
     assert parse_rational("-0.9") == Fraction(-9, 10)
     assert parse_rational("3/7") == Fraction(3, 7)
