@@ -82,9 +82,18 @@ from .parametrization import (
     pbarbar_inv,
     sigma,
 )
-from .verify import PropertyResult, run_report, run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """The verify names load `verify` on first use, so a curve command never imports it."""
+    if name in ("PropertyResult", "run_report", "run_suite"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BadLiteral",

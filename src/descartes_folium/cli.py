@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .branches import classify_branch
@@ -20,8 +19,6 @@ from .fields import Field, field_from_spec
 from .geometry import chord_or_tangent, collinear3, third_intersection
 from .laws import LawKind, apply_law, law_inverse, perp, proj_mul, star_mul
 from .parametrization import ParamMap, pbar_inv
-from .plotting import DEFAULT_EXCLUSION, parse_overlay, parse_rational, write_plot
-from .verify import run_report
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -61,6 +58,8 @@ def line_json(line) -> dict:
 
 def _emit(args, text: str, payload: dict) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
@@ -179,11 +178,15 @@ def _run_curve_command(arguments: tuple, compute, args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_report
+
     curve = _curve(args)
     report = run_report(curve, args.suite, seed=args.seed, samples=args.samples)
     failed = sum(1 for prop in report["properties"] if not prop["passed"])
     skipped = sum(1 for prop in report["properties"] if prop.get("note"))
     if args.format == "json":
+        import json
+
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
         for prop in report["properties"]:
@@ -204,6 +207,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .plotting import DEFAULT_EXCLUSION, parse_overlay, parse_rational, write_plot
+
     exclusion = parse_rational(args.exclusion) if args.exclusion else DEFAULT_EXCLUSION
     overlays = [parse_overlay(text) for text in args.overlay]
     write_plot(

@@ -22,7 +22,7 @@ and it takes no part in equality, hashing or text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadLiteral, FieldTooLargeForScan, MixedFields, NotOnCurve, PointAtInfinity
 from .fields import Field, FieldElement
@@ -151,8 +151,7 @@ class ProjectiveLine:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class SpecialPoints:
+class SpecialPoints(NamedTuple):
     """The distinguished points of one folium instance.
 
     `vertex` is None in characteristic 2, where (3a, 3a, 2) collapses onto
@@ -240,10 +239,11 @@ class Folium:
         return all(component.is_zero() for component in self.gradient(point))
 
     def enumerate_points(self) -> list:
-        """All curve points by exhaustive scan of the p^2 + p + 1 canonical representatives.
+        """All curve points by exhaustive scan of the canonical representatives.
 
         Deliberately naive so it can serve as an oracle independent of the
-        parametrization.  Prime fields with p <= 10^4 only.
+        parametrization.  (0 : 1 : 0) is skipped: the cubic is 1 there.
+        Prime fields with p <= 10^4 only.
         """
         residues = _scan_range(self.field, "point enumeration")
         p = self.field.characteristic
@@ -256,8 +256,6 @@ class Folium:
         for y in residues:
             if (1 + y * y * y) % p == 0:
                 points.append(self.point(1, y, 0))
-        if 1 % p == 0:  # last representative (0 : 1 : 0): cubic value is y^3 = 1 there
-            points.append(self.point(0, 1, 0))
         return points
 
     def __eq__(self, other):

@@ -10,8 +10,8 @@ Output is a pure function of the inputs, byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curve import Folium
 from .errors import BadLiteral, DegenerateRange, FileWriteError
@@ -26,8 +26,7 @@ _OVERLAY_LINE_STYLE = 'fill="none" stroke="#c44e52"'
 _GUIDE_STYLE = 'fill="none" stroke="#999999"'
 
 
-@dataclass(frozen=True)
-class Overlay:
+class Overlay(NamedTuple):
     """One plot overlay: a marked parameter, a chord, a tangent, or a guide line."""
 
     kind: str  # point | chord | tangent | bisector | asymptote

@@ -25,15 +25,14 @@ from descartes_folium.plotting import parse_overlay, parse_rational
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def cli_process(*argv):
+def python_process(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "descartes_folium", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def cli_process(*argv):
+    return python_process("-m", "descartes_folium", *argv)
 
 
 def run_cli(*argv, expect=0):
@@ -359,3 +358,33 @@ def test_plot_literal_refusals_name_the_literal(value):
     else:
         message = f"bad plot literal {value!r}; expected a number such as -0.9, 1e-3 or 3/7"
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+
+
+LAZY_MODULES = ("descartes_folium.verify", "descartes_folium.plotting", "dataclasses", "json")
+
+
+def test_a_curve_command_loads_neither_verify_nor_plotting():
+    # This process has imported everything already, so a fresh one runs the commands.
+    probe = (
+        "import sys\n"
+        "from descartes_folium import cli\n"
+        "codes = [cli.main(['eval', '--map', 'pbar', '--t', '2']),\n"
+        "         cli.main(['op', '--law', 'projmul', '(3/2, 3/2)', '(2/3, 4/3)'])]\n"
+        f"print(codes, [name for name in {LAZY_MODULES!r} if name in sys.modules])\n"
+    )
+    proc = python_process("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+def test_the_package_serves_every_public_name():
+    import descartes_folium
+    from descartes_folium import verify
+
+    namespace = {}
+    exec("from descartes_folium import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(descartes_folium.__all__)
+    for name in ("PropertyResult", "run_report", "run_suite"):
+        assert getattr(descartes_folium, name) is getattr(verify, name)
+    with pytest.raises(AttributeError):
+        descartes_folium.no_such_name

@@ -20,19 +20,21 @@ FIELDS = ("fp:2", "fp:5", "fp:7", "fp:13", "q")
 
 
 _REPORTS: dict = {}
+# Captured once: the test patches verify.run_report, which the CLI reads at call time.
+_RUN_REPORT = verify.run_report
 
 
 def _shared_report(curve, name, seed, samples):
     key = (curve.field.spec_string(), str(curve.a), name, seed, samples)
     if key not in _REPORTS:
-        _REPORTS[key] = verify.run_report(curve, name, seed=seed, samples=samples)
+        _REPORTS[key] = _RUN_REPORT(curve, name, seed=seed, samples=samples)
     return _REPORTS[key]
 
 
 @pytest.mark.parametrize("fmt", ("txt", "json"))
 @pytest.mark.parametrize("field", FIELDS)
 def test_verify_all_matches_golden(field, fmt, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_report", _shared_report)
+    monkeypatch.setattr(verify, "run_report", _shared_report)
     argv = ["verify", "--field", field, "--suite", "all", "--seed", "0", "--samples", "40"]
     if fmt == "json":
         argv += ["--format", "json"]
