@@ -3,7 +3,9 @@
 Every subcommand shares the global flags --field, --a, --format and --seed.
 Point literals use `(x : y : z)` or the affine shorthand `(x, y)`; the text
 the commands print parses back as input.  Exit codes: 0 success, 1
-verification failure, 2 usage error, 3 domain error.
+verification failure, 2 usage error, 3 domain error.  verify, plot and
+--format json import what they need when they run, so a curve command
+starts without loading them.
 """
 
 from __future__ import annotations

@@ -147,6 +147,7 @@ def test_special_points_repr_equality_and_immutability():
         special.vertex = None
     assert special.vertex is not None
 
+
 def test_enumerate_f5_exact_set():
     curve = prime_curve(5)
     expected = {
@@ -179,6 +180,7 @@ def test_the_point_zero_one_zero_is_never_enumerated():
     for p in (2, 5, 7, 13, 31):
         curve = prime_curve(p)
         assert curve.point(0, 1, 0) not in curve.enumerate_points(), p
+
 
 def test_enumerate_guards():
     with pytest.raises(FieldTooLargeForScan):

@@ -109,6 +109,7 @@ def test_overlay_repr_equality_and_immutability():
         chord.kind = "tangent"
     assert chord.kind == "chord"
 
+
 def test_rational_literals():
     assert parse_rational("-0.9") == Fraction(-9, 10)
     assert parse_rational("3/7") == Fraction(3, 7)
