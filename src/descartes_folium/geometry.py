@@ -186,15 +186,17 @@ def _curve_points_on_line(curve: Folium, line: ProjectiveLine) -> list:
     return [ProjectivePoint(s, one, -(m * s + n)) for s, _ in roots]
 
 
-def slope_cubic_check(curve: Folium, line: ProjectiveLine) -> bool:
+def slope_cubic_check(curve: Folium, line: ProjectiveLine, points=None) -> bool:
     """True iff every non-node curve point on the line has its parameter among the cubic's roots.
 
-    Over prime fields the points come from the enumeration oracle; over the
-    rationals from the rational roots of the line substituted into the curve's
-    own cubic, so a point off the line or the curve makes the check fail.
+    The points are `points` when given, else `_curve_points_on_line`: over
+    prime fields the enumeration oracle filtered by incidence, over the
+    rationals the rational roots of the line substituted into the curve's own
+    cubic.  Each is re-checked, so a point off the line or the curve makes the
+    check fail.
     """
     c2, c1 = slope_cubic(curve, line)
-    for point in _curve_points_on_line(curve, line):
+    for point in _curve_points_on_line(curve, line) if points is None else points:
         if not (curve.contains(point) and line.contains(point)):
             return False
         t = pbar_inv(curve, point)

@@ -29,6 +29,7 @@ from .branches import BranchLabel, classify_branch
 from .curve import Folium
 from .errors import DivisionByZeroPoint, FieldTooLargeForScan, FoliumError, UnknownSuite
 from .geometry import (
+    _curve_points_on_line,
     all_lines,
     chord_or_tangent,
     collinear3,
@@ -37,7 +38,6 @@ from .geometry import (
     line_curve_intersections,
     line_through,
     perpendicular_chord_check,
-    slope_cubic,
     slope_cubic_check,
     third_intersection,
 )
@@ -492,16 +492,17 @@ def _suite_geometry(ctx: _Context) -> list:
         return line.contains(third) and third != curve.origin
 
     def cubic_oracle(P, Q):
+        # the chord's own three points must be among those the line oracle finds
         line = chord_or_tangent(curve, P, Q)
-        c2, c1 = slope_cubic(curve, line)
-        for point in (P, Q, third_intersection(curve, P, Q)):
-            t = pbar_inv(curve, point)
-            if not (((t + c2) * t + c1) * t + 1).is_zero():
-                return False
-        return slope_cubic_check(curve, line)
+        found = _curve_points_on_line(curve, line)
+        on_chord = {P, Q, third_intersection(curve, P, Q)}
+        return on_chord <= set(found) and slope_cubic_check(curve, line, found)
 
     def split_line_identities(line):
+        # the slope cubic's root points must be exactly the points the line oracle finds
         intersections = line_curve_intersections(curve, line)
+        if {point for point, _ in intersections} != set(_curve_points_on_line(curve, line)):
+            return False
         if sum(mult for _, mult in intersections) != 3:
             return True  # not fully split over the base field
         triple = []

@@ -8,9 +8,10 @@ since every fault it catches also FAILs a cheaper suite.  Unpatched, every
 suite passes; tests/golden pins both reports.  The first five faults sit in
 the charts, which compute on stored values: the branch that scales the point
 to z = 1 itself, the branch that keeps the point at infinity, and the inverse
-chart; the last five add one to a reflected operator or to `**`.  A fault
-that survives is a gap in the suites: add a property that catches it, never
-drop the fault.  The `neg`-as-identity fault is pinned by test_law_dispatch.py
+chart.  Two empty the line-point oracle and the root finder, which a geometry
+row that checked nothing would let pass.  The last five add one to a
+reflected operator or to `**`.  A fault that survives is a gap in the suites:
+add a property that catches it, never drop the fault.  The `neg`-as-identity fault is pinned by test_law_dispatch.py
 instead, since `verify` reads inverses through the law table, not the per-law
 names.
 """
@@ -110,6 +111,11 @@ def _collinear3_always_true(monkeypatch):
     _patch_everywhere(monkeypatch, geometry.collinear3, lambda curve, *points: True)
 
 
+def _finds_nothing(original):
+    # an oracle that returns no points, or a root finder that returns no roots
+    return lambda monkeypatch: _patch_everywhere(monkeypatch, original, lambda *args: [])
+
+
 def _wrong_epsilon_roots(monkeypatch):
     # -1 twice: a cube root of -1, but no root of e^2 - e + 1
     def roots(field):
@@ -147,6 +153,8 @@ FAULTS = {
     "identity_sigma": (_identity_sigma, ("parametrize", "axioms", "southmul", "fieldstructure")),
     "third_intersection_is_proj_mul": (_third_intersection_is_proj_mul, ("geometry", "collinearity")),
     "collinear3_always_true": (_collinear3_always_true, ("collinearity",)),
+    "line_points_find_nothing": (_finds_nothing(geometry._curve_points_on_line), ("geometry",)),
+    "roots_find_nothing": (_finds_nothing(geometry.roots_with_multiplicity), ("geometry",)),
     "wrong_epsilon_roots": (_wrong_epsilon_roots, ("field",)),
     "radd_plus_one": (_plus_one("__radd__"), ("field",)),
     "rsub_plus_one": (_plus_one("__rsub__"), ("field",)),
