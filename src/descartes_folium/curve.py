@@ -177,6 +177,7 @@ class Folium:
         self.three_a = field.element(3) * a
         self.origin = ProjectivePoint.of(field, 0, 0, 1, on=self)
         self.infinity = ProjectivePoint.of(field, 1, -1, 0, on=self)
+        self._points = None  # enumerate_points' scan, once it has run
 
     def point(self, x, y, z=1) -> ProjectivePoint:
         return ProjectivePoint.of(self.field, x, y, z)
@@ -239,24 +240,27 @@ class Folium:
         return all(component.is_zero() for component in self.gradient(point))
 
     def enumerate_points(self) -> list:
-        """All curve points by exhaustive scan of the canonical representatives.
+        """All curve points by exhaustive scan of the canonical representatives, as a new list.
 
         Deliberately naive so it can serve as an oracle independent of the
         parametrization.  (0 : 1 : 0) is skipped: the cubic is 1 there.
-        Prime fields with p <= 10^4 only.
+        Prime fields with p <= 10^4 only.  The scan runs once per instance,
+        after the guard; later calls copy its stored tuple.
         """
         residues = _scan_range(self.field, "point enumeration")
-        p = self.field.characteristic
-        a3 = self.three_a.value
-        points = []
-        for x in residues:
+        if self._points is None:
+            p = self.field.characteristic
+            a3 = self.three_a.value
+            points = []
+            for x in residues:
+                for y in residues:
+                    if (x * x * x + y * y * y - a3 * x * y) % p == 0:
+                        points.append(self.point(x, y, 1))
             for y in residues:
-                if (x * x * x + y * y * y - a3 * x * y) % p == 0:
-                    points.append(self.point(x, y, 1))
-        for y in residues:
-            if (1 + y * y * y) % p == 0:
-                points.append(self.point(1, y, 0))
-        return points
+                if (1 + y * y * y) % p == 0:
+                    points.append(self.point(1, y, 0))
+            self._points = tuple(points)
+        return list(self._points)
 
     def __eq__(self, other):
         if not isinstance(other, Folium):

@@ -122,9 +122,7 @@ def _divisors(n: int) -> set:
 
 
 def _root_candidates(field: Field, coeffs: list):
-    """Candidate roots: every residue over F_p, rational-root candidates over Q."""
-    if field.characteristic:
-        return [field.element(r) for r in _scan_range(field, "root scan")]
+    """Rational-root candidates of a polynomial over Q: +-u/v, u dividing the constant, v the lead."""
     scale = lcm(*(c.value.denominator for c in coeffs))
     cleared = [int(c.value * scale) for c in coeffs]
     lead, const = cleared[0], cleared[-1]
@@ -139,9 +137,26 @@ def _root_candidates(field: Field, coeffs: list):
 
 
 def roots_with_multiplicity(field: Field, coeffs: list) -> list:
-    """Roots of a monic polynomial in the base field, with multiplicity."""
+    """Roots of a monic polynomial in the base field, with multiplicity, in ascending order over F_p.
+
+    Over F_p every residue is a candidate: the polynomial is evaluated on the
+    stored ints by Horner's rule, and only the residues where it vanishes are
+    deflated.  Over Q the candidates come from `_root_candidates`.
+    """
+    p = field.characteristic
+    if p:
+        values = [c.value for c in coeffs]
+        candidates = []
+        for r in _scan_range(field, "root scan"):
+            acc = 0
+            for c in values:
+                acc = acc * r + c
+            if acc % p == 0:
+                candidates.append(field.element(r))
+    else:
+        candidates = _root_candidates(field, coeffs)
     pairs = []
-    for candidate in _root_candidates(field, coeffs):
+    for candidate in candidates:
         poly = coeffs
         multiplicity = 0
         while len(poly) > 1:
@@ -171,12 +186,15 @@ def line_curve_intersections(curve: Folium, line: ProjectiveLine) -> list:
 def _curve_points_on_line(curve: Folium, line: ProjectiveLine) -> list:
     """The non-node curve points on a line that misses the node, found without the slope cubic or a chart."""
     field = curve.field
-    if field.characteristic:
-        # brute-force enumeration filtered by incidence
+    char = field.characteristic
+    if char:
+        # brute-force enumeration filtered by incidence, on the stored ints
+        m, n, p = line.m.value, line.n.value, line.p.value
         return [
             point
             for point in curve.enumerate_points()
-            if point != curve.origin and line.contains(point)
+            if (m * point.x.value + n * point.y.value + p * point.z.value) % char == 0
+            and point != curve.origin
         ]
     # z = -(m x + n y)/p turns the cubic into x^3 + 3a(m/p) x^2 y + 3a(n/p) x y^2 + y^3.
     # On the curve y = 0 forces x = 0, the node, so the points are (s : 1 : z) for

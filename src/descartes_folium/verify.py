@@ -416,6 +416,33 @@ def _chain_cases(ctx: _Context) -> list:
     return cases
 
 
+def _chain_folds(curve: Folium) -> Callable[[tuple], tuple]:
+    """A function from a chain of points to its left folds under (star_mul, proj_mul).
+
+    It keeps the last chain's folds, one pair per prefix length, and folds a
+    new chain only past the longest prefix it shares with the last one, so
+    chains in lexicographic order cost about one product per law each.
+    """
+    chain: list = []
+    folds: list = []
+
+    def fold(points: tuple) -> tuple:
+        shared = 0
+        while shared < min(len(chain), len(points)) and chain[shared] == points[shared]:
+            shared += 1
+        del chain[shared:], folds[shared:]
+        for point in points[shared:]:
+            if folds:
+                star_acc, dot_acc = folds[-1]
+                folds.append((star_mul(curve, star_acc, point), proj_mul(curve, dot_acc, point)))
+            else:
+                folds.append((point, point))
+            chain.append(point)
+        return folds[len(points) - 1]
+
+    return fold
+
+
 def _suite_star(ctx: _Context) -> list:
     curve = ctx.curve
     infinity = curve.infinity
@@ -424,12 +451,10 @@ def _suite_star(ctx: _Context) -> list:
     one = curve.field.one
     pairs = ctx.tuples("nonzero", 2)
     singles = ctx.tuples("nonzero", 1)
+    fold = _chain_folds(curve)
 
     def chain_identities(*points):
-        star_acc, dot_acc = points[0], points[0]
-        for point in points[1:]:
-            star_acc = star_mul(curve, star_acc, point)
-            dot_acc = proj_mul(curve, dot_acc, point)
+        star_acc, dot_acc = fold(points)
         if len(points) % 2 == 0:
             return star_acc == proj_mul(curve, dot_acc, infinity) and dot_acc == star_mul(
                 curve, star_acc, vertex

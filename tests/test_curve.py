@@ -182,6 +182,24 @@ def test_the_point_zero_one_zero_is_never_enumerated():
         assert curve.point(0, 1, 0) not in curve.enumerate_points(), p
 
 
+@pytest.mark.parametrize("p", [2, 5, 7, 13, 31])
+def test_a_repeated_enumeration_equals_a_new_instances_scan(p):
+    curve = prime_curve(p)
+    first, second = curve.enumerate_points(), curve.enumerate_points()
+    assert first == second == prime_curve(p).enumerate_points()
+    assert first is not second
+
+
+def test_mutating_an_enumeration_leaves_the_next_one_alone():
+    curve = prime_curve(7)
+    expected = list(curve.enumerate_points())
+    points = curve.enumerate_points()
+    points.reverse()
+    points.append(curve.point(0, 1, 0))
+    del points[0]
+    assert curve.enumerate_points() == expected
+
+
 def test_enumerate_guards():
     with pytest.raises(FieldTooLargeForScan):
         rational_curve(1).enumerate_points()

@@ -12,6 +12,7 @@ from descartes_folium import (
     NotOnCurve,
     OriginNotAllowed,
     PointAtInfinity,
+    PrimeField,
     ProjectiveLine,
     ProjectivePoint,
     Rationals,
@@ -37,6 +38,7 @@ from descartes_folium import (
     third_intersection,
 )
 from descartes_folium import geometry, parametrization
+from descartes_folium.geometry import roots_with_multiplicity
 from helpers import nonzero_points, prime_curve, random_nonzero_fraction, rational_curve
 
 
@@ -254,6 +256,54 @@ def test_slope_cubic_check_over_f11():
     for p1, p2 in itertools.product(points[:5], points[:5]):
         line = chord_or_tangent(curve, p1, p2)
         assert slope_cubic_check(curve, line)
+
+
+def _roots_by_deflating_every_residue(p, coeffs):
+    """(root, multiplicity) pairs of a monic int polynomial mod p, by synthetic division at each residue."""
+    pairs = []
+    for r in range(p):
+        poly, multiplicity = coeffs, 0
+        while len(poly) > 1:
+            quotient = [poly[0]]
+            for c in poly[1:]:
+                quotient.append((quotient[-1] * r + c) % p)
+            if quotient.pop():
+                break
+            poly, multiplicity = quotient, multiplicity + 1
+        if multiplicity:
+            pairs.append((r, multiplicity))
+    return pairs
+
+
+def _seeded_cubics_mod_31():
+    # half with random coefficients, half built from three roots drawn from a few residues,
+    # so double and triple roots occur
+    rng = random.Random(31)
+    cubics = []
+    for i in range(300):
+        if i % 2:
+            cubics.append([1, *(rng.randrange(31) for _ in range(3))])
+            continue
+        poly = [1]
+        for r in (rng.choice((0, 3, 30)) for _ in range(3)):
+            poly = [(c - r * before) % 31 for c, before in zip(poly + [0], [0] + poly)]
+        cubics.append(poly)
+    return cubics
+
+
+@pytest.mark.parametrize(
+    "p, cubics",
+    [(5, [[1, *rest] for rest in itertools.product(range(5), repeat=3)]), (31, _seeded_cubics_mod_31())],
+    ids=["fp:5 all monic", "fp:31 seeded"],
+)
+def test_root_scan_matches_deflating_every_residue(p, cubics):
+    field = PrimeField(p)
+    multiplicities = set()
+    for coeffs in cubics:
+        found = roots_with_multiplicity(field, [field.element(c) for c in coeffs])
+        assert [(root.value, mult) for root, mult in found] == _roots_by_deflating_every_residue(p, coeffs), coeffs
+        multiplicities.update(mult for _, mult in found)
+    assert multiplicities == {1, 2, 3}
 
 
 @pytest.mark.parametrize("p", [5, 11])

@@ -1,8 +1,10 @@
 """The suite runner: coverage, skips, determinism, and the report schema."""
 
+import random
+
 import pytest
 
-from descartes_folium import FieldElement, ParameterAtInfinity, ProjectivePoint, UnknownSuite, verify
+from descartes_folium import FieldElement, ParameterAtInfinity, ProjectivePoint, UnknownSuite, proj_mul, star_mul, verify
 from descartes_folium.cli import main
 from descartes_folium.verify import SUITES, run_report, run_suite
 from helpers import prime_curve, rational_curve
@@ -212,3 +214,27 @@ def test_no_vacuous_pass_over_q_with_one_sample():
         "note": "skipped: no cases to check",
     }
     assert all(p["instances"] > 0 for p in rows.values() if "note" not in p)
+
+
+def _folds_from_scratch(curve, chain):
+    star_acc = dot_acc = chain[0]
+    for point in chain[1:]:
+        star_acc = star_mul(curve, star_acc, point)
+        dot_acc = proj_mul(curve, dot_acc, point)
+    return star_acc, dot_acc
+
+
+@pytest.mark.parametrize(
+    "curve, chains", [(prime_curve(5), 5466), (prime_curve(13), 1912), (rational_curve(1), 60)], ids=["fp:5", "fp:13", "q"]
+)
+def test_shared_chain_folds_match_folds_from_scratch(curve, chains):
+    # the parity-chain row holds for any chain, so it cannot see a fold of the wrong chain; this can
+    cases = verify._chain_cases(verify._Context(curve, 0, 40))
+    assert len(cases) == chains
+    fold = verify._chain_folds(curve)
+    assert [fold(chain) for chain in cases] == [_folds_from_scratch(curve, chain) for chain in cases]
+    # out of order too: a chain after its own prefix, after a longer chain, and after itself
+    shuffled = random.Random(5).sample(cases, min(300, len(cases)))
+    shuffled += [cases[-1], cases[-1][:3], cases[-1][:3], cases[-1]]
+    fold = verify._chain_folds(curve)
+    assert [fold(chain) for chain in shuffled] == [_folds_from_scratch(curve, chain) for chain in shuffled]
