@@ -122,7 +122,7 @@ def _divisors(n: int) -> set:
 
 
 def _root_candidates(field: Field, coeffs: list):
-    """Rational-root candidates of a polynomial over Q: +-u/v, u dividing the constant, v the lead."""
+    """Rational-root candidates over Q: +-u/v with u dividing the constant and v the lead."""
     scale = lcm(*(c.value.denominator for c in coeffs))
     cleared = [int(c.value * scale) for c in coeffs]
     lead, const = cleared[0], cleared[-1]
@@ -137,11 +137,12 @@ def _root_candidates(field: Field, coeffs: list):
 
 
 def roots_with_multiplicity(field: Field, coeffs: list) -> list:
-    """Roots of a monic polynomial in the base field, with multiplicity, in ascending order over F_p.
+    """Roots of a monic polynomial in the base field, with multiplicity.
 
-    Over F_p every residue is a candidate: the polynomial is evaluated on the
-    stored ints by Horner's rule, and only the residues where it vanishes are
-    deflated.  Over Q the candidates come from `_root_candidates`.
+    Over F_p every residue is a candidate, in ascending order: the polynomial
+    is evaluated on the stored ints by Horner's rule, and only the residues
+    where it vanishes are deflated.  Over Q the candidates come from
+    `_root_candidates`.
     """
     p = field.characteristic
     if p:

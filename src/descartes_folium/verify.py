@@ -423,22 +423,20 @@ def _chain_folds(curve: Folium) -> Callable[[tuple], tuple]:
     new chain only past the longest prefix it shares with the last one, so
     chains in lexicographic order cost about one product per law each.
     """
-    chain: list = []
-    folds: list = []
+    stack: list = []  # (point, star fold, dot fold) for each prefix of the last chain
 
     def fold(points: tuple) -> tuple:
         shared = 0
-        while shared < min(len(chain), len(points)) and chain[shared] == points[shared]:
+        while shared < min(len(stack), len(points)) and stack[shared][0] == points[shared]:
             shared += 1
-        del chain[shared:], folds[shared:]
+        del stack[shared:]
         for point in points[shared:]:
-            if folds:
-                star_acc, dot_acc = folds[-1]
-                folds.append((star_mul(curve, star_acc, point), proj_mul(curve, dot_acc, point)))
+            if stack:
+                _, star_acc, dot_acc = stack[-1]
+                stack.append((point, star_mul(curve, star_acc, point), proj_mul(curve, dot_acc, point)))
             else:
-                folds.append((point, point))
-            chain.append(point)
-        return folds[len(points) - 1]
+                stack.append((point, point, point))
+        return stack[len(points) - 1][1:]
 
     return fold
 
