@@ -9,7 +9,10 @@ already canonical.
 
 The exhaustive scans (point enumeration here, the line scan and the root
 scan in geometry) take their residues from one guard, `_scan_range`, which
-refuses the rationals and primes above ENUMERATION_BOUND.
+refuses the rationals and primes above ENUMERATION_BOUND.  The point
+enumeration stays the naive residue loop, but it runs once per Folium
+instance: the curve keeps the points as a tuple and every call returns a new
+list, so at most p + 3 points are held per curve.
 
 A point built by a chart (pbar, pbarbar, p_affine, and the curve's own
 origin, infinity and vertex) lies on the curve by construction, so it

@@ -6,6 +6,12 @@ m x + n y = z), so three non-node points are collinear exactly when their
 parameters multiply to -1.  Everything here is exact; the slope cubic and
 the full line enumeration over small prime fields serve as oracles that are
 independent of the transported laws.
+
+Over F_p the root scan evaluates the polynomial on the stored ints at every
+residue and deflates only the roots it finds, and the line-point oracle
+filters the curve's enumeration by incidence on the stored ints.  Over Q the
+roots come from the rational-root candidates, and the line points from the
+line substituted into the curve's cubic.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ to z = 1 itself, the branch that keeps the point at infinity, and the inverse
 chart.  Two empty the line-point oracle and the root finder, which a geometry
 row that checked nothing would let pass.  The last five add one to a
 reflected operator or to `**`.  A fault that survives is a gap in the suites:
-add a property that catches it, never drop the fault.  The `neg`-as-identity fault is pinned by test_law_dispatch.py
-instead, since `verify` reads inverses through the law table, not the per-law
-names.
+add a property that catches it, never drop the fault.  The `neg`-as-identity
+fault is pinned by test_law_dispatch.py instead, since `verify` reads
+inverses through the law table, not the per-law names.
 """
 
 import operator

@@ -233,7 +233,7 @@ def test_shared_chain_folds_match_folds_from_scratch(curve, chains):
     assert len(cases) == chains
     fold = verify._chain_folds(curve)
     assert [fold(chain) for chain in cases] == [_folds_from_scratch(curve, chain) for chain in cases]
-    # out of order too: a chain after its own prefix, after a longer chain, and after itself
+    # out of order too: a prefix after the longer chain, a chain after itself, and after its own prefix
     shuffled = random.Random(5).sample(cases, min(300, len(cases)))
     shuffled += [cases[-1], cases[-1][:3], cases[-1][:3], cases[-1]]
     fold = verify._chain_folds(curve)
