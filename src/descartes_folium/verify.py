@@ -14,6 +14,17 @@ Cases are exhaustive over prime fields up to EXHAUSTIVE_PAIR_BOUND and
 seeded random samples over the rationals and over larger primes.  Where an
 existence row's cases are sampled, it goes on to its pool's pairs in order,
 so a witness the draws missed still counts.
+
+Over those small prime fields the rows that compose points read each binary
+law from a lazy Cayley table, `_Context.table`: the associative, commutative,
+neutral and inverse rows of `axioms`, the parity chains of `star`, the four
+collinearity tests, and `folium_mul`, `add_south` and `add_west` in
+`fieldstructure`.  A table wraps the function the row would call and keys on
+the ordered pair, so a law that is not commutative still fails its row; it
+fills as the cases run, so the first failing case and its text are those of
+the direct calls, and a product that raises is never stored.  Equal results
+share one stored point, and the tables go when their suite finishes.  Over
+the rationals and larger primes a table is the law itself, bound to the curve.
 """
 
 from __future__ import annotations
@@ -147,6 +158,8 @@ class _Context:
         )
         self._params: dict = {}
         self._points: dict = {}
+        self._tables: dict = {}
+        self._results: dict = {}  # one stored point per distinct table result
 
     def _draw(self):
         field = self.curve.field
@@ -215,6 +228,28 @@ class _Context:
     def singles(self, kind: str) -> Callable[[], list]:
         """A case builder: one-parameter cases over the named pool."""
         return lambda: [(t,) for t in self.params(kind)]
+
+    def table(self, key, law: Callable) -> Callable:
+        """`(P, Q) -> law(curve, P, Q)`, the table named `key`: over a whole small field
+        each ordered pair is computed once, when first asked, until the suite finishes."""
+        if not self.exhaustive:
+            return functools.partial(law, self.curve)
+        if key not in self._tables:
+            curve, products, results = self.curve, {}, self._results
+
+            def product(P, Q):
+                value = products.get((P, Q))
+                if value is None:
+                    value = law(curve, P, Q)
+                    value = products[P, Q] = results.setdefault(value, value)
+                return value
+
+            self._tables[key] = product
+        return self._tables[key]
+
+    def drop_tables(self) -> None:
+        self._tables.clear()
+        self._results.clear()
 
 
 # -- suites: each returns its rows, in report order -------------------------
@@ -349,27 +384,19 @@ def _law_axioms(ctx: _Context, kind: LawKind) -> list:
     law = LAWS[kind]
     skip = ctx.affine_note if law.chart.affine else None
     neutral = functools.cache(lambda: law_neutral(curve, kind))
+    op = ctx.table(kind, lambda c, P, Q: apply_law(c, kind, P, Q))
     rows = [
         (
             "associative",
-            lambda P, Q, R: apply_law(curve, kind, apply_law(curve, kind, P, Q), R)
-            == apply_law(curve, kind, P, apply_law(curve, kind, Q, R)),
+            lambda P, Q, R: op(op(P, Q), R) == op(P, op(Q, R)),
             ctx.tuples(law.domain, 3),
         ),
-        (
-            "commutative",
-            lambda P, Q: apply_law(curve, kind, P, Q) == apply_law(curve, kind, Q, P),
-            ctx.tuples(law.domain, 2),
-        ),
+        ("commutative", lambda P, Q: op(P, Q) == op(Q, P), ctx.tuples(law.domain, 2)),
         # under fieldmul the node absorbs, and indeed O * V == O == P there
-        (
-            "neutral",
-            lambda P: apply_law(curve, kind, P, neutral()) == P,
-            ctx.tuples(law.domain, 1),
-        ),
+        ("neutral", lambda P: op(P, neutral()) == P, ctx.tuples(law.domain, 1)),
         (
             "inverse",
-            lambda P: apply_law(curve, kind, P, law_inverse(curve, kind, P)) == neutral(),
+            lambda P: op(P, law_inverse(curve, kind, P)) == neutral(),
             ctx.tuples(law.units or law.domain, 1),
         ),
     ]
@@ -416,8 +443,8 @@ def _chain_cases(ctx: _Context) -> list:
     return cases
 
 
-def _chain_folds(curve: Folium) -> Callable[[tuple], tuple]:
-    """A function from a chain of points to its left folds under (star_mul, proj_mul).
+def _chain_folds(star: Callable, dot: Callable) -> Callable[[tuple], tuple]:
+    """A function from a chain of points to its left folds under the binary laws (star, dot).
 
     It keeps the last chain's folds, one pair per prefix length, and folds a
     new chain only past the longest prefix it shares with the last one, so
@@ -433,7 +460,7 @@ def _chain_folds(curve: Folium) -> Callable[[tuple], tuple]:
         for point in points[shared:]:
             if stack:
                 _, star_acc, dot_acc = stack[-1]
-                stack.append((point, star_mul(curve, star_acc, point), proj_mul(curve, dot_acc, point)))
+                stack.append((point, star(star_acc, point), dot(dot_acc, point)))
             else:
                 stack.append((point, point, point))
         return stack[len(points) - 1][1:]
@@ -449,14 +476,13 @@ def _suite_star(ctx: _Context) -> list:
     one = curve.field.one
     pairs = ctx.tuples("nonzero", 2)
     singles = ctx.tuples("nonzero", 1)
-    fold = _chain_folds(curve)
+    star, dot = ctx.table("star_mul", star_mul), ctx.table("proj_mul", proj_mul)
+    fold = _chain_folds(star, dot)
 
     def chain_identities(*points):
         star_acc, dot_acc = fold(points)
         if len(points) % 2 == 0:
-            return star_acc == proj_mul(curve, dot_acc, infinity) and dot_acc == star_mul(
-                curve, star_acc, vertex
-            )
+            return star_acc == dot(dot_acc, infinity) and dot_acc == star(star_acc, vertex)
         return star_acc == dot_acc
 
     def star_cube_locus(P):
@@ -508,6 +534,7 @@ def _suite_star(ctx: _Context) -> list:
 def _suite_geometry(ctx: _Context) -> list:
     curve = ctx.curve
     pairs = ctx.tuples("nonzero", 2)
+    dot, star = ctx.table("proj_mul", proj_mul), ctx.table("star_mul", star_mul)
 
     def incident(P, Q):
         line = chord_or_tangent(curve, P, Q)
@@ -533,7 +560,7 @@ def _suite_geometry(ctx: _Context) -> list:
             triple.extend([point] * mult)
         p1, p2, p3 = triple
         identity = (p1.x * p2.x * p3.x + p1.y * p2.y * p3.y).is_zero()
-        return identity and all(_collinearity_tests(curve, *triple))
+        return identity and all(_collinearity_tests(curve, dot, star, *triple))
 
     return [
         _Prop(
@@ -564,25 +591,24 @@ def _suite_geometry(ctx: _Context) -> list:
     ]
 
 
-def _collinearity_tests(curve: Folium, P1, P2, P3) -> tuple:
+def _collinearity_tests(curve: Folium, dot: Callable, star: Callable, P1, P2, P3) -> tuple:
     """The four tests that agree on three non-node points: collinear3, t1 t2 t3 = -1,
-    and P1 P2 P3 = I under the dot law and under the star law."""
+    and P1 P2 P3 = I under the binary laws dot (proj_mul) and star (star_mul)."""
     t_product = pbar_inv(curve, P1) * pbar_inv(curve, P2) * pbar_inv(curve, P3)
-    dot = proj_mul(curve, proj_mul(curve, P1, P2), P3)
-    star = star_mul(curve, star_mul(curve, P1, P2), P3)
     return (
         collinear3(curve, P1, P2, P3),
         t_product == -curve.field.one,
-        dot == curve.infinity,
-        star == curve.infinity,
+        dot(dot(P1, P2), P3) == curve.infinity,
+        star(star(P1, P2), P3) == curve.infinity,
     )
 
 
 def _suite_collinearity(ctx: _Context) -> list:
     curve = ctx.curve
+    dot, star = ctx.table("proj_mul", proj_mul), ctx.table("star_mul", star_mul)
 
     def equivalences(P1, P2, P3):
-        return len(set(_collinearity_tests(curve, P1, P2, P3))) == 1
+        return len(set(_collinearity_tests(curve, dot, star, P1, P2, P3))) == 1
 
     def constructed(P1, P2):
         P3 = third_intersection(curve, P1, P2)
@@ -713,13 +739,15 @@ def _suite_fieldstructure(ctx: _Context) -> list:
     curve = ctx.curve
     origin = curve.origin
     param_pairs = ctx.tuples("all", 2, params=True)
+    mul = ctx.table("folium_mul", folium_mul)
+    south, west = ctx.table("add_south", add_south), ctx.table("add_west", add_west)
 
     def transports(chart, add):
         def holds(u, v):
             P, Q = chart(curve, u), chart(curve, v)
-            if chart(curve, u + v) != add(curve, P, Q):
+            if chart(curve, u + v) != add(P, Q):
                 return False
-            return chart(curve, u * v) == folium_mul(curve, P, Q)
+            return chart(curve, u * v) == mul(P, Q)
 
         return holds
 
@@ -733,22 +761,20 @@ def _suite_fieldstructure(ctx: _Context) -> list:
     return [
         _Prop(
             "node_absorbs",
-            lambda P: folium_mul(curve, origin, P) == origin
-            and folium_mul(curve, P, origin) == origin,
+            lambda P: mul(origin, P) == origin and mul(P, origin) == origin,
             ctx.tuples("all", 1),
         ),
         _Prop(
             "distributivity_on_curve",
-            lambda P, Q, R: folium_mul(curve, P, add_south(curve, Q, R))
-            == add_south(curve, folium_mul(curve, P, Q), folium_mul(curve, P, R)),
+            lambda P, Q, R: mul(P, south(Q, R)) == south(mul(P, Q), mul(P, R)),
             ctx.tuples("all", 3),
         ),
-        _Prop("pbar_transports_field_ops", transports(pbar, add_south), param_pairs),
-        _Prop("pbarbar_transports_field_ops", transports(pbarbar, add_west), param_pairs),
+        _Prop("pbar_transports_field_ops", transports(pbar, south), param_pairs),
+        _Prop("pbarbar_transports_field_ops", transports(pbarbar, west), param_pairs),
         _Prop(
             "sigma_field_isomorphism",
-            lambda P, Q: sigma(add_south(curve, P, Q)) == add_west(curve, sigma(P), sigma(Q))
-            and sigma(folium_mul(curve, P, Q)) == folium_mul(curve, sigma(P), sigma(Q)),
+            lambda P, Q: sigma(south(P, Q)) == west(sigma(P), sigma(Q))
+            and sigma(mul(P, Q)) == mul(sigma(P), sigma(Q)),
             ctx.tuples("all", 2),
         ),
         _Prop("node_inverse_rejected", node_inverse_rejected),
@@ -756,8 +782,15 @@ def _suite_fieldstructure(ctx: _Context) -> list:
 
 
 def _runner(rows: Callable[[_Context], list]):
-    """A suite callable(ctx) -> list[PropertyResult]: the suite's rows through `_evaluate`."""
-    return lambda ctx: [_evaluate(prop) for prop in rows(ctx)]
+    """A suite callable(ctx) -> list[PropertyResult]: the suite's rows through `_evaluate`,
+    after which the suite's law tables are dropped."""
+
+    def run(ctx: _Context) -> list:
+        results = [_evaluate(prop) for prop in rows(ctx)]
+        ctx.drop_tables()
+        return results
+
+    return run
 
 
 SUITES = {

@@ -2,18 +2,21 @@
 
 Each entry patches one fault into the package with monkeypatch and names the
 suites that catch it: over q and over fp:5 (seed 0, 40 samples) each of them
-must then FAIL at least one row.  Only those suites run, not `all`; `star`,
-whose parity chains take most of a report over fp:5, is named for no fault,
-since every fault it catches also FAILs a cheaper suite.  Unpatched, every
-suite passes; tests/golden pins both reports.  The first five faults sit in
-the charts, which compute on stored values: the branch that scales the point
-to z = 1 itself, the branch that keeps the point at infinity, and the inverse
-chart.  Two empty the line-point oracle and the root finder, which a geometry
-row that checked nothing would let pass.  The last five add one to a
-reflected operator or to `**`.  A fault that survives is a gap in the suites:
-add a property that catches it, never drop the fault.  The `neg`-as-identity
-fault is pinned by test_law_dispatch.py instead, since `verify` reads
-inverses through the law table, not the per-law names.
+must then FAIL at least one row.  Only those suites run, not `all`.  `star`
+is named for the faults it catches: with its parity chains read from law
+tables over fp:5 it costs about what the other chart suites do.  Unpatched,
+every suite passes; tests/golden pins both reports.  The first five faults
+sit in the charts, which compute on stored values: the branch that scales
+the point to z = 1 itself, the branch that keeps the point at infinity, and
+the inverse chart.  Two empty the line-point oracle and the root finder,
+which a geometry row that checked nothing would let pass.  Two give addsouth
+an operation that is not commutative or not associative, which a law table
+keyed on unordered pairs, or one that answered the wrong pair, would let
+pass.  The last five add one to a reflected operator or to `**`.  A fault
+that survives is a gap in the suites: add a property that catches it, never
+drop the fault.  The `neg`-as-identity fault is pinned by
+test_law_dispatch.py instead, since `verify` reads inverses through the law
+table, not the per-law names.
 """
 
 import operator
@@ -99,6 +102,16 @@ def _wrong_neutral(monkeypatch):
     monkeypatch.setitem(LAWS, LawKind.ADD_SOUTH, LAWS[LawKind.ADD_SOUTH]._replace(neutral=1))
 
 
+def _add_south_op(op):
+    # addsouth through another operation on the parameters
+    return lambda monkeypatch: monkeypatch.setitem(LAWS, LawKind.ADD_SOUTH, LAWS[LawKind.ADD_SOUTH]._replace(op=op))
+
+
+def _not_associative(u, v):
+    # commutative, with neutral 0, but (u + v + u^2 v^2) does not associate
+    return u + v + u * u * v * v
+
+
 def _identity_sigma(monkeypatch):
     _patch_everywhere(monkeypatch, parametrization.sigma, lambda point: point)
 
@@ -143,16 +156,18 @@ def _plus_one(name):
 # Each fault with the suites that catch it over q and over fp:5.
 CHART_SUITES = ("parametrize", "axioms", "coincidence", "geometry", "collinearity", "fieldstructure")
 FAULTS = {
-    "wrong_chart_coefficient": (_wrong_chart_coefficient, ("parametrize", "geometry")),
-    "chart_point_keeps_w": (_chart_point_keeps_w, (*CHART_SUITES, "southmul")),
-    "w_zero_branch_dropped": (_w_zero_branch_dropped, CHART_SUITES),
+    "wrong_chart_coefficient": (_wrong_chart_coefficient, ("parametrize", "geometry", "star")),
+    "chart_point_keeps_w": (_chart_point_keeps_w, (*CHART_SUITES, "southmul", "star")),
+    "w_zero_branch_dropped": (_w_zero_branch_dropped, (*CHART_SUITES, "star")),
     "scaled_chart_ignores_swap": (_scaled_chart_ignores_swap, ("parametrize", "axioms", "coincidence", "fieldstructure")),
-    "inverse_chart_divides_the_wrong_way": (_inverse_chart_divides_the_wrong_way, (*CHART_SUITES, "southmul")),
+    "inverse_chart_divides_the_wrong_way": (_inverse_chart_divides_the_wrong_way, (*CHART_SUITES, "southmul", "star")),
     "wrong_law_op": (_wrong_law_op, ("axioms",)),
     "wrong_neutral": (_wrong_neutral, ("axioms",)),
+    "non_commutative_op": (_add_south_op(operator.sub), ("axioms",)),
+    "non_associative_op": (_add_south_op(_not_associative), ("axioms",)),
     "identity_sigma": (_identity_sigma, ("parametrize", "axioms", "southmul", "fieldstructure")),
     "third_intersection_is_proj_mul": (_third_intersection_is_proj_mul, ("geometry", "collinearity")),
-    "collinear3_always_true": (_collinear3_always_true, ("collinearity",)),
+    "collinear3_always_true": (_collinear3_always_true, ("collinearity", "star")),
     "line_points_find_nothing": (_finds_nothing(geometry._curve_points_on_line), ("geometry",)),
     "roots_find_nothing": (_finds_nothing(geometry.roots_with_multiplicity), ("geometry",)),
     "wrong_epsilon_roots": (_wrong_epsilon_roots, ("field",)),
@@ -190,3 +205,30 @@ def test_an_unreduced_chart_coordinate_fails_a_row(monkeypatch):
     _chart_leaves_y_unreduced(monkeypatch)
     rows = run_suite(Folium(PrimeField(5), 1), "parametrize", seed=0, samples=40)
     assert [row.name for row in rows if not row.passed] == ["pbar_image_is_whole_curve", "sigma_inverts_parameter"]
+
+
+@pytest.mark.parametrize(
+    "fault, failures",
+    [
+        (
+            "non_commutative_op",
+            [
+                ("addsouth_associative", 2, "(0 : 0 : 1), (0 : 0 : 1), (8 : 8 : 1)"),
+                ("addsouth_commutative", 2, "(0 : 0 : 1), (8 : 8 : 1)"),
+                ("addsouth_inverse", 2, "(8 : 8 : 1)"),
+            ],
+        ),
+        (
+            "non_associative_op",
+            [
+                ("addsouth_associative", 185, "(8 : 8 : 1), (8 : 8 : 1), (5 : 10 : 1)"),
+                ("addsouth_inverse", 2, "(8 : 8 : 1)"),
+            ],
+        ),
+    ],
+)
+def test_a_law_that_is_not_a_group_fails_its_rows_from_the_tables(fault, failures, monkeypatch):
+    # over fp:13 every pair of the pool is cased, so the rows read their products from the law tables
+    FAULTS[fault][0](monkeypatch)
+    rows = run_suite(Folium(PrimeField(13), 1), "axioms", seed=0, samples=40)
+    assert [(row.name, row.instances, row.counterexample) for row in rows if not row.passed] == failures

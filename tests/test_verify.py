@@ -1,11 +1,28 @@
 """The suite runner: coverage, skips, determinism, and the report schema."""
 
+import functools
+import operator
 import random
 
 import pytest
 
-from descartes_folium import FieldElement, ParameterAtInfinity, ProjectivePoint, UnknownSuite, proj_mul, star_mul, verify
+from descartes_folium import (
+    FieldElement,
+    ParameterAtInfinity,
+    ProjectivePoint,
+    UnknownSuite,
+    add_south,
+    add_west,
+    apply_law,
+    folium_mul,
+    pbar,
+    pbar_inv,
+    proj_mul,
+    star_mul,
+    verify,
+)
 from descartes_folium.cli import main
+from descartes_folium.laws import LAWS, LawKind
 from descartes_folium.verify import SUITES, run_report, run_suite
 from helpers import prime_curve, rational_curve
 
@@ -229,12 +246,90 @@ def _folds_from_scratch(curve, chain):
 )
 def test_shared_chain_folds_match_folds_from_scratch(curve, chains):
     # the parity-chain row holds for any chain, so it cannot see a fold of the wrong chain; this can
-    cases = verify._chain_cases(verify._Context(curve, 0, 40))
+    ctx = verify._Context(curve, 0, 40)
+    cases = verify._chain_cases(ctx)
     assert len(cases) == chains
-    fold = verify._chain_folds(curve)
+    star, dot = ctx.table("star_mul", star_mul), ctx.table("proj_mul", proj_mul)
+    fold = verify._chain_folds(star, dot)
     assert [fold(chain) for chain in cases] == [_folds_from_scratch(curve, chain) for chain in cases]
     # out of order too: a prefix after the longer chain, a chain after itself, and after its own prefix
     shuffled = random.Random(5).sample(cases, min(300, len(cases)))
     shuffled += [cases[-1], cases[-1][:3], cases[-1][:3], cases[-1]]
-    fold = verify._chain_folds(curve)
+    fold = verify._chain_folds(star, dot)
     assert [fold(chain) for chain in shuffled] == [_folds_from_scratch(curve, chain) for chain in shuffled]
+
+
+def _difference_law(calls):
+    # pbar(t - t'): not commutative, and it counts the products it computes
+    def law(curve, P, Q):
+        calls.append((P, Q))
+        return pbar(curve, pbar_inv(curve, P) - pbar_inv(curve, Q))
+
+    return law
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_law_tables_answer_as_the_law_does(p):
+    curve = prime_curve(p)
+    ctx = verify._Context(curve, 0, 40)
+    laws = {
+        "star_mul": (star_mul, "nonzero"),
+        "proj_mul": (proj_mul, "nonzero"),
+        "folium_mul": (folium_mul, "all"),
+        "add_south": (add_south, "all"),
+        "add_west": (add_west, "all"),
+    }
+    for kind, law in LAWS.items():
+        if not law.chart.affine or curve.field.has_unique_cube_root():
+            laws[kind] = (lambda c, P, Q, kind=kind: apply_law(c, kind, P, Q)), law.domain
+    for key, (law, domain) in laws.items():
+        table = ctx.table(key, law)
+        assert ctx.table(key, law) is table
+        points = ctx.points(domain)
+        for P in points:
+            for Q in points:
+                assert table(P, Q) == law(curve, P, Q), (key, P, Q)
+                assert table(P, Q) is table(P, Q)
+    # the ordered pair is the key: (P, Q) and (Q, P) are computed apart, each once
+    calls = []
+    difference = ctx.table("difference", _difference_law(calls))
+    points = ctx.points("all")
+    for _ in range(2):
+        for P in points:
+            for Q in points:
+                assert difference(P, Q) == pbar(curve, pbar_inv(curve, P) - pbar_inv(curve, Q))
+    assert sorted(calls, key=str) == sorted(((P, Q) for P in points for Q in points), key=str)
+    # equal results share one stored point, and the tables go when the suite finishes
+    assert difference(points[1], points[0]) is difference(points[2], points[1])
+    assert ctx._tables and ctx._results
+    assert SUITES["star"](ctx)
+    assert ctx._tables == {} and ctx._results == {}
+
+
+@pytest.mark.parametrize("curve", [rational_curve(1), prime_curve(65537)], ids=["q", "fp:65537"])
+def test_law_tables_store_nothing_over_large_fields(curve):
+    ctx = verify._Context(curve, 0, 20)
+    calls = []
+    difference = ctx.table("difference", _difference_law(calls))
+    assert isinstance(difference, functools.partial) and difference.args == (curve,)
+    P, Q = ctx.points("all")[1:3]
+    assert difference(P, Q) == difference(P, Q) != difference(Q, P)
+    assert len(calls) == 3
+    assert ctx._tables == {} and ctx._results == {}
+
+
+def test_a_raising_product_fails_its_row_at_the_same_case(monkeypatch):
+    # the tables fill as the cases run, so the first raising product is met in the same
+    # case, with the same count and text, as when every product was a direct call
+    def op(u, v):
+        if (u.value, v.value) == (5, 7):
+            raise ParameterAtInfinity("injected fault")
+        return u * v
+
+    monkeypatch.setitem(LAWS, LawKind.PROJ_MUL, LAWS[LawKind.PROJ_MUL]._replace(op=op))
+    results = run_suite(prime_curve(13), "axioms", seed=0, samples=40)
+    raised = "raised ParameterAtInfinity: injected fault"
+    assert _failures(results) == [
+        ("projmul_associative", 55, f"(8 : 8 : 1), (6 : 4 : 1), (10 : 5 : 1) {raised}"),
+        ("projmul_commutative", 55, f"(6 : 4 : 1), (10 : 5 : 1) {raised}"),
+    ]
