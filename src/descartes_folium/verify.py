@@ -17,14 +17,15 @@ so a witness the draws missed still counts.
 
 Over those small prime fields the rows that compose points read each binary
 law from a lazy Cayley table, `_Context.table`: the associative, commutative,
-neutral and inverse rows of `axioms`, the parity chains of `star`, the four
-collinearity tests, and `folium_mul`, `add_south` and `add_west` in
-`fieldstructure`.  A table wraps the function the row would call and keys on
-the ordered pair, so a law that is not commutative still fails its row; it
-fills as the cases run, so the first failing case and its text are those of
-the direct calls, and a product that raises is never stored.  Equal results
-share one stored point, and the tables go when their suite finishes.  Over
-the rationals and larger primes a table is the law itself, bound to the curve.
+neutral and inverse rows of `axioms`, the parity chains of `star`, the dot
+and star products of `_collinearity_tests`, and `folium_mul`, `add_south` and
+`add_west` in `fieldstructure`.  A table wraps the function the row would call
+and keys on the ordered pair, so a law that is not commutative still fails
+its row; it fills as the cases run, so the first failing case and its text
+are those of the direct calls, and a product that raises is never stored.
+Equal results share one stored point, and the tables go when their suite
+finishes.  Over the rationals and larger primes a table is the law bound to
+the curve.
 """
 
 from __future__ import annotations
