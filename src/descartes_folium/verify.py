@@ -15,17 +15,18 @@ seeded random samples over the rationals and over larger primes.  Where an
 existence row's cases are sampled, it goes on to its pool's pairs in order,
 so a witness the draws missed still counts.
 
-Over those small prime fields the rows that compose points read each binary
-law from a lazy Cayley table, `_Context.table`: the associative, commutative,
-neutral and inverse rows of `axioms`, the parity chains of `star`, the dot
-and star products of `_collinearity_tests`, and `folium_mul`, `add_south` and
-`add_west` in `fieldstructure`.  A table wraps the function the row would call
-and keys on the ordered pair, so a law that is not commutative still fails
-its row; it fills as the cases run, so the first failing case and its text
-are those of the direct calls, and a product that raises is never stored.
-Equal results share one stored point, and the tables go when their suite
-finishes.  Over the rationals and larger primes a table is the law bound to
-the curve.
+Over prime fields small enough that every pair of points is a case
+(p <= 173), the rows that compose points read each binary law from a lazy
+Cayley table, `_table`: the associative, commutative, neutral and inverse
+rows of `axioms`, the parity chains of `star`, the dot and star products of
+`_collinearity_tests`, and `folium_mul`, `add_south` and `add_west` in
+`fieldstructure`.  A table wraps the function the row would call and keys on
+the ordered pair, so a law that is not commutative still fails its row; it
+fills as the cases run, so the first failing case and its text are those of
+the direct calls, and a product that raises is never stored.  Equal results
+share one stored point, and a table is freed with the rows of the suite that
+built it.  Over the rationals and larger primes, where products rarely
+repeat, a table is the law bound to the curve.
 """
 
 from __future__ import annotations
@@ -159,8 +160,6 @@ class _Context:
         )
         self._params: dict = {}
         self._points: dict = {}
-        self._tables: dict = {}
-        self._results: dict = {}  # one stored point per distinct table result
 
     def _draw(self):
         field = self.curve.field
@@ -230,27 +229,27 @@ class _Context:
         """A case builder: one-parameter cases over the named pool."""
         return lambda: [(t,) for t in self.params(kind)]
 
-    def table(self, key, law: Callable) -> Callable:
-        """`(P, Q) -> law(curve, P, Q)`, the table named `key`: over a whole small field
-        each ordered pair is computed once, when first asked, until the suite finishes."""
-        if not self.exhaustive:
-            return functools.partial(law, self.curve)
-        if key not in self._tables:
-            curve, products, results = self.curve, {}, self._results
 
-            def product(P, Q):
-                value = products.get((P, Q))
-                if value is None:
-                    value = law(curve, P, Q)
-                    value = products[P, Q] = results.setdefault(value, value)
-                return value
+def _table(ctx: _Context, law: Callable) -> Callable:
+    """`(P, Q) -> law(curve, P, Q)`.  Where every pair of the field's p points is a case
+    (p * p <= EXHAUSTIVE_PAIR_BOUND, so p <= 173), a lazy Cayley table: each ordered pair
+    is computed once, when first asked, equal results share one stored point, and the
+    table is freed with the rows that hold it.  Elsewhere products rarely repeat, and it
+    is the law bound to the curve."""
+    curve = ctx.curve
+    if not (ctx.exhaustive and curve.field.characteristic ** 2 <= EXHAUSTIVE_PAIR_BOUND):
+        return functools.partial(law, curve)
+    products: dict = {}
+    results: dict = {}
 
-            self._tables[key] = product
-        return self._tables[key]
+    def product(P, Q):
+        value = products.get((P, Q))
+        if value is None:
+            value = law(curve, P, Q)
+            value = products[P, Q] = results.setdefault(value, value)
+        return value
 
-    def drop_tables(self) -> None:
-        self._tables.clear()
-        self._results.clear()
+    return product
 
 
 # -- suites: each returns its rows, in report order -------------------------
@@ -385,7 +384,7 @@ def _law_axioms(ctx: _Context, kind: LawKind) -> list:
     law = LAWS[kind]
     skip = ctx.affine_note if law.chart.affine else None
     neutral = functools.cache(lambda: law_neutral(curve, kind))
-    op = ctx.table(kind, lambda c, P, Q: apply_law(c, kind, P, Q))
+    op = _table(ctx, lambda c, P, Q: apply_law(c, kind, P, Q))
     rows = [
         (
             "associative",
@@ -477,7 +476,7 @@ def _suite_star(ctx: _Context) -> list:
     one = curve.field.one
     pairs = ctx.tuples("nonzero", 2)
     singles = ctx.tuples("nonzero", 1)
-    star, dot = ctx.table("star_mul", star_mul), ctx.table("proj_mul", proj_mul)
+    star, dot = _table(ctx, star_mul), _table(ctx, proj_mul)
     fold = _chain_folds(star, dot)
 
     def chain_identities(*points):
@@ -535,7 +534,7 @@ def _suite_star(ctx: _Context) -> list:
 def _suite_geometry(ctx: _Context) -> list:
     curve = ctx.curve
     pairs = ctx.tuples("nonzero", 2)
-    dot, star = ctx.table("proj_mul", proj_mul), ctx.table("star_mul", star_mul)
+    dot, star = _table(ctx, proj_mul), _table(ctx, star_mul)
 
     def incident(P, Q):
         line = chord_or_tangent(curve, P, Q)
@@ -606,7 +605,7 @@ def _collinearity_tests(curve: Folium, dot: Callable, star: Callable, P1, P2, P3
 
 def _suite_collinearity(ctx: _Context) -> list:
     curve = ctx.curve
-    dot, star = ctx.table("proj_mul", proj_mul), ctx.table("star_mul", star_mul)
+    dot, star = _table(ctx, proj_mul), _table(ctx, star_mul)
 
     def equivalences(P1, P2, P3):
         return len(set(_collinearity_tests(curve, dot, star, P1, P2, P3))) == 1
@@ -740,8 +739,8 @@ def _suite_fieldstructure(ctx: _Context) -> list:
     curve = ctx.curve
     origin = curve.origin
     param_pairs = ctx.tuples("all", 2, params=True)
-    mul = ctx.table("folium_mul", folium_mul)
-    south, west = ctx.table("add_south", add_south), ctx.table("add_west", add_west)
+    mul = _table(ctx, folium_mul)
+    south, west = _table(ctx, add_south), _table(ctx, add_west)
 
     def transports(chart, add):
         def holds(u, v):
@@ -783,15 +782,8 @@ def _suite_fieldstructure(ctx: _Context) -> list:
 
 
 def _runner(rows: Callable[[_Context], list]):
-    """A suite callable(ctx) -> list[PropertyResult]: the suite's rows through `_evaluate`,
-    after which the suite's law tables are dropped."""
-
-    def run(ctx: _Context) -> list:
-        results = [_evaluate(prop) for prop in rows(ctx)]
-        ctx.drop_tables()
-        return results
-
-    return run
+    """A suite callable(ctx) -> list[PropertyResult]: the suite's rows through `_evaluate`."""
+    return lambda ctx: [_evaluate(prop) for prop in rows(ctx)]
 
 
 SUITES = {

@@ -1,14 +1,15 @@
 """A mutation sweep of the package against `folium verify`.
 
-    PYTHONPATH=src python3 tests/mutation_sweep.py [--modules curve,fields] [--jobs 2] [--out PATH]
+    PYTHONPATH=src python3 tests/mutation_sweep.py [--out PATH]
 
 Each mutant changes one site of one module of src/descartes_folium in one of
 four ways: it swaps a binary operator, flips a comparison, adds 1 to an
 integer constant, or drops a unary `-` or `not`.  A fresh interpreter then
 imports the mutated package and runs run_report(curve, "all", 0, 40) over q
-and over fp:5 with a = 1.  The mutant is killed when a row FAILs, the run
-raises, or it passes the time or memory limit; otherwise it survives.  The
-survivors, one line each, go to tests/mutation_survivors.txt by default.
+and over fp:5 with a = 1, two mutants at a time.  The mutant is killed when
+a row FAILs, the run raises, or it passes the time or memory limit; otherwise
+it survives.  The survivors, one line each, go to tests/mutation_survivors.txt
+by default.
 
 The sweep uses the standard library only.  Its name keeps pytest from
 collecting it: it takes minutes, not seconds.
@@ -33,6 +34,7 @@ PACKAGE = ROOT / "src" / "descartes_folium"
 MODULES = ("parametrization", "laws", "geometry", "curve", "fields")
 TIME_LIMIT_S = 60
 MEMORY_LIMIT = 1 << 30  # bytes of address space per mutant run
+JOBS = 2  # mutants run at once
 
 # No swap leads to `**` or `<<`, so a mutant cannot grow an integer without bound.
 BINARY_SWAPS = {
@@ -177,11 +179,8 @@ def run_mutant(module: str, source: str, index: int, scratch: Path) -> tuple:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--modules", default=",".join(MODULES), help="comma-separated module names")
-    parser.add_argument("--jobs", type=int, default=1, choices=(1, 2, 3, 4))
     parser.add_argument("--out", default=str(ROOT / "tests" / "mutation_survivors.txt"))
     args = parser.parse_args(argv)
-    modules = args.modules.split(",")
 
     survived, detail = run_check(PACKAGE.parent)
     if not survived:
@@ -190,8 +189,8 @@ def main(argv=None) -> int:
 
     start = time.monotonic()
     lines, totals = [], []
-    with tempfile.TemporaryDirectory() as scratch, ThreadPoolExecutor(args.jobs) as pool:
-        for module in modules:
+    with tempfile.TemporaryDirectory() as scratch, ThreadPoolExecutor(JOBS) as pool:
+        for module in MODULES:
             source = (PACKAGE / f"{module}.py").read_text()
             found = sites(ast.parse(source))
             outcomes = pool.map(functools.partial(run_mutant, module, source, scratch=Path(scratch)), range(len(found)))

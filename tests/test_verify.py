@@ -2,6 +2,7 @@
 
 import functools
 import random
+import weakref
 
 import pytest
 
@@ -248,7 +249,7 @@ def test_shared_chain_folds_match_folds_from_scratch(curve, chains):
     ctx = verify._Context(curve, 0, 40)
     cases = verify._chain_cases(ctx)
     assert len(cases) == chains
-    star, dot = ctx.table("star_mul", star_mul), ctx.table("proj_mul", proj_mul)
+    star, dot = verify._table(ctx, star_mul), verify._table(ctx, proj_mul)
     fold = verify._chain_folds(star, dot)
     assert [fold(chain) for chain in cases] == [_folds_from_scratch(curve, chain) for chain in cases]
     # out of order too: a prefix after the longer chain, a chain after itself, and after its own prefix
@@ -271,50 +272,66 @@ def _difference_law(calls):
 def test_law_tables_answer_as_the_law_does(p):
     curve = prime_curve(p)
     ctx = verify._Context(curve, 0, 40)
-    laws = {
-        "star_mul": (star_mul, "nonzero"),
-        "proj_mul": (proj_mul, "nonzero"),
-        "folium_mul": (folium_mul, "all"),
-        "add_south": (add_south, "all"),
-        "add_west": (add_west, "all"),
-    }
+    laws = [(star_mul, "nonzero"), (proj_mul, "nonzero"), (folium_mul, "all"), (add_south, "all"), (add_west, "all")]
     for kind, law in LAWS.items():
         if not law.chart.affine or curve.field.has_unique_cube_root():
-            laws[kind] = (lambda c, P, Q, kind=kind: apply_law(c, kind, P, Q)), law.domain
-    for key, (law, domain) in laws.items():
-        table = ctx.table(key, law)
-        assert ctx.table(key, law) is table
+            laws.append(((lambda c, P, Q, kind=kind: apply_law(c, kind, P, Q)), law.domain))
+    for law, domain in laws:
+        table = verify._table(ctx, law)
         points = ctx.points(domain)
         for P in points:
             for Q in points:
-                assert table(P, Q) == law(curve, P, Q), (key, P, Q)
+                assert table(P, Q) == law(curve, P, Q), (law, P, Q)
                 assert table(P, Q) is table(P, Q)
     # the ordered pair is the key: (P, Q) and (Q, P) are computed apart, each once
     calls = []
-    difference = ctx.table("difference", _difference_law(calls))
+    difference = verify._table(ctx, _difference_law(calls))
     points = ctx.points("all")
     for _ in range(2):
         for P in points:
             for Q in points:
                 assert difference(P, Q) == pbar(curve, pbar_inv(curve, P) - pbar_inv(curve, Q))
     assert len(calls) == len(set(calls)) == len(points) ** 2
-    # equal results share one stored point, and the tables go when the suite finishes
+    # equal results share one stored point
     assert difference(points[1], points[0]) is difference(points[2], points[1])
-    assert ctx._tables and ctx._results
-    assert SUITES["star"](ctx)
-    assert ctx._tables == {} and ctx._results == {}
 
 
-@pytest.mark.parametrize("curve", [rational_curve(1), prime_curve(65537)], ids=["q", "fp:65537"])
-def test_law_tables_store_nothing_over_large_fields(curve):
+def test_law_tables_are_freed_with_their_suite(monkeypatch):
+    # each suite builds its own tables, and nothing outlives its rows: freed by
+    # reference counting when the suite returns, with no collection pass
+    built = []
+
+    def table(ctx, law):
+        product = tables(ctx, law)
+        built.append(weakref.ref(product))
+        return product
+
+    tables = verify._table
+    monkeypatch.setattr(verify, "_table", table)
+    ctx = verify._Context(prime_curve(13), 0, 40)
+    for name in ("axioms", "star", "geometry", "collinearity", "fieldstructure"):
+        built.clear()
+        assert SUITES[name](ctx)
+        assert built and all(ref() is None for ref in built), name
+
+
+@pytest.mark.parametrize(
+    "curve", [rational_curve(1), prime_curve(179), prime_curve(1009), prime_curve(65537)], ids=["q", "fp:179", "fp:1009", "fp:65537"]
+)
+def test_law_tables_store_nothing_where_pairs_are_sampled(curve):
+    # past p = 173 the pairs of points are seeded draws, so products rarely repeat
     ctx = verify._Context(curve, 0, 20)
     calls = []
-    difference = ctx.table("difference", _difference_law(calls))
+    difference = verify._table(ctx, _difference_law(calls))
     assert isinstance(difference, functools.partial) and difference.args == (curve,)
     P, Q = ctx.points("all")[1:3]
     assert difference(P, Q) == difference(P, Q) != difference(Q, P)
     assert len(calls) == 3
-    assert ctx._tables == {} and ctx._results == {}
+
+
+def test_law_tables_hold_up_to_the_last_prime_with_whole_pairs():
+    assert 173**2 <= verify.EXHAUSTIVE_PAIR_BOUND < 179**2
+    assert not isinstance(verify._table(verify._Context(prime_curve(173), 0, 20), star_mul), functools.partial)
 
 
 def test_a_raising_product_fails_its_row_at_the_same_case(monkeypatch):
