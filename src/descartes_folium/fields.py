@@ -92,6 +92,28 @@ def _quotient(field, u, v) -> "FieldElement":
     return FieldElement(field, u * pow(v, -1, p) % p if p else u / v)
 
 
+def _chart_coordinates(field, a3, t) -> "tuple[FieldElement, FieldElement] | None":
+    """The elements x = a3 t / (1 + t^3) and y = x t of two stored values; None when 1 + t^3 = 0.
+
+    Over Q, with t = n/d and a3 = A/B in lowest terms, x = A n d^2 / (B (n^3 + d^3))
+    and y = A n^2 d / (B (n^3 + d^3)) are computed on ints, and each becomes one
+    Fraction, so one gcd each.
+    """
+    p = field.characteristic
+    if p:
+        w = (t * t * t + 1) % p
+        if w == 0:
+            return None
+        x = a3 * t * pow(w, -1, p) % p
+        return FieldElement(field, x), FieldElement(field, x * t % p)
+    n, d = t.numerator, t.denominator
+    w = n * n * n + d * d * d
+    if w == 0:
+        return None
+    scale, denominator = a3.numerator * n * d, a3.denominator * w
+    return FieldElement(field, Fraction(scale * d, denominator)), FieldElement(field, Fraction(scale * n, denominator))
+
+
 def _ring_operation(combine):
     """The operator method that coerces the other operand and combines the stored values."""
 

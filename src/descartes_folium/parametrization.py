@@ -36,25 +36,19 @@ from enum import Enum
 
 from .curve import Folium, ProjectivePoint
 from .errors import ParameterAtInfinity
-from .fields import FieldElement, _quotient, _reduced
+from .fields import FieldElement, _chart_coordinates, _quotient
 
 
 def _chart_point(curve: Folium, t, swap: bool) -> ProjectivePoint:
     """pbar(t), or pbarbar(t) when `swap`."""
-    t = curve.field.element(t)
-    w = _reduced(curve.field, t.value**3 + 1)
-    if w.is_zero():
-        x = curve.three_a * t
-        return ProjectivePoint(x * t, x, w, curve) if swap else ProjectivePoint(x, x * t, w, curve)
-    return _affine_chart_point(curve, t, w, swap)
-
-
-def _affine_chart_point(curve: Folium, t: FieldElement, w: FieldElement, swap: bool) -> ProjectivePoint:
-    """(x : x t : 1), or (x t : x : 1) when `swap`, with x = 3at/w and w = 1 + t^3 nonzero."""
     field = curve.field
-    x = _quotient(field, curve.three_a.value * t.value, w.value)
-    y = _reduced(field, x.value * t.value)
-    return ProjectivePoint(y, x, field.one, curve) if swap else ProjectivePoint(x, y, field.one, curve)
+    t = field.element(t)
+    coordinates = _chart_coordinates(field, curve.three_a.value, t.value)
+    if coordinates is None:  # t^3 = -1 and 3at != 0, so (3at : 3at^2 : 0) is (1 : t : 0)
+        x, y, z = field.one, t, field.zero
+    else:
+        (x, y), z = coordinates, field.one
+    return ProjectivePoint(y, x, z, curve) if swap else ProjectivePoint(x, y, z, curve)
 
 
 def pbar(curve: Folium, t) -> ProjectivePoint:
@@ -87,11 +81,12 @@ def pbarbar_inv(curve: Folium, point: ProjectivePoint) -> FieldElement:
 
 def p_affine(curve: Folium, t) -> ProjectivePoint:
     """Affine parametrization (3at/(1+t^3), 3at^2/(1+t^3)) as a z = 1 point."""
-    t = curve.field.element(t)
-    w = _reduced(curve.field, t.value**3 + 1)
-    if w.is_zero():
+    field = curve.field
+    t = field.element(t)
+    coordinates = _chart_coordinates(field, curve.three_a.value, t.value)
+    if coordinates is None:
         raise ParameterAtInfinity(f"t = {t} satisfies t^3 = -1; no affine image")
-    return _affine_chart_point(curve, t, w, swap=False)
+    return ProjectivePoint(*coordinates, field.one, curve)
 
 
 def p_affine_prime(curve: Folium, t) -> ProjectivePoint:

@@ -38,41 +38,49 @@ def _patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attribute, replacement)
 
 
+def _patch_chart_coordinates(monkeypatch, replacement):
+    """Replace fields._chart_coordinates at parametrization's name for it; `replacement` gets the real one first."""
+    real = parametrization._chart_coordinates
+    monkeypatch.setattr(parametrization, "_chart_coordinates", lambda field, a3, t: replacement(real, field, a3, t))
+
+
 def _wrong_chart_coefficient(monkeypatch):
     # 6a in place of 3a, in the branch that scales (x : x t : 1) itself
-    real = parametrization._affine_chart_point
-
-    def affine_chart_point(curve, t, w, swap):
-        point = real(curve, t, w, swap)
-        return ProjectivePoint(point.x + point.x, point.y + point.y, point.z, curve)
-
-    monkeypatch.setattr(parametrization, "_affine_chart_point", affine_chart_point)
+    _patch_chart_coordinates(monkeypatch, lambda real, field, a3, t: real(field, a3 + a3, t))
 
 
 def _chart_point_keeps_w(monkeypatch):
-    # the scaled branch divides by w but keeps z = w: (3at/w : 3at^2/w : w), still marked
-    real = parametrization._affine_chart_point
+    # the scaled branch divides by w but keeps z = w: (3at/w : 3at^2/w : w), still marked,
+    # which is the point (3at/w^2 : 3at^2/w^2 : 1)
+    def chart_coordinates(real, field, a3, t):
+        coordinates = real(field, a3, t)
+        if coordinates is None:
+            return None
+        w = field.element(t) ** 3 + 1
+        return tuple(coordinate / w for coordinate in coordinates)
 
-    def affine_chart_point(curve, t, w, swap):
-        point = real(curve, t, w, swap)
-        return ProjectivePoint(point.x, point.y, w, curve)
-
-    monkeypatch.setattr(parametrization, "_affine_chart_point", affine_chart_point)
+    _patch_chart_coordinates(monkeypatch, chart_coordinates)
 
 
 def _w_zero_branch_dropped(monkeypatch):
     # every parameter takes the scaled branch, so t^3 = -1 divides by zero
-    def chart_point(curve, t, swap):
-        t = curve.field.element(t)
-        return parametrization._affine_chart_point(curve, t, t * t * t + 1, swap)
+    def chart_coordinates(real, field, a3, t):
+        t = field.element(t)
+        x = field.element(a3) * t / (t * t * t + 1)
+        return x, x * t
 
-    monkeypatch.setattr(parametrization, "_chart_point", chart_point)
+    _patch_chart_coordinates(monkeypatch, chart_coordinates)
 
 
 def _scaled_chart_ignores_swap(monkeypatch):
     # pbarbar builds pbar's point whenever 1 + t^3 is nonzero
-    real = parametrization._affine_chart_point
-    monkeypatch.setattr(parametrization, "_affine_chart_point", lambda curve, t, w, swap: real(curve, t, w, False))
+    real = parametrization._chart_point
+
+    def chart_point(curve, t, swap):
+        point = real(curve, t, swap)
+        return real(curve, t, False) if point.is_affine else point
+
+    monkeypatch.setattr(parametrization, "_chart_point", chart_point)
 
 
 def _inverse_chart_divides_the_wrong_way(monkeypatch):
@@ -82,15 +90,14 @@ def _inverse_chart_divides_the_wrong_way(monkeypatch):
 
 def _chart_leaves_y_unreduced(monkeypatch):
     # y = x t stored as the bare product, which over F_p can reach p or more
-    real = parametrization._affine_chart_point
+    def chart_coordinates(real, field, a3, t):
+        coordinates = real(field, a3, t)
+        if coordinates is None:
+            return None
+        x, _ = coordinates
+        return x, FieldElement(field, x.value * t)
 
-    def affine_chart_point(curve, t, w, swap):
-        point = real(curve, t, w, swap)
-        x = point.y if swap else point.x
-        y = FieldElement(curve.field, x.value * t.value)
-        return ProjectivePoint(y, x, point.z, curve) if swap else ProjectivePoint(x, y, point.z, curve)
-
-    monkeypatch.setattr(parametrization, "_affine_chart_point", affine_chart_point)
+    _patch_chart_coordinates(monkeypatch, chart_coordinates)
 
 
 def _wrong_law_op(monkeypatch):

@@ -37,7 +37,7 @@ from descartes_folium import (
     tangent_at,
     third_intersection,
 )
-from descartes_folium import geometry, parametrization
+from descartes_folium import fields, geometry, parametrization
 from descartes_folium.geometry import roots_with_multiplicity
 from helpers import nonzero_points, prime_curve, random_nonzero_fraction, rational_curve
 
@@ -240,8 +240,8 @@ def test_curve_points_on_a_line_over_q_need_no_chart_or_cubic(monkeypatch):
         raise AssertionError("the line-point oracle used a chart or the slope cubic")
 
     forbidden = [pbar, pbar_inv, slope_cubic, line_curve_intersections]
-    forbidden += [parametrization._chart_point, parametrization._affine_chart_point]
-    for module in (geometry, parametrization):
+    forbidden += [parametrization._chart_point, fields._chart_coordinates]
+    for module in (geometry, parametrization, fields):
         for name, value in list(vars(module).items()):
             if any(value is f for f in forbidden):
                 monkeypatch.setattr(module, name, refuse)

@@ -1,10 +1,10 @@
 """The oracles stay independent of the parametrization and the laws.
 
-With pbar, pbarbar, p_affine, pbar_inv and apply_law replaced, at every
-module name that holds them, by functions that raise, the point enumeration,
-the cubic evaluation, the line scan, the line-incidence filter, the sign-based
-branch label and the cube-root residue scan still give their unpatched
-answers.  The refusal texts of the scans and the canonical-form errors of
+With pbar, pbarbar, p_affine, pbar_inv, the chart kernel _chart_coordinates
+and apply_law replaced, at every module name that holds them, by functions
+that raise, the point enumeration, the cubic evaluation, the line scan, the
+line-incidence filter, the sign-based branch label and the cube-root residue
+scan still give their unpatched answers.  The refusal texts of the scans and the canonical-form errors of
 points and lines are pinned here too.
 """
 
@@ -25,7 +25,7 @@ from descartes_folium import (
     Rationals,
     pbar,
 )
-from descartes_folium import parametrization, verify
+from descartes_folium import fields, parametrization, verify
 from descartes_folium.cli import main
 from descartes_folium.fields import FieldElement
 from descartes_folium.geometry import _curve_points_on_line, all_lines, roots_with_multiplicity
@@ -37,6 +37,7 @@ PATCHED = {
     "pbarbar": parametrization.pbarbar,
     "p_affine": parametrization.p_affine,
     "pbar_inv": parametrization.pbar_inv,
+    "_chart_coordinates": fields._chart_coordinates,
     "apply_law": apply_law,
 }
 
