@@ -490,8 +490,11 @@ def _suite_star(ctx: _Context) -> list:
         cubed = star_mul(curve, star_mul(curve, P, P), P)
         return (cubed == infinity) == (t * t * t == minus_one)
 
+    # perp(pbar(s)) once per parameter of the suite run; the cache is freed with the rows
+    perp_of = functools.cache(lambda s: perp(curve, pbar(curve, s)))
+
     def perp_parameter_collinearity(s1, s2, s3):
-        points = [perp(curve, pbar(curve, s)) for s in (s1, s2, s3)]
+        points = [perp_of(s) for s in (s1, s2, s3)]
         return collinear3(curve, *points) == (s1 * s2 * s3 == one)
 
     return [
