@@ -345,12 +345,24 @@ def _suite_parametrize(ctx: _Context) -> list:
     def points():
         return [(P,) for P in ctx.points("all")]
 
+    def vertex_of_a():
+        # built from the printed a, not from three_a, which every chart, law and oracle reads
+        v = curve.a * 3 / 2
+        vertex = curve.point(v, v)
+        return curve.contains(vertex) and curve.vertex() == vertex
+
     return [
         _Prop("pbar_round_trip", lambda t: pbar_inv(curve, pbar(curve, t)) == t, params),
         _Prop(
             "pbarbar_round_trip", lambda t: pbarbar_inv(curve, pbarbar(curve, t)) == t, params
         ),
         _Prop("pbar_lands_on_curve", lambda t: curve.contains(pbar(curve, t)), params),
+        _Prop(
+            "vertex_of_a_on_curve",
+            vertex_of_a,
+            skip=_gate(curve.field.characteristic != 2, "skipped: 2 = 0 in F_2, so 3a/2 does not exist"),
+            witness=lambda: f"a = {curve.a}",
+        ),
         _Prop(
             "pbar_image_is_whole_curve",
             lambda in_image, enumerated: in_image and enumerated,

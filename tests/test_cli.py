@@ -185,7 +185,7 @@ def test_verify_q_with_one_sample_skips_the_empty_row():
     out = run_cli("verify", "--field", "q", "--suite", "all", "--samples", "1")
     assert "SKIP perpendicular_iff_vertex_collinear — skipped: no cases to check" in out
     assert "(0 instances)" not in out
-    assert out.splitlines()[-1].endswith(": 78 passed, 0 failed, 4 skipped")
+    assert out.splitlines()[-1].endswith(": 79 passed, 0 failed, 4 skipped")
 
 
 def test_domain_errors_exit_three():
@@ -297,7 +297,10 @@ def test_verify_skips_enumeration_above_its_bound(suite, skipped):
 
 @pytest.mark.parametrize(
     "field, summary",
-    [("fp:65537", "73 passed, 0 failed, 9 skipped"), ("fp:2147483647", "59 passed, 0 failed, 23 skipped")],
+    [
+        pytest.param("fp:65537", "74 passed, 0 failed, 9 skipped", id="fp:65537"),
+        pytest.param("fp:2147483647", "60 passed, 0 failed, 23 skipped", id="fp:2147483647"),
+    ],
 )
 def test_verify_all_over_large_primes_exits_zero(field, summary):
     out = run_cli("verify", "--field", field, "--suite", "all", "--samples", "20")

@@ -6,17 +6,18 @@ must then FAIL at least one row.  Only those suites run, not `all`.  `star`
 is named for the faults it catches: with its parity chains read from law
 tables it takes about 30 ms over fp:5, as `axioms` and `geometry` do over q.
 Unpatched, every suite passes; tests/golden pins both reports.  The first
-five faults sit in the charts, which compute on stored values: the branch
-that scales the point to z = 1 itself, the branch that keeps the point at
-infinity, and the inverse chart.  Two empty the line-point oracle and the
-root finder, which a geometry row that checked nothing would let pass.  Two
-give addsouth an operation that is not commutative or not associative, which
-a law table keyed on unordered pairs, or one that answered the wrong pair,
-would let pass.  The last five add one to a reflected operator or to `**`.  A
-fault that survives is a gap in the suites: add a property that catches it,
-never drop the fault.  The `neg`-as-identity fault is pinned by
-test_law_dispatch.py instead, since `verify` reads inverses through the law
-table, not the per-law names.
+five faults sit in the charts: three in the kernel `_chart_coordinates`, one
+in `_chart_point`, which builds a point from it, and one in the inverse
+chart.  One gives the curve 4a where it prints a, which only a row that
+builds a point from the printed a can tell.  Two empty the line-point oracle
+and the root finder, which a geometry row that checked nothing would let
+pass.  Two give addsouth an operation that is not commutative or not
+associative, which a law table keyed on unordered pairs, or one that
+answered the wrong pair, would let pass.  The last five add one to a
+reflected operator or to `**`.  A fault that survives is a gap in the
+suites: add a property that catches it, never drop the fault.  The
+`neg`-as-identity fault is pinned by test_law_dispatch.py instead, since
+`verify` reads inverses through the law table, not the per-law names.
 """
 
 import operator
@@ -100,6 +101,17 @@ def _chart_leaves_y_unreduced(monkeypatch):
     _patch_chart_coordinates(monkeypatch, chart_coordinates)
 
 
+def _three_a_is_4a(monkeypatch):
+    # the curve keeps 4a where it prints a; every chart, law and oracle reads three_a alike
+    real = Folium.__init__
+
+    def init(self, field, a):
+        real(self, field, a)
+        self.three_a = field.element(4) * self.a
+
+    monkeypatch.setattr(Folium, "__init__", init)
+
+
 def _wrong_law_op(monkeypatch):
     # star without its sign: u v in place of -(u v)
     monkeypatch.setitem(LAWS, LawKind.STAR_MUL, LAWS[LawKind.STAR_MUL]._replace(op=operator.mul))
@@ -168,6 +180,7 @@ FAULTS = {
     "w_zero_branch_dropped": (_w_zero_branch_dropped, (*CHART_SUITES, "star")),
     "scaled_chart_ignores_swap": (_scaled_chart_ignores_swap, ("parametrize", "axioms", "coincidence", "fieldstructure")),
     "inverse_chart_divides_the_wrong_way": (_inverse_chart_divides_the_wrong_way, (*CHART_SUITES, "southmul", "star")),
+    "three_a_is_4a": (_three_a_is_4a, ("parametrize",)),
     "wrong_law_op": (_wrong_law_op, ("axioms",)),
     "wrong_neutral": (_wrong_neutral, ("axioms",)),
     "non_commutative_op": (_add_south_op(operator.sub), ("axioms",)),
