@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -172,15 +173,20 @@ def test_alpha_is_a_bijection_between_punctured_lines():
 
 
 def _chart_parameters():
-    """Every residue of fp:2, 5, 7 and 13 (7 and 13 have epsilon roots, so t^3 = -1
-    has three solutions there), and rationals from 0 and +-1 up to height about 2^31."""
-    for p in (2, 5, 7, 13):
+    """Every residue of fp:2, 5, 7, 13 and 31 (7, 13 and 31 have epsilon roots, so t^3 = -1
+    has three solutions there), and rationals from 0 and +-1 up to height 2^31, negative
+    ones included, on the curves a = 1, 2, 2/3 and -3 over q."""
+    for p in (2, 5, 7, 13, 31):
         for a in (1, 2):
             if a % p:
                 curve = prime_curve(p, a)
                 yield from ((curve, curve.field.element(r)) for r in range(p))
-    q_params = (0, 1, -1, Fraction(1, 2), Fraction(-7, 3), Fraction(2**31 - 1, 2**31 + 11))
-    for a in (1, 2):
+    height = 2**31
+    q_params = (
+        0, 1, -1, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(-7, 3),
+        Fraction(height - 1, height + 11), Fraction(-height, height - 1), Fraction(-5, height), -height,
+    )
+    for a in (1, 2, Fraction(2, 3), -3):
         curve = rational_curve(a)
         yield from ((curve, curve.field.element(t)) for t in q_params)
 
@@ -192,20 +198,24 @@ def _same_marked_point(point, expected, curve):
 
 
 def test_charts_match_the_general_canonicalizer():
+    # the charts against (3at : 3at^2 : 1 + t^3) scaled by element arithmetic, and back
     reached_w_zero = 0
     for curve, t in _chart_parameters():
         x, y, w = curve.three_a * t, curve.three_a * t * t, t * t * t + 1
         _same_marked_point(pbar(curve, t), ProjectivePoint(x, y, w), curve)
         _same_marked_point(pbarbar(curve, t), ProjectivePoint(y, x, w), curve)
+        assert pbar_inv(curve, pbar(curve, t)) == t and pbarbar_inv(curve, pbarbar(curve, t)) == t
         if w.is_zero():
             reached_w_zero += 1
-            with pytest.raises(ParameterAtInfinity):
-                p_affine(curve, t)
+            for affine_map in (p_affine, p_affine_prime):
+                with pytest.raises(ParameterAtInfinity):
+                    affine_map(curve, t)
         else:
-            _same_marked_point(p_affine(curve, t), ProjectivePoint(x / w, y / w, curve.field.one), curve)
-    # t = -1 on each of the nine curves, and both epsilon roots on the four over fp:7 and fp:13
-    assert reached_w_zero == 9 + 4 * 2
-
+            one = curve.field.one
+            _same_marked_point(p_affine(curve, t), ProjectivePoint(x / w, y / w, one), curve)
+            _same_marked_point(p_affine_prime(curve, t), ProjectivePoint(y / w, x / w, one), curve)
+    # t = -1 on each of the thirteen curves, and both epsilon roots on the six over fp:7, 13 and 31
+    assert reached_w_zero == 13 + 6 * 2
 
 
 def _inverse_chart_points():
@@ -235,7 +245,8 @@ def _assert_canonical_values(point):
         if p:
             assert type(coordinate.value) is int and 0 <= coordinate.value < p, (point, coordinate.value)
         else:
-            assert type(coordinate.value) is Fraction, (point, coordinate.value)
+            value = coordinate.value  # a Fraction in lowest terms, never a float or an int
+            assert type(value) is Fraction and gcd(value.numerator, value.denominator) == 1, (point, value)
 
 
 def test_chart_coordinates_hold_canonical_values():
@@ -248,3 +259,4 @@ def test_chart_coordinates_hold_canonical_values():
         _assert_canonical_values(pbarbar(curve, t))
         if not (t * t * t + 1).is_zero():
             _assert_canonical_values(p_affine(curve, t))
+            _assert_canonical_values(p_affine_prime(curve, t))
