@@ -15,9 +15,13 @@ Each element rule is stated once: `Field.element` checks membership through
 each field's `_raw`, which also coerces operands; one template makes `+`, `-`
 and `*`; `characteristic` alone tells the fields apart.  `_reduced` turns a
 ring result on stored values into an element (`raw % p` over F_p, `raw` itself
-over Q) for the operators, negation and the charts of parametrization.py, which
-compute on stored values.  `_quotient` is division's one body, kept apart: over
-Q, `a / b` is one Fraction operation where `a * (1 / b)` is two.
+over Q) for the operators and negation.  `_quotient` is division's one body,
+kept apart: over Q, `a / b` is one Fraction operation where `a * (1 / b)` is
+two; the inverse charts of parametrization.py use it.  `_chart_coordinates` is
+the charts' one formula, x = 3at/(1 + t^3) and y = x t on stored values: over
+F_p with one modular inverse, over Q on the ints n, d of t = n/d and A, B of
+3a = A/B, so that each coordinate is one Fraction and one gcd where the steps
+t^3 + 1, 3at/w and x t would each normalize a Fraction of their own.
 """
 
 from __future__ import annotations
@@ -111,7 +115,8 @@ def _chart_coordinates(field, a3, t) -> "tuple[FieldElement, FieldElement] | Non
     if w == 0:
         return None
     scale, denominator = a3.numerator * n * d, a3.denominator * w
-    return FieldElement(field, Fraction(scale * d, denominator)), FieldElement(field, Fraction(scale * n, denominator))
+    x, y = Fraction(scale * d, denominator), Fraction(scale * n, denominator)
+    return FieldElement(field, x), FieldElement(field, y)
 
 
 def _ring_operation(combine):

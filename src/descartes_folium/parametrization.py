@@ -20,14 +20,16 @@ require_on_curve does not evaluate the cubic on it again; sigma keeps the
 mark, since the cubic is symmetric in x and y.  Away from t^3 = -1 the maps
 scale their point themselves, to (x : x t : 1) with x = 3at/(1 + t^3),
 so the canonicalizer finds z = 1 and neither inverts nor multiplies again;
-`_affine_chart_point` writes that formula once for all three maps.
+`fields._chart_coordinates` states that formula once for all three maps, and
+over Q it builds each coordinate from ints with one gcd.  At t^3 = -1, where
+3at is nonzero, pbar(t) is the point at infinity (1 : t : 0).
 
 The charts and their inverses compute on stored values (ints mod p or
 Fractions) and build one FieldElement per coordinate of the result, through
-`fields._reduced` and `fields._quotient`.  The oracles that check them
-(Folium.evaluate and contains, enumerate_points, ProjectiveLine.contains and
-geometry.all_lines) and each Law.op keep element arithmetic on purpose, so a
-fault in this kernel cannot hide behind the same fault in its checker.
+`fields._chart_coordinates` and `fields._quotient`.  The oracles that check
+them (Folium.evaluate and contains, enumerate_points, ProjectiveLine.contains
+and geometry.all_lines) and each Law.op keep element arithmetic on purpose,
+so a fault in this kernel cannot hide behind the same fault in its checker.
 """
 
 from __future__ import annotations
