@@ -25,7 +25,7 @@ import sys
 
 import pytest
 
-from descartes_folium import FieldElement, Folium, PrimeField, ProjectivePoint, Rationals, geometry, laws, parametrization
+from descartes_folium import FieldElement, Folium, PrimeField, Rationals, geometry, laws, parametrization
 from descartes_folium.laws import LAWS, LawKind
 from descartes_folium.verify import run_suite
 
