@@ -7,11 +7,10 @@ parameters multiply to -1.  Everything here is exact; the slope cubic and
 the full line enumeration over small prime fields serve as oracles that are
 independent of the transported laws.
 
-Over F_p the root scan evaluates the polynomial on the stored ints at every
-residue and deflates only the roots it finds, and the line-point oracle
-filters the curve's enumeration by incidence on the stored ints.  Over Q the
-roots come from the rational-root candidates, and the line points from the
-line substituted into the curve's cubic.
+Roots come from one synthetic division on ints: over F_p at every residue,
+over Q at one integer per monotone run of the cubic scaled to integer roots.
+The line-point oracle filters the curve's enumeration by incidence over F_p
+and substitutes the line into the curve's cubic over Q.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .errors import (
     UnorderedField,
     VertexNotAllowed,
 )
-from .fields import Field, FieldElement
+from .fields import Field
 from .laws import nonzero_param, perp
 from .parametrization import pbar, pbar_inv
 
@@ -101,79 +100,76 @@ def geometric_mul_via_vertex(
 def slope_cubic(curve: Folium, line: ProjectiveLine) -> tuple:
     """Coefficients (c2, c1) of t^3 + c2 t^2 + c1 t + 1 cutting out line-curve intersections.
 
-    The line must avoid the node; it is rewritten as m'x + n'y = z and then
-    c2 = -3a n', c1 = -3a m'.
+    The line must avoid the node, so its canonical form is m x + n y + z = 0;
+    then c2 = 3a n and c1 = 3a m.
     """
     if line.through_origin:
         raise LineThroughOrigin(f"{line} passes through the node")
-    m_prime = -(line.m / line.p)
-    n_prime = -(line.n / line.p)
-    return -(curve.three_a * n_prime), -(curve.three_a * m_prime)
+    return curve.three_a * line.n, curve.three_a * line.m
 
 
-def _deflate(coeffs: list, root: FieldElement):
-    # synthetic division of a monic polynomial (descending coeffs) by (t - root)
-    quotient = []
-    acc = coeffs[0]
-    for c in coeffs[1:]:
+def _deflate(values: list, r: int) -> tuple:
+    """Synthetic division of an int polynomial (descending coefficients) by t - r: (quotient, remainder)."""
+    acc, quotient = 0, []
+    for c in values:
+        acc = acc * r + c
         quotient.append(acc)
-        acc = acc * root + c
-    return quotient, acc
+    remainder = quotient.pop()
+    return quotient, remainder
 
 
-def _divisors(n: int) -> set:
-    n = abs(n)
-    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
-    return {*small, *(n // i for i in small)}
+def _integer_candidates(values: list) -> list:
+    """Ascending integers among which are all integer roots of the monic cubic s^3 + b s^2 + c s + d.
 
-
-def _root_candidates(field: Field, coeffs: list):
-    """Rational-root candidates over Q: +-u/v with u dividing the constant and v the lead."""
-    scale = lcm(*(c.value.denominator for c in coeffs))
-    cleared = [int(c.value * scale) for c in coeffs]
-    lead, const = cleared[0], cleared[-1]
-    if const == 0:
-        raise ValueError("root candidates need a nonzero constant term")
-    seen = set()
-    for u in _divisors(const):
-        for v in _divisors(lead):
-            seen.add(Fraction(u, v))
-            seen.add(Fraction(-u, v))
-    return [field.element(value) for value in sorted(seen)]
+    Inside the Cauchy bound, the cubic is monotone on the integer runs cut at the floors of its
+    critical points (-b +- sqrt(b^2 - 3c)) / 3, so one bisection per run finds its only possible root.
+    """
+    _, b, c, d = values
+    bound = 1 + max(abs(b), abs(c), abs(d))
+    cuts = [-bound - 1, bound]
+    disc = b * b - 3 * c
+    if disc > 0:
+        root = isqrt(disc)
+        cuts[1:1] = (-b - root - (root * root < disc)) // 3, (-b + root) // 3
+    candidates = set()
+    for sign, lo, hi in zip((1, -1, 1), cuts, cuts[1:]):
+        lo += 1  # the run is lo..hi, and sign * cubic increases on it
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * _deflate(values, mid)[1] < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        candidates.add(lo)
+    return sorted(candidates)
 
 
 def roots_with_multiplicity(field: Field, coeffs: list) -> list:
-    """Roots of a monic polynomial in the base field, with multiplicity.
+    """Roots of a monic cubic in the base field, with multiplicity, in ascending order.
 
-    Over F_p every residue is a candidate, in ascending order: the polynomial
-    is evaluated on the stored ints by Horner's rule, and only the residues
-    where it vanishes are deflated.  Over Q the candidates come from
-    `_root_candidates`.
+    The work is on ints.  Over F_p every residue is a candidate.  Over Q the
+    cubic, cleared to L t^3 + B t^2 + C t + D, becomes the monic int cubic
+    s^3 + B s^2 + CL s + DL^2 in s = L t, whose rational roots are integers:
+    `_integer_candidates` finds them.  A candidate's multiplicity is the count
+    of `_deflate` divisions that leave no remainder (mod p over F_p).
     """
     p = field.characteristic
+    values = [c.value for c in coeffs]
     if p:
-        values = [c.value for c in coeffs]
-        candidates = []
-        for r in _scan_range(field, "root scan"):
-            acc = 0
-            for c in values:
-                acc = acc * r + c
-            if acc % p == 0:
-                candidates.append(field.element(r))
+        candidates = _scan_range(field, "root scan")
     else:
-        candidates = _root_candidates(field, coeffs)
+        scale = lcm(*(v.denominator for v in values))
+        _, b, c, d = (v.numerator * (scale // v.denominator) for v in values)
+        values = [1, b, c * scale, d * scale * scale]
+        candidates = _integer_candidates(values)
     pairs = []
-    for candidate in candidates:
-        poly = coeffs
-        multiplicity = 0
-        while len(poly) > 1:
-            quotient, remainder = _deflate(poly, candidate)
-            if not remainder.is_zero():
-                break
+    for r in candidates:
+        multiplicity, (poly, remainder) = 0, _deflate(values, r)
+        while not (remainder % p if p else remainder):
             multiplicity += 1
-            poly = quotient
+            poly, remainder = _deflate(poly, r)
         if multiplicity:
-            pairs.append((candidate, multiplicity))
+            pairs.append((field.element(r if p else Fraction(r, scale)), multiplicity))
     return pairs
 
 
@@ -203,10 +199,10 @@ def _curve_points_on_line(curve: Folium, line: ProjectiveLine) -> list:
             if (m * point.x.value + n * point.y.value + p * point.z.value) % char == 0
             and point != curve.origin
         ]
-    # z = -(m x + n y)/p turns the cubic into x^3 + 3a(m/p) x^2 y + 3a(n/p) x y^2 + y^3.
+    # z = -(m x + n y) turns the cubic into x^3 + 3am x^2 y + 3an x y^2 + y^3.
     # On the curve y = 0 forces x = 0, the node, so the points are (s : 1 : z) for
     # the rational roots s = x/y of that binary cubic with y set to 1.
-    m, n, one = line.m / line.p, line.n / line.p, field.one
+    m, n, one = line.m, line.n, field.one
     roots = roots_with_multiplicity(field, [one, curve.three_a * m, curve.three_a * n, one])
     return [ProjectivePoint(s, one, -(m * s + n)) for s, _ in roots]
 

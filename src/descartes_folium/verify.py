@@ -564,11 +564,15 @@ def _suite_geometry(ctx: _Context) -> list:
         return on_chord <= set(found) and slope_cubic_check(curve, line, found)
 
     def split_line_identities(line):
-        # the slope cubic's root points must be exactly the points the line oracle finds
+        # the slope cubic's root points must be exactly the points the line oracle finds, each
+        # at least once, and a cubic never has exactly two roots counted with multiplicity
         intersections = line_curve_intersections(curve, line)
+        multiplicities = [mult for _, mult in intersections]
+        if min(multiplicities, default=1) < 1 or sum(multiplicities) not in (0, 1, 3):
+            return False
         if {point for point, _ in intersections} != set(_curve_points_on_line(curve, line)):
             return False
-        if sum(mult for _, mult in intersections) != 3:
+        if sum(multiplicities) != 3:
             return True  # not fully split over the base field
         triple = []
         for point, mult in intersections:

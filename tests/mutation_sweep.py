@@ -9,7 +9,9 @@ imports the mutated package and runs run_report(curve, "all", 0, 40) over q
 and over fp:5 with a = 1, two mutants at a time.  The mutant is killed when
 a row FAILs, the run raises, or it passes the time or memory limit; otherwise
 it survives.  The survivors, one line each, go to tests/mutation_survivors.txt
-by default.
+by default.  A survivor may carry a third field, written by hand: why it is
+equivalent, or which tier-1 test kills it.  A new sweep keeps that field for
+every survivor whose module, column, mutation and quoted line still match.
 
 The sweep uses the standard library only.  Its name keeps pytest from
 collecting it: it takes minutes, not seconds.
@@ -177,6 +179,20 @@ def run_mutant(module: str, source: str, index: int, scratch: Path) -> tuple:
         shutil.rmtree(root)
 
 
+def _notes(path: Path) -> dict:
+    """The hand-written third field of each survivor in an earlier list, keyed by module, column,
+    mutation and quoted line: the line number may move, but the column only moves with the text."""
+    notes = {}
+    for line in path.read_text().splitlines() if path.exists() else []:
+        if line and not line.startswith("#"):
+            head, text, *note = line.split("  |  ")
+            site, mutation = head.split("  ", 1)
+            module, _, column = site.split(":")
+            if note:
+                notes[module, int(column), mutation, text] = note[0]
+    return notes
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "tests" / "mutation_survivors.txt"))
@@ -188,6 +204,7 @@ def main(argv=None) -> int:
         return 2
 
     start = time.monotonic()
+    notes = _notes(Path(args.out))
     lines, totals = [], []
     with tempfile.TemporaryDirectory() as scratch, ThreadPoolExecutor(JOBS) as pool:
         for module in MODULES:
@@ -200,13 +217,15 @@ def main(argv=None) -> int:
                     alive += 1
                     line, column, _ = _position(target)
                     text = source.splitlines()[line - 1].strip()
-                    lines.append(f"{module}.py:{line}:{column}  {kind}  {description}  |  {text}")
+                    note = notes.get((f"{module}.py", column, f"{kind}  {description}", text))
+                    lines.append(f"{module}.py:{line}:{column}  {kind}  {description}  |  {text}" + (f"  |  {note}" if note else ""))
             totals.append(f"{module}.py: {alive} of {len(found)} survived")
             print(totals[-1], flush=True)
 
     header = [
         "# Survivors of tests/mutation_sweep.py: run_report(curve, 'all', 0, 40) over q and fp:5, a = 1.",
         "# One line per surviving mutant: module:line:column, kind, mutation, and the original line.",
+        "# A third field, kept across sweeps, says 'equivalent: why' or 'tier-1: the test that kills it'.",
         *(f"# {total}" for total in totals),
         f"# {len(lines)} survivors",
     ]

@@ -228,6 +228,19 @@ def test_an_unreduced_chart_coordinate_fails_a_row(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "wrong", [lambda m: 2 * m, lambda m: 0, lambda m: m + 1], ids=["doubled", "zeroed", "plus_one"]
+)
+def test_impossible_multiplicities_fail_the_split_line_row(wrong, monkeypatch):
+    # over fp:5 the root points stay right, so only the multiplicities themselves can tell
+    real = geometry.roots_with_multiplicity
+    monkeypatch.setattr(
+        geometry, "roots_with_multiplicity", lambda field, coeffs: [(r, wrong(m)) for r, m in real(field, coeffs)]
+    )
+    rows = run_suite(Folium(PrimeField(5), 1), "geometry", seed=0, samples=40)
+    assert [row.name for row in rows if not row.passed] == ["split_lines_satisfy_identities"]
+
+
+@pytest.mark.parametrize(
     "fault, failures",
     [
         (

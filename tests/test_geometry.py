@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
@@ -258,6 +260,12 @@ def test_slope_cubic_check_over_f11():
         assert slope_cubic_check(curve, line)
 
 
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_all_lines_lists_each_line_of_the_plane_once(p):
+    lines = list(all_lines(PrimeField(p)))
+    assert len(lines) == len(set(lines)) == p * p + p + 1
+
+
 def _roots_by_deflating_every_residue(p, coeffs):
     """(root, multiplicity) pairs of a monic int polynomial mod p, by synthetic division at each residue."""
     pairs = []
@@ -304,6 +312,111 @@ def test_root_scan_matches_deflating_every_residue(p, cubics):
         assert [(root.value, mult) for root, mult in found] == _roots_by_deflating_every_residue(p, coeffs), coeffs
         multiplicities.update(mult for _, mult in found)
     assert multiplicities == {1, 2, 3}
+
+
+def _rational_roots_by_divisor_scan(coeffs):
+    """(root, multiplicity) pairs of a monic Fraction polynomial, by deflating every +-u/v.
+
+    With the coefficients cleared to ints, u runs over the divisors of the last
+    nonzero one and v over those of the lead; 0 is a candidate too.
+    """
+    scale = lcm(*(c.denominator for c in coeffs))
+    cleared = [int(c * scale) for c in coeffs]
+    last = [c for c in cleared if c][-1]
+
+    def divisors(n):
+        small = [i for i in range(1, isqrt(abs(n)) + 1) if n % i == 0]
+        return {*small, *(abs(n) // i for i in small)}
+
+    candidates = {Fraction(0)} | {Fraction(sign * u, v) for u in divisors(last) for v in divisors(scale) for sign in (1, -1)}
+    pairs = []
+    for r in sorted(candidates):
+        poly, multiplicity = coeffs, 0
+        while len(poly) > 1:
+            quotient = [poly[0]]
+            for c in poly[1:]:
+                quotient.append(quotient[-1] * r + c)
+            if quotient.pop():
+                break
+            poly, multiplicity = quotient, multiplicity + 1
+        if multiplicity:
+            pairs.append((r, multiplicity))
+    return pairs
+
+
+def _cubic_from(roots):
+    r1, r2, r3 = roots
+    return [Fraction(1), -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3]
+
+
+def _seeded_rational_cubics():
+    """Monic cubics over Q with single, double and triple roots, random coefficients, a derivative
+    with a double root (zero discriminant) or with two rational roots (often a perfect-square
+    discriminant once scaled to ints), double roots placed at those critical points, and every
+    cubic whose roots lie among a few close values."""
+    rng = random.Random(15)
+    pool = [Fraction(n, d) for n in range(-9, 10) for d in (1, 2, 3, 4, 7)]
+    cubics = []
+    for i in range(600):
+        kind = i % 6
+        if kind == 0:  # three roots from a small pool, so some repeat
+            cubics.append(_cubic_from(rng.choice(pool[::7]) for _ in range(3)))
+        elif kind == 1:  # a double root, or every other time a triple root
+            r, s = rng.choice(pool), rng.choice(pool)
+            cubics.append(_cubic_from((r, r, s) if i % 12 == 1 else (r, r, r)))
+        elif kind == 2:  # random coefficients, mostly without a rational root
+            cubics.append([Fraction(1), *(Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(3))])
+        elif kind == 3:  # (t + k)^3 + e: the derivative's discriminant is zero
+            k, e = rng.choice(pool), rng.choice(pool + [Fraction(0)] * 20)
+            cubics.append([Fraction(1), 3 * k, 3 * k * k, k**3 + e])
+        else:  # critical points u and v; kind 4 puts a double root at u, kind 5 shifts by a random e
+            u, v = rng.choice(pool), rng.choice(pool)
+            poly = [Fraction(1), -Fraction(3, 2) * (u + v), 3 * u * v]
+            at_u = ((u + poly[1]) * u + poly[2]) * u
+            cubics.append([*poly, -at_u if kind == 4 else rng.choice(pool)])
+    # every cubic whose three roots are drawn from a few close values, integer or not
+    for values in (range(-3, 4), [Fraction(n, 6) for n in (-4, -3, 0, 2, 3, 4)]):
+        cubics += [_cubic_from(roots) for roots in itertools.combinations_with_replacement(values, 3)]
+    return cubics
+
+
+def _scaled_discriminant(coeffs):
+    """b^2 - 3c of the monic int cubic in s = L t, for L the common denominator."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    return int(scale * scale * (coeffs[1] ** 2 - 3 * coeffs[2]))
+
+
+def test_rational_roots_match_a_divisor_scan():
+    q = Rationals()
+    multiplicities, discriminants = set(), []
+    for coeffs in _seeded_rational_cubics():
+        found = roots_with_multiplicity(q, [q.element(c) for c in coeffs])
+        assert [(root.value, mult) for root, mult in found] == _rational_roots_by_divisor_scan(coeffs), coeffs
+        multiplicities.update(mult for _, mult in found)
+        discriminants.append(_scaled_discriminant(coeffs))
+    assert multiplicities == {1, 2, 3}
+    assert discriminants.count(0) > 50
+    assert sum(d > 0 and isqrt(d) ** 2 == d for d in discriminants) > 100
+    assert sum(d > 0 and isqrt(d) ** 2 != d for d in discriminants) > 50
+
+
+@pytest.mark.parametrize(
+    "t1, t2",
+    [("997/301", "-503/117"), ("9973/3001", "-5003/1171"), ("99991/30011", "-50021/11717")],
+)
+def test_high_height_chords_split_within_a_second(t1, t2):
+    curve = rational_curve(1)
+    P, Q = q_point(curve, Fraction(t1)), q_point(curve, Fraction(t2))
+    line = line_through(P, Q)
+    expected = {P, Q, third_intersection(curve, P, Q)}
+    start = time.perf_counter()
+    intersections = line_curve_intersections(curve, line)
+    assert time.perf_counter() - start < 1
+    assert len(intersections) == 3 and {point for point, _ in intersections} == expected
+    start = time.perf_counter()
+    points = geometry._curve_points_on_line(curve, line)
+    assert time.perf_counter() - start < 1
+    assert len(points) == 3 and set(points) == expected
 
 
 @pytest.mark.parametrize("p", [5, 11])
