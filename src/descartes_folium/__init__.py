@@ -11,6 +11,8 @@ against the transported form; the verify module bundles exhaustive and
 seeded-random property suites over prime fields and the rationals.
 """
 
+from types import ModuleType as _ModuleType
+
 from .branches import BranchLabel, classify_branch
 from .curve import Folium, ProjectiveLine, ProjectivePoint, SpecialPoints
 from .errors import (
@@ -85,89 +87,20 @@ from .parametrization import (
 
 __version__ = "0.1.0"
 
+_LAZY = ("PropertyResult", "run_report", "run_suite")
+
 
 def __getattr__(name):
     """The verify names load `verify` on first use, so a curve command never imports it."""
-    if name in ("PropertyResult", "run_report", "run_suite"):
+    if name in _LAZY:
         from . import verify
 
         return getattr(verify, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "BadLiteral",
-    "BranchLabel",
-    "CoincidentPoints",
-    "DegenerateRange",
-    "DivisionByZero",
-    "DivisionByZeroPoint",
-    "Field",
-    "FieldElement",
-    "FieldLacksUniqueCubeRoot",
-    "FieldTooLargeForScan",
-    "FileWriteError",
-    "Folium",
-    "FoliumError",
-    "LawKind",
-    "LineThroughOrigin",
-    "MixedFields",
-    "NotOnCurve",
-    "OriginNotAllowed",
-    "OriginNotInGroup",
-    "ParamMap",
-    "ParameterAtInfinity",
-    "PointAtInfinity",
-    "PrimeField",
-    "ProjectiveLine",
-    "ProjectivePoint",
-    "PropertyResult",
-    "Rationals",
-    "SingularPoint",
-    "SpecialPoints",
-    "UnknownSuite",
-    "UnorderedField",
-    "VertexNotAllowed",
-    "add_south",
-    "add_west",
-    "all_lines",
-    "alpha",
-    "alpha_inv",
-    "apply_law",
-    "chord_or_tangent",
-    "classify_branch",
-    "collinear3",
-    "field_from_spec",
-    "folium_add",
-    "folium_div",
-    "folium_inv",
-    "folium_mul",
-    "geometric_mul",
-    "geometric_mul_via_vertex",
-    "law_inverse",
-    "law_neutral",
-    "line_curve_intersections",
-    "line_through",
-    "neg",
-    "p_affine",
-    "p_affine_prime",
-    "pbar",
-    "pbar_inv",
-    "pbarbar",
-    "pbarbar_inv",
-    "perp",
-    "perpendicular_chord_check",
-    "proj_inv",
-    "proj_mul",
-    "proj_mul2",
-    "run_report",
-    "run_suite",
-    "sigma",
-    "slope_cubic",
-    "slope_cubic_check",
-    "south_mul",
-    "star_mul",
-    "tangent_at",
-    "third_intersection",
-    "west_mul",
-]
+# The public names imported above and the lazy ones, but not the submodules the imports bind.
+__all__ = sorted(
+    [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
+    + [*_LAZY]
+)

@@ -21,6 +21,7 @@ from .parametrization import p_affine
 
 DEFAULT_EXCLUSION = Fraction(1, 1000)
 
+_SVG_SIZE = 640  # width and height of the canvas
 _CURVE_STYLE = 'fill="none" stroke="#1f6fb4"'
 _OVERLAY_LINE_STYLE = 'fill="none" stroke="#c44e52"'
 _GUIDE_STYLE = 'fill="none" stroke="#999999"'
@@ -52,10 +53,8 @@ def parse_overlay(text: str) -> Overlay:
         if tail:
             raise BadLiteral(f"overlay {head!r} takes no parameters")
         return Overlay(head)
-    if head == "point":
-        return Overlay("point", (parse_rational(tail.strip()),))
-    if head == "tangent":
-        return Overlay("tangent", (parse_rational(tail.strip()),))
+    if head in ("point", "tangent"):
+        return Overlay(head, (parse_rational(tail.strip()),))
     if head == "chord":
         parts = [part.strip() for part in tail.split(",")]
         if len(parts) != 2:
@@ -194,7 +193,6 @@ def render_svg(
     samples: int,
     overlays=(),
     exclusion: Fraction = DEFAULT_EXCLUSION,
-    size: int = 640,
 ) -> str:
     """Deterministic SVG document for the real curve with optional overlays."""
     curve = Folium(Rationals(), Fraction(a))
@@ -212,7 +210,7 @@ def render_svg(
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
         f'viewBox="{box[0]!r} {(-box[3])!r} {width!r} {height!r}">',
         '<g transform="scale(1,-1)">',
     ]

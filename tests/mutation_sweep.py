@@ -5,8 +5,9 @@
 Each mutant changes one site of one module of src/descartes_folium in one of
 four ways: it swaps a binary operator, flips a comparison, adds 1 to an
 integer constant, or drops a unary `-` or `not`.  A fresh interpreter then
-imports the mutated package and runs run_report(curve, "all", 0, 40) over q
-and over fp:5 with a = 1, two mutants at a time.  The mutant is killed when
+imports the mutated package and runs run_report(curve, "all", 0, 40) over q,
+fp:5, fp:7 and fp:2 with a = 1, two mutants at a time.  fp:7 reaches the
+p = 1 (mod 3) code, and fp:2 the smallest field.  The mutant is killed when
 a row FAILs, the run raises, or it passes the time or memory limit; otherwise
 it survives.  The survivors, one line each, go to tests/mutation_survivors.txt
 by default.  A survivor may carry a third field, written by hand: why it is
@@ -73,7 +74,7 @@ resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_LIMIT}, {MEMORY_LIMIT}))
 from descartes_folium import Folium, PrimeField, Rationals
 from descartes_folium.verify import run_report
 failed = []
-for field in (Rationals(), PrimeField(5)):
+for field in (Rationals(), PrimeField(5), PrimeField(7), PrimeField(2)):
     report = run_report(Folium(field, 1), "all", 0, 40)
     failed += [row["name"] for row in report["properties"] if not row["passed"]]
 print(json.dumps(failed))
@@ -223,7 +224,7 @@ def main(argv=None) -> int:
             print(totals[-1], flush=True)
 
     header = [
-        "# Survivors of tests/mutation_sweep.py: run_report(curve, 'all', 0, 40) over q and fp:5, a = 1.",
+        "# Survivors of tests/mutation_sweep.py: run_report(curve, 'all', 0, 40) over q, fp:5, fp:7 and fp:2, a = 1.",
         "# One line per surviving mutant: module:line:column, kind, mutation, and the original line.",
         "# A third field, kept across sweeps, says 'equivalent: why' or 'tier-1: the test that kills it'.",
         *(f"# {total}" for total in totals),

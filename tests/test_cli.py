@@ -380,13 +380,34 @@ def test_a_curve_command_loads_neither_verify_nor_plotting():
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
+# Pinned here, not derived: `__init__.py` derives `__all__` from its imports, so dropping
+# an import or importing a stray public name must fail the test below.
+PUBLIC_NAMES = (
+    "BadLiteral", "BranchLabel", "CoincidentPoints", "DegenerateRange", "DivisionByZero",
+    "DivisionByZeroPoint", "Field", "FieldElement", "FieldLacksUniqueCubeRoot",
+    "FieldTooLargeForScan", "FileWriteError", "Folium", "FoliumError", "LawKind",
+    "LineThroughOrigin", "MixedFields", "NotOnCurve", "OriginNotAllowed", "OriginNotInGroup",
+    "ParamMap", "ParameterAtInfinity", "PointAtInfinity", "PrimeField", "ProjectiveLine",
+    "ProjectivePoint", "PropertyResult", "Rationals", "SingularPoint", "SpecialPoints",
+    "UnknownSuite", "UnorderedField", "VertexNotAllowed", "add_south", "add_west", "all_lines",
+    "alpha", "alpha_inv", "apply_law", "chord_or_tangent", "classify_branch", "collinear3",
+    "field_from_spec", "folium_add", "folium_div", "folium_inv", "folium_mul", "geometric_mul",
+    "geometric_mul_via_vertex", "law_inverse", "law_neutral", "line_curve_intersections",
+    "line_through", "neg", "p_affine", "p_affine_prime", "pbar", "pbar_inv", "pbarbar",
+    "pbarbar_inv", "perp", "perpendicular_chord_check", "proj_inv", "proj_mul", "proj_mul2",
+    "run_report", "run_suite", "sigma", "slope_cubic", "slope_cubic_check", "south_mul",
+    "star_mul", "tangent_at", "third_intersection", "west_mul",
+)
+
+
 def test_the_package_serves_every_public_name():
     import descartes_folium
     from descartes_folium import verify
 
+    assert descartes_folium.__all__ == list(PUBLIC_NAMES)
     namespace = {}
     exec("from descartes_folium import *", namespace)
-    assert set(namespace) - {"__builtins__"} == set(descartes_folium.__all__)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
     for name in ("PropertyResult", "run_report", "run_suite"):
         assert getattr(descartes_folium, name) is getattr(verify, name)
     with pytest.raises(AttributeError):

@@ -14,6 +14,7 @@ from descartes_folium import (
     ProjectiveLine,
     ProjectivePoint,
     Rationals,
+    SpecialPoints,
     pbar,
 )
 from helpers import prime_curve, random_fraction, rational_curve
@@ -100,6 +101,7 @@ def test_vertex_examples():
 def test_special_points_rational():
     curve = rational_curve(1)
     special = curve.special_points()
+    assert isinstance(special, SpecialPoints)
     assert special.origin == curve.point(0, 0, 1)
     assert special.infinity == curve.point(1, -1, 0)
     assert special.vertex == curve.point(Fraction(3, 2), Fraction(3, 2))
@@ -232,6 +234,29 @@ def test_singular_check_requires_curve_point():
     curve = rational_curve(1)
     with pytest.raises(NotOnCurve):
         curve.is_singular_point(curve.point(1, 0))
+
+
+def test_a_point_defaults_to_the_affine_chart():
+    q = Rationals()
+    point = ProjectivePoint.of(q, 2, 3)
+    assert point == ProjectivePoint.of(q, 2, 3, 1)
+    assert (point.x.value, point.y.value, point.z.value) == (2, 3, 1)
+
+
+def test_curves_are_equal_when_field_and_a_are():
+    curve = rational_curve(1)
+    assert curve == Folium(Rationals(), 1) and hash(curve) == hash(Folium(Rationals(), 1))
+    assert curve != rational_curve(2)
+    assert prime_curve(5) == prime_curve(5) != prime_curve(7)
+    assert curve != "x^3 + y^3 - 3xy"
+
+
+def test_lines_over_different_fields_differ():
+    line = ProjectiveLine.of(PrimeField(5), 1, 1, 1)
+    assert line == ProjectiveLine.of(PrimeField(5), 1, 1, 1)
+    assert hash(line) == hash(ProjectiveLine.of(PrimeField(5), 1, 1, 1))
+    assert line != ProjectiveLine.of(PrimeField(7), 1, 1, 1)
+    assert line != ProjectiveLine.of(Rationals(), 1, 1, 1)
 
 
 def test_line_canonical_form_and_incidence():

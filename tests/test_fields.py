@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import math
 import operator
 import pickle
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from descartes_folium import (
     BadLiteral,
     DivisionByZero,
+    Field,
     FieldElement,
     Folium,
     MixedFields,
@@ -129,6 +131,11 @@ def test_constructor_rejects_non_primes(bad):
         PrimeField(bad)
 
 
+def test_both_fields_are_fields():
+    assert isinstance(Rationals(), Field)
+    assert isinstance(PrimeField(5), Field)
+
+
 def test_is_prime_helper():
     known_primes = [2, 3, 5, 7, 11, 101, 997, 65521, 2**31 - 1]
     assert all(is_prime(p) for p in known_primes)
@@ -153,6 +160,17 @@ def _trial_division(n: int) -> bool:
 @given(st.integers(min_value=-10, max_value=10**6))
 def test_is_prime_agrees_with_trial_division(n):
     assert is_prime(n) == _trial_division(n)
+
+
+def test_miller_rabin_runs_within_the_hypotheses_of_its_theorem():
+    # The first 13 primes as bases decide every n below psi_13, the least strong
+    # pseudoprime to all of them (Sorenson and Webster); psi_13 itself must be refused.
+    psi_13 = 3_317_044_064_679_887_385_961_981
+    assert psi_13 == 1_287_836_182_261 * 2_575_672_364_521
+    assert fields._MILLER_RABIN_BASES == tuple(itertools.islice(filter(_trial_division, itertools.count()), 13))
+    assert not is_prime(psi_13 - 1)
+    with pytest.raises(BadLiteral, match=f"^primality is decided only below {psi_13}, got {psi_13}$"):
+        is_prime(psi_13)
 
 
 def test_modulus_beyond_the_primality_bound_rejected():

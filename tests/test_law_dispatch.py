@@ -18,6 +18,7 @@ from descartes_folium import (
     add_south,
     add_west,
     apply_law,
+    folium_add,
     folium_div,
     folium_inv,
     folium_mul,
@@ -137,6 +138,18 @@ def test_dispatchers_agree_with_per_law_functions(spec, a):
             assert outcome(law_inverse, curve, law, p1) == outcome(INVERSES[law], curve, p1)
             for p2 in points:
                 assert outcome(apply_law, curve, law, p1, p2) == outcome(OPS[law], curve, p1, p2)
+
+
+@pytest.mark.parametrize("spec,a", CURVES)
+def test_field_addition_is_add_south_with_the_node_as_neutral(spec, a):
+    curve = build_curve(spec, a)
+    on_curve = curve_points(curve)
+    points = on_curve + [off_curve_point(curve), foreign_point(curve)]
+    for p1 in points:
+        for p2 in points:
+            assert outcome(folium_add, curve, p1, p2) == outcome(add_south, curve, p1, p2)
+    for point in on_curve:
+        assert folium_add(curve, curve.origin, point) == point == folium_add(curve, point, curve.origin)
 
 
 @pytest.mark.parametrize("spec,a", CURVES)
