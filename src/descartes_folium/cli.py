@@ -5,7 +5,8 @@ Point literals use `(x : y : z)` or the affine shorthand `(x, y)`; the text
 the commands print parses back as input.  Exit codes: 0 success, 1
 verification failure, 2 usage error, 3 domain error.  verify, plot and
 --format json import what they need when they run, so a curve command
-starts without loading them.
+starts without loading them.  plot draws the real curve, so it refuses a
+--field other than q.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from .branches import classify_branch
 from .curve import Folium, ProjectivePoint
-from .errors import BadLiteral, FoliumError
+from .errors import BadLiteral, FoliumError, UnorderedField
 from .fields import Field, field_from_spec
 from .geometry import chord_or_tangent, collinear3, third_intersection
 from .laws import LawKind, apply_law, law_inverse, perp, proj_mul, star_mul
@@ -211,6 +212,9 @@ def _cmd_verify(args) -> int:
 def _cmd_plot(args) -> int:
     from .plotting import DEFAULT_EXCLUSION, parse_overlay, parse_rational, write_plot
 
+    field = field_from_spec(args.field)
+    if field.characteristic:
+        raise UnorderedField(f"plot draws the real curve; it needs --field q, not {field}")
     exclusion = parse_rational(args.exclusion) if args.exclusion else DEFAULT_EXCLUSION
     overlays = [parse_overlay(text) for text in args.overlay]
     write_plot(

@@ -5,7 +5,10 @@ The curve is x^3 + y^3 - 3axyz = 0 in P^2(K) with a != 0.  Points
 canonical form, `_canonical`: the triple is scaled so that the first
 nonzero of its third, first and second entries is 1.  The classical
 literals O = (0, 0, 1), I = (1, -1, 0) and affine points (x, y, 1) are
-already canonical.
+already canonical, so the charts build their z = 1 points through
+`ProjectivePoint._affine`, which skips the canonicalizer.  Field equality
+is identity, so point equality compares the fields of the x coordinates by
+`is`, and hashing reads that field directly.
 
 The exhaustive scans (point enumeration here, the line scan and the root
 scan in geometry) take their residues from one guard, `_scan_range`, which
@@ -79,6 +82,13 @@ class ProjectivePoint:
     def of(cls, field: Field, x, y, z=1, on=None) -> "ProjectivePoint":
         return cls(field.element(x), field.element(y), field.element(z), on)
 
+    @classmethod
+    def _affine(cls, x: FieldElement, y: FieldElement, on) -> "ProjectivePoint":
+        """The point (x : y : 1) of two elements of one field, which is canonical as it stands."""
+        point = object.__new__(cls)
+        point.x, point.y, point.z, point.on = x, y, x.field.one, on
+        return point
+
     @property
     def field(self) -> Field:
         return self.x.field
@@ -95,14 +105,14 @@ class ProjectivePoint:
         if not isinstance(other, ProjectivePoint):
             return NotImplemented
         return (
-            self.field == other.field
+            self.x.field is other.x.field
             and self.x.value == other.x.value
             and self.y.value == other.y.value
             and self.z.value == other.z.value
         )
 
     def __hash__(self):
-        return hash((self.field, self.x.value, self.y.value, self.z.value))
+        return hash((self.x.field, self.x.value, self.y.value, self.z.value))
 
     def __str__(self):
         return f"({self.x} : {self.y} : {self.z})"

@@ -13,10 +13,13 @@ are `object`'s identity, and each field builds its `zero` and `one` once.
 
 Each element rule is stated once: `Field.element` checks membership through
 each field's `_raw`, which also coerces operands; one template makes `+`, `-`
-and `*`; `characteristic` alone tells the fields apart.  `_reduced` turns a
-ring result on stored values into an element (`raw % p` over F_p, `raw` itself
-over Q) for the operators and negation.  `_quotient` is division's one body,
-kept apart: over Q, `a / b` is one Fraction operation where `a * (1 / b)` is
+and `*`; `characteristic` alone tells the fields apart.  The template reads an
+element of the same field directly and reduces the result in place (`raw % p`
+over F_p, `raw` itself over Q), so an operation on two elements is one Python
+frame besides the new element's; any other operand goes through `_coerced`,
+which raises MixedFields for an element of another field.  `_quotient` is
+division's one body, kept apart: over Q it builds u / v as one Fraction from
+the cross products of the ints, one gcd, where `a * (1 / b)` would normalize
 two; the inverse charts of parametrization.py use it.  `_chart_coordinates` is
 the charts' one formula, x = 3at/(1 + t^3) and y = x t on stored values: over
 F_p with one modular inverse, over Q on the ints n, d of t = n/d and A, B of
@@ -82,18 +85,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _reduced(field, raw) -> "FieldElement":
-    """The element a ring result on stored values stands for: `raw % p` over F_p, `raw` itself over Q."""
-    p = field.characteristic
-    return FieldElement(field, raw % p if p else raw)
-
-
 def _quotient(field, u, v) -> "FieldElement":
-    """The element u / v of two stored values; DivisionByZero when v is zero."""
+    """The element u / v of two stored values; DivisionByZero when v is zero.
+
+    Over Q the quotient is one Fraction of the cross products of the ints, one
+    gcd, where Fraction's own `/` dispatches through its operator fallbacks and takes two.
+    """
     if v == 0:
         raise DivisionByZero("division by the zero element")
     p = field.characteristic
-    return FieldElement(field, u * pow(v, -1, p) % p if p else u / v)
+    if p:
+        return FieldElement(field, u * pow(v, -1, p) % p)
+    return FieldElement(field, Fraction(u.numerator * v.denominator, u.denominator * v.numerator))
 
 
 def _chart_coordinates(field, a3, t) -> "tuple[FieldElement, FieldElement] | None":
@@ -120,13 +123,23 @@ def _chart_coordinates(field, a3, t) -> "tuple[FieldElement, FieldElement] | Non
 
 
 def _ring_operation(combine):
-    """The operator method that coerces the other operand and combines the stored values."""
+    """The operator method that combines the stored values and reduces the result.
+
+    An element of the same field is read directly; any other operand goes
+    through `_coerced`, which raises MixedFields or takes an int or Fraction.
+    """
 
     def method(self, other):
-        v = self._coerced(other)
-        if v is None:
-            return NotImplemented
-        return _reduced(self.field, combine(self.value, v))
+        field = self.field
+        if type(other) is FieldElement and other.field is field:
+            v = other.value
+        else:
+            v = self._coerced(other)
+            if v is None:
+                return NotImplemented
+        p = field.characteristic
+        raw = combine(self.value, v)
+        return FieldElement(field, raw % p if p else raw)
 
     return method
 
@@ -184,7 +197,8 @@ class FieldElement:
         return _quotient(self.field, v, self.value)
 
     def __neg__(self):
-        return _reduced(self.field, -self.value)
+        p = self.field.characteristic
+        return FieldElement(self.field, -self.value % p if p else -self.value)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):

@@ -19,10 +19,12 @@ Each map marks the point it builds with its curve (ProjectivePoint.on), so
 require_on_curve does not evaluate the cubic on it again; sigma keeps the
 mark, since the cubic is symmetric in x and y.  Away from t^3 = -1 the maps
 scale their point themselves, to (x : x t : 1) with x = 3at/(1 + t^3),
-so the canonicalizer finds z = 1 and neither inverts nor multiplies again;
+which is canonical as it stands, so they build it through
+`ProjectivePoint._affine` and skip the canonicalizer;
 `fields._chart_coordinates` states that formula once for all three maps, and
 over Q it builds each coordinate from ints with one gcd.  At t^3 = -1, where
-3at is nonzero, pbar(t) is the point at infinity (1 : t : 0).
+3at is nonzero, pbar(t) is the point at infinity (1 : t : 0), which goes
+through the canonicalizer, as sigma's swapped points do.
 
 The charts and their inverses compute on stored values (ints mod p or
 Fractions) and build one FieldElement per coordinate of the result, through
@@ -47,10 +49,10 @@ def _chart_point(curve: Folium, t, swap: bool) -> ProjectivePoint:
     t = field.element(t)
     coordinates = _chart_coordinates(field, curve.three_a.value, t.value)
     if coordinates is None:  # t^3 = -1 and 3at != 0, so (3at : 3at^2 : 0) is (1 : t : 0)
-        x, y, z = field.one, t, field.zero
-    else:
-        (x, y), z = coordinates, field.one
-    return ProjectivePoint(y, x, z, curve) if swap else ProjectivePoint(x, y, z, curve)
+        one, zero = field.one, field.zero
+        return ProjectivePoint(t, one, zero, curve) if swap else ProjectivePoint(one, t, zero, curve)
+    x, y = coordinates
+    return ProjectivePoint._affine(y, x, curve) if swap else ProjectivePoint._affine(x, y, curve)
 
 
 def pbar(curve: Folium, t) -> ProjectivePoint:
@@ -88,7 +90,7 @@ def p_affine(curve: Folium, t) -> ProjectivePoint:
     coordinates = _chart_coordinates(field, curve.three_a.value, t.value)
     if coordinates is None:
         raise ParameterAtInfinity(f"t = {t} satisfies t^3 = -1; no affine image")
-    return ProjectivePoint(*coordinates, field.one, curve)
+    return ProjectivePoint._affine(*coordinates, curve)
 
 
 def p_affine_prime(curve: Folium, t) -> ProjectivePoint:

@@ -20,13 +20,20 @@ Over prime fields small enough that every pair of points is a case
 Cayley table, `_table`: the associative, commutative, neutral and inverse
 rows of `axioms`, the parity chains of `star`, the dot and star products of
 `_collinearity_tests`, and `folium_mul`, `add_south` and `add_west` in
-`fieldstructure`.  A table wraps the function the row would call and keys on
-the ordered pair, so a law that is not commutative still fails its row; it
-fills as the cases run, so the first failing case and its text are those of
-the direct calls, and a product that raises is never stored.  Equal results
-share one stored point, and a table is freed with the rows of the suite that
-built it.  Over the rationals and larger primes, where products rarely
-repeat, a table is the law bound to the curve.
+`fieldstructure`.  A table wraps the function the row would call and is
+keyed on the coordinates of the ordered pair, the six residues of (P, Q),
+so a lookup hashes ints rather than points and a law that is not
+commutative still fails its row; it fills as the cases run, so the first
+failing case and its text are those of the direct calls, and a product that
+raises is never stored.  Equal results share one stored point, and a table
+is freed with the rows of the suite that built it.  Over the rationals and
+larger primes, where products rarely repeat, a table is the law bound to
+the curve.
+
+The geometry suite's slope-cubic row asks the line oracle once per line:
+many chords share a line, so a suite-local cache holds the points
+`_curve_points_on_line` finds on it and the verdict of `slope_cubic_check`,
+and each pair checks its own P, Q and third point against that answer.
 """
 
 from __future__ import annotations
@@ -233,9 +240,10 @@ class _Context:
 def _table(ctx: _Context, law: Callable) -> Callable:
     """`(P, Q) -> law(curve, P, Q)`.  Where every pair of the field's p points is a case
     (p * p <= EXHAUSTIVE_PAIR_BOUND, so p <= 173), a lazy Cayley table: each ordered pair
-    is computed once, when first asked, equal results share one stored point, and the
-    table is freed with the rows that hold it.  Elsewhere products rarely repeat, and it
-    is the law bound to the curve."""
+    is computed once, when first asked, and stored under the six coordinate residues of
+    (P, Q), which name a pair of canonical points of the curve's field; equal results
+    share one stored point, and the table is freed with the rows that hold it.  Elsewhere
+    products rarely repeat, and it is the law bound to the curve."""
     curve = ctx.curve
     if not (ctx.exhaustive and curve.field.characteristic ** 2 <= EXHAUSTIVE_PAIR_BOUND):
         return functools.partial(law, curve)
@@ -243,10 +251,11 @@ def _table(ctx: _Context, law: Callable) -> Callable:
     results: dict = {}
 
     def product(P, Q):
-        value = products.get((P, Q))
+        key = (P.x.value, P.y.value, P.z.value, Q.x.value, Q.y.value, Q.z.value)
+        value = products.get(key)
         if value is None:
             value = law(curve, P, Q)
-            value = products[P, Q] = results.setdefault(value, value)
+            value = products[key] = results.setdefault(value, value)
         return value
 
     return product
@@ -556,12 +565,16 @@ def _suite_geometry(ctx: _Context) -> list:
         third = third_intersection(curve, P, Q)
         return line.contains(third) and third != curve.origin
 
+    @functools.cache
+    def line_oracle(line):
+        # the oracle's answer for one line, asked once per line of the suite run and freed with the rows
+        found = _curve_points_on_line(curve, line)
+        return set(found), slope_cubic_check(curve, line, found)
+
     def cubic_oracle(P, Q):
         # the chord's own three points must be among those the line oracle finds
-        line = chord_or_tangent(curve, P, Q)
-        found = _curve_points_on_line(curve, line)
-        on_chord = {P, Q, third_intersection(curve, P, Q)}
-        return on_chord <= set(found) and slope_cubic_check(curve, line, found)
+        found, cubic_holds = line_oracle(chord_or_tangent(curve, P, Q))
+        return {P, Q, third_intersection(curve, P, Q)} <= found and cubic_holds
 
     def split_line_identities(line):
         # the slope cubic's root points must be exactly the points the line oracle finds, each

@@ -13,6 +13,10 @@ it survives.  The survivors, one line each, go to tests/mutation_survivors.txt
 by default.  A survivor may carry a third field, written by hand: why it is
 equivalent, or which tier-1 test kills it.  A new sweep keeps that field for
 every survivor whose module, column, mutation and quoted line still match.
+At its end the sweep runs each kept `tier-1:` note's test on that note's
+mutant, in a copy of the repository whose src/ holds the mutant, and lists
+every note whose test passes there: such a note is stale, and the sweep
+then exits 1.
 
 The sweep uses the standard library only.  Its name keeps pytest from
 collecting it: it takes minutes, not seconds.
@@ -180,6 +184,39 @@ def run_mutant(module: str, source: str, index: int, scratch: Path) -> tuple:
         shutil.rmtree(root)
 
 
+# Runs in the child: one tier-1 test under the same address-space limit as CHECK.
+NOTED_TEST = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_LIMIT}, {MEMORY_LIMIT}))
+import pytest
+sys.exit(pytest.main(["-q", "-x", "-p", "no:cacheprovider", sys.argv[1]]))
+"""
+
+
+def noted_test_passes(module: str, source: str, index: int, test: str, scratch: Path) -> bool:
+    """True when the tier-1 test a note names passes on the mutant, so the note is stale.
+
+    The test runs in a copy of the repository, so the tests that start the CLI
+    in a child process import the mutant from that copy's src/ as well.
+    """
+    root = scratch / f"note-{module}-{index}"
+    shutil.copytree(ROOT, root, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
+    (root / "src" / "descartes_folium" / f"{module}.py").write_text(mutate(source, index))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", NOTED_TEST, test],
+            cwd=root,
+            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True,
+            timeout=TIME_LIMIT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return False
+    finally:
+        shutil.rmtree(root)
+    return done.returncode == 0
+
+
 def _notes(path: Path) -> dict:
     """The hand-written third field of each survivor in an earlier list, keyed by module, column,
     mutation and quoted line: the line number may move, but the column only moves with the text."""
@@ -206,22 +243,26 @@ def main(argv=None) -> int:
 
     start = time.monotonic()
     notes = _notes(Path(args.out))
-    lines, totals = [], []
+    lines, totals, noted = [], [], []
     with tempfile.TemporaryDirectory() as scratch, ThreadPoolExecutor(JOBS) as pool:
         for module in MODULES:
             source = (PACKAGE / f"{module}.py").read_text()
             found = sites(ast.parse(source))
             outcomes = pool.map(functools.partial(run_mutant, module, source, scratch=Path(scratch)), range(len(found)))
             alive = 0
-            for (target, kind, description), (survived, _) in zip(found, outcomes):
+            for index, ((target, kind, description), (survived, _)) in enumerate(zip(found, outcomes)):
                 if survived:
                     alive += 1
                     line, column, _ = _position(target)
                     text = source.splitlines()[line - 1].strip()
                     note = notes.get((f"{module}.py", column, f"{kind}  {description}", text))
                     lines.append(f"{module}.py:{line}:{column}  {kind}  {description}  |  {text}" + (f"  |  {note}" if note else ""))
+                    if note and note.startswith("tier-1: "):
+                        noted.append((module, source, index, note.removeprefix("tier-1: "), lines[-1]))
             totals.append(f"{module}.py: {alive} of {len(found)} survived")
             print(totals[-1], flush=True)
+        passes = pool.map(lambda note: noted_test_passes(*note[:4], Path(scratch)), noted)
+        stale = [note[4] for note, passed in zip(noted, passes) if passed]
 
     header = [
         "# Survivors of tests/mutation_sweep.py: run_report(curve, 'all', 0, 40) over q, fp:5, fp:7 and fp:2, a = 1.",
@@ -232,7 +273,10 @@ def main(argv=None) -> int:
     ]
     Path(args.out).write_text("\n".join([*header, *lines]) + "\n")
     print(f"{len(lines)} survivors in {time.monotonic() - start:.0f} s; list in {args.out}")
-    return 0
+    print(f"{len(noted)} tier-1 notes checked on their mutants; {len(stale)} name a test that passes there")
+    for entry in stale:
+        print(f"stale: {entry}")
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":

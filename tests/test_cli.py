@@ -278,6 +278,17 @@ def test_plot_zero_denominator_is_a_domain_error(tmp_path, flag, value):
     assert proc.stderr == "error: zero denominator in literal '1/0'\n"
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [("fp:4", "4 is not prime"), ("fp:5", "plot draws the real curve; it needs --field q, not fp:5")],
+)
+def test_plot_refuses_a_field_other_than_q(tmp_path, spec, message):
+    out = tmp_path / "x.svg"
+    proc = cli_process("plot", "--field", spec, "--out", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 ENUMERATION_SKIP = " — skipped: point enumeration requires p <= 10000"
 
 

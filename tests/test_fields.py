@@ -202,6 +202,51 @@ def test_mixed_fields_rejected():
     assert f5.element(2) != f7.element(2)
 
 
+def test_every_operator_form_rejects_an_element_of_another_field():
+    # the reflected forms too, called directly: the forward form raises before Python would
+    # try them; int and Fraction operands on both sides are test_operator_coverage's
+    f5, f7, q = PrimeField(5), PrimeField(7), Rationals()
+    names = ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv")
+    for a, b in itertools.permutations([f5.element(2), f7.element(2), q.element(2)], 2):
+        for name in names:
+            with pytest.raises(MixedFields, match=f"^cannot combine elements of {a.field} and {b.field}$"):
+                getattr(a, f"__{name}__")(b)
+
+
+def test_the_rational_quotient_is_fraction_division():
+    # the quotient is built from the cross products of the ints; its sign must land on the
+    # numerator, so the divisors run over both signs
+    q = Rationals()
+    grid = [Fraction(n, d) for n in (-10**20, -12, -7, -1, 0, 1, 3, 9) for d in (1, 2, 9, 10**9 + 7)]
+    for u in grid:
+        for v in grid:
+            if v == 0:
+                with pytest.raises(DivisionByZero):
+                    fields._quotient(q, u, v)
+                continue
+            quotient, expected = fields._quotient(q, u, v).value, u / v
+            assert type(quotient) is Fraction
+            assert (quotient.numerator, quotient.denominator) == (expected.numerator, expected.denominator), (u, v)
+
+
+class _RecordingRng:
+    """An rng that answers each randint with its upper end and records the ranges asked for."""
+
+    def __init__(self):
+        self.ranges = []
+
+    def randint(self, low, high):
+        self.ranges.append((low, high))
+        return high
+
+
+def test_a_random_rational_is_drawn_from_its_pinned_ranges():
+    # the field suite's sampled triples over q come from these ranges, so the reports pin them too
+    rng = _RecordingRng()
+    assert Rationals().random_element(rng) == Rationals().element(Fraction(99, 40))
+    assert rng.ranges == [(-99, 99), (1, 40)]
+
+
 def test_foreign_values_rejected():
     with pytest.raises(TypeError, match=re.escape("cannot build a rational from 1.5")):
         Rationals().element(1.5)

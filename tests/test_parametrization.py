@@ -197,25 +197,34 @@ def _same_marked_point(point, expected, curve):
     assert point.on is curve
 
 
+def _charts_match_the_canonicalizer(curve, t) -> bool:
+    """Each chart's point at t against (3at : 3at^2 : 1 + t^3) scaled by the canonicalizing
+    constructor, and back; True when 1 + t^3 = 0."""
+    x, y, w = curve.three_a * t, curve.three_a * t * t, t * t * t + 1
+    _same_marked_point(pbar(curve, t), ProjectivePoint(x, y, w), curve)
+    _same_marked_point(pbarbar(curve, t), ProjectivePoint(y, x, w), curve)
+    assert pbar_inv(curve, pbar(curve, t)) == t and pbarbar_inv(curve, pbarbar(curve, t)) == t
+    if w.is_zero():
+        for affine_map in (p_affine, p_affine_prime):
+            with pytest.raises(ParameterAtInfinity):
+                affine_map(curve, t)
+        return True
+    one = curve.field.one
+    _same_marked_point(p_affine(curve, t), ProjectivePoint(x / w, y / w, one), curve)
+    _same_marked_point(p_affine_prime(curve, t), ProjectivePoint(y / w, x / w, one), curve)
+    return False
+
+
 def test_charts_match_the_general_canonicalizer():
-    # the charts against (3at : 3at^2 : 1 + t^3) scaled by element arithmetic, and back
-    reached_w_zero = 0
-    for curve, t in _chart_parameters():
-        x, y, w = curve.three_a * t, curve.three_a * t * t, t * t * t + 1
-        _same_marked_point(pbar(curve, t), ProjectivePoint(x, y, w), curve)
-        _same_marked_point(pbarbar(curve, t), ProjectivePoint(y, x, w), curve)
-        assert pbar_inv(curve, pbar(curve, t)) == t and pbarbar_inv(curve, pbarbar(curve, t)) == t
-        if w.is_zero():
-            reached_w_zero += 1
-            for affine_map in (p_affine, p_affine_prime):
-                with pytest.raises(ParameterAtInfinity):
-                    affine_map(curve, t)
-        else:
-            one = curve.field.one
-            _same_marked_point(p_affine(curve, t), ProjectivePoint(x / w, y / w, one), curve)
-            _same_marked_point(p_affine_prime(curve, t), ProjectivePoint(y / w, x / w, one), curve)
+    # the z = 1 points skip the canonicalizer, so each must equal the one it would have built
+    reached_w_zero = sum(_charts_match_the_canonicalizer(curve, t) for curve, t in _chart_parameters())
     # t = -1 on each of the thirteen curves, and both epsilon roots on the six over fp:7, 13 and 31
     assert reached_w_zero == 13 + 6 * 2
+    # and 200 seeded rationals of either sign over q, on a curve with a = -3/2
+    rng, curve = random.Random(17), rational_curve(Fraction(-3, 2))
+    for _ in range(200):
+        t = curve.field.element(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
+        _charts_match_the_canonicalizer(curve, t)
 
 
 def _inverse_chart_points():

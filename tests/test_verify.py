@@ -14,6 +14,7 @@ from descartes_folium import (
     add_south,
     add_west,
     apply_law,
+    chord_or_tangent,
     folium_mul,
     pbar,
     pbar_inv,
@@ -332,6 +333,24 @@ def test_law_tables_store_nothing_where_pairs_are_sampled(curve):
 def test_law_tables_hold_up_to_the_last_prime_with_whole_pairs():
     assert 173**2 <= verify.EXHAUSTIVE_PAIR_BOUND < 179**2
     assert not isinstance(verify._table(verify._Context(prime_curve(173), 0, 20), star_mul), functools.partial)
+
+
+def test_the_slope_cubic_row_asks_the_line_oracle_once_per_chord_line(monkeypatch):
+    # over fp:31 the 900 chord pairs lie on far fewer lines; each line's answer is computed once
+    curve, checked = prime_curve(31), []
+    real = verify.slope_cubic_check
+
+    def slope_cubic_check(curve, line, points=None):
+        checked.append(line)
+        return real(curve, line, points)
+
+    monkeypatch.setattr(verify, "slope_cubic_check", slope_cubic_check)
+    results = {row.name: row for row in run_suite(curve, "geometry", seed=0, samples=40)}
+    pairs = verify._Context(curve, 0, 40).tuples("nonzero", 2)()
+    lines = {chord_or_tangent(curve, P, Q) for P, Q in pairs}
+    assert results["slope_cubic_oracle"].passed and results["slope_cubic_oracle"].instances == len(pairs) == 900
+    assert len(checked) == len(set(checked)) == len(lines) < len(pairs)
+    assert set(checked) == lines
 
 
 def test_a_raising_product_fails_its_row_at_the_same_case(monkeypatch):
