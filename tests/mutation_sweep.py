@@ -258,11 +258,11 @@ def main(argv=None) -> int:
                     note = notes.get((f"{module}.py", column, f"{kind}  {description}", text))
                     lines.append(f"{module}.py:{line}:{column}  {kind}  {description}  |  {text}" + (f"  |  {note}" if note else ""))
                     if note and note.startswith("tier-1: "):
-                        noted.append((module, source, index, note.removeprefix("tier-1: "), lines[-1]))
+                        noted.append(((module, source, index, note.removeprefix("tier-1: ")), lines[-1]))
             totals.append(f"{module}.py: {alive} of {len(found)} survived")
             print(totals[-1], flush=True)
-        passes = pool.map(lambda note: noted_test_passes(*note[:4], Path(scratch)), noted)
-        stale = [note[4] for note, passed in zip(noted, passes) if passed]
+        passes = pool.map(lambda note: noted_test_passes(*note[0], Path(scratch)), noted)
+        stale = [line for (_, line), passed in zip(noted, passes) if passed]
 
     header = [
         "# Survivors of tests/mutation_sweep.py: run_report(curve, 'all', 0, 40) over q, fp:5, fp:7 and fp:2, a = 1.",

@@ -281,6 +281,7 @@ def test_plot_zero_denominator_is_a_domain_error(tmp_path, flag, value):
 @pytest.mark.parametrize(
     "spec, message",
     [("fp:4", "4 is not prime"), ("fp:5", "plot draws the real curve; it needs --field q, not fp:5")],
+    ids=["fp:4", "fp:5"],
 )
 def test_plot_refuses_a_field_other_than_q(tmp_path, spec, message):
     out = tmp_path / "x.svg"
