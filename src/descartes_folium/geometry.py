@@ -10,7 +10,9 @@ independent of the transported laws.
 Roots come from one synthetic division on ints: over F_p at every residue,
 over Q at one integer per monotone run of the cubic scaled to integer roots.
 The line-point oracle filters the curve's enumeration by incidence over F_p
-and substitutes the line into the curve's cubic over Q.
+and substitutes the line into the curve's cubic over Q; slope_cubic_check
+asks it for the line's points itself, so it takes only the curve and the
+line.
 """
 
 from __future__ import annotations
@@ -207,17 +209,16 @@ def _curve_points_on_line(curve: Folium, line: ProjectiveLine) -> list:
     return [ProjectivePoint(s, one, -(m * s + n)) for s, _ in roots]
 
 
-def slope_cubic_check(curve: Folium, line: ProjectiveLine, points=None) -> bool:
+def slope_cubic_check(curve: Folium, line: ProjectiveLine) -> bool:
     """True iff every non-node curve point on the line has its parameter among the cubic's roots.
 
-    The points are `points` when given, else `_curve_points_on_line`: over
-    prime fields the enumeration oracle filtered by incidence, over the
-    rationals the rational roots of the line substituted into the curve's own
-    cubic.  Each is re-checked, so a point off the line or the curve makes the
-    check fail.
+    The points come from `_curve_points_on_line`: over prime fields the
+    enumeration oracle filtered by incidence, over the rationals the rational
+    roots of the line substituted into the curve's own cubic.  Each is
+    re-checked, so a point off the line or the curve makes the check fail.
     """
     c2, c1 = slope_cubic(curve, line)
-    for point in _curve_points_on_line(curve, line) if points is None else points:
+    for point in _curve_points_on_line(curve, line):
         if not (curve.contains(point) and line.contains(point)):
             return False
         t = pbar_inv(curve, point)

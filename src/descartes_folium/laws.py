@@ -4,14 +4,17 @@ pbar is a bijection K -> curve, so each law is one field operation moved
 through one chart:  P o Q = chart(op(chart^-1(P), chart^-1(Q))).
 
 A law is a chart, a field operation, a neutral parameter, an inverse and a
-gate.  The charts are pbar, pbarbar, and for the affine exotic laws
+domain.  The charts are pbar, pbarbar, and for the affine exotic laws
 p_affine . alpha and p_affine_prime . alpha on tau = t + 1; the operations
 are u v, -(u v) and u + v; the inverses are reciprocal and negation.  The
-gate excludes the node, or requires -1 to be the only cube root of -1,
-without which the affine charts are not bijections.  The law table states
-each law once, and apply_law, law_inverse, law_neutral and the per-law
-functions all read it.  fieldmul is plain multiplication through pbar, so
-the node absorbs (pbar(0 t) = O); with addsouth it makes the curve a field.
+domain is the whole curve ("all"), the curve without the node ("nonzero"),
+or the affine curve ("affine"), which needs -1 to be the only cube root of
+-1, without which the affine charts are not bijections: Law.param refuses
+the node of a "nonzero" law, and Law.require_field a field with epsilon
+roots for an "affine" one.  The law table states each law once, and
+apply_law, law_inverse, law_neutral and the per-law functions all read it.
+fieldmul is plain multiplication through pbar, so the node absorbs
+(pbar(0 t) = O); with addsouth it makes the curve a field.
 """
 
 from __future__ import annotations
@@ -54,11 +57,10 @@ class LawKind(Enum):
 
 
 class Chart(NamedTuple):
-    """A parametrization K -> curve and its inverse; `affine` ones need a unique cube root of -1."""
+    """A parametrization K -> curve and its inverse."""
 
     point: Callable
     param: Callable
-    affine: bool = False
 
 
 class Law(NamedTuple):
@@ -69,12 +71,11 @@ class Law(NamedTuple):
     op: Callable
     neutral: int  # the chart parameter of the neutral element
     inverse: Callable
-    excludes_node: bool
-    domain: str  # the point pool the verify suites draw from
-    units: str | None = None  # the pool of invertible points, when narrower than the domain
+    domain: str  # the law's own domain: "all", "nonzero" (no node) or "affine"
+    units: str | None = None  # the invertible points, when narrower than the domain
 
     def require_field(self, curve: Folium) -> None:
-        if self.chart.affine and not curve.field.has_unique_cube_root():
+        if self.domain == "affine" and not curve.field.has_unique_cube_root():
             raise FieldLacksUniqueCubeRoot(
                 f"{curve.field} has epsilon roots, so the affine parametrization "
                 "is not a bijection onto the affine curve"
@@ -82,7 +83,7 @@ class Law(NamedTuple):
 
     def param(self, curve: Folium, point: ProjectivePoint) -> FieldElement:
         u = self.chart.param(curve, point)
-        if self.excludes_node and u.is_zero():
+        if self.domain == "nonzero" and u.is_zero():
             raise OriginNotInGroup("the node (0 : 0 : 1) is excluded here")
         return u
 
@@ -110,24 +111,22 @@ _PBARBAR = Chart(lambda c, u: pbarbar(c, u), lambda c, P: pbarbar_inv(c, P))
 _SOUTH = Chart(
     lambda c, tau: p_affine(c, alpha(tau)),
     lambda c, P: alpha_inv(pbar_inv(c, _require_affine(P))),
-    affine=True,
 )
 _WEST = Chart(
     lambda c, tau: p_affine_prime(c, alpha(tau)),
     lambda c, P: alpha_inv(pbarbar_inv(c, _require_affine(P))),
-    affine=True,
 )
 
 # -- the law table --------------------------------------------------------
 
-_PROJ_MUL = Law(LawKind.PROJ_MUL, _PBAR, operator.mul, 1, _reciprocal, True, "nonzero")
-_PROJ_MUL2 = Law(LawKind.PROJ_MUL2, _PBARBAR, operator.mul, 1, _reciprocal, True, "nonzero")
-_STAR_MUL = Law(LawKind.STAR_MUL, _PBAR, lambda u, v: -(u * v), -1, _reciprocal, True, "nonzero")
-_ADD_SOUTH = Law(LawKind.ADD_SOUTH, _PBAR, operator.add, 0, operator.neg, False, "all")
-_ADD_WEST = Law(LawKind.ADD_WEST, _PBARBAR, operator.add, 0, operator.neg, False, "all")
-_SOUTH_MUL = Law(LawKind.SOUTH_MUL, _SOUTH, operator.mul, 1, _reciprocal, False, "affine")
-_WEST_MUL = Law(LawKind.WEST_MUL, _WEST, operator.mul, 1, _reciprocal, False, "affine")
-_FIELD_MUL = Law(LawKind.FIELD_MUL, _PBAR, operator.mul, 1, _reciprocal, False, "all", "nonzero")
+_PROJ_MUL = Law(LawKind.PROJ_MUL, _PBAR, operator.mul, 1, _reciprocal, "nonzero")
+_PROJ_MUL2 = Law(LawKind.PROJ_MUL2, _PBARBAR, operator.mul, 1, _reciprocal, "nonzero")
+_STAR_MUL = Law(LawKind.STAR_MUL, _PBAR, lambda u, v: -(u * v), -1, _reciprocal, "nonzero")
+_ADD_SOUTH = Law(LawKind.ADD_SOUTH, _PBAR, operator.add, 0, operator.neg, "all")
+_ADD_WEST = Law(LawKind.ADD_WEST, _PBARBAR, operator.add, 0, operator.neg, "all")
+_SOUTH_MUL = Law(LawKind.SOUTH_MUL, _SOUTH, operator.mul, 1, _reciprocal, "affine")
+_WEST_MUL = Law(LawKind.WEST_MUL, _WEST, operator.mul, 1, _reciprocal, "affine")
+_FIELD_MUL = Law(LawKind.FIELD_MUL, _PBAR, operator.mul, 1, _reciprocal, "all", "nonzero")
 
 LAWS = {
     law.kind: law

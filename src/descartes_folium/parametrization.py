@@ -20,11 +20,13 @@ require_on_curve does not evaluate the cubic on it again; sigma keeps the
 mark, since the cubic is symmetric in x and y.  Away from t^3 = -1 the maps
 scale their point themselves, to (x : x t : 1) with x = 3at/(1 + t^3),
 which is canonical as it stands, so they build it through
-`ProjectivePoint._affine` and skip the canonicalizer;
-`fields._chart_coordinates` states that formula once for all three maps, and
-over Q it builds each coordinate from ints with one gcd.  At t^3 = -1, where
-3at is nonzero, pbar(t) is the point at infinity (1 : t : 0), which goes
-through the canonicalizer, as sigma's swapped points do.
+`ProjectivePoint._affine` and skip the canonicalizer.  One builder,
+`_chart_point`, serves pbar, pbarbar and p_affine, and
+`fields._chart_coordinates` states the formula once; over Q it builds each
+coordinate from ints with one gcd.  At t^3 = -1, where 3at is nonzero,
+pbar(t) is the point at infinity (1 : t : 0), which goes through the
+canonicalizer, as sigma's swapped points do, and p_affine raises
+ParameterAtInfinity.
 
 The charts and their inverses compute on stored values (ints mod p or
 Fractions) and build one FieldElement per coordinate of the result, through
@@ -43,12 +45,14 @@ from .errors import ParameterAtInfinity
 from .fields import FieldElement, _chart_coordinates, _quotient
 
 
-def _chart_point(curve: Folium, t, swap: bool) -> ProjectivePoint:
-    """pbar(t), or pbarbar(t) when `swap`."""
+def _chart_point(curve: Folium, t, swap: bool, affine: bool = False) -> ProjectivePoint:
+    """pbar(t), or pbarbar(t) when `swap`; when `affine`, p_affine(t), which refuses t^3 = -1."""
     field = curve.field
     t = field.element(t)
     coordinates = _chart_coordinates(field, curve.three_a.value, t.value)
     if coordinates is None:  # t^3 = -1 and 3at != 0, so (3at : 3at^2 : 0) is (1 : t : 0)
+        if affine:
+            raise ParameterAtInfinity(f"t = {t} satisfies t^3 = -1; no affine image")
         one, zero = field.one, field.zero
         return ProjectivePoint(t, one, zero, curve) if swap else ProjectivePoint(one, t, zero, curve)
     x, y = coordinates
@@ -85,12 +89,7 @@ def pbarbar_inv(curve: Folium, point: ProjectivePoint) -> FieldElement:
 
 def p_affine(curve: Folium, t) -> ProjectivePoint:
     """Affine parametrization (3at/(1+t^3), 3at^2/(1+t^3)) as a z = 1 point."""
-    field = curve.field
-    t = field.element(t)
-    coordinates = _chart_coordinates(field, curve.three_a.value, t.value)
-    if coordinates is None:
-        raise ParameterAtInfinity(f"t = {t} satisfies t^3 = -1; no affine image")
-    return ProjectivePoint._affine(*coordinates, curve)
+    return _chart_point(curve, t, swap=False, affine=True)
 
 
 def p_affine_prime(curve: Folium, t) -> ProjectivePoint:

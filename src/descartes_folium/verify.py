@@ -18,9 +18,11 @@ so a witness the draws missed still counts.
 Over prime fields small enough that every pair of points is a case
 (p <= 173), the rows that compose points read each binary law from a lazy
 Cayley table, `_table`: the associative, commutative, neutral and inverse
-rows of `axioms`, the parity chains of `star`, the dot and star products of
-`_collinearity_tests`, and `folium_mul`, `add_south` and `add_west` in
-`fieldstructure`.  A table wraps the function the row would call and is
+rows of `axioms`; every dot (proj_mul) and star (star_mul) product of the
+`star` and `geometry` suites, their parity chains and `_collinearity_tests`
+included; and `folium_mul`, `add_south` and `add_west` in
+`fieldstructure`.  So a suite computes each law's product of an ordered pair
+once.  A table wraps the function the row would call and is
 keyed on the coordinates of the ordered pair, the six residues of (P, Q),
 so a lookup hashes ints rather than points and a law that is not
 commutative still fails its row; it fills as the cases run, so the first
@@ -30,10 +32,11 @@ is freed with the rows of the suite that built it.  Over the rationals and
 larger primes, where products rarely repeat, a table is the law bound to
 the curve.
 
-The geometry suite's slope-cubic row asks the line oracle once per line:
-many chords share a line, so a suite-local cache holds the points
+The geometry suite's slope-cubic row asks the line oracle once per chord
+line: many chords share a line, so a suite-local cache holds the points
 `_curve_points_on_line` finds on it and the verdict of `slope_cubic_check`,
-and each pair checks its own P, Q and third point against that answer.
+and each pair checks its own P, Q and third point against that answer.  The
+split-line row asks the oracle itself, once for each line of the plane.
 """
 
 from __future__ import annotations
@@ -403,7 +406,7 @@ def _suite_parametrize(ctx: _Context) -> list:
 def _law_axioms(ctx: _Context, kind: LawKind) -> list:
     curve = ctx.curve
     law = LAWS[kind]
-    skip = ctx.affine_note if law.chart.affine else None
+    skip = ctx.affine_note if law.domain == "affine" else None
     neutral = functools.cache(lambda: law_neutral(curve, kind))
     op = _table(ctx, lambda c, P, Q: apply_law(c, kind, P, Q))
     rows = [
@@ -508,7 +511,7 @@ def _suite_star(ctx: _Context) -> list:
 
     def star_cube_locus(P):
         t = pbar_inv(curve, P)
-        cubed = star_mul(curve, star_mul(curve, P, P), P)
+        cubed = star(star(P, P), P)
         return (cubed == infinity) == (t * t * t == minus_one)
 
     # perp(pbar(s)) once per parameter of the suite run; the cache is freed with the rows
@@ -519,28 +522,15 @@ def _suite_star(ctx: _Context) -> list:
         return collinear3(curve, *points) == (s1 * s2 * s3 == one)
 
     return [
-        _Prop("i_squared_is_v", lambda: proj_mul(curve, infinity, infinity) == vertex),
-        _Prop(
-            "i_cubed_is_i",
-            lambda: proj_mul(curve, proj_mul(curve, infinity, infinity), infinity) == infinity,
-        ),
-        _Prop(
-            "star_equals_dot_times_i",
-            lambda P, Q: star_mul(curve, P, Q)
-            == proj_mul(curve, proj_mul(curve, P, Q), infinity),
-            pairs,
-        ),
-        _Prop(
-            "dot_equals_star_star_v",
-            lambda P, Q: proj_mul(curve, P, Q)
-            == star_mul(curve, star_mul(curve, P, Q), vertex),
-            pairs,
-        ),
+        _Prop("i_squared_is_v", lambda: dot(infinity, infinity) == vertex),
+        _Prop("i_cubed_is_i", lambda: dot(dot(infinity, infinity), infinity) == infinity),
+        _Prop("star_equals_dot_times_i", lambda P, Q: star(P, Q) == dot(dot(P, Q), infinity), pairs),
+        _Prop("dot_equals_star_star_v", lambda P, Q: dot(P, Q) == star(star(P, Q), vertex), pairs),
         _Prop("parity_chain_identities", chain_identities, lambda: _chain_cases(ctx)),
         _Prop(
             "perp_equals_inverse_dot_i",
-            lambda P: perp(curve, P) == proj_mul(curve, proj_inv(curve, P), infinity)
-            and perp(curve, P) == star_mul(curve, proj_inv(curve, P), vertex),
+            lambda P: perp(curve, P) == dot(proj_inv(curve, P), infinity)
+            and perp(curve, P) == star(proj_inv(curve, P), vertex),
             singles,
         ),
         _Prop("perp_involution", lambda P: perp(curve, perp(curve, P)) == P, singles),
@@ -567,9 +557,8 @@ def _suite_geometry(ctx: _Context) -> list:
 
     @functools.cache
     def line_oracle(line):
-        # the oracle's answer for one line, asked once per line of the suite run and freed with the rows
-        found = _curve_points_on_line(curve, line)
-        return set(found), slope_cubic_check(curve, line, found)
+        # the oracle's answer for one chord line, asked once per line of the suite run and freed with the rows
+        return set(_curve_points_on_line(curve, line)), slope_cubic_check(curve, line)
 
     def cubic_oracle(P, Q):
         # the chord's own three points must be among those the line oracle finds
@@ -597,12 +586,12 @@ def _suite_geometry(ctx: _Context) -> list:
     return [
         _Prop(
             "geometric_mul_matches_projmul",
-            lambda P, Q: geometric_mul(curve, P, Q) == proj_mul(curve, P, Q),
+            lambda P, Q: geometric_mul(curve, P, Q) == dot(P, Q),
             pairs,
         ),
         _Prop(
             "vertex_route_matches_projmul",
-            lambda P, Q: geometric_mul_via_vertex(curve, P, Q) == proj_mul(curve, P, Q),
+            lambda P, Q: geometric_mul_via_vertex(curve, P, Q) == dot(P, Q),
             pairs,
         ),
         _Prop("third_intersection_incident", incident, pairs),

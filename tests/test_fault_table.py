@@ -77,9 +77,9 @@ def _scaled_chart_ignores_swap(monkeypatch):
     # pbarbar builds pbar's point whenever 1 + t^3 is nonzero
     real = parametrization._chart_point
 
-    def chart_point(curve, t, swap):
-        point = real(curve, t, swap)
-        return real(curve, t, False) if point.is_affine else point
+    def chart_point(curve, t, swap, affine=False):
+        point = real(curve, t, swap, affine)
+        return real(curve, t, False, affine) if point.is_affine else point
 
     monkeypatch.setattr(parametrization, "_chart_point", chart_point)
 

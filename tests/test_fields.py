@@ -65,9 +65,10 @@ def test_residues_stored_canonical():
     assert (-f7.element(3)).value == 4
 
 
-# Every operator form against plain int or Fraction arithmetic, over Q and over
-# F_p for the smallest prime, two small ones and a 61-bit Mersenne prime.
-OPERATOR_FIELDS = (Rationals(), PrimeField(2), PrimeField(5), PrimeField(13), PrimeField(2**61 - 1))
+# Every operator form against plain int or Fraction arithmetic, over Q and over F_p
+# for the smallest prime, two small ones and a 61-bit Mersenne prime.  Each test case
+# builds its own field, so a fault in is_prime fails only the moduli it reaches.
+OPERATOR_MODULI = (2, 5, 13, 2**61 - 1)
 
 
 def _plain(field):
@@ -82,42 +83,51 @@ def _plain(field):
     return values, operands, lambda x: x % p, lambda x, y: x * pow(y, -1, p) % p
 
 
-def test_operator_coverage():
-    for field in OPERATOR_FIELDS:
-        values, operands, reduce, divide = _plain(field)
+def _check_operator_forms(field):
+    """Every operator form on the field's values against the plain arithmetic of `_plain`."""
+    values, operands, reduce, divide = _plain(field)
 
-        def check(result, expected):
-            assert isinstance(result, FieldElement) and result.field == field
-            assert type(result.value) is (int if field.characteristic else Fraction)
-            assert result.value == reduce(expected), (field, result, expected)
+    def check(result, expected):
+        assert isinstance(result, FieldElement) and result.field == field
+        assert type(result.value) is (int if field.characteristic else Fraction)
+        assert result.value == reduce(expected), (field, result, expected)
 
-        for x in values:
-            a = field.element(x)
-            for y in values:
-                b = field.element(y)
-                check(a + b, x + y)
-                check(a - b, x - y)
-                check(a * b, x * y)
-                if y:
-                    check(a / b, divide(x, y))
-            check(-a, -x)
-            for k in range(4):
-                check(a**k, x**k)
+    for x in values:
+        a = field.element(x)
+        for y in values:
+            b = field.element(y)
+            check(a + b, x + y)
+            check(a - b, x - y)
+            check(a * b, x * y)
+            if y:
+                check(a / b, divide(x, y))
+        check(-a, -x)
+        for k in range(4):
+            check(a**k, x**k)
+        if x:
+            check(a.inverse(), divide(1, x))
+            for k in range(1, 4):
+                check(a**-k, divide(1, x**k))
+        for n in operands:
+            check(a + n, x + n)
+            check(n + a, n + x)
+            check(a - n, x - n)
+            check(n - a, n - x)
+            check(a * n, x * n)
+            check(n * a, n * x)
+            if reduce(n):
+                check(a / n, divide(x, n))
             if x:
-                check(a.inverse(), divide(1, x))
-                for k in range(1, 4):
-                    check(a**-k, divide(1, x**k))
-            for n in operands:
-                check(a + n, x + n)
-                check(n + a, n + x)
-                check(a - n, x - n)
-                check(n - a, n - x)
-                check(a * n, x * n)
-                check(n * a, n * x)
-                if reduce(n):
-                    check(a / n, divide(x, n))
-                if x:
-                    check(n / a, divide(n, x))
+                check(n / a, divide(n, x))
+
+
+def test_operator_coverage():
+    _check_operator_forms(Rationals())
+
+
+@pytest.mark.parametrize("p", OPERATOR_MODULI, ids=lambda p: f"fp:{p}")
+def test_operator_coverage_over_prime_fields(p):
+    _check_operator_forms(PrimeField(p))
 
 
 def test_constructor_rejects_char_three():

@@ -275,7 +275,7 @@ def test_law_tables_answer_as_the_law_does(p):
     ctx = verify._Context(curve, 0, 40)
     laws = [(star_mul, "nonzero"), (proj_mul, "nonzero"), (folium_mul, "all"), (add_south, "all"), (add_west, "all")]
     for kind, law in LAWS.items():
-        if not law.chart.affine or curve.field.has_unique_cube_root():
+        if law.domain != "affine" or curve.field.has_unique_cube_root():
             laws.append(((lambda c, P, Q, kind=kind: apply_law(c, kind, P, Q)), law.domain))
     for law, domain in laws:
         table = verify._table(ctx, law)
@@ -340,9 +340,9 @@ def test_the_slope_cubic_row_asks_the_line_oracle_once_per_chord_line(monkeypatc
     curve, checked = prime_curve(31), []
     real = verify.slope_cubic_check
 
-    def slope_cubic_check(curve, line, points=None):
+    def slope_cubic_check(curve, line):
         checked.append(line)
-        return real(curve, line, points)
+        return real(curve, line)
 
     monkeypatch.setattr(verify, "slope_cubic_check", slope_cubic_check)
     results = {row.name: row for row in run_suite(curve, "geometry", seed=0, samples=40)}
@@ -351,6 +351,26 @@ def test_the_slope_cubic_row_asks_the_line_oracle_once_per_chord_line(monkeypatc
     assert results["slope_cubic_oracle"].passed and results["slope_cubic_oracle"].instances == len(pairs) == 900
     assert len(checked) == len(set(checked)) == len(lines) < len(pairs)
     assert set(checked) == lines
+
+
+@pytest.mark.parametrize("name", ["star", "geometry"])
+def test_a_suite_computes_each_product_of_an_ordered_pair_once(name, monkeypatch):
+    # over fp:13 every row of the suite reads dot and star from its tables, so each law
+    # meets an ordered pair of points once; the star suite asks for all 144 pairs of both
+    calls = {"star_mul": [], "proj_mul": []}
+    for law, pairs in calls.items():
+        real = getattr(verify, law)
+
+        def counted(curve, P, Q, real=real, pairs=pairs):
+            pairs.append((P, Q))
+            return real(curve, P, Q)
+
+        monkeypatch.setattr(verify, law, counted)
+    assert all(row.passed for row in run_suite(prime_curve(13), name, seed=0, samples=40))
+    for law, pairs in calls.items():
+        assert pairs and len(pairs) == len(set(pairs)), (law, len(pairs), len(set(pairs)))
+    if name == "star":
+        assert len(calls["star_mul"]) == len(calls["proj_mul"]) == 12 * 12
 
 
 def test_a_raising_product_fails_its_row_at_the_same_case(monkeypatch):
