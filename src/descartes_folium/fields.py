@@ -368,7 +368,7 @@ class PrimeField(Field):
         # The roots are the primitive sixth roots of unity -w and -w^2, w a
         # primitive cube root of unity; F_p^* has one exactly when 3 | p - 1.
         p = self.p
-        if p == 2 or p % 3 == 2:
+        if p % 3 == 2:
             return None
         g = 2
         while (w := pow(g, (p - 1) // 3, p)) == 1:

@@ -11,9 +11,10 @@ domain is the whole curve ("all"), the curve without the node ("nonzero"),
 or the affine curve ("affine"), which needs -1 to be the only cube root of
 -1, without which the affine charts are not bijections: Law.param refuses
 the node of a "nonzero" law, and Law.require_field a field with epsilon
-roots for an "affine" one.  The law table states each law once, and
-apply_law, law_inverse, law_neutral and the per-law functions all read it.
-fieldmul is plain multiplication through pbar, so the node absorbs
+roots for an "affine" one.  The law table LAWS states each law once:
+apply_law, law_inverse, law_neutral, nonzero_param and the per-law names
+all look their row up there when called, so a row patched or wrapped in
+the table is seen by every caller.  fieldmul is plain multiplication through pbar, so the node absorbs
 (pbar(0 t) = O); with addsouth it makes the curve a field.
 """
 
@@ -66,7 +67,6 @@ class Chart(NamedTuple):
 class Law(NamedTuple):
     """One transported law: P o Q = chart.point(op(chart.param(P), chart.param(Q)))."""
 
-    kind: LawKind
     chart: Chart
     op: Callable
     neutral: int  # the chart parameter of the neutral element
@@ -119,18 +119,15 @@ _WEST = Chart(
 
 # -- the law table --------------------------------------------------------
 
-_PROJ_MUL = Law(LawKind.PROJ_MUL, _PBAR, operator.mul, 1, _reciprocal, "nonzero")
-_PROJ_MUL2 = Law(LawKind.PROJ_MUL2, _PBARBAR, operator.mul, 1, _reciprocal, "nonzero")
-_STAR_MUL = Law(LawKind.STAR_MUL, _PBAR, lambda u, v: -(u * v), -1, _reciprocal, "nonzero")
-_ADD_SOUTH = Law(LawKind.ADD_SOUTH, _PBAR, operator.add, 0, operator.neg, "all")
-_ADD_WEST = Law(LawKind.ADD_WEST, _PBARBAR, operator.add, 0, operator.neg, "all")
-_SOUTH_MUL = Law(LawKind.SOUTH_MUL, _SOUTH, operator.mul, 1, _reciprocal, "affine")
-_WEST_MUL = Law(LawKind.WEST_MUL, _WEST, operator.mul, 1, _reciprocal, "affine")
-_FIELD_MUL = Law(LawKind.FIELD_MUL, _PBAR, operator.mul, 1, _reciprocal, "all", "nonzero")
-
 LAWS = {
-    law.kind: law
-    for law in (_PROJ_MUL, _PROJ_MUL2, _STAR_MUL, _ADD_SOUTH, _ADD_WEST, _SOUTH_MUL, _WEST_MUL, _FIELD_MUL)
+    LawKind.PROJ_MUL: Law(_PBAR, operator.mul, 1, _reciprocal, "nonzero"),
+    LawKind.PROJ_MUL2: Law(_PBARBAR, operator.mul, 1, _reciprocal, "nonzero"),
+    LawKind.STAR_MUL: Law(_PBAR, lambda u, v: -(u * v), -1, _reciprocal, "nonzero"),
+    LawKind.ADD_SOUTH: Law(_PBAR, operator.add, 0, operator.neg, "all"),
+    LawKind.ADD_WEST: Law(_PBARBAR, operator.add, 0, operator.neg, "all"),
+    LawKind.SOUTH_MUL: Law(_SOUTH, operator.mul, 1, _reciprocal, "affine"),
+    LawKind.WEST_MUL: Law(_WEST, operator.mul, 1, _reciprocal, "affine"),
+    LawKind.FIELD_MUL: Law(_PBAR, operator.mul, 1, _reciprocal, "all", "nonzero"),
 }
 
 
@@ -155,27 +152,27 @@ def law_inverse(curve: Folium, law: LawKind, point: ProjectivePoint) -> Projecti
 
 def nonzero_param(curve: Folium, point: ProjectivePoint) -> FieldElement:
     """Slope parameter of a curve point, rejecting the node."""
-    return _PROJ_MUL.param(curve, point)
+    return LAWS[LawKind.PROJ_MUL].param(curve, point)
 
 
 def proj_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
     """The multiplicative law with neutral V = pbar(1); node excluded."""
-    return _PROJ_MUL.apply(curve, p1, p2)
+    return LAWS[LawKind.PROJ_MUL].apply(curve, p1, p2)
 
 
 def proj_mul2(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
     """The multiplicative transport through pbarbar; coincides with proj_mul pointwise."""
-    return _PROJ_MUL2.apply(curve, p1, p2)
+    return LAWS[LawKind.PROJ_MUL2].apply(curve, p1, p2)
 
 
 def proj_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
     """Inverse under proj_mul: the coordinate swap (x : y : z) -> (y : x : z)."""
-    return _PROJ_MUL.invert(curve, point)
+    return LAWS[LawKind.PROJ_MUL].invert(curve, point)
 
 
 def star_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
     """The derived law pbar(t) * pbar(t') = pbar(-t t') with neutral I."""
-    return _STAR_MUL.apply(curve, p1, p2)
+    return LAWS[LawKind.STAR_MUL].apply(curve, p1, p2)
 
 
 def perp(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
@@ -185,37 +182,37 @@ def perp(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
 
 def add_south(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
     """The additive law pbar(t) + pbar(t') = pbar(t + t'); total, neutral O."""
-    return _ADD_SOUTH.apply(curve, p1, p2)
+    return LAWS[LawKind.ADD_SOUTH].apply(curve, p1, p2)
 
 
 def neg(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
     """Additive inverse pbar(-t); the same map serves add_south and add_west."""
-    return _ADD_SOUTH.invert(curve, point)
+    return LAWS[LawKind.ADD_SOUTH].invert(curve, point)
 
 
 def add_west(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
     """The additive transport through pbarbar; total, neutral O, distinct from add_south."""
-    return _ADD_WEST.apply(curve, p1, p2)
+    return LAWS[LawKind.ADD_WEST].apply(curve, p1, p2)
 
 
 def south_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
     """The affine exotic law: transport of (K\\{0}, *) through p_affine . alpha."""
-    return _SOUTH_MUL.apply(curve, p1, p2)
+    return LAWS[LawKind.SOUTH_MUL].apply(curve, p1, p2)
 
 
 def west_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
     """The swapped affine exotic law: transport through p_affine_prime . alpha."""
-    return _WEST_MUL.apply(curve, p1, p2)
+    return LAWS[LawKind.WEST_MUL].apply(curve, p1, p2)
 
 
 def south_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
     """Inverse under south_mul: shifted parameter tau goes to 1/tau."""
-    return _SOUTH_MUL.invert(curve, point)
+    return LAWS[LawKind.SOUTH_MUL].invert(curve, point)
 
 
 def west_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
     """Inverse under west_mul."""
-    return _WEST_MUL.invert(curve, point)
+    return LAWS[LawKind.WEST_MUL].invert(curve, point)
 
 
 # -- the curve as a field ----------------------------------------------
@@ -223,17 +220,17 @@ def west_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
 
 def folium_add(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
     """Field addition on the curve: add_south."""
-    return _ADD_SOUTH.apply(curve, p1, p2)
+    return LAWS[LawKind.ADD_SOUTH].apply(curve, p1, p2)
 
 
 def folium_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
     """Field multiplication: proj_mul extended by letting the node absorb."""
-    return _FIELD_MUL.apply(curve, p1, p2)
+    return LAWS[LawKind.FIELD_MUL].apply(curve, p1, p2)
 
 
 def folium_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
     """Field inversion; the node has none."""
-    return _FIELD_MUL.invert(curve, point)
+    return LAWS[LawKind.FIELD_MUL].invert(curve, point)
 
 
 def folium_div(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:

@@ -9,15 +9,20 @@ Unpatched, every suite passes; tests/golden pins both reports.  The first
 five faults sit in the charts: three in the kernel `_chart_coordinates`, one
 in `_chart_point`, which builds a point from it, and one in the inverse
 chart.  One gives the curve 4a where it prints a, which only a row that
-builds a point from the printed a can tell.  Two empty the line-point oracle
-and the root finder, which a geometry row that checked nothing would let
-pass.  Two give addsouth an operation that is not commutative or not
-associative, which a law table keyed on unordered pairs, or one that
-answered the wrong pair, would let pass.  The last five add one to a
-reflected operator or to `**`.  A fault that survives is a gap in the
+builds a point from the printed a can tell.  Four patch a row of the law
+table LAWS.  Every per-law name reads its row there when called, so such a
+fault reaches each suite that composes points with that law, not `axioms`
+alone: star without its sign also FAILs `star`, and an addsouth that is not
+a group also FAILs `fieldstructure`.  Two of those give addsouth an
+operation that is not commutative or not associative, which a product
+table keyed on unordered pairs, or one that answered the wrong pair, would
+let pass.  Two empty the line-point oracle and the root finder, which a
+geometry row that checked nothing would let pass.  The last five add one
+to a reflected operator or to `**`.  A fault that survives is a gap in the
 suites: add a property that catches it, never drop the fault.  The
-`neg`-as-identity fault is pinned by test_law_dispatch.py instead, since
-`verify` reads inverses through the law table, not the per-law names.
+`neg`-as-identity fault is pinned by test_law_dispatch.py instead: it
+replaces the name `neg`, and `verify` reads the additive inverses from the
+law table through `law_inverse`, never through that name.
 """
 
 import operator
@@ -181,10 +186,10 @@ FAULTS = {
     "scaled_chart_ignores_swap": (_scaled_chart_ignores_swap, ("parametrize", "axioms", "coincidence", "fieldstructure")),
     "inverse_chart_divides_the_wrong_way": (_inverse_chart_divides_the_wrong_way, (*CHART_SUITES, "southmul", "star")),
     "three_a_is_4a": (_three_a_is_4a, ("parametrize",)),
-    "wrong_law_op": (_wrong_law_op, ("axioms",)),
+    "wrong_law_op": (_wrong_law_op, ("axioms", "star")),
     "wrong_neutral": (_wrong_neutral, ("axioms",)),
-    "non_commutative_op": (_add_south_op(operator.sub), ("axioms",)),
-    "non_associative_op": (_add_south_op(_not_associative), ("axioms",)),
+    "non_commutative_op": (_add_south_op(operator.sub), ("axioms", "fieldstructure")),
+    "non_associative_op": (_add_south_op(_not_associative), ("axioms", "fieldstructure")),
     "identity_sigma": (_identity_sigma, ("parametrize", "axioms", "southmul", "fieldstructure")),
     "third_intersection_is_proj_mul": (_third_intersection_is_proj_mul, ("geometry", "collinearity")),
     "collinear3_always_true": (_collinear3_always_true, ("collinearity", "star")),

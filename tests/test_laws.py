@@ -15,6 +15,7 @@ from descartes_folium import (
     add_south,
     add_west,
     apply_law,
+    folium_add,
     folium_div,
     folium_inv,
     folium_mul,
@@ -33,6 +34,7 @@ from descartes_folium import (
     star_mul,
     west_mul,
 )
+from descartes_folium.laws import LAWS, nonzero_param, south_inv, west_inv
 from helpers import (
     affine_points,
     nonzero_points,
@@ -360,3 +362,55 @@ def test_south_west_inverses():
         point = pbar(curve, curve.field.element(t))
         assert south_mul(curve, point, law_inverse(curve, LawKind.SOUTH_MUL, point)) == curve.origin
         assert west_mul(curve, point, law_inverse(curve, LawKind.WEST_MUL, point)) == curve.origin
+
+
+class _RowRead(Exception):
+    """Raised by a patched LAWS row, to show who reads it."""
+
+
+def _raise(*args):
+    raise _RowRead
+
+
+# Each name with the row it reads and the column of that row it calls: "op" or "inverse".
+NAMED = [
+    (proj_mul, LawKind.PROJ_MUL, "op"),
+    (proj_mul2, LawKind.PROJ_MUL2, "op"),
+    (proj_inv, LawKind.PROJ_MUL, "inverse"),
+    (star_mul, LawKind.STAR_MUL, "op"),
+    (add_south, LawKind.ADD_SOUTH, "op"),
+    (neg, LawKind.ADD_SOUTH, "inverse"),
+    (add_west, LawKind.ADD_WEST, "op"),
+    (south_mul, LawKind.SOUTH_MUL, "op"),
+    (west_mul, LawKind.WEST_MUL, "op"),
+    (south_inv, LawKind.SOUTH_MUL, "inverse"),
+    (west_inv, LawKind.WEST_MUL, "inverse"),
+    (folium_add, LawKind.ADD_SOUTH, "op"),
+    (folium_mul, LawKind.FIELD_MUL, "op"),
+    (folium_inv, LawKind.FIELD_MUL, "inverse"),
+]
+
+
+@pytest.mark.parametrize("name, kind, column", NAMED, ids=[name.__name__ for name, _, _ in NAMED])
+def test_each_per_law_name_reads_its_row_of_the_law_table(name, kind, column, monkeypatch):
+    # a row patched in LAWS reaches the name as it reaches apply_law and law_inverse
+    curve = rational_curve(1)
+    point = curve.vertex()
+    monkeypatch.setitem(LAWS, kind, LAWS[kind]._replace(**{column: _raise}))
+    if column == "op":
+        calls = [lambda: name(curve, point, point), lambda: apply_law(curve, kind, point, point)]
+    else:
+        calls = [lambda: name(curve, point), lambda: law_inverse(curve, kind, point)]
+    for call in calls:
+        with pytest.raises(_RowRead):
+            call()
+
+
+def test_nonzero_param_reads_the_projmul_chart_of_the_law_table(monkeypatch):
+    curve = rational_curve(1)
+    row = LAWS[LawKind.PROJ_MUL]
+    monkeypatch.setitem(LAWS, LawKind.PROJ_MUL, row._replace(chart=row.chart._replace(param=_raise)))
+    with pytest.raises(_RowRead):
+        nonzero_param(curve, curve.vertex())
+    with pytest.raises(_RowRead):
+        apply_law(curve, LawKind.PROJ_MUL, curve.vertex(), curve.vertex())
