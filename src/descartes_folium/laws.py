@@ -14,8 +14,9 @@ the node of a "nonzero" law, and Law.require_field a field with epsilon
 roots for an "affine" one.  The law table LAWS states each law once:
 apply_law, law_inverse, law_neutral, nonzero_param and the per-law names
 all look their row up there when called, so a row patched or wrapped in
-the table is seen by every caller.  fieldmul is plain multiplication through pbar, so the node absorbs
-(pbar(0 t) = O); with addsouth it makes the curve a field.
+the table is seen by every caller.  fieldmul is plain multiplication
+through pbar, so the node absorbs (pbar(0 t) = O); with addsouth it makes
+the curve a field.
 """
 
 from __future__ import annotations

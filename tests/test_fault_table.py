@@ -13,13 +13,14 @@ builds a point from the printed a can tell.  Four patch a row of the law
 table LAWS.  Every per-law name reads its row there when called, so such a
 fault reaches each suite that composes points with that law, not `axioms`
 alone: star without its sign also FAILs `star`, and an addsouth that is not
-a group also FAILs `fieldstructure`.  Two of those give addsouth an
-operation that is not commutative or not associative, which a product
-table keyed on unordered pairs, or one that answered the wrong pair, would
-let pass.  Two empty the line-point oracle and the root finder, which a
-geometry row that checked nothing would let pass.  The last five add one
-to a reflected operator or to `**`.  A fault that survives is a gap in the
-suites: add a property that catches it, never drop the fault.  The
+a group also FAILs `fieldstructure`; only `law_neutral` reads the neutral
+column, so a wrong neutral stays an `axioms` fault.  Two of them give
+addsouth an operation that is not commutative or not associative, which a
+product table keyed on unordered pairs, or one that answered the wrong
+pair, would let pass.  Two empty the line-point oracle and the root finder,
+which a geometry row that checked nothing would let pass.  The last five
+add one to a reflected operator or to `**`.  A fault that survives is a gap
+in the suites: add a property that catches it, never drop the fault.  The
 `neg`-as-identity fault is pinned by test_law_dispatch.py instead: it
 replaces the name `neg`, and `verify` reads the additive inverses from the
 law table through `law_inverse`, never through that name.
