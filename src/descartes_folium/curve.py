@@ -3,7 +3,9 @@
 The curve is x^3 + y^3 - 3axyz = 0 in P^2(K) with a != 0.  Points
 (x : y : z) and lines [m : n : p] (for m*x + n*y + p*z = 0) share one
 canonical form, `_canonical`: the triple is scaled so that the first
-nonzero of its third, first and second entries is 1.  The classical
+nonzero of its third, first and second entries is 1, on stored values by
+`fields._scaled` (one modular inverse per triple over F_p, one Fraction per
+coordinate over Q).  The classical
 literals O = (0, 0, 1), I = (1, -1, 0) and affine points (x, y, 1) are
 already canonical, so the charts build their z = 1 points through
 `ProjectivePoint._affine`, which skips the canonicalizer.  Field equality
@@ -22,8 +24,11 @@ origin, infinity and vertex) lies on the curve by construction, so it
 carries that Folium in its `on` slot.  The mark has one reader,
 Folium.require_on_curve, which skips the cubic for a point marked with
 itself; every other point, those from raw coordinates included, is checked
-in full.  The oracles (evaluate, contains, enumerate_points) never read it,
-and it takes no part in equality, hashing or text.
+on stored values by `fields._cubic_vanishes` (one reduction mod p, or the
+cubic with its denominators cleared on ints over Q).  The oracles
+(evaluate, contains, enumerate_points) never read the mark and keep element
+arithmetic, so the boundary kernel and the oracle that checks it do not
+share a fault.  The mark takes no part in equality, hashing or text.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import BadLiteral, FieldTooLargeForScan, MixedFields, NotOnCurve, PointAtInfinity
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, _cubic_vanishes, _scaled
 
 # Brute-force point enumeration stays below this many residues.
 ENUMERATION_BOUND = 10_000
@@ -49,14 +54,14 @@ def _scan_range(field: Field, what: str) -> range:
 
 def _canonical(first, second, third, parts: str, noun: str) -> tuple:
     """The triple scaled so the first nonzero of (third, first, second) is 1."""
-    if first.field != second.field or first.field != third.field:
+    field = first.field
+    if second.field is not field or third.field is not field:
         raise MixedFields(f"{parts} must share one field")
-    for pivot in (third, first, second):
-        if not pivot.is_zero():
-            if pivot.is_one():
+    for pivot in (third.value, first.value, second.value):
+        if pivot != 0:
+            if pivot == 1:
                 return first, second, third
-            scale = pivot.inverse()
-            return first * scale, second * scale, third * scale
+            return _scaled(field, pivot, first.value, second.value, third.value)
     raise BadLiteral(f"(0 : 0 : 0) is not a {noun}")
 
 
@@ -212,11 +217,15 @@ class Folium:
         """Raise NotOnCurve off the curve.
 
         A point this curve built (`point.on is self`) is on it by construction
-        and passes without evaluating the cubic; any other point is evaluated.
+        and passes without evaluating the cubic; for any other point the cubic
+        is decided on stored values by `fields._cubic_vanishes`.
         """
         if point.on is self:
             return
-        if not self.contains(point):
+        x, y, z = point.x, point.y, point.z
+        if x.field is not self.field:
+            raise MixedFields(f"{point} does not live over {self.field}")
+        if not _cubic_vanishes(self.field, self.three_a.value, x.value, y.value, z.value):
             raise NotOnCurve(f"{point} is not on {self}")
 
     def vertex(self) -> ProjectivePoint:

@@ -25,6 +25,15 @@ the charts' one formula, x = 3at/(1 + t^3) and y = x t on stored values: over
 F_p with one modular inverse, over Q on the ints n, d of t = n/d and A, B of
 3a = A/B, so that each coordinate is one Fraction and one gcd where the steps
 t^3 + 1, 3at/w and x t would each normalize a Fraction of their own.
+
+Two more kernels admit raw points in curve.py.  `_scaled` divides a triple by
+its pivot, with one modular inverse per triple over F_p and one Fraction per
+coordinate over Q, where `pivot.inverse()` and three element products would
+build four.  `_cubic_vanishes` decides x^3 + y^3 - 3axyz = 0 for stored
+values, with one `% p` over F_p and, over Q, on the ints with the
+denominators cleared, so no Fraction and no gcd.  Over Q, `Rationals._raw`
+stores a value whose type is exactly Fraction as it is: it is immutable and
+already in lowest terms.
 """
 
 from __future__ import annotations
@@ -120,6 +129,40 @@ def _chart_coordinates(field, a3, t) -> "tuple[FieldElement, FieldElement] | Non
     scale, denominator = a3.numerator * n * d, a3.denominator * w
     x, y = Fraction(scale * d, denominator), Fraction(scale * n, denominator)
     return FieldElement(field, x), FieldElement(field, y)
+
+
+def _scaled(field, pivot, x, y, z) -> "tuple[FieldElement, FieldElement, FieldElement]":
+    """The elements x / pivot, y / pivot and z / pivot of stored values; pivot is nonzero.
+
+    Over F_p the three share one modular inverse; over Q each is one Fraction
+    of the cross products of the ints, so one gcd each.
+    """
+    p = field.characteristic
+    if p:
+        s = pow(pivot, -1, p)
+        return FieldElement(field, x * s % p), FieldElement(field, y * s % p), FieldElement(field, z * s % p)
+    n, d = pivot.numerator, pivot.denominator
+    return (
+        FieldElement(field, Fraction(x.numerator * d, x.denominator * n)),
+        FieldElement(field, Fraction(y.numerator * d, y.denominator * n)),
+        FieldElement(field, Fraction(z.numerator * d, z.denominator * n)),
+    )
+
+
+def _cubic_vanishes(field, a3, x, y, z) -> bool:
+    """True iff x^3 + y^3 - a3 x y z = 0 for stored values.
+
+    Over F_p it is one reduction mod p.  Over Q, with x = X/dx, y = Y/dy,
+    z = Z/dz and a3 = A/B, the cubic times B dz dx^3 dy^3 is compared on ints:
+    B dz (u^3 + v^3) = A Z u v dx dy with u = X dy and v = Y dx, so no
+    Fraction and no gcd is built.
+    """
+    p = field.characteristic
+    if p:
+        return (x * x * x + y * y * y - a3 * x * y * z) % p == 0
+    dx, dy = x.denominator, y.denominator
+    u, v = x.numerator * dy, y.numerator * dx
+    return a3.denominator * z.denominator * (u * u * u + v * v * v) == a3.numerator * z.numerator * u * v * dx * dy
 
 
 def _ring_operation(combine):
@@ -303,6 +346,8 @@ class Rationals(Field):
         return (Rationals, ())
 
     def _raw(self, value):
+        if type(value) is Fraction:  # immutable and already in lowest terms
+            return value
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         raise TypeError(f"cannot build a rational from {value!r}")

@@ -57,6 +57,10 @@ class LawKind(Enum):
     WEST_MUL = "westmul"
     FIELD_MUL = "fieldmul"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality and spares each LAWS lookup Enum's own __hash__.
+    __hash__ = object.__hash__
+
 
 class Chart(NamedTuple):
     """A parametrization K -> curve and its inverse."""

@@ -30,10 +30,12 @@ ParameterAtInfinity.
 
 The charts and their inverses compute on stored values (ints mod p or
 Fractions) and build one FieldElement per coordinate of the result, through
-`fields._chart_coordinates` and `fields._quotient`.  The oracles that check
-them (Folium.evaluate and contains, enumerate_points, ProjectiveLine.contains
-and geometry.all_lines) and each Law.op keep element arithmetic on purpose,
-so a fault in this kernel cannot hide behind the same fault in its checker.
+`fields._chart_coordinates` and `fields._quotient`, and the on-curve check
+of a point not built by a chart runs on stored values too
+(`fields._cubic_vanishes`).  The oracles that check them (Folium.evaluate and
+contains, enumerate_points, ProjectiveLine.contains and geometry.all_lines)
+and each Law.op keep element arithmetic on purpose, so a fault in a kernel
+cannot hide behind the same fault in its checker.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Every law entry point behaves the same: apply_law, law_inverse and law_neutral
 agree with the per-law functions, and each invalid operand raises one exact error."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -34,7 +36,7 @@ from descartes_folium import (
     star_mul,
     west_mul,
 )
-from descartes_folium.laws import south_inv, west_inv
+from descartes_folium.laws import LAWS, south_inv, west_inv
 from helpers import prime_curve, rational_curve
 
 CURVES = [("q", a) for a in (1, 2)] + [
@@ -200,3 +202,14 @@ def test_affine_laws_refuse_fields_with_epsilon_roots(spec):
         expect_error(FieldLacksUniqueCubeRoot, gate_message(curve), OPS[law], curve, node, node)
         expect_error(FieldLacksUniqueCubeRoot, gate_message(curve), law_inverse, curve, law, node)
         expect_error(FieldLacksUniqueCubeRoot, gate_message(curve), INVERSES[law], curve, node)
+
+
+def test_every_law_kind_finds_its_own_row_by_identity_hash():
+    # LawKind hashes by identity, which holds only while every way of getting
+    # a member returns the one singleton.
+    for kind in LawKind:
+        row = LAWS[kind]
+        assert hash(kind) == object.__hash__(kind)
+        for twin in (pickle.loads(pickle.dumps(kind)), copy.deepcopy(kind), copy.copy(kind), LawKind(kind.value)):
+            assert twin is kind and LAWS[twin] is row
+    assert LAWS[LawKind("star")] is LAWS[LawKind.STAR_MUL]

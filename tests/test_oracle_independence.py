@@ -1,10 +1,11 @@
 """The oracles stay independent of the parametrization and the laws.
 
-With pbar, pbarbar, p_affine, pbar_inv, the chart kernel _chart_coordinates
-and apply_law replaced, at every module name that holds them, by functions
-that raise, the point enumeration, the cubic evaluation, the line scan, the
-line-incidence filter, the sign-based branch label and the cube-root residue
-scan still give their unpatched answers.  The refusal texts of the scans and the canonical-form errors of
+With pbar, pbarbar, p_affine, pbar_inv, the chart kernel _chart_coordinates,
+the on-curve kernel _cubic_vanishes and apply_law replaced, at every module
+name that holds them, by functions that raise, the point enumeration, the
+cubic evaluation, the line scan, the line-incidence filter, the sign-based
+branch label and the cube-root residue scan still give their unpatched
+answers.  The refusal texts of the scans and the canonical-form errors of
 points and lines are pinned here too.
 """
 
@@ -38,6 +39,7 @@ PATCHED = {
     "p_affine": parametrization.p_affine,
     "pbar_inv": parametrization.pbar_inv,
     "_chart_coordinates": fields._chart_coordinates,
+    "_cubic_vanishes": fields._cubic_vanishes,
     "apply_law": apply_law,
 }
 

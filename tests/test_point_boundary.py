@@ -2,9 +2,23 @@
 one built on another curve, is evaluated against the cubic wherever a curve
 point is required."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from descartes_folium import LawKind, NotOnCurve, ProjectivePoint, Rationals, pbar
+from descartes_folium import (
+    Folium,
+    FoliumError,
+    LawKind,
+    MixedFields,
+    NotOnCurve,
+    PrimeField,
+    ProjectiveLine,
+    ProjectivePoint,
+    Rationals,
+    pbar,
+)
 from descartes_folium.branches import classify_branch
 from descartes_folium.cli import point_json, point_text
 from descartes_folium.geometry import chord_or_tangent, collinear3, third_intersection
@@ -71,3 +85,129 @@ def test_chart_points_carry_their_curve_and_raw_points_do_not():
     assert all(point.on is CURVE for point in built)
     raw = [OFF, CURVE.point(0, 0), ProjectivePoint.of(Rationals(), 6, 12, 9), sigma(OFF)]
     assert all(point.on is None for point in raw)
+
+
+# -- the boundary kernels against element arithmetic -------------------------
+#
+# A raw point is admitted by two kernels on stored values: the canonical
+# scaling (fields._scaled, through _canonical) and the on-curve check
+# (fields._cubic_vanishes, through require_on_curve).  The tests below hold
+# them to the element-arithmetic answers, on seeded triples over q at anchor
+# heights and at 2^31 heights and over fp:2, 5, 7 and 65537.
+
+BOUNDARY_FIELDS = [Rationals(), PrimeField(2), PrimeField(5), PrimeField(7), PrimeField(65537)]
+BOUNDARY_IDS = ["q", "fp:2", "fp:5", "fp:7", "fp:65537"]
+
+
+def _curve_parameters(field):
+    if field.characteristic:
+        return [a for a in (1, 2, 6) if a % field.characteristic]
+    return [Fraction(1), Fraction(2), Fraction(-5, 7)]
+
+
+def _draw(field, rng, height):
+    """A nonzero field value: a residue, or a rational of numerator and denominator up to `height`."""
+    p = field.characteristic
+    while True:
+        if p:
+            value = rng.randrange(1, p) * rng.choice((1, -1, p + 1))
+        else:
+            value = Fraction(rng.randint(-height, height), rng.randint(1, height))
+        if value % p if p else value:
+            return value
+
+
+def _raw_triples(field, a, seed):
+    """Scaled on-curve triples, their perturbations off the curve and the special points, scaled."""
+    rng = random.Random(seed)
+    p = field.characteristic
+    heights = [12, 2**31] if not p else [p]
+    triples = []
+    for height in heights:
+        for _ in range(12):
+            t, scale = _draw(field, rng, height), _draw(field, rng, height)
+            on = (3 * a * t * scale, 3 * a * t * t * scale, (1 + t**3) * scale)
+            triples += [on, (on[0] + scale, on[1], on[2]), (on[0], on[1] - 1, on[2]), (on[0], on[1], on[2] + on[0])]
+        scale = _draw(field, rng, height)
+        triples += [(0, 0, scale), (scale, -scale, 0), (0, scale, 0), (scale, scale, scale)]
+        triples += [(scale, e.value * scale, 0) for e in field.epsilon_roots() or ()]
+    return [triple for triple in triples if any(value % p if p else value for value in triple)]
+
+
+def _outcome(call):
+    try:
+        call()
+    except FoliumError as error:
+        return type(error), str(error)
+    return None
+
+
+def _element_outcome(curve, point):
+    """require_on_curve's answer as element arithmetic gives it: evaluate's error, or contains."""
+    try:
+        on = curve.contains(point)
+    except FoliumError as error:
+        return type(error), str(error)
+    return None if on else (NotOnCurve, f"{point} is not on {curve}")
+
+
+@pytest.mark.parametrize("field", BOUNDARY_FIELDS, ids=BOUNDARY_IDS)
+def test_require_on_curve_accepts_exactly_what_contains_accepts(field):
+    accepted = rejected = 0
+    for seed, a in enumerate(_curve_parameters(field)):
+        curve = Folium(field, a)
+        for triple in _raw_triples(field, a, seed):
+            point = ProjectivePoint.of(field, *triple)
+            expected = _element_outcome(curve, point)
+            assert _outcome(lambda: curve.require_on_curve(point)) == expected, (a, triple)
+            accepted += expected is None
+            rejected += expected is not None
+    assert accepted >= 4 and rejected >= 4
+
+
+def test_a_point_of_another_field_is_refused_with_evaluates_text():
+    pairs = [(Folium(Rationals(), 1), PrimeField(5)), (Folium(PrimeField(5), 1), PrimeField(7))]
+    pairs.append((Folium(PrimeField(7), 1), Rationals()))
+    for curve, other in pairs:
+        point = ProjectivePoint.of(other, 0, 0, 1)
+        expected = (MixedFields, f"{point} does not live over {curve.field}")
+        assert _outcome(lambda: curve.evaluate(point)) == expected
+        assert _outcome(lambda: curve.require_on_curve(point)) == expected
+
+
+def _reference_canonical(field, triple):
+    """The triple scaled as element arithmetic does it: inverse() of the pivot, then three products."""
+    x, y, z = (field.element(value) for value in triple)
+    for pivot in (z, x, y):
+        if not pivot.is_zero():
+            scale = pivot.inverse()
+            return (x * scale).value, (y * scale).value, (z * scale).value
+    raise AssertionError("a zero triple")
+
+
+@pytest.mark.parametrize("field", BOUNDARY_FIELDS, ids=BOUNDARY_IDS)
+def test_points_and_lines_scale_as_element_arithmetic_does(field):
+    stored = int if field.characteristic else Fraction
+    triples = [triple for seed, a in enumerate(_curve_parameters(field)) for triple in _raw_triples(field, a, seed)]
+    if not field.characteristic:
+        assert any(triple[2] < 0 for triple in triples) and any(triple[2] == 0 > triple[0] for triple in triples)
+    for triple in triples:
+        expected = _reference_canonical(field, triple)
+        point, line = ProjectivePoint.of(field, *triple), ProjectiveLine.of(field, *triple)
+        for values in ((point.x.value, point.y.value, point.z.value), (line.m.value, line.n.value, line.p.value)):
+            assert values == expected, triple
+            assert all(type(value) is stored for value in values)
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+def test_an_exact_fraction_is_stored_as_it_is():
+    q = Rationals()
+    for value in (Fraction(-7, 3), Fraction(2**40, 3**20), Fraction(0)):
+        assert q.element(value).value is value
+        assert ProjectivePoint.of(q, value, 1, 1).x.value is value
+    for value in (5, True, _FractionSubclass(4, 6)):
+        stored = q.element(value).value
+        assert type(stored) is Fraction and stored == value
