@@ -7,8 +7,8 @@ nonzero of its third, first and second entries is 1, on stored values by
 `fields._scaled` (one modular inverse per triple over F_p, one Fraction per
 coordinate over Q).  The classical
 literals O = (0, 0, 1), I = (1, -1, 0) and affine points (x, y, 1) are
-already canonical, so the charts build their z = 1 points through
-`ProjectivePoint._affine`, which skips the canonicalizer.  Field equality
+already canonical, so `ProjectivePoint._marked` skips the canonicalizer for
+the z = 1 points the charts build.  Field equality
 is identity, so point equality compares the fields of the x coordinates by
 `is`, and hashing reads that field directly.
 
@@ -21,7 +21,10 @@ list, so at most p + 3 points are held per curve.
 
 A point built by a chart (pbar, pbarbar, p_affine, and the curve's own
 origin, infinity and vertex) lies on the curve by construction, so it
-carries that Folium in its `on` slot.  The mark has one reader,
+carries that Folium in its `on` slot.  Only the private constructor
+`ProjectivePoint._marked` sets the mark, for the charts, sigma and the
+curve itself; the public constructors leave it None, so a caller cannot
+vouch for a point it built from coordinates.  The mark has one reader,
 Folium.require_on_curve, which skips the cubic for a point marked with
 itself; every other point, those from raw coordinates included, is checked
 on stored values by `fields._cubic_vanishes` (one reduction mod p, or the
@@ -75,23 +78,32 @@ class ProjectivePoint:
     """A point of P^2(K) in canonical form; equality is exact triple equality.
 
     `on` is the Folium that built the point, when a chart did; None otherwise.
+    The public constructors leave it None: only `_marked` sets it.
     """
 
     __slots__ = ("x", "y", "z", "on")
 
-    def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement, on=None):
-        self.on = on
+    def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement):
+        self.on = None
         self.x, self.y, self.z = _canonical(x, y, z, "point coordinates", "projective point")
 
     @classmethod
-    def of(cls, field: Field, x, y, z=1, on=None) -> "ProjectivePoint":
-        return cls(field.element(x), field.element(y), field.element(z), on)
+    def of(cls, field: Field, x, y, z=1) -> "ProjectivePoint":
+        return cls(field.element(x), field.element(y), field.element(z))
 
     @classmethod
-    def _affine(cls, x: FieldElement, y: FieldElement, on) -> "ProjectivePoint":
-        """The point (x : y : 1) of two elements of one field, which is canonical as it stands."""
+    def _marked(cls, x: FieldElement, y: FieldElement, z: FieldElement, on) -> "ProjectivePoint":
+        """The point (x : y : z) of one field, marked with the Folium `on` (or None) that it lies on.
+
+        The caller vouches for the mark.  A point with z = 1 is canonical as it
+        stands; any other goes through the canonicalizer.
+        """
         point = object.__new__(cls)
-        point.x, point.y, point.z, point.on = x, y, x.field.one, on
+        if z.value == 1:
+            point.x, point.y, point.z = x, y, z
+        else:
+            point.x, point.y, point.z = _canonical(x, y, z, "point coordinates", "projective point")
+        point.on = on
         return point
 
     @property
@@ -193,8 +205,9 @@ class Folium:
         self.field = field
         self.a = a
         self.three_a = field.element(3) * a
-        self.origin = ProjectivePoint.of(field, 0, 0, 1, on=self)
-        self.infinity = ProjectivePoint.of(field, 1, -1, 0, on=self)
+        zero, one = field.zero, field.one
+        self.origin = ProjectivePoint._marked(zero, zero, one, self)
+        self.infinity = ProjectivePoint._marked(one, -one, zero, self)
         self._points = None  # enumerate_points' scan, once it has run
 
     def point(self, x, y, z=1) -> ProjectivePoint:
@@ -230,7 +243,7 @@ class Folium:
 
     def vertex(self) -> ProjectivePoint:
         """The point (3a : 3a : 2); coincides with the infinite point in char 2."""
-        return ProjectivePoint.of(self.field, self.three_a, self.three_a, 2, on=self)
+        return ProjectivePoint._marked(self.three_a, self.three_a, self.field.element(2), self)
 
     def special_points(self) -> SpecialPoints:
         roots = self.field.epsilon_roots()

@@ -20,11 +20,13 @@ frame besides the new element's; any other operand goes through `_coerced`,
 which raises MixedFields for an element of another field.  `_quotient` is
 division's one body, kept apart: over Q it builds u / v as one Fraction from
 the cross products of the ints, one gcd, where `a * (1 / b)` would normalize
-two; the inverse charts of parametrization.py use it.  `_chart_coordinates` is
-the charts' one formula, x = 3at/(1 + t^3) and y = x t on stored values: over
-F_p with one modular inverse, over Q on the ints n, d of t = n/d and A, B of
-3a = A/B, so that each coordinate is one Fraction and one gcd where the steps
-t^3 + 1, 3at/w and x t would each normalize a Fraction of their own.
+two; the public inverse charts of parametrization.py divide a slope pair
+with it.  `_pair_coordinates` is the one chart kernel, which the public
+charts and every law share: the homogenized pbar, (n : d) ->
+(3and^2 : 3an^2d : n^3 + d^3), on a slope pair of ints, scaled to canonical
+form.  Over F_p that takes one modular inverse; over Q one gcd reduces the
+pair and each coordinate is one Fraction, with 3a = A/B read as ints.  The
+laws compose slope pairs on ints, so a law call divides only here.
 
 Two more kernels admit raw points in curve.py.  `_scaled` divides a triple by
 its pivot, with one modular inverse per triple over F_p and one Fraction per
@@ -44,6 +46,7 @@ import sys
 import threading
 import weakref
 from fractions import Fraction
+from math import gcd
 
 from .errors import BadLiteral, DivisionByZero, MixedFields
 
@@ -108,27 +111,34 @@ def _quotient(field, u, v) -> "FieldElement":
     return FieldElement(field, Fraction(u.numerator * v.denominator, u.denominator * v.numerator))
 
 
-def _chart_coordinates(field, a3, t) -> "tuple[FieldElement, FieldElement] | None":
-    """The elements x = a3 t / (1 + t^3) and y = x t of two stored values; None when 1 + t^3 = 0.
+def _pair_coordinates(field, a3, n, d) -> "tuple[FieldElement, FieldElement, FieldElement]":
+    """The canonical coordinates of pbar at the slope (n : d), for ints n and d not both zero.
 
-    Over Q, with t = n/d and a3 = A/B in lowest terms, x = A n d^2 / (B (n^3 + d^3))
-    and y = A n^2 d / (B (n^3 + d^3)) are computed on ints, and each becomes one
-    Fraction, so one gcd each.
+    Homogenized, pbar is (n : d) -> (a3 n d^2 : a3 n^2 d : n^3 + d^3), so the node
+    is the image of (0 : 1) and of (1 : 0) alike.  Where w = n^3 + d^3 is nonzero
+    the point is scaled to z = 1 by one modular inverse over F_p, or over Q, after
+    one gcd reduces the pair, as one Fraction per coordinate.  Where w = 0 it is
+    (1 : n/d : 0).  This is the one division a chart or a law makes.
     """
     p = field.characteristic
     if p:
-        w = (t * t * t + 1) % p
+        n, d = n % p, d % p
+        w = (n * n * n + d * d * d) % p
         if w == 0:
-            return None
-        x = a3 * t * pow(w, -1, p) % p
-        return FieldElement(field, x), FieldElement(field, x * t % p)
-    n, d = t.numerator, t.denominator
+            return field.one, FieldElement(field, n * pow(d, -1, p) % p), field.zero
+        s = a3 * n * d * pow(w, -1, p)
+        return FieldElement(field, s * d % p), FieldElement(field, s * n % p), field.one
+    g = gcd(n, d)
+    n, d = n // g, d // g
     w = n * n * n + d * d * d
     if w == 0:
-        return None
+        return field.one, FieldElement(field, Fraction(n, d)), field.zero
     scale, denominator = a3.numerator * n * d, a3.denominator * w
-    x, y = Fraction(scale * d, denominator), Fraction(scale * n, denominator)
-    return FieldElement(field, x), FieldElement(field, y)
+    return (
+        FieldElement(field, Fraction(scale * d, denominator)),
+        FieldElement(field, Fraction(scale * n, denominator)),
+        field.one,
+    )
 
 
 def _scaled(field, pivot, x, y, z) -> "tuple[FieldElement, FieldElement, FieldElement]":

@@ -12,7 +12,8 @@ over Q at one integer per monotone run of the cubic scaled to integer roots.
 The line-point oracle filters the curve's enumeration by incidence over F_p
 and substitutes the line into the curve's cubic over Q; slope_cubic_check
 asks it for the line's points itself, so it takes only the curve and the
-line.
+line.  Behind it, `_slope_cubic_holds` takes the points, so a caller that
+already holds the oracle's answer for a line does not ask for it again.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .errors import (
     VertexNotAllowed,
 )
 from .fields import Field
-from .laws import nonzero_param, perp
-from .parametrization import pbar, pbar_inv
+from .laws import _nonzero_pair, perp
+from .parametrization import _pair_point, pbar, pbar_inv
 
 
 def line_through(p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectiveLine:
@@ -65,12 +66,13 @@ def chord_or_tangent(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) ->
 def third_intersection(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
     """The third curve point on the chord (or tangent) of two non-node points.
 
-    Computed from the slope-product identity t1 t2 t3 = -1, so the result is
-    exact and never the node.
+    Computed from the slope-product identity t1 t2 t3 = -1 on slope pairs,
+    t3 = (-d1 d2 : n1 n2), so the result is exact and never the node.
     """
-    t3 = -(nonzero_param(curve, p1) * nonzero_param(curve, p2)).inverse()
-    result = pbar(curve, t3)
-    assert result != curve.origin  # t3 = -1/(t1 t2) cannot vanish
+    n1, d1 = _nonzero_pair(curve, p1)
+    n2, d2 = _nonzero_pair(curve, p2)
+    result = _pair_point(curve, -d1 * d2, n1 * n2)
+    assert result != curve.origin  # neither -d1 d2 nor n1 n2 vanishes
     return result
 
 
@@ -217,8 +219,13 @@ def slope_cubic_check(curve: Folium, line: ProjectiveLine) -> bool:
     roots of the line substituted into the curve's own cubic.  Each is
     re-checked, so a point off the line or the curve makes the check fail.
     """
-    c2, c1 = slope_cubic(curve, line)
-    for point in _curve_points_on_line(curve, line):
+    return _slope_cubic_holds(curve, line, slope_cubic(curve, line), _curve_points_on_line(curve, line))
+
+
+def _slope_cubic_holds(curve: Folium, line: ProjectiveLine, cubic: tuple, points) -> bool:
+    """slope_cubic_check's verdict on the line's points as the line-point oracle gave them."""
+    c2, c1 = cubic
+    for point in points:
         if not (curve.contains(point) and line.contains(point)):
             return False
         t = pbar_inv(curve, point)

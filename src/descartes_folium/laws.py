@@ -3,25 +3,33 @@
 pbar is a bijection K -> curve, so each law is one field operation moved
 through one chart:  P o Q = chart(op(chart^-1(P), chart^-1(Q))).
 
-A law is a chart, a field operation, a neutral parameter, an inverse and a
-domain.  The charts are pbar, pbarbar, and for the affine exotic laws
-p_affine . alpha and p_affine_prime . alpha on tau = t + 1; the operations
-are u v, -(u v) and u + v; the inverses are reciprocal and negation.  The
-domain is the whole curve ("all"), the curve without the node ("nonzero"),
-or the affine curve ("affine"), which needs -1 to be the only cube root of
--1, without which the affine charts are not bijections: Law.param refuses
-the node of a "nonzero" law, and Law.require_field a field with epsilon
-roots for an "affine" one.  The law table LAWS states each law once:
-apply_law, law_inverse, law_neutral, nonzero_param and the per-law names
-all look their row up there when called, so a row patched or wrapped in
-the table is seen by every caller.  fieldmul is plain multiplication
-through pbar, so the node absorbs (pbar(0 t) = O); with addsouth it makes
-the curve a field.
+The laws compose slopes as pairs of ints (n : d), t = n/d, read from a
+point with no division (parametrization.py): (y : x), or (x : y) for the
+pbarbar laws, and (0 : 1) at the node.  Each field operation is a
+polynomial map of the pairs: a product is (n1 n2 : d1 d2), star's is
+(-n1 n2 : d1 d2) and a sum is (n1 d2 + n2 d1 : d1 d2); the exotic laws
+multiply the shifted slopes tau = t + 1 = (n + d : d) and shift the product
+back.  The inverses are (d : n) and (-n : d), and (-n : n + d) for the
+exotic laws.  So a law call divides once, in the chart that builds its
+result, `fields._pair_coordinates`.
+
+A law is a chart, a pair operation, a neutral pair, an inverse and a
+domain.  The charts are pbar and pbarbar; the exotic laws read only affine
+points and build only affine ones, p_affine and p_affine_prime.  The domain
+is the whole curve ("all"), the curve without the node ("nonzero"), or the
+affine curve ("affine"), which needs -1 to be the only cube root of -1,
+without which the affine charts are not bijections: Law.param refuses the
+node of a "nonzero" law, Law.require_field a field with epsilon roots for
+an "affine" one, and Law.invert the node where only the nonzero points are
+units.  The law table LAWS states each law once: apply_law, law_inverse,
+law_neutral, nonzero_param and the per-law names all look their row up
+there when called, so a row patched or wrapped in the table is seen by
+every caller.  fieldmul is plain multiplication through pbar, so the node
+absorbs (pbar(0 t) = O); with addsouth it makes the curve a field.
 """
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Callable
 from enum import Enum
 from typing import NamedTuple
@@ -32,17 +40,8 @@ from .errors import (
     FieldLacksUniqueCubeRoot,
     OriginNotInGroup,
 )
-from .fields import FieldElement
-from .parametrization import (
-    alpha,
-    alpha_inv,
-    p_affine,
-    p_affine_prime,
-    pbar,
-    pbar_inv,
-    pbarbar,
-    pbarbar_inv,
-)
+from .fields import FieldElement, _quotient
+from .parametrization import _pair_param, _pair_point, sigma
 
 
 class LawKind(Enum):
@@ -63,19 +62,19 @@ class LawKind(Enum):
 
 
 class Chart(NamedTuple):
-    """A parametrization K -> curve and its inverse."""
+    """A parametrization on slope pairs: point(curve, n, d) and its inverse param(curve, P) = (n, d)."""
 
     point: Callable
     param: Callable
 
 
 class Law(NamedTuple):
-    """One transported law: P o Q = chart.point(op(chart.param(P), chart.param(Q)))."""
+    """One transported law: P o Q = chart.point(*op(*chart.param(P), *chart.param(Q)))."""
 
     chart: Chart
-    op: Callable
-    neutral: int  # the chart parameter of the neutral element
-    inverse: Callable
+    op: Callable  # (n1, d1, n2, d2) -> (n, d)
+    neutral: tuple  # the chart's slope pair of the neutral element
+    inverse: Callable  # (n, d) -> (n, d)
     domain: str  # the law's own domain: "all", "nonzero" (no node) or "affine"
     units: str | None = None  # the invertible points, when narrower than the domain
 
@@ -86,53 +85,63 @@ class Law(NamedTuple):
                 "is not a bijection onto the affine curve"
             )
 
-    def param(self, curve: Folium, point: ProjectivePoint) -> FieldElement:
-        u = self.chart.param(curve, point)
-        if self.domain == "nonzero" and u.is_zero():
+    def param(self, curve: Folium, point: ProjectivePoint) -> tuple:
+        n, d = self.chart.param(curve, point)
+        if self.domain == "nonzero" and n == 0:
             raise OriginNotInGroup("the node (0 : 0 : 1) is excluded here")
-        return u
+        return n, d
 
     def apply(self, curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
         self.require_field(curve)
-        return self.chart.point(curve, self.op(self.param(curve, p1), self.param(curve, p2)))
+        return self.chart.point(curve, *self.op(*self.param(curve, p1), *self.param(curve, p2)))
 
     def invert(self, curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
         self.require_field(curve)
-        return self.chart.point(curve, self.inverse(self.param(curve, point)))
+        n, d = self.param(curve, point)
+        if n == 0 and self.units == "nonzero":
+            raise DivisionByZeroPoint("the node (0 : 0 : 1) has no multiplicative inverse")
+        return self.chart.point(curve, *self.inverse(n, d))
 
 
-def _reciprocal(u: FieldElement) -> FieldElement:
-    # Parameter 0 is the node; only fieldmul admits it, and it has no inverse there.
-    if u.is_zero():
-        raise DivisionByZeroPoint("the node (0 : 0 : 1) has no multiplicative inverse")
-    return u.inverse()
-
-
-# The charts call the parametrizations by their module-level names, so a
-# wrapper installed on those names sees every call a law makes.
-_PBAR = Chart(lambda c, u: pbar(c, u), lambda c, P: pbar_inv(c, P))
-_PBARBAR = Chart(lambda c, u: pbarbar(c, u), lambda c, P: pbarbar_inv(c, P))
-# t != -1 for affine points, so the shifted parameter tau = t + 1 is never zero.
-_SOUTH = Chart(
-    lambda c, tau: p_affine(c, alpha(tau)),
-    lambda c, P: alpha_inv(pbar_inv(c, _require_affine(P))),
-)
+# The charts call the pair maps and sigma by their module-level names, so a
+# wrapper installed on those names sees every call a law makes.  The exotic
+# laws read tau = t + 1, which is never zero on an affine point (t != -1);
+# their charts are p_affine and p_affine_prime = sigma . p_affine.
+_PBAR = Chart(lambda c, n, d: _pair_point(c, n, d), lambda c, P: _pair_param(c, P))
+_PBARBAR = Chart(lambda c, n, d: _pair_point(c, n, d, True), lambda c, P: _pair_param(c, P, True))
+_SOUTH = Chart(lambda c, n, d: _pair_point(c, n, d, affine=True), lambda c, P: _pair_param(c, _require_affine(P)))
 _WEST = Chart(
-    lambda c, tau: p_affine_prime(c, alpha(tau)),
-    lambda c, P: alpha_inv(pbarbar_inv(c, _require_affine(P))),
+    lambda c, n, d: sigma(_pair_point(c, n, d, affine=True)),
+    lambda c, P: _pair_param(c, _require_affine(P), True),
 )
+
+
+# The pair forms of t1 t2, t1 + t2 and (t1 + 1)(t2 + 1) - 1 for t1 = n1/d1 and t2 = n2/d2.
+def _product(n1, d1, n2, d2):
+    return n1 * n2, d1 * d2
+
+
+def _sum(n1, d1, n2, d2):
+    return n1 * d2 + n2 * d1, d1 * d2
+
+
+def _shifted_product(n1, d1, n2, d2):
+    d = d1 * d2
+    return (n1 + d1) * (n2 + d2) - d, d
+
 
 # -- the law table --------------------------------------------------------
 
+# The inverses are 1/t, -t and, for the exotic laws, 1/(t + 1) - 1 = -t/(t + 1).
 LAWS = {
-    LawKind.PROJ_MUL: Law(_PBAR, operator.mul, 1, _reciprocal, "nonzero"),
-    LawKind.PROJ_MUL2: Law(_PBARBAR, operator.mul, 1, _reciprocal, "nonzero"),
-    LawKind.STAR_MUL: Law(_PBAR, lambda u, v: -(u * v), -1, _reciprocal, "nonzero"),
-    LawKind.ADD_SOUTH: Law(_PBAR, operator.add, 0, operator.neg, "all"),
-    LawKind.ADD_WEST: Law(_PBARBAR, operator.add, 0, operator.neg, "all"),
-    LawKind.SOUTH_MUL: Law(_SOUTH, operator.mul, 1, _reciprocal, "affine"),
-    LawKind.WEST_MUL: Law(_WEST, operator.mul, 1, _reciprocal, "affine"),
-    LawKind.FIELD_MUL: Law(_PBAR, operator.mul, 1, _reciprocal, "all", "nonzero"),
+    LawKind.PROJ_MUL: Law(_PBAR, _product, (1, 1), lambda n, d: (d, n), "nonzero"),
+    LawKind.PROJ_MUL2: Law(_PBARBAR, _product, (1, 1), lambda n, d: (d, n), "nonzero"),
+    LawKind.STAR_MUL: Law(_PBAR, lambda n1, d1, n2, d2: (-n1 * n2, d1 * d2), (-1, 1), lambda n, d: (d, n), "nonzero"),
+    LawKind.ADD_SOUTH: Law(_PBAR, _sum, (0, 1), lambda n, d: (-n, d), "all"),
+    LawKind.ADD_WEST: Law(_PBARBAR, _sum, (0, 1), lambda n, d: (-n, d), "all"),
+    LawKind.SOUTH_MUL: Law(_SOUTH, _shifted_product, (0, 1), lambda n, d: (-n, n + d), "affine"),
+    LawKind.WEST_MUL: Law(_WEST, _shifted_product, (0, 1), lambda n, d: (-n, n + d), "affine"),
+    LawKind.FIELD_MUL: Law(_PBAR, _product, (1, 1), lambda n, d: (d, n), "all", "nonzero"),
 }
 
 
@@ -144,7 +153,7 @@ def apply_law(curve: Folium, law: LawKind, p1: ProjectivePoint, p2: ProjectivePo
 def law_neutral(curve: Folium, law: LawKind) -> ProjectivePoint:
     """The neutral element of the law (V for the multiplicative laws, I for star, O otherwise)."""
     record = LAWS[law]
-    return record.chart.point(curve, record.neutral)
+    return record.chart.point(curve, *record.neutral)
 
 
 def law_inverse(curve: Folium, law: LawKind, point: ProjectivePoint) -> ProjectivePoint:
@@ -155,9 +164,14 @@ def law_inverse(curve: Folium, law: LawKind, point: ProjectivePoint) -> Projecti
 # -- the laws by name -----------------------------------------------------
 
 
+def _nonzero_pair(curve: Folium, point: ProjectivePoint) -> tuple:
+    """The slope pair (y : x) of a curve point, rejecting the node."""
+    return LAWS[LawKind.PROJ_MUL].param(curve, point)
+
+
 def nonzero_param(curve: Folium, point: ProjectivePoint) -> FieldElement:
     """Slope parameter of a curve point, rejecting the node."""
-    return LAWS[LawKind.PROJ_MUL].param(curve, point)
+    return _quotient(curve.field, *_nonzero_pair(curve, point))
 
 
 def proj_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
@@ -182,7 +196,8 @@ def star_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> Project
 
 def perp(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
     """The involution P -> pbar(-1/t); exchanges V and I."""
-    return pbar(curve, -nonzero_param(curve, point).inverse())
+    n, d = _nonzero_pair(curve, point)
+    return _pair_point(curve, -d, n)
 
 
 def add_south(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:

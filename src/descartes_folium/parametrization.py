@@ -9,33 +9,38 @@ node:
 * ``p_affine`` and ``p_affine_prime`` are the affine restrictions, defined
   away from t^3 = -1.
 
+Homogenized, pbar is the normalization P^1 -> curve,
+(n : d) -> (3and^2 : 3an^2d : n^3 + d^3), which sends both (0 : 1) and
+(1 : 0) to the node; off the node its inverse is (x : y : z) -> (y : x),
+with no division.  So the maps work on slope pairs of ints: `_pair_point`
+builds the point of a pair through the one kernel
+`fields._pair_coordinates`, and `_pair_param` reads the pair of a point,
+(y : x) over F_p and (Y dx : X dy) over Q for y = Y/dy and x = X/dx, and
+(0 : 1) at the node; pbarbar swaps the coordinates of pbar's point, and its
+inverse reads (x : y).  The public maps take the pair (t : 1) over F_p and
+(n : d) for t = n/d over Q, and pbar_inv and pbarbar_inv divide the pair
+once.  The laws (laws.py) compose the pairs themselves, so a law call
+divides only in the kernel.
+
 The inverses are totalized at the node with value 0, which makes pbar a
 bijection K -> curve and lets the additive laws act on the whole curve.
 After require_on_curve they find the node by one coordinate: on the curve
 x = 0 forces y^3 = 0 and y = 0 forces x^3 = 0, so either vanishes at the
 node alone.
 
-Each map marks the point it builds with its curve (ProjectivePoint.on), so
-require_on_curve does not evaluate the cubic on it again; sigma keeps the
-mark, since the cubic is symmetric in x and y.  Away from t^3 = -1 the maps
-scale their point themselves, to (x : x t : 1) with x = 3at/(1 + t^3),
-which is canonical as it stands, so they build it through
-`ProjectivePoint._affine` and skip the canonicalizer.  One builder,
-`_chart_point`, serves pbar, pbarbar and p_affine, and
-`fields._chart_coordinates` states the formula once; over Q it builds each
-coordinate from ints with one gcd.  At t^3 = -1, where 3at is nonzero,
-pbar(t) is the point at infinity (1 : t : 0), which goes through the
-canonicalizer, as sigma's swapped points do, and p_affine raises
-ParameterAtInfinity.
+Each map marks the point it builds with its curve, through
+`ProjectivePoint._marked`, so require_on_curve does not evaluate the cubic
+on it again; sigma keeps the mark, since the cubic is symmetric in x and y.
+At t^3 = -1, where 3at is nonzero, pbar(t) is the point at infinity
+(1 : t : 0), and p_affine raises ParameterAtInfinity.
 
-The charts and their inverses compute on stored values (ints mod p or
-Fractions) and build one FieldElement per coordinate of the result, through
-`fields._chart_coordinates` and `fields._quotient`, and the on-curve check
-of a point not built by a chart runs on stored values too
-(`fields._cubic_vanishes`).  The oracles that check them (Folium.evaluate and
-contains, enumerate_points, ProjectiveLine.contains and geometry.all_lines)
-and each Law.op keep element arithmetic on purpose, so a fault in a kernel
-cannot hide behind the same fault in its checker.
+The charts, their inverses and the on-curve check of a point not built by a
+chart (`fields._cubic_vanishes`) compute on stored values.  The oracles that
+check them (Folium.evaluate and contains, enumerate_points,
+ProjectiveLine.contains and geometry.all_lines) keep element arithmetic on
+purpose, as do the verify rows that compare a law with the chart of an
+element operation on the parameters, so a fault in a kernel cannot hide
+behind the same fault in its checker.
 """
 
 from __future__ import annotations
@@ -44,35 +49,45 @@ from enum import Enum
 
 from .curve import Folium, ProjectivePoint
 from .errors import ParameterAtInfinity
-from .fields import FieldElement, _chart_coordinates, _quotient
+from .fields import FieldElement, _pair_coordinates, _quotient
 
 
-def _chart_point(curve: Folium, t, swap: bool, affine: bool = False) -> ProjectivePoint:
-    """pbar(t), or pbarbar(t) when `swap`; when `affine`, p_affine(t), which refuses t^3 = -1."""
-    field = curve.field
-    t = field.element(t)
-    coordinates = _chart_coordinates(field, curve.three_a.value, t.value)
-    if coordinates is None:  # t^3 = -1 and 3at != 0, so (3at : 3at^2 : 0) is (1 : t : 0)
-        if affine:
-            raise ParameterAtInfinity(f"t = {t} satisfies t^3 = -1; no affine image")
-        one, zero = field.one, field.zero
-        return ProjectivePoint(t, one, zero, curve) if swap else ProjectivePoint(one, t, zero, curve)
-    x, y = coordinates
-    return ProjectivePoint._affine(y, x, curve) if swap else ProjectivePoint._affine(x, y, curve)
+def _pair_point(curve: Folium, n: int, d: int, swap: bool = False, affine: bool = False) -> ProjectivePoint:
+    """pbar at the slope (n : d), or pbarbar when `swap`; when `affine`, p_affine, which refuses n^3 + d^3 = 0."""
+    x, y, z = _pair_coordinates(curve.field, curve.three_a.value, n, d)
+    if affine and z.value == 0:  # (1 : t : 0) with t^3 = -1
+        raise ParameterAtInfinity(f"t = {y} satisfies t^3 = -1; no affine image")
+    return ProjectivePoint._marked(y, x, z, curve) if swap else ProjectivePoint._marked(x, y, z, curve)
+
+
+def _pair_param(curve: Folium, point: ProjectivePoint, swap: bool = False) -> tuple:
+    """The slope (y : x) of a curve point as a pair of ints, or (x : y) when `swap`; (0 : 1) at the node."""
+    curve.require_on_curve(point)
+    x, y = point.x.value, point.y.value
+    if swap:
+        x, y = y, x
+    xn, xd = x.as_integer_ratio()  # an int's ratio is (x, 1)
+    # On the curve x = 0 forces y^3 = 0, and y = 0 forces x^3 = 0: either marks the node alone.
+    if xn == 0:
+        return 0, 1
+    yn, yd = y.as_integer_ratio()
+    return yn * xd, xn * yd
+
+
+def _chart_point(curve: Folium, t, swap: bool = False, affine: bool = False) -> ProjectivePoint:
+    """The chart at the parameter t: the pair (t : 1) over F_p, (n : d) for t = n/d over Q."""
+    n, d = curve.field.element(t).value.as_integer_ratio()
+    return _pair_point(curve, n, d, swap, affine)
 
 
 def pbar(curve: Folium, t) -> ProjectivePoint:
     """Projective parametrization (3at : 3at^2 : 1 + t^3); total on the field."""
-    return _chart_point(curve, t, swap=False)
+    return _chart_point(curve, t)
 
 
 def pbar_inv(curve: Folium, point: ProjectivePoint) -> FieldElement:
     """Slope parameter y/x of a curve point; 0 at the node."""
-    curve.require_on_curve(point)
-    # On the curve x = 0 forces y^3 = 0, so x vanishes at the node alone.
-    if point.x.is_zero():
-        return curve.field.zero
-    return _quotient(curve.field, point.y.value, point.x.value)
+    return _quotient(curve.field, *_pair_param(curve, point))
 
 
 def pbarbar(curve: Folium, t) -> ProjectivePoint:
@@ -82,16 +97,12 @@ def pbarbar(curve: Folium, t) -> ProjectivePoint:
 
 def pbarbar_inv(curve: Folium, point: ProjectivePoint) -> FieldElement:
     """Inverse slope parameter x/y; 0 at the node."""
-    curve.require_on_curve(point)
-    # Likewise y = 0 forces x^3 = 0 on the curve.
-    if point.y.is_zero():
-        return curve.field.zero
-    return _quotient(curve.field, point.x.value, point.y.value)
+    return _quotient(curve.field, *_pair_param(curve, point, swap=True))
 
 
 def p_affine(curve: Folium, t) -> ProjectivePoint:
     """Affine parametrization (3at/(1+t^3), 3at^2/(1+t^3)) as a z = 1 point."""
-    return _chart_point(curve, t, swap=False, affine=True)
+    return _chart_point(curve, t, affine=True)
 
 
 def p_affine_prime(curve: Folium, t) -> ProjectivePoint:
@@ -114,7 +125,7 @@ def sigma(point: ProjectivePoint) -> ProjectivePoint:
 
     The cubic is symmetric in x and y, so the swapped point keeps the mark.
     """
-    return ProjectivePoint(point.y, point.x, point.z, point.on)
+    return ProjectivePoint._marked(point.y, point.x, point.z, point.on)
 
 
 class ParamMap(Enum):

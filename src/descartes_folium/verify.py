@@ -34,9 +34,10 @@ the curve.
 
 The geometry suite's slope-cubic row asks the line oracle once per chord
 line: many chords share a line, so a suite-local cache holds the points
-`_curve_points_on_line` finds on it and the verdict of `slope_cubic_check`,
-and each pair checks its own P, Q and third point against that answer.  The
-split-line row asks the oracle itself, once for each line of the plane.
+`_curve_points_on_line` finds on it and the verdict of slope_cubic_check on
+those same points (`geometry._slope_cubic_holds`), and each pair checks its
+own P, Q and third point against that answer.  The split-line row asks the
+oracle itself, once for each line of the plane.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .curve import Folium
 from .errors import DivisionByZeroPoint, FieldTooLargeForScan, FoliumError, UnknownSuite
 from .geometry import (
     _curve_points_on_line,
+    _slope_cubic_holds,
     all_lines,
     chord_or_tangent,
     collinear3,
@@ -61,7 +63,7 @@ from .geometry import (
     line_curve_intersections,
     line_through,
     perpendicular_chord_check,
-    slope_cubic_check,
+    slope_cubic,
     third_intersection,
 )
 from .laws import (
@@ -558,7 +560,8 @@ def _suite_geometry(ctx: _Context) -> list:
     @functools.cache
     def line_oracle(line):
         # the oracle's answer for one chord line, asked once per line of the suite run and freed with the rows
-        return set(_curve_points_on_line(curve, line)), slope_cubic_check(curve, line)
+        found = set(_curve_points_on_line(curve, line))
+        return found, _slope_cubic_holds(curve, line, slope_cubic(curve, line), found)
 
     def cubic_oracle(P, Q):
         # the chord's own three points must be among those the line oracle finds

@@ -6,11 +6,13 @@ must then FAIL at least one row.  Only those suites run, not `all`.  `star`
 is named for the faults it catches: with its parity chains read from law
 tables it takes about 30 ms over fp:5, as `axioms` and `geometry` do over q.
 Unpatched, every suite passes; tests/golden pins both reports.  The first
-five faults sit in the charts: three in the kernel `_chart_coordinates`, one
-in `_chart_point`, which builds a point from it, and one in the inverse
-chart.  One gives the curve 4a where it prints a, which only a row that
-builds a point from the printed a can tell.  Four patch a row of the law
-table LAWS.  Every per-law name reads its row there when called, so such a
+five faults sit in the charts, which the public maps and the laws share:
+three in the pair kernel `_pair_coordinates`, one in `_pair_point`, which
+builds a point from it, and one in the pair inverse chart `_pair_param`.
+One gives the curve 4a where it prints a, which only a row that builds a
+point from the printed a can tell.  Four patch a row of the law table LAWS,
+whose columns hold the operations on slope pairs (n : d), t = n/d.  Every
+per-law name reads its row there when called, so such a
 fault reaches each suite that composes points with that law, not `axioms`
 alone: star without its sign also FAILs `star`, and an addsouth that is not
 a group also FAILs `fieldstructure`; only `law_neutral` reads the neutral
@@ -26,7 +28,6 @@ replaces the name `neg`, and `verify` reads the additive inverses from the
 law table through `law_inverse`, never through that name.
 """
 
-import operator
 import sys
 
 import pytest
@@ -45,66 +46,70 @@ def _patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attribute, replacement)
 
 
-def _patch_chart_coordinates(monkeypatch, replacement):
-    """Replace fields._chart_coordinates at parametrization's name for it; `replacement` gets the real one first."""
-    real = parametrization._chart_coordinates
-    monkeypatch.setattr(parametrization, "_chart_coordinates", lambda field, a3, t: replacement(real, field, a3, t))
+def _patch_pair_coordinates(monkeypatch, replacement):
+    """Replace fields._pair_coordinates at parametrization's name for it; `replacement` gets the real one first."""
+    real = parametrization._pair_coordinates
+    monkeypatch.setattr(parametrization, "_pair_coordinates", lambda field, a3, n, d: replacement(real, field, a3, n, d))
+
+
+def _slope(field, n, d):
+    """The element t = n/d of a slope pair, by element arithmetic."""
+    return field.element(n) / field.element(d)
 
 
 def _wrong_chart_coefficient(monkeypatch):
     # 6a in place of 3a, in the branch that scales (x : x t : 1) itself
-    _patch_chart_coordinates(monkeypatch, lambda real, field, a3, t: real(field, a3 + a3, t))
+    _patch_pair_coordinates(monkeypatch, lambda real, field, a3, n, d: real(field, a3 + a3, n, d))
 
 
 def _chart_point_keeps_w(monkeypatch):
     # the scaled branch divides by w but keeps z = w: (3at/w : 3at^2/w : w), still marked,
     # which is the point (3at/w^2 : 3at^2/w^2 : 1)
-    def chart_coordinates(real, field, a3, t):
-        coordinates = real(field, a3, t)
-        if coordinates is None:
-            return None
-        w = field.element(t) ** 3 + 1
-        return tuple(coordinate / w for coordinate in coordinates)
+    def pair_coordinates(real, field, a3, n, d):
+        x, y, z = real(field, a3, n, d)
+        if z.is_zero():
+            return x, y, z
+        return x, y, _slope(field, n, d) ** 3 + 1
 
-    _patch_chart_coordinates(monkeypatch, chart_coordinates)
+    _patch_pair_coordinates(monkeypatch, pair_coordinates)
 
 
 def _w_zero_branch_dropped(monkeypatch):
     # every parameter takes the scaled branch, so t^3 = -1 divides by zero
-    def chart_coordinates(real, field, a3, t):
-        t = field.element(t)
+    def pair_coordinates(real, field, a3, n, d):
+        t = _slope(field, n, d)
         x = field.element(a3) * t / (t * t * t + 1)
-        return x, x * t
+        return x, x * t, field.one
 
-    _patch_chart_coordinates(monkeypatch, chart_coordinates)
+    _patch_pair_coordinates(monkeypatch, pair_coordinates)
 
 
 def _scaled_chart_ignores_swap(monkeypatch):
-    # pbarbar builds pbar's point whenever 1 + t^3 is nonzero
-    real = parametrization._chart_point
+    # pbarbar builds pbar's point whenever 1 + t^3 is nonzero, in the public charts and the laws alike
+    real = parametrization._pair_point
 
-    def chart_point(curve, t, swap, affine=False):
-        point = real(curve, t, swap, affine)
-        return real(curve, t, False, affine) if point.is_affine else point
+    def pair_point(curve, n, d, swap=False, affine=False):
+        point = real(curve, n, d, swap, affine)
+        return real(curve, n, d, False, affine) if point.is_affine else point
 
-    monkeypatch.setattr(parametrization, "_chart_point", chart_point)
+    _patch_everywhere(monkeypatch, real, pair_point)
 
 
 def _inverse_chart_divides_the_wrong_way(monkeypatch):
-    # pbar_inv returns x/y, the pbarbar parameter, in place of y/x
-    _patch_everywhere(monkeypatch, parametrization.pbar_inv, parametrization.pbarbar_inv)
+    # pbar's inverse chart reads the pair (x : y), the pbarbar parameter, in place of (y : x)
+    real = parametrization._pair_param
+    _patch_everywhere(monkeypatch, real, lambda curve, point, swap=False: real(curve, point, True))
 
 
 def _chart_leaves_y_unreduced(monkeypatch):
     # y = x t stored as the bare product, which over F_p can reach p or more
-    def chart_coordinates(real, field, a3, t):
-        coordinates = real(field, a3, t)
-        if coordinates is None:
-            return None
-        x, _ = coordinates
-        return x, FieldElement(field, x.value * t)
+    def pair_coordinates(real, field, a3, n, d):
+        x, y, z = real(field, a3, n, d)
+        if z.is_zero() or x.is_zero():  # at infinity, or the node, where y = 0 t = 0 anyway
+            return x, y, z
+        return x, FieldElement(field, x.value * _slope(field, n, d).value), z
 
-    _patch_chart_coordinates(monkeypatch, chart_coordinates)
+    _patch_pair_coordinates(monkeypatch, pair_coordinates)
 
 
 def _three_a_is_4a(monkeypatch):
@@ -119,22 +124,30 @@ def _three_a_is_4a(monkeypatch):
 
 
 def _wrong_law_op(monkeypatch):
-    # star without its sign: u v in place of -(u v)
-    monkeypatch.setitem(LAWS, LawKind.STAR_MUL, LAWS[LawKind.STAR_MUL]._replace(op=operator.mul))
+    # star without its sign: the pair product (n1 n2 : d1 d2) in place of (-n1 n2 : d1 d2)
+    star = LAWS[LawKind.STAR_MUL]._replace(op=LAWS[LawKind.PROJ_MUL].op)
+    monkeypatch.setitem(LAWS, LawKind.STAR_MUL, star)
 
 
 def _wrong_neutral(monkeypatch):
-    monkeypatch.setitem(LAWS, LawKind.ADD_SOUTH, LAWS[LawKind.ADD_SOUTH]._replace(neutral=1))
+    # the slope pair (1 : 1), V, in place of (0 : 1), O
+    monkeypatch.setitem(LAWS, LawKind.ADD_SOUTH, LAWS[LawKind.ADD_SOUTH]._replace(neutral=(1, 1)))
 
 
 def _add_south_op(op):
-    # addsouth through another operation on the parameters
+    # addsouth through another operation on the slope pairs
     return lambda monkeypatch: monkeypatch.setitem(LAWS, LawKind.ADD_SOUTH, LAWS[LawKind.ADD_SOUTH]._replace(op=op))
 
 
-def _not_associative(u, v):
-    # commutative, with neutral 0, but (u + v + u^2 v^2) does not associate
-    return u + v + u * u * v * v
+def _difference(n1, d1, n2, d2):
+    # u - v for u = n1/d1 and v = n2/d2
+    return n1 * d2 - n2 * d1, d1 * d2
+
+
+def _not_associative(n1, d1, n2, d2):
+    # u + v + u^2 v^2: commutative, with neutral 0, but it does not associate
+    d = d1 * d2
+    return (n1 * d2 + n2 * d1) * d + n1 * n1 * n2 * n2, d * d
 
 
 def _identity_sigma(monkeypatch):
@@ -189,7 +202,7 @@ FAULTS = {
     "three_a_is_4a": (_three_a_is_4a, ("parametrize",)),
     "wrong_law_op": (_wrong_law_op, ("axioms", "star")),
     "wrong_neutral": (_wrong_neutral, ("axioms",)),
-    "non_commutative_op": (_add_south_op(operator.sub), ("axioms", "fieldstructure")),
+    "non_commutative_op": (_add_south_op(_difference), ("axioms", "fieldstructure")),
     "non_associative_op": (_add_south_op(_not_associative), ("axioms", "fieldstructure")),
     "identity_sigma": (_identity_sigma, ("parametrize", "axioms", "southmul", "fieldstructure")),
     "third_intersection_is_proj_mul": (_third_intersection_is_proj_mul, ("geometry", "collinearity")),

@@ -242,7 +242,7 @@ def test_curve_points_on_a_line_over_q_need_no_chart_or_cubic(monkeypatch):
         raise AssertionError("the line-point oracle used a chart or the slope cubic")
 
     forbidden = [pbar, pbar_inv, slope_cubic, line_curve_intersections]
-    forbidden += [parametrization._chart_point, fields._chart_coordinates]
+    forbidden += [parametrization._pair_point, parametrization._pair_param, fields._pair_coordinates]
     for module in (geometry, parametrization, fields):
         for name, value in list(vars(module).items()):
             if any(value is f for f in forbidden):

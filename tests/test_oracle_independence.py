@@ -1,7 +1,8 @@
 """The oracles stay independent of the parametrization and the laws.
 
-With pbar, pbarbar, p_affine, pbar_inv, the chart kernel _chart_coordinates,
-the on-curve kernel _cubic_vanishes and apply_law replaced, at every module
+With pbar, pbarbar, p_affine, pbar_inv, the pair kernel (_pair_coordinates,
+with _pair_point and _pair_param, which the charts and the laws run), the
+on-curve kernel _cubic_vanishes and apply_law replaced, at every module
 name that holds them, by functions that raise, the point enumeration, the
 cubic evaluation, the line scan, the line-incidence filter, the sign-based
 branch label and the cube-root residue scan still give their unpatched
@@ -38,7 +39,9 @@ PATCHED = {
     "pbarbar": parametrization.pbarbar,
     "p_affine": parametrization.p_affine,
     "pbar_inv": parametrization.pbar_inv,
-    "_chart_coordinates": fields._chart_coordinates,
+    "_pair_coordinates": fields._pair_coordinates,
+    "_pair_point": parametrization._pair_point,
+    "_pair_param": parametrization._pair_param,
     "_cubic_vanishes": fields._cubic_vanishes,
     "apply_law": apply_law,
 }

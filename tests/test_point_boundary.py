@@ -87,6 +87,22 @@ def test_chart_points_carry_their_curve_and_raw_points_do_not():
     assert all(point.on is None for point in raw)
 
 
+def test_no_public_constructor_takes_the_on_curve_mark():
+    # (1 : 2 : 1) is off the curve; no caller can vouch for it, so every law evaluates the cubic on it
+    q = Rationals()
+    one, two = q.element(1), q.element(2)
+    for build in (ProjectivePoint, lambda x, y, z: ProjectivePoint.of(q, x, y, z), CURVE.point):
+        with pytest.raises(TypeError):
+            build(one, two, one, CURVE)
+        with pytest.raises(TypeError):
+            build(one, two, one, on=CURVE)
+        point = build(one, two, one)
+        assert point.on is None and not CURVE.contains(point)
+        for kind in LawKind:
+            with pytest.raises(NotOnCurve):
+                apply_law(CURVE, kind, point, ON)
+
+
 # -- the boundary kernels against element arithmetic -------------------------
 #
 # A raw point is admitted by two kernels on stored values: the canonical

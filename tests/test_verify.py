@@ -18,6 +18,7 @@ from descartes_folium import (
     chord_or_tangent,
     field_from_spec,
     folium_mul,
+    geometry,
     pbar,
     pbar_inv,
     proj_mul,
@@ -168,7 +169,11 @@ def test_domain_error_while_building_cases_is_a_failure(monkeypatch):
 
 
 def test_a_field_fault_gives_failures_not_an_aborted_report(monkeypatch):
-    monkeypatch.setattr(FieldElement, "__sub__", FieldElement.__add__)
+    # + and - trade places; the laws compose int slope pairs, so the fault reaches them only through the
+    # rows' own element arithmetic, as t^3 + 1 that lets t = -1 into the affine pool of p_affine
+    add, sub = FieldElement.__add__, FieldElement.__sub__
+    monkeypatch.setattr(FieldElement, "__sub__", add)
+    monkeypatch.setattr(FieldElement, "__add__", sub)
     report = run_report(prime_curve(5), "all", seed=0, samples=40)
     failed = [prop for prop in report["properties"] if not prop["passed"]]
     assert any("raised ParameterAtInfinity" in prop["counterexample"] for prop in failed)
@@ -202,7 +207,7 @@ def test_pbar_lands_on_curve_ignores_the_mark(monkeypatch):
     def wrong_pbar(curve, t):  # y = 3at in place of 3at^2, still marked as built on `curve`
         t = curve.field.element(t)
         x = curve.three_a * t
-        return ProjectivePoint(x, x, t * t * t + 1, curve)
+        return ProjectivePoint._marked(x, x, t * t * t + 1, curve)
 
     curve = rational_curve(1)
     assert wrong_pbar(curve, -1).on is curve and not curve.contains(wrong_pbar(curve, -1))
@@ -342,21 +347,31 @@ def test_law_tables_hold_up_to_the_last_prime_with_whole_pairs():
 
 
 def test_the_slope_cubic_row_asks_the_line_oracle_once_per_chord_line(monkeypatch):
-    # over fp:31 the 900 chord pairs lie on far fewer lines; each line's answer is computed once
-    curve, checked = prime_curve(31), []
-    real = verify.slope_cubic_check
+    # over fp:31 the 900 chord pairs lie on far fewer lines; each line's answer is computed once, and the
+    # slope-cubic verdict reads the points the row already holds, so the oracle runs once per line: for the
+    # 166 chord lines and the 961 lines the split-line row scans over fp:31, and for the 20 chords over q
+    real_holds, real_points = verify._slope_cubic_holds, verify._curve_points_on_line
+    for curve, rows, calls in ((prime_curve(31), 900, 961 + 166), (rational_curve(1), 20, 20)):
+        checked, asked = [], []
 
-    def slope_cubic_check(curve, line):
-        checked.append(line)
-        return real(curve, line)
+        def holds(curve, line, cubic, points):
+            checked.append(line)
+            return real_holds(curve, line, cubic, points)
 
-    monkeypatch.setattr(verify, "slope_cubic_check", slope_cubic_check)
-    results = {row.name: row for row in run_suite(curve, "geometry", seed=0, samples=40)}
-    pairs = verify._Context(curve, 0, 40).tuples("nonzero", 2)()
-    lines = {chord_or_tangent(curve, P, Q) for P, Q in pairs}
-    assert results["slope_cubic_oracle"].passed and results["slope_cubic_oracle"].instances == len(pairs) == 900
-    assert len(checked) == len(set(checked)) == len(lines) < len(pairs)
-    assert set(checked) == lines
+        def points_on_line(curve, line):
+            asked.append(line)
+            return real_points(curve, line)
+
+        monkeypatch.setattr(verify, "_slope_cubic_holds", holds)
+        for module in (verify, geometry):
+            monkeypatch.setattr(module, "_curve_points_on_line", points_on_line)
+        results = {row.name: row for row in run_suite(curve, "geometry", seed=0, samples=40)}
+        pairs = verify._Context(curve, 0, 40).tuples("nonzero", 2)()[:rows]
+        lines = {chord_or_tangent(curve, P, Q) for P, Q in pairs}
+        assert results["slope_cubic_oracle"].passed and results["slope_cubic_oracle"].instances == len(pairs) == rows
+        assert len(checked) == len(set(checked)) == len(lines) <= len(pairs)
+        assert set(checked) == lines
+        assert len(asked) == calls
 
 
 @pytest.mark.parametrize("name", ["star", "geometry"])
@@ -382,12 +397,14 @@ def test_a_suite_computes_each_product_of_an_ordered_pair_once(name, monkeypatch
 def test_a_raising_product_fails_its_row_at_the_same_case(monkeypatch):
     # the tables fill as the cases run, so the first raising product is met in the same
     # case, with the same count and text, as when every product was a direct call
-    def op(u, v):
-        if (u.value, v.value) == (5, 7):
-            raise ParameterAtInfinity("injected fault")
-        return u * v
+    real = LAWS[LawKind.PROJ_MUL]
 
-    monkeypatch.setitem(LAWS, LawKind.PROJ_MUL, LAWS[LawKind.PROJ_MUL]._replace(op=op))
+    def op(n1, d1, n2, d2):  # the slopes t1 = 5 and t2 = 7 over fp:13
+        if (n1 - 5 * d1) % 13 == 0 and (n2 - 7 * d2) % 13 == 0:
+            raise ParameterAtInfinity("injected fault")
+        return real.op(n1, d1, n2, d2)
+
+    monkeypatch.setitem(LAWS, LawKind.PROJ_MUL, real._replace(op=op))
     results = run_suite(prime_curve(13), "axioms", seed=0, samples=40)
     raised = "raised ParameterAtInfinity: injected fault"
     assert _failures(results) == [
