@@ -39,10 +39,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import BadLiteral, FieldTooLargeForScan, MixedFields, NotOnCurve, PointAtInfinity
-from .fields import Field, FieldElement, _cubic_vanishes, _scaled
-
-# Brute-force point enumeration stays below this many residues.
-ENUMERATION_BOUND = 10_000
+from .fields import ENUMERATION_BOUND, Field, FieldElement, _cubic_vanishes, _scaled
 
 
 def _scan_range(field: Field, what: str) -> range:

@@ -11,13 +11,24 @@ and `PrimeField(p)` returns the one live instance for p, creating it (after
 validation, under a lock) when there is none.  So field equality and hashing
 are `object`'s identity, and each field builds its `zero` and `one` once.
 
+A prime field also stores its elements, one per residue, in `_residues`: a
+dict that builds a residue's element on first use (the table method of
+finite-field arithmetic).  Every F_p element this module makes comes from
+it, so an operation looks its result up where it would build one.  At most
+ENUMERATION_BOUND elements are stored; past that an element is built fresh.
+Equality and hashing of elements stay by value, and nothing decides what
+an element is by identity, so a residue built twice (by two threads at
+once, or past the bound) does no harm.  Over Q each operation builds a new
+element, as the Fractions are unbounded.
+
 Each element rule is stated once: `Field.element` checks membership through
 each field's `_raw`, which also coerces operands; one template makes `+`, `-`
 and `*`; `characteristic` alone tells the fields apart.  The template reads an
-element of the same field directly and reduces the result in place (`raw % p`
-over F_p, `raw` itself over Q), so an operation on two elements is one Python
-frame besides the new element's; any other operand goes through `_coerced`,
-which raises MixedFields for an element of another field.  `_quotient` is
+element of the same field directly and reduces the result in place (the
+stored element of `raw % p` over F_p, a new element of `raw` over Q), so an
+operation on two elements is one Python frame, besides the new element's
+over Q; any other operand goes through `_coerced`, which raises MixedFields
+for an element of another field.  `_quotient` is
 division's one body, kept apart: over Q it builds u / v as one Fraction from
 the cross products of the ints, one gcd, where `a * (1 / b)` would normalize
 two; the public inverse charts of parametrization.py divide a slope pair
@@ -54,6 +65,9 @@ from .errors import BadLiteral, DivisionByZero, MixedFields
 # (Sorenson and Webster, 2015); larger moduli are rejected, not guessed at.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+# Brute-force scans stay below this many residues, and a prime field stores at most this many elements.
+ENUMERATION_BOUND = 10_000
 
 _RATIONAL_LITERAL = re.compile(r"^[+-]?\d+(\s*/\s*\d+)?$")
 _INTEGER_LITERAL = re.compile(r"^[+-]?\d+$")
@@ -107,7 +121,7 @@ def _quotient(field, u, v) -> "FieldElement":
         raise DivisionByZero("division by the zero element")
     p = field.characteristic
     if p:
-        return FieldElement(field, u * pow(v, -1, p) % p)
+        return field._residues[u * pow(v, -1, p) % p]
     return FieldElement(field, Fraction(u.numerator * v.denominator, u.denominator * v.numerator))
 
 
@@ -122,12 +136,13 @@ def _pair_coordinates(field, a3, n, d) -> "tuple[FieldElement, FieldElement, Fie
     """
     p = field.characteristic
     if p:
+        store = field._residues
         n, d = n % p, d % p
         w = (n * n * n + d * d * d) % p
         if w == 0:
-            return field.one, FieldElement(field, n * pow(d, -1, p) % p), field.zero
+            return field.one, store[n * pow(d, -1, p) % p], field.zero
         s = a3 * n * d * pow(w, -1, p)
-        return FieldElement(field, s * d % p), FieldElement(field, s * n % p), field.one
+        return store[s * d % p], store[s * n % p], field.one
     g = gcd(n, d)
     n, d = n // g, d // g
     w = n * n * n + d * d * d
@@ -149,8 +164,8 @@ def _scaled(field, pivot, x, y, z) -> "tuple[FieldElement, FieldElement, FieldEl
     """
     p = field.characteristic
     if p:
-        s = pow(pivot, -1, p)
-        return FieldElement(field, x * s % p), FieldElement(field, y * s % p), FieldElement(field, z * s % p)
+        s, store = pow(pivot, -1, p), field._residues
+        return store[x * s % p], store[y * s % p], store[z * s % p]
     n, d = pivot.numerator, pivot.denominator
     return (
         FieldElement(field, Fraction(x.numerator * d, x.denominator * n)),
@@ -192,7 +207,7 @@ def _ring_operation(combine):
                 return NotImplemented
         p = field.characteristic
         raw = combine(self.value, v)
-        return FieldElement(field, raw % p if p else raw)
+        return field._residues[raw % p] if p else FieldElement(field, raw)
 
     return method
 
@@ -201,7 +216,9 @@ class FieldElement:
     """An immutable exact value in a fixed base field.
 
     Elements of distinct fields never mix: any binary operation across
-    fields raises MixedFields.
+    fields raises MixedFields.  Over F_p one element per residue is stored
+    and returned, up to ENUMERATION_BOUND of them; two elements are equal,
+    and hash alike, when their fields and values are, stored or not.
     """
 
     __slots__ = ("field", "value")
@@ -250,8 +267,9 @@ class FieldElement:
         return _quotient(self.field, v, self.value)
 
     def __neg__(self):
-        p = self.field.characteristic
-        return FieldElement(self.field, -self.value % p if p else -self.value)
+        field = self.field
+        p = field.characteristic
+        return field._residues[-self.value % p] if p else FieldElement(field, -self.value)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -260,7 +278,7 @@ class FieldElement:
             return self.inverse() ** (-exponent)
         p = self.field.characteristic
         if p:
-            return FieldElement(self.field, pow(self.value, exponent, p))
+            return self.field._residues[pow(self.value, exponent, p)]
         return FieldElement(self.field, self.value**exponent)
 
     def inverse(self) -> "FieldElement":
@@ -269,7 +287,7 @@ class FieldElement:
             raise DivisionByZero("the zero element has no multiplicative inverse")
         p = self.field.characteristic
         if p:
-            return FieldElement(self.field, pow(self.value, -1, p))
+            return self.field._residues[pow(self.value, -1, p)]
         return FieldElement(self.field, 1 / self.value)
 
     # -- identity -----------------------------------------------------
@@ -292,6 +310,25 @@ class FieldElement:
     __repr__ = __str__
 
 
+class _Residues(dict):
+    """One prime field's elements by residue, each built on first use; ENUMERATION_BOUND of them are stored.
+
+    Past the bound an element is built fresh and not stored.  The store takes
+    no lock: threads that race may build one residue twice, or store one more
+    each at the bound.  Elements compare by value, so neither does harm.
+    """
+
+    def __init__(self, field: "PrimeField"):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, residue: int) -> FieldElement:
+        element = FieldElement(self.field, residue)
+        if len(self) < ENUMERATION_BOUND:
+            self[residue] = element
+        return element
+
+
 class Field:
     """Common interface of the supported exact base fields; each field is one object."""
 
@@ -299,8 +336,8 @@ class Field:
 
     def _with_constants(self) -> "Field":
         """This field, with its `zero` and `one` built once."""
-        self.zero = FieldElement(self, self._raw(0))
-        self.one = FieldElement(self, self._raw(1))
+        self.zero = self.element(0)
+        self.one = self.element(1)
         return self
 
     def element(self, value) -> FieldElement:
@@ -309,7 +346,8 @@ class Field:
             if value.field != self:
                 raise MixedFields(f"{value!r} does not belong to {self}")
             return value
-        return FieldElement(self, self._raw(value))
+        raw = self._raw(value)
+        return self._residues[raw] if self.characteristic else FieldElement(self, raw)
 
     def _raw(self, value):
         """The stored value of a plain int (or Fraction, over Q); TypeError for any other value."""
@@ -402,6 +440,7 @@ class PrimeField(Field):
                     raise BadLiteral(f"{p} is not prime")
                 field = super().__new__(cls)
                 field.p = field.characteristic = p
+                field._residues = _Residues(field)
                 _PRIME_FIELDS[p] = field._with_constants()
             return field
 
@@ -417,7 +456,7 @@ class PrimeField(Field):
         text = text.strip()
         if not _INTEGER_LITERAL.match(text):
             raise BadLiteral(f"bad residue literal {text!r}; expected <int>")
-        return FieldElement(self, int(_within_digit_limit(text)) % self.p)
+        return self._residues[int(_within_digit_limit(text)) % self.p]
 
     def epsilon_roots(self):
         # The roots are the primitive sixth roots of unity -w and -w^2, w a
@@ -428,11 +467,10 @@ class PrimeField(Field):
         g = 2
         while (w := pow(g, (p - 1) // 3, p)) == 1:
             g += 1
-        roots = sorted((-w % p, -w * w % p))
-        return (FieldElement(self, roots[0]), FieldElement(self, roots[1]))
+        return tuple(self._residues[root] for root in sorted((-w % p, -w * w % p)))
 
     def random_element(self, rng) -> FieldElement:
-        return FieldElement(self, rng.randrange(self.p))
+        return self._residues[rng.randrange(self.p)]
 
     def spec_string(self) -> str:
         return f"fp:{self.p}"

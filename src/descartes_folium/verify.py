@@ -474,13 +474,16 @@ def _chain_folds(star: Callable, dot: Callable) -> Callable[[tuple], tuple]:
 
     It keeps the last chain's folds, one pair per prefix length, and folds a
     new chain only past the longest prefix it shares with the last one, so
-    chains in lexicographic order cost about one product per law each.
+    chains in lexicographic order cost about one product per law each.  The
+    prefix is compared by identity, since the chains reuse the pool's own
+    point objects: an equal point that is a distinct object is folded again,
+    never folded wrong.
     """
     stack: list = []  # (point, star fold, dot fold) for each prefix of the last chain
 
     def fold(points: tuple) -> tuple:
         shared = 0
-        while shared < min(len(stack), len(points)) and stack[shared][0] == points[shared]:
+        while shared < min(len(stack), len(points)) and stack[shared][0] is points[shared]:
             shared += 1
         del stack[shared:]
         for point in points[shared:]:

@@ -25,14 +25,16 @@ add one to a reflected operator or to `**`.  A fault that survives is a gap
 in the suites: add a property that catches it, never drop the fault.  The
 `neg`-as-identity fault is pinned by test_law_dispatch.py instead: it
 replaces the name `neg`, and `verify` reads the additive inverses from the
-law table through `law_inverse`, never through that name.
+law table through `law_inverse`, never through that name.  An element store
+that answers the next residue is tested apart too: only F_p stores its
+elements, so that fault has no q case.
 """
 
 import sys
 
 import pytest
 
-from descartes_folium import FieldElement, Folium, PrimeField, Rationals, geometry, laws, parametrization
+from descartes_folium import FieldElement, Folium, PrimeField, Rationals, fields, geometry, laws, parametrization
 from descartes_folium.laws import LAWS, LawKind
 from descartes_folium.verify import run_suite
 
@@ -230,6 +232,22 @@ def test_every_seeded_fault_fails_a_row(fault, spec, monkeypatch):
     for suite in suites:
         rows = run_suite(curve, suite, seed=0, samples=40)
         assert [row.name for row in rows if not row.passed], f"{fault} survived the {suite} suite over {spec}"
+
+
+class _NextResidue(fields._Residues):
+    """An element store that answers residue v with the element of v + 1."""
+
+    def __missing__(self, residue):
+        return FieldElement(self.field, (residue + 1) % self.field.p)
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_a_store_that_answers_the_next_residue_fails_the_field_axioms(p, monkeypatch):
+    # only F_p stores its elements, so this fault has no q case and stays out of FAULTS
+    field = PrimeField(p)
+    monkeypatch.setattr(field, "_residues", _NextResidue(field))
+    rows = run_suite(Folium(field, 1), "field", seed=0, samples=40)
+    assert "field_axioms" in [row.name for row in rows if not row.passed]
 
 
 def test_wrong_epsilon_roots_fail_where_the_field_has_roots(monkeypatch):

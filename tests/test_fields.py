@@ -28,8 +28,9 @@ from descartes_folium import (
     field_from_spec,
 )
 from descartes_folium import fields
-from descartes_folium.fields import MILLER_RABIN_BOUND, is_prime
-from descartes_folium.parametrization import pbar
+from descartes_folium.fields import ENUMERATION_BOUND, MILLER_RABIN_BOUND, is_prime
+from descartes_folium.parametrization import pbar, pbar_inv
+from descartes_folium.verify import run_report
 from descartes_folium.plotting import parse_rational
 
 
@@ -63,6 +64,78 @@ def test_residues_stored_canonical():
     assert f7.element(-1).value == 6
     assert f7.element(70).value == 0
     assert (-f7.element(3)).value == 4
+
+
+# Over F_p each residue's element is stored once: every constructor answers the stored one.
+STORED_OPERATORS = {
+    "a + b": (operator.add, operator.add),
+    "a - b": (operator.sub, operator.sub),
+    "a * b": (operator.mul, operator.mul),
+    "1 + a": (lambda a, b: 1 + a, lambda u, v: 1 + u),
+    "5 - a": (lambda a, b: 5 - a, lambda u, v: 5 - u),
+    "2 * a": (lambda a, b: 2 * a, lambda u, v: 2 * u),
+    "-a": (lambda a, b: -a, lambda u, v: -u),
+    "a ** 5": (lambda a, b: a**5, lambda u, v: u**5),
+}
+
+
+def test_every_constructor_answers_the_stored_element_over_fp13():
+    field, p = PrimeField(13), 13
+    stored = [field.element(r) for r in range(p)]
+    for a, b in itertools.product(stored, repeat=2):
+        for name, (op, reference) in STORED_OPERATORS.items():
+            assert op(a, b) is stored[reference(a.value, b.value) % p], (name, a, b)
+        if b.value:
+            expected = stored[a.value * pow(b.value, -1, p) % p]
+            assert a / b is expected and (a.value / b) is expected, (a, b)
+            assert b.inverse() is stored[pow(b.value, -1, p)] and b**-2 is stored[pow(b.value, -2, p)]
+    assert field.zero is stored[0] and field.one is stored[1]
+    assert field.element(27) is field.element(stored[1]) is field.from_literal(" 27 ") is stored[1]
+    rng, twin = random.Random(4), random.Random(4)
+    assert all(field.random_element(rng) is stored[twin.randrange(p)] for _ in range(20))
+    assert all(root is stored[root.value] for root in field.epsilon_roots())
+    # the pair kernel, the quotient of the inverse chart and the scaling of a raw point
+    curve = Folium(field, 2)
+    for t in range(p):
+        x, y, z = pbar(curve, t).x, pbar(curve, t).y, pbar(curve, t).z
+        w = (1 + t**3) % p
+        if w:
+            assert (x, y, z) == (stored[6 * t * pow(w, -1, p) % p], stored[6 * t * t * pow(w, -1, p) % p], stored[1])
+        else:
+            assert (x, y, z) == (stored[1], stored[t], stored[0])
+        assert x is stored[x.value] and y is stored[y.value] and z is stored[z.value]
+        assert pbar_inv(curve, pbar(curve, t)) is stored[t]
+    scaled = curve.point(4, 6, 2)
+    assert (scaled.x, scaled.y, scaled.z) == (stored[2], stored[3], stored[1])
+    assert scaled.x is stored[2] and scaled.y is stored[3] and scaled.z is stored[1]
+
+
+def test_a_warm_report_over_fp13_builds_no_element(monkeypatch):
+    curve = Folium(PrimeField(13), 1)
+    first = run_report(curve, "all", 1, 200)
+    built = []
+    real = FieldElement.__init__
+
+    def init(self, field, value):
+        built.append((field, value))
+        real(self, field, value)
+
+    monkeypatch.setattr(FieldElement, "__init__", init)
+    assert run_report(curve, "all", 1, 200) == first
+    assert built == []
+
+
+def test_the_store_keeps_at_most_the_bound_and_the_rest_compare_by_value():
+    field = PrimeField(10007)
+    elements = [field.element(r) for r in range(10007)]
+    assert len(field._residues) == ENUMERATION_BOUND
+    unstored = [r for r in range(10007) if r not in field._residues]
+    assert len(unstored) == 10007 - ENUMERATION_BOUND
+    for r in unstored:
+        again = field.element(r)
+        assert again is not elements[r] and again == elements[r] and hash(again) == hash(elements[r])
+        assert again + 0 == elements[r] and again - elements[r] is field.zero
+    assert len(field._residues) == ENUMERATION_BOUND
 
 
 # Every operator form against plain int or Fraction arithmetic, over Q and over F_p
@@ -469,6 +542,34 @@ def test_threads_building_one_prime_get_one_field():
     assert not any(thread.is_alive() for thread in threads)
     for fields_of_p in built.values():
         assert len(fields_of_p) == 6 and all(field is fields_of_p[0] for field in fields_of_p)
+
+
+def test_threads_racing_on_one_store_get_every_element_right():
+    # the store takes no lock; a race may build a residue twice, never answer a wrong value
+    field, p = PrimeField(10009), 10009
+    start = threading.Barrier(6)
+    wrong = []
+
+    def compute(offset):
+        start.wait()
+        for r in range(offset, offset + 4000):
+            for element, value in ((field.element(r), r % p), (field.element(r) * 7, 7 * r % p), (-field.element(r), -r % p)):
+                if element.value != value:
+                    wrong.append((r, element))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=compute, args=(1000 * k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and wrong == []
+    assert all(element.value == residue for residue, element in field._residues.items())
+    assert ENUMERATION_BOUND <= len(field._residues) < ENUMERATION_BOUND + 6
 
 
 def test_the_registry_keeps_no_field_alive():

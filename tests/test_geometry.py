@@ -119,6 +119,36 @@ def test_collinear3_examples():
         collinear3(curve, curve.point(1, 1), vertex, vertex)
 
 
+def _collinear3_pools():
+    """(curve, triples): q at 2^31 heights and fp:65537 drawn, with each chord's third point; fp:7 whole."""
+    rng, height = random.Random(22), 2**31
+    for curve, draw in (
+        (rational_curve(1), lambda: Fraction(rng.randint(-height, height), rng.randint(1, height))),
+        (rational_curve(Fraction(-5, 7)), lambda: Fraction(rng.randint(-height, height), rng.randint(1, height))),
+        (prime_curve(65537, 2), lambda: rng.randrange(1, 65537)),
+    ):
+        special = [curve.origin, curve.infinity, curve.vertex(), *curve.special_points().points_at_infinity]
+        points = special + [pbar(curve, draw()) for _ in range(8)]
+        triples = list(itertools.product(points[:6], repeat=3))
+        triples += [tuple(rng.choice(points) for _ in range(3)) for _ in range(200)]
+        for P, Q in itertools.product(points[3:], repeat=2):
+            if P != curve.origin and Q != curve.origin:
+                triples.append((P, Q, third_intersection(curve, P, Q)))
+        yield curve, triples
+    curve = prime_curve(7, 2)
+    yield curve, list(itertools.product(curve.enumerate_points(), repeat=3))
+
+
+@pytest.mark.parametrize("curve, triples", list(_collinear3_pools()), ids=["q:a=1", "q:a=-5/7", "fp:65537", "fp:7"])
+def test_collinear3_on_stored_values_matches_element_arithmetic(curve, triples):
+    answers = set()
+    for p1, p2, p3 in triples:
+        expected = (p1.x * p2.x * p3.x + p1.y * p2.y * p3.y).is_zero()
+        assert collinear3(curve, p1, p2, p3) is expected, (p1, p2, p3)
+        answers.add(expected)
+    assert answers == {True, False}
+
+
 def test_geometric_mul_matches_projmul_exhaustive_f5():
     curve = prime_curve(5)
     points = nonzero_points(curve)

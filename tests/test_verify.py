@@ -270,6 +270,14 @@ def test_shared_chain_folds_match_folds_from_scratch(spec, chains):
     shuffled += [cases[-1], cases[-1][:3], cases[-1][:3], cases[-1]]
     fold = verify._chain_folds(star, dot)
     assert [fold(chain) for chain in shuffled] == [_folds_from_scratch(curve, chain) for chain in shuffled]
+    # the prefix is compared by identity, so equal copies of the pool points are folded again, never
+    # wrong: each copied chain runs after its original, and a chain that starts with a copy after it
+    originals = cases[:: max(1, len(cases) // 300)]
+    copies = [tuple(ProjectivePoint(P.x, P.y, P.z) for P in chain) for chain in originals]
+    assert copies == originals and all(c[0] is not o[0] for c, o in zip(copies, originals))
+    chains = [chain for original, copy in zip(originals, copies) for chain in (original, copy, copy[:1] + original[1:])]
+    fold = verify._chain_folds(star, dot)
+    assert [fold(chain) for chain in chains] == [_folds_from_scratch(curve, chain) for chain in chains]
 
 
 def _difference_law(calls):
