@@ -1,4 +1,4 @@
-"""Exact field arithmetic, epsilon roots, and the cube-root predicate."""
+"""Exact field arithmetic, the element store of a prime field, epsilon roots, and the cube-root predicate."""
 
 import copy
 import gc
@@ -97,17 +97,15 @@ def test_every_constructor_answers_the_stored_element_over_fp13():
     # the pair kernel, the quotient of the inverse chart and the scaling of a raw point
     curve = Folium(field, 2)
     for t in range(p):
-        x, y, z = pbar(curve, t).x, pbar(curve, t).y, pbar(curve, t).z
-        w = (1 + t**3) % p
+        point, w = pbar(curve, t), (1 + t**3) % p
         if w:
-            assert (x, y, z) == (stored[6 * t * pow(w, -1, p) % p], stored[6 * t * t * pow(w, -1, p) % p], stored[1])
+            expected = (stored[6 * t * pow(w, -1, p) % p], stored[6 * t * t * pow(w, -1, p) % p], stored[1])
         else:
-            assert (x, y, z) == (stored[1], stored[t], stored[0])
-        assert x is stored[x.value] and y is stored[y.value] and z is stored[z.value]
-        assert pbar_inv(curve, pbar(curve, t)) is stored[t]
+            expected = (stored[1], stored[t], stored[0])
+        assert all(c is e for c, e in zip((point.x, point.y, point.z), expected)), t
+        assert pbar_inv(curve, point) is stored[t]
     scaled = curve.point(4, 6, 2)
-    assert (scaled.x, scaled.y, scaled.z) == (stored[2], stored[3], stored[1])
-    assert scaled.x is stored[2] and scaled.y is stored[3] and scaled.z is stored[1]
+    assert all(c is e for c, e in zip((scaled.x, scaled.y, scaled.z), (stored[2], stored[3], stored[1])))
 
 
 def test_a_warm_report_over_fp13_builds_no_element(monkeypatch):
