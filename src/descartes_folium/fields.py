@@ -11,29 +11,30 @@ and `PrimeField(p)` returns the one live instance for p, creating it (after
 validation, under a lock) when there is none.  So field equality and hashing
 are `object`'s identity, and each field builds its `zero` and `one` once.
 
-A prime field also stores its elements, one per residue, in `_residues`: a
-dict that builds a residue's element on first use (the table method of
-finite-field arithmetic).  Every F_p element this module makes comes from
-it, so an operation looks its result up where it would build one.  At most
-ENUMERATION_BOUND elements are stored; past that an element is built fresh.
-Equality and hashing of elements stay by value, and nothing decides what
-an element is by identity, so a residue built twice (by two threads at
-once, or past the bound) does no harm.  Over Q each operation builds a new
-element, as the Fractions are unbounded.
+A prime field with p <= ENUMERATION_BOUND also stores its elements, one per
+residue, in the tuple `_elements`, built with the field (the table method of
+finite-field arithmetic).  Every element of such a field that this module
+makes comes from it, so an operation looks its result up where it would
+build one.  A larger prime field, whose residues rarely repeat, and Q, whose
+Fractions are unbounded, store none (`_elements` is empty) and build each
+element fresh.  A stored element is shared by every operation that yields
+its residue, so nothing may assign to an element's `field` or `value` after
+`FieldElement.__init__`.  Equality and hashing of elements stay by value,
+and nothing decides what an element is by identity.
 
 Each element rule is stated once: `Field.element` checks membership through
 each field's `_raw`, which also coerces operands; one template makes `+`, `-`
 and `*`; `characteristic` alone tells the fields apart.  The template reads an
 element of the same field directly and reduces the result in place (the
-stored element of `raw % p` over F_p, a new element of `raw` over Q), so an
-operation on two elements is one Python frame, besides the new element's
-over Q; any other operand goes through `_coerced`, which raises MixedFields
-for an element of another field.  `_quotient` is
-division's one body, kept apart: over Q it builds u / v as one Fraction from
-the cross products of the ints, one gcd, where `a * (1 / b)` would normalize
-two; the public inverse charts of parametrization.py divide a slope pair
-with it.  `_pair_coordinates` is the one chart kernel, which the public
-charts and every law share: the homogenized pbar, (n : d) ->
+stored element of `raw % p` where there is one, else a new element of
+`raw % p` over F_p or of `raw` over Q), so an operation on two elements is
+one Python frame besides a new element's; any other operand goes through
+`_coerced`, which raises MixedFields for an element of another field.
+`_quotient` is division's one body, kept apart: over Q it builds u / v as one
+Fraction from the cross products of the ints, one gcd, where `a * (1 / b)`
+would normalize two; the public inverse charts of parametrization.py
+divide a slope pair with it.  `_pair_coordinates` is the one chart kernel,
+which the public charts and every law share: the homogenized pbar, (n : d) ->
 (3and^2 : 3an^2d : n^3 + d^3), on a slope pair of ints, scaled to canonical
 form.  Over F_p that takes one modular inverse; over Q one gcd reduces the
 pair and each coordinate is one Fraction, with 3a = A/B read as ints.  The
@@ -44,9 +45,10 @@ its pivot, with one modular inverse per triple over F_p and one Fraction per
 coordinate over Q, where `pivot.inverse()` and three element products would
 build four.  `_cubic_vanishes` decides x^3 + y^3 - 3axyz = 0 for stored
 values, with one `% p` over F_p and, over Q, on the ints with the
-denominators cleared, so no Fraction and no gcd.  Over Q, `Rationals._raw`
-stores a value whose type is exactly Fraction as it is: it is immutable and
-already in lowest terms.
+denominators cleared, so no Fraction and no gcd; `_collinear_vanishes`
+decides geometry.collinear3's x1 x2 x3 + y1 y2 y3 = 0 the same way.  Over Q,
+`Rationals._raw` stores a value whose type is exactly Fraction as it is: it
+is immutable and already in lowest terms.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .errors import BadLiteral, DivisionByZero, MixedFields
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
-# Brute-force scans stay below this many residues, and a prime field stores at most this many elements.
+# Brute-force scans, and the element store of a prime field, stay within this many residues.
 ENUMERATION_BOUND = 10_000
 
 _RATIONAL_LITERAL = re.compile(r"^[+-]?\d+(\s*/\s*\d+)?$")
@@ -121,7 +123,8 @@ def _quotient(field, u, v) -> "FieldElement":
         raise DivisionByZero("division by the zero element")
     p = field.characteristic
     if p:
-        return field._residues[u * pow(v, -1, p) % p]
+        r = u * pow(v, -1, p) % p
+        return field._elements[r] if field._elements else FieldElement(field, r)
     return FieldElement(field, Fraction(u.numerator * v.denominator, u.denominator * v.numerator))
 
 
@@ -136,13 +139,17 @@ def _pair_coordinates(field, a3, n, d) -> "tuple[FieldElement, FieldElement, Fie
     """
     p = field.characteristic
     if p:
-        store = field._residues
+        store = field._elements
         n, d = n % p, d % p
         w = (n * n * n + d * d * d) % p
         if w == 0:
-            return field.one, store[n * pow(d, -1, p) % p], field.zero
+            y = n * pow(d, -1, p) % p
+            return field.one, store[y] if store else FieldElement(field, y), field.zero
         s = a3 * n * d * pow(w, -1, p)
-        return store[s * d % p], store[s * n % p], field.one
+        x, y = s * d % p, s * n % p
+        if store:
+            return store[x], store[y], field.one
+        return FieldElement(field, x), FieldElement(field, y), field.one
     g = gcd(n, d)
     n, d = n // g, d // g
     w = n * n * n + d * d * d
@@ -164,8 +171,11 @@ def _scaled(field, pivot, x, y, z) -> "tuple[FieldElement, FieldElement, FieldEl
     """
     p = field.characteristic
     if p:
-        s, store = pow(pivot, -1, p), field._residues
-        return store[x * s % p], store[y * s % p], store[z * s % p]
+        s, store = pow(pivot, -1, p), field._elements
+        x, y, z = x * s % p, y * s % p, z * s % p
+        if store:
+            return store[x], store[y], store[z]
+        return FieldElement(field, x), FieldElement(field, y), FieldElement(field, z)
     n, d = pivot.numerator, pivot.denominator
     return (
         FieldElement(field, Fraction(x.numerator * d, x.denominator * n)),
@@ -190,6 +200,20 @@ def _cubic_vanishes(field, a3, x, y, z) -> bool:
     return a3.denominator * z.denominator * (u * u * u + v * v * v) == a3.numerator * z.numerator * u * v * dx * dy
 
 
+def _collinear_vanishes(field, x1, x2, x3, y1, y2, y3) -> bool:
+    """True iff x1 x2 x3 + y1 y2 y3 = 0 for stored values.
+
+    Over F_p it is one reduction mod p.  Over Q, with x = X/dx and y = Y/dy,
+    the sum times dx1 dx2 dx3 dy1 dy2 dy3 is compared on ints:
+    X1 X2 X3 dy1 dy2 dy3 + Y1 Y2 Y3 dx1 dx2 dx3 = 0, so no Fraction is built.
+    """
+    p = field.characteristic
+    if p:
+        return (x1 * x2 * x3 + y1 * y2 * y3) % p == 0
+    dx, dy = x1.denominator * x2.denominator * x3.denominator, y1.denominator * y2.denominator * y3.denominator
+    return x1.numerator * x2.numerator * x3.numerator * dy + y1.numerator * y2.numerator * y3.numerator * dx == 0
+
+
 def _ring_operation(combine):
     """The operator method that combines the stored values and reduces the result.
 
@@ -207,7 +231,11 @@ def _ring_operation(combine):
                 return NotImplemented
         p = field.characteristic
         raw = combine(self.value, v)
-        return field._residues[raw % p] if p else FieldElement(field, raw)
+        if p:
+            raw %= p
+            if field._elements:
+                return field._elements[raw]
+        return FieldElement(field, raw)
 
     return method
 
@@ -216,9 +244,11 @@ class FieldElement:
     """An immutable exact value in a fixed base field.
 
     Elements of distinct fields never mix: any binary operation across
-    fields raises MixedFields.  Over F_p one element per residue is stored
-    and returned, up to ENUMERATION_BOUND of them; two elements are equal,
-    and hash alike, when their fields and values are, stored or not.
+    fields raises MixedFields.  Over F_p with p <= ENUMERATION_BOUND one
+    element per residue is stored and returned, so an element is shared:
+    `field` and `value` are assigned in `__init__` and never after.  Two
+    elements are equal, and hash alike, when their fields and values are,
+    stored or not.
     """
 
     __slots__ = ("field", "value")
@@ -269,26 +299,33 @@ class FieldElement:
     def __neg__(self):
         field = self.field
         p = field.characteristic
-        return field._residues[-self.value % p] if p else FieldElement(field, -self.value)
+        if p:
+            r = -self.value % p
+            return field._elements[r] if field._elements else FieldElement(field, r)
+        return FieldElement(field, -self.value)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        p = self.field.characteristic
+        field = self.field
+        p = field.characteristic
         if p:
-            return self.field._residues[pow(self.value, exponent, p)]
-        return FieldElement(self.field, self.value**exponent)
+            r = pow(self.value, exponent, p)
+            return field._elements[r] if field._elements else FieldElement(field, r)
+        return FieldElement(field, self.value**exponent)
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse; raises DivisionByZero on the zero element."""
         if self.value == 0:
             raise DivisionByZero("the zero element has no multiplicative inverse")
-        p = self.field.characteristic
+        field = self.field
+        p = field.characteristic
         if p:
-            return self.field._residues[pow(self.value, -1, p)]
-        return FieldElement(self.field, 1 / self.value)
+            r = pow(self.value, -1, p)
+            return field._elements[r] if field._elements else FieldElement(field, r)
+        return FieldElement(field, 1 / self.value)
 
     # -- identity -----------------------------------------------------
 
@@ -310,32 +347,16 @@ class FieldElement:
     __repr__ = __str__
 
 
-class _Residues(dict):
-    """One prime field's elements by residue, each built on first use; ENUMERATION_BOUND of them are stored.
-
-    Past the bound an element is built fresh and not stored.  The store takes
-    no lock: threads that race may build one residue twice, or store one more
-    each at the bound.  Elements compare by value, so neither does harm.
-    """
-
-    def __init__(self, field: "PrimeField"):
-        super().__init__()
-        self.field = field
-
-    def __missing__(self, residue: int) -> FieldElement:
-        element = FieldElement(self.field, residue)
-        if len(self) < ENUMERATION_BOUND:
-            self[residue] = element
-        return element
-
-
 class Field:
     """Common interface of the supported exact base fields; each field is one object."""
 
     characteristic: int
+    # A prime field's elements by residue when p <= ENUMERATION_BOUND; empty, so built fresh, otherwise.
+    _elements: "tuple[FieldElement, ...]" = ()
 
-    def _with_constants(self) -> "Field":
-        """This field, with its `zero` and `one` built once."""
+    def _with_constants(self, elements: "tuple[FieldElement, ...]" = ()) -> "Field":
+        """This field, with its stored elements and its `zero` and `one` set once."""
+        self._elements = elements
         self.zero = self.element(0)
         self.one = self.element(1)
         return self
@@ -347,7 +368,7 @@ class Field:
                 raise MixedFields(f"{value!r} does not belong to {self}")
             return value
         raw = self._raw(value)
-        return self._residues[raw] if self.characteristic else FieldElement(self, raw)
+        return self._elements[raw] if self._elements else FieldElement(self, raw)
 
     def _raw(self, value):
         """The stored value of a plain int (or Fraction, over Q); TypeError for any other value."""
@@ -440,8 +461,8 @@ class PrimeField(Field):
                     raise BadLiteral(f"{p} is not prime")
                 field = super().__new__(cls)
                 field.p = field.characteristic = p
-                field._residues = _Residues(field)
-                _PRIME_FIELDS[p] = field._with_constants()
+                elements = tuple(FieldElement(field, r) for r in range(p)) if p <= ENUMERATION_BOUND else ()
+                _PRIME_FIELDS[p] = field._with_constants(elements)
             return field
 
     def __reduce__(self):
@@ -456,7 +477,7 @@ class PrimeField(Field):
         text = text.strip()
         if not _INTEGER_LITERAL.match(text):
             raise BadLiteral(f"bad residue literal {text!r}; expected <int>")
-        return self._residues[int(_within_digit_limit(text)) % self.p]
+        return self.element(int(_within_digit_limit(text)))
 
     def epsilon_roots(self):
         # The roots are the primitive sixth roots of unity -w and -w^2, w a
@@ -467,10 +488,10 @@ class PrimeField(Field):
         g = 2
         while (w := pow(g, (p - 1) // 3, p)) == 1:
             g += 1
-        return tuple(self._residues[root] for root in sorted((-w % p, -w * w % p)))
+        return tuple(self.element(root) for root in sorted((-w % p, -w * w % p)))
 
     def random_element(self, rng) -> FieldElement:
-        return self._residues[rng.randrange(self.p)]
+        return self.element(rng.randrange(self.p))
 
     def spec_string(self) -> str:
         return f"fp:{self.p}"

@@ -14,8 +14,8 @@ and substitutes the line into the curve's cubic over Q; slope_cubic_check
 asks it for the line's points itself, so it takes only the curve and the
 line.  Behind it, `_slope_cubic_holds` takes the points, so a caller that
 already holds the oracle's answer for a line does not ask for it again.
-collinear3 decides x1 x2 x3 + y1 y2 y3 = 0 on stored ints, as
-`fields._cubic_vanishes` decides the cubic.
+collinear3 decides x1 x2 x3 + y1 y2 y3 = 0 on stored ints through
+`fields._collinear_vanishes`, as `fields._cubic_vanishes` decides the cubic.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     UnorderedField,
     VertexNotAllowed,
 )
-from .fields import Field
+from .fields import Field, _collinear_vanishes
 from .laws import _nonzero_pair, perp
 from .parametrization import _pair_point, pbar, pbar_inv
 
@@ -83,20 +83,12 @@ def collinear3(
 ) -> bool:
     """Coordinate form of collinearity: x1 x2 x3 + y1 y2 y3 = 0 (node allowed).
 
-    After the three on-curve checks the identity is decided on stored values,
-    as `fields._cubic_vanishes` decides the cubic: over F_p with one reduction
-    mod p, over Q with the denominators cleared, X1 X2 X3 dy1 dy2 dy3 +
-    Y1 Y2 Y3 dx1 dx2 dx3 = 0 for x = X/dx and y = Y/dy, so no element and no
-    Fraction is built.
+    After the three on-curve checks `fields._collinear_vanishes` decides the
+    identity on the stored values, so no element and no Fraction is built.
     """
     for point in (p1, p2, p3):
         curve.require_on_curve(point)
-    x1, x2, x3, y1, y2, y3 = (c.value for c in (p1.x, p2.x, p3.x, p1.y, p2.y, p3.y))
-    p = curve.field.characteristic
-    if p:
-        return (x1 * x2 * x3 + y1 * y2 * y3) % p == 0
-    dx, dy = x1.denominator * x2.denominator * x3.denominator, y1.denominator * y2.denominator * y3.denominator
-    return x1.numerator * x2.numerator * x3.numerator * dy + y1.numerator * y2.numerator * y3.numerator * dx == 0
+    return _collinear_vanishes(curve.field, p1.x.value, p2.x.value, p3.x.value, p1.y.value, p2.y.value, p3.y.value)
 
 
 def geometric_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:

@@ -1,10 +1,12 @@
 """Exact field arithmetic, the element store of a prime field, epsilon roots, and the cube-root predicate."""
 
+import ast
 import copy
 import gc
 import itertools
 import math
 import operator
+import pathlib
 import pickle
 import random
 import re
@@ -123,17 +125,44 @@ def test_a_warm_report_over_fp13_builds_no_element(monkeypatch):
     assert built == []
 
 
-def test_the_store_keeps_at_most_the_bound_and_the_rest_compare_by_value():
-    field = PrimeField(10007)
-    elements = [field.element(r) for r in range(10007)]
-    assert len(field._residues) == ENUMERATION_BOUND
-    unstored = [r for r in range(10007) if r not in field._residues]
-    assert len(unstored) == 10007 - ENUMERATION_BOUND
-    for r in unstored:
-        again = field.element(r)
-        assert again is not elements[r] and again == elements[r] and hash(again) == hash(elements[r])
-        assert again + 0 == elements[r] and again - elements[r] is field.zero
-    assert len(field._residues) == ENUMERATION_BOUND
+def test_a_field_within_the_bound_stores_every_element_and_a_larger_one_builds_them():
+    # 9973 and 10007 are the primes on either side of the bound
+    below, above = PrimeField(9973), PrimeField(10007)
+    assert 9973 <= ENUMERATION_BOUND < 10007
+    assert [element.value for element in below._elements] == list(range(9973))
+    assert all(element.field is below for element in below._elements)
+    assert below.element(-1) is below._elements[9972] and below.element(-1) * 2 is below._elements[9971]
+    assert above._elements == () and Rationals()._elements == ()
+    for r in (0, 1, 5000, 10006):
+        element, again = above.element(r), above.element(r)
+        assert element is not again and element == again and hash(element) == hash(again)
+        assert (element + 1).value == (r + 1) % 10007 and (element * element).value == r * r % 10007
+        assert (-element).value == -r % 10007 and (element - again) == above.zero
+
+
+def test_an_element_is_given_its_field_and_value_only_in_its_init():
+    # a stored element is shared by every operation that yields its residue, so nothing may change it
+    writes = []
+    for path in sorted(pathlib.Path(fields.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        assert "setattr" not in source, path.name
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in ("field", "value"):
+                scopes, scope = [], node
+                while (scope := getattr(scope, "parent", None)) is not None:
+                    if isinstance(scope, (ast.ClassDef, ast.FunctionDef)):
+                        scopes.insert(0, scope.name)
+                writes.append((path.name, ".".join(scopes), ast.unparse(node)))
+    assert sorted(writes) == [
+        ("curve.py", "Folium.__init__", "self.field"),  # the curve's field, not an element's
+        ("fields.py", "FieldElement.__init__", "self.field"),
+        ("fields.py", "FieldElement.__init__", "self.value"),
+    ]
+    assert FieldElement.__slots__ == ("field", "value") and not hasattr(FieldElement(Rationals(), 0), "__dict__")
 
 
 # Every operator form against plain int or Fraction arithmetic, over Q and over F_p
@@ -540,34 +569,6 @@ def test_threads_building_one_prime_get_one_field():
     assert not any(thread.is_alive() for thread in threads)
     for fields_of_p in built.values():
         assert len(fields_of_p) == 6 and all(field is fields_of_p[0] for field in fields_of_p)
-
-
-def test_threads_racing_on_one_store_get_every_element_right():
-    # the store takes no lock; a race may build a residue twice, never answer a wrong value
-    field, p = PrimeField(10009), 10009
-    start = threading.Barrier(6)
-    wrong = []
-
-    def compute(offset):
-        start.wait()
-        for r in range(offset, offset + 4000):
-            for element, value in ((field.element(r), r % p), (field.element(r) * 7, 7 * r % p), (-field.element(r), -r % p)):
-                if element.value != value:
-                    wrong.append((r, element))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=compute, args=(1000 * k,)) for k in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads) and wrong == []
-    assert all(element.value == residue for residue, element in field._residues.items())
-    assert ENUMERATION_BOUND <= len(field._residues) < ENUMERATION_BOUND + 6
 
 
 def test_the_registry_keeps_no_field_alive():

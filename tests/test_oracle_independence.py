@@ -8,9 +8,9 @@ cubic evaluation, the line scan, the line-incidence filter, the sign-based
 branch label and the cube-root residue scan still give their unpatched
 answers.  The refusal texts of the scans and the canonical-form errors of
 points and lines are pinned here too.  The element store of a prime field
-(`fields._Residues`) is not patched: it is element construction itself,
-which the oracles share with everything else, not a kernel that a chart or
-a law runs in their place.
+(`_elements`) is not patched: it is element construction itself, which the
+oracles share with everything else, not a kernel that a chart or a law runs
+in their place.
 """
 
 import contextlib
