@@ -33,7 +33,10 @@ one Python frame besides a new element's; any other operand goes through
 `_quotient` is division's one body, kept apart: over Q it builds u / v as one
 Fraction from the cross products of the ints, one gcd, where `a * (1 / b)`
 would normalize two; the public inverse charts of parametrization.py
-divide a slope pair with it.  `_pair_coordinates` is the one chart kernel,
+divide a slope pair with it.  The cold operators are derived from these:
+`-x` is `zero - x`, `x.inverse()` is `_quotient` of 1 by x, and a power
+goes through `Field.element`, so none of them repeats the reduction or the
+store lookup.  `_pair_coordinates` is the one chart kernel,
 which the public charts and every law share: the homogenized pbar, (n : d) ->
 (3and^2 : 3an^2d : n^3 + d^3), on a slope pair of ints, scaled to canonical
 form.  Over F_p that takes one modular inverse; over Q one gcd reduces the
@@ -297,35 +300,21 @@ class FieldElement:
         return _quotient(self.field, v, self.value)
 
     def __neg__(self):
-        field = self.field
-        p = field.characteristic
-        if p:
-            r = -self.value % p
-            return field._elements[r] if field._elements else FieldElement(field, r)
-        return FieldElement(field, -self.value)
+        return self.field.zero - self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        field = self.field
-        p = field.characteristic
-        if p:
-            r = pow(self.value, exponent, p)
-            return field._elements[r] if field._elements else FieldElement(field, r)
-        return FieldElement(field, self.value**exponent)
+        v, p = self.value, self.field.characteristic
+        return self.field.element(pow(v, exponent, p) if p else v**exponent)
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse; raises DivisionByZero on the zero element."""
         if self.value == 0:
             raise DivisionByZero("the zero element has no multiplicative inverse")
-        field = self.field
-        p = field.characteristic
-        if p:
-            r = pow(self.value, -1, p)
-            return field._elements[r] if field._elements else FieldElement(field, r)
-        return FieldElement(field, 1 / self.value)
+        return _quotient(self.field, 1, self.value)
 
     # -- identity -----------------------------------------------------
 

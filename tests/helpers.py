@@ -1,8 +1,16 @@
 """Shared helpers for the test suite."""
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from descartes_folium import Folium, PrimeField, Rationals
+from descartes_folium import Folium, PrimeField, Rationals, cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def rational_curve(a=1) -> Folium:
@@ -32,3 +40,18 @@ def nonzero_points(curve) -> list:
 
 def affine_points(curve) -> list:
     return [point for point in curve.enumerate_points() if point.is_affine]
+
+
+def run_main(*argv) -> subprocess.CompletedProcess:
+    """`folium *argv` run in this process: `cli.main` with stdout and stderr captured."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(list(argv))
+    return subprocess.CompletedProcess(argv, code, stdout.getvalue(), stderr.getvalue())
+
+
+def python_process(*args, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with `args`, src/ on its PYTHONPATH, for tests of the process itself."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True, env=env)

@@ -7,12 +7,8 @@ budgets are asserted where the criterion pins one.
 
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 from descartes_folium import (
     DivisionByZeroPoint,
@@ -47,12 +43,11 @@ from helpers import (
     affine_points,
     nonzero_points,
     prime_curve,
+    python_process,
     random_fraction,
     random_nonzero_fraction,
     rational_curve,
 )
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _finish(number, description, failures):
@@ -410,18 +405,6 @@ def test_criterion_09_branch_sigma_symmetry():
     _finish(9, "sigma swaps the branch interiors and fixes node and vertex (10^3 points)", failures)
 
 
-def _run_cli(*argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "descartes_folium", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    return proc.returncode, proc.stdout
-
-
 def test_criterion_10_cli_determinism(tmp_path):
     failures = []
     for field in ("fp:5", "q"):
@@ -429,13 +412,13 @@ def test_criterion_10_cli_determinism(tmp_path):
             "verify", "--field", field, "--a", "1", "--suite", "all",
             "--seed", "0", "--samples", "200", "--format", "json",
         )
-        code1, out1 = _run_cli(*argv)
-        code2, out2 = _run_cli(*argv)
-        if code1 != 0 or code2 != 0:
-            failures.append(f"verify over {field} exited {code1}/{code2}")
-        if out1 != out2:
+        # two fresh processes, so no state one run leaves in memory reaches the other
+        first, second = (python_process("-m", "descartes_folium", *argv) for _ in range(2))
+        if first.returncode != 0 or second.returncode != 0:
+            failures.append(f"verify over {field} exited {first.returncode}/{second.returncode}")
+        if first.stdout != second.stdout:
             failures.append(f"verify over {field} is not byte-identical")
-        report = json.loads(out1)
+        report = json.loads(first.stdout)
         if not all(prop["passed"] for prop in report["properties"]):
             failures.append(f"verify over {field} reports failures")
     plot_argv = (
@@ -443,8 +426,8 @@ def test_criterion_10_cli_determinism(tmp_path):
         "--samples", "200", "--overlay", "chord:2,3",
     )
     one, two = tmp_path / "one.svg", tmp_path / "two.svg"
-    _run_cli(*plot_argv, "--out", str(one))
-    _run_cli(*plot_argv, "--out", str(two))
+    python_process("-m", "descartes_folium", *plot_argv, "--out", str(one))
+    python_process("-m", "descartes_folium", *plot_argv, "--out", str(two))
     if one.read_bytes() != two.read_bytes():
         failures.append("plot output is not byte-stable")
     _finish(10, "verify --suite all --seed 0 and plot output are byte-identical across runs", failures)

@@ -2,10 +2,8 @@
 
 import json
 import os
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -21,22 +19,11 @@ from descartes_folium import (
 from descartes_folium.cli import parse_point
 from descartes_folium.fields import MILLER_RABIN_BOUND
 from descartes_folium.plotting import parse_overlay, parse_rational
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def python_process(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
-
-
-def cli_process(*argv):
-    return python_process("-m", "descartes_folium", *argv)
+from helpers import python_process, run_main
 
 
 def run_cli(*argv, expect=0):
-    proc = cli_process(*argv)
+    proc = run_main(*argv)
     assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
     return proc.stdout
 
@@ -150,14 +137,14 @@ def test_op_southmul_over_large_p_two_mod_three():
 
 
 def test_composite_modulus_is_a_domain_error():
-    proc = cli_process("eval", "--field", "fp:4294967297", "--map", "paffine", "--t", "640")
+    proc = run_main("eval", "--field", "fp:4294967297", "--map", "paffine", "--t", "640")
     assert proc.returncode == 3, (proc.stdout, proc.stderr)
     assert proc.stderr == "error: 4294967297 is not prime\n"
 
 
 def test_non_decimal_modulus_is_a_bad_field_spec():
     # '²' is a digit to str.isdigit but not to int()
-    proc = cli_process("eval", "--field", "fp:²", "--map", "pbar", "--t", "1")
+    proc = run_main("eval", "--field", "fp:²", "--map", "pbar", "--t", "1")
     assert proc.returncode == 3, (proc.stdout, proc.stderr)
     assert proc.stderr == "error: bad field spec 'fp:²'; expected fp:<prime>\n"
 
@@ -176,7 +163,7 @@ def test_usage_errors_exit_two():
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_samples_below_one_is_a_usage_error(samples):
-    proc = cli_process("verify", "--field", "fp:5", "--suite", "field", "--samples", samples)
+    proc = run_main("verify", "--field", "fp:5", "--suite", "field", "--samples", samples)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.endswith(f"error: argument --samples: must be at least 1, got {samples}\n")
 
@@ -273,7 +260,7 @@ def test_plot_degenerate_range_exits_three(tmp_path):
     ],
 )
 def test_plot_zero_denominator_is_a_domain_error(tmp_path, flag, value):
-    proc = cli_process("plot", flag, value, "--out", str(tmp_path / "x.svg"))
+    proc = run_main("plot", flag, value, "--out", str(tmp_path / "x.svg"))
     assert proc.returncode == 3, (proc.stdout, proc.stderr)
     assert proc.stderr == "error: zero denominator in literal '1/0'\n"
 
@@ -285,7 +272,7 @@ def test_plot_zero_denominator_is_a_domain_error(tmp_path, flag, value):
 )
 def test_plot_refuses_a_field_other_than_q(tmp_path, spec, message):
     out = tmp_path / "x.svg"
-    proc = cli_process("plot", "--field", spec, "--out", str(out))
+    proc = run_main("plot", "--field", spec, "--out", str(out))
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
     assert not out.exists()
 
@@ -346,7 +333,7 @@ LONG = "7" * (LIMIT + 700)
     ids=["eval-q", "eval-fp", "field", "point", "plot-t-max", "plot-overlay"],
 )
 def test_over_long_literal_names_the_digit_limit(argv):
-    proc = cli_process(*argv)
+    proc = run_main(*argv)
     message = f"error: an integer of {LIMIT + 700} digits is over the limit of {LIMIT} digits\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
 
@@ -355,7 +342,7 @@ def test_over_long_literal_names_the_digit_limit(argv):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_over_long_result_names_the_digit_limit(fmt):
     # pbar(t) has the denominator 1 + t^3, three times as long as t
-    proc = cli_process("eval", "--map", "pbar", "--t", "7" * (LIMIT // 2), "--format", fmt)
+    proc = run_main("eval", "--map", "pbar", "--t", "7" * (LIMIT // 2), "--format", fmt)
     message = f"error: cannot print a value of over {LIMIT} digits, the integer digit limit\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
     t = 7 * (10 ** (LIMIT // 4) - 1) // 9  # all sevens; its pbar fits under the limit
@@ -367,12 +354,36 @@ def test_over_long_result_names_the_digit_limit(fmt):
 @pytest.mark.skipif(LIMIT == 0, reason="the interpreter converts integers of any length")
 @pytest.mark.parametrize("value", ["nan", "inf", "1e-1000000", "1e1000000"])
 def test_plot_literal_refusals_name_the_literal(value):
-    proc = cli_process("plot", f"--t-min={value}", "--samples", "3", "--out", os.devnull)
+    proc = run_main("plot", f"--t-min={value}", "--samples", "3", "--out", os.devnull)
     if "e" in value:
         message = f"an integer of 1000001 digits is over the limit of {LIMIT} digits"
     else:
         message = f"bad plot literal {value!r}; expected a number such as -0.9, 1e-3 or 3/7"
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="the interpreter converts integers of any length")
+def test_in_process_runs_leave_the_interpreter_as_they_were():
+    before = (sys.get_int_max_str_digits(), sys.stdout, sys.stderr, os.getcwd())
+    codes = [
+        run_main("eval", "--map", "pbar", "--t", LONG).returncode,
+        run_main("plot", "--out", os.devnull).returncode,
+        run_main("verify", "--format", "json").returncode,
+    ]
+    assert codes == [3, 0, 0]
+    assert (sys.get_int_max_str_digits(), sys.stdout, sys.stderr, os.getcwd()) == before
+
+
+def test_python_m_exits_with_the_code_main_returns():
+    # Every other command test calls main in process; this one runs __main__.py's sys.exit(main()).
+    for argv, code in [
+        (("branch", "(0, 0)"), 0),
+        (("nonsense",), 2),
+        (("eval", "--field", "fp:9", "--map", "pbar", "--t", "1"), 3),
+    ]:
+        proc, inside = python_process("-m", "descartes_folium", *argv), run_main(*argv)
+        assert inside.returncode == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, inside.stdout, inside.stderr)
 
 
 LAZY_MODULES = ("descartes_folium.verify", "descartes_folium.plotting", "dataclasses", "json")

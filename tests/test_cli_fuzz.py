@@ -1,8 +1,6 @@
 """Property tests of the command line: printed points parse back, and no input
 ends in anything but a documented exit code with a message."""
 
-import contextlib
-import io
 import sys
 
 from hypothesis import given, settings
@@ -17,9 +15,10 @@ from descartes_folium import (
     Rationals,
     pbar,
 )
-from descartes_folium.cli import main, parse_point, point_text
+from descartes_folium.cli import parse_point, point_text
 from descartes_folium.fields import field_from_spec
 from descartes_folium.parametrization import ParamMap
+from helpers import run_main
 
 integers = st.integers(-10**30, 10**30)
 FIELDS = {
@@ -114,15 +113,13 @@ def invocations(draw):
 
 
 def _run(argv, codes):
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    assert code in codes, (code, stderr.getvalue())
-    assert "Traceback" not in stderr.getvalue()
-    assert "set_int_max_str_digits" not in stdout.getvalue() + stderr.getvalue()
-    assert "Invalid literal for Fraction" not in stderr.getvalue()
-    if code == 3:
-        assert stderr.getvalue().startswith("error: ")
+    proc = run_main(*argv)
+    assert proc.returncode in codes, (proc.returncode, proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stdout + proc.stderr
+    assert "Invalid literal for Fraction" not in proc.stderr
+    if proc.returncode == 3:
+        assert proc.stderr.startswith("error: ")
 
 
 @settings(max_examples=150)

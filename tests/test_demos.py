@@ -1,22 +1,16 @@
 """Every demo script runs to completion against the source tree."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from helpers import python_process
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     # run in a scratch directory: the SVG demo writes its output file there
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True, env=env
-    )
+    proc = python_process(str(demo), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -13,8 +13,6 @@ oracles share with everything else, not a kernel that a chart or a law runs
 in their place.
 """
 
-import contextlib
-import io
 import sys
 from fractions import Fraction
 
@@ -31,11 +29,11 @@ from descartes_folium import (
     pbar,
 )
 from descartes_folium import fields, parametrization, verify
-from descartes_folium.cli import main
 from descartes_folium.fields import FieldElement
 from descartes_folium.geometry import _curve_points_on_line, all_lines, roots_with_multiplicity
 from descartes_folium.laws import apply_law
 from descartes_folium.verify import _coordinate_label, run_suite
+from helpers import run_main
 
 PATCHED = {
     "pbar": pbar,
@@ -127,15 +125,9 @@ def test_oracle_answers_over_fp5():
     assert (scan.name, scan.instances, scan.passed) == ("cube_root_unique_matches_congruence", 1, True)
 
 
-def _cli(argv):
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    return code, stdout.getvalue(), stderr.getvalue()
-
-
 def test_count_over_the_rationals_is_refused():
-    assert _cli(["count", "--field", "q"]) == (
+    proc = run_main("count", "--field", "q")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
         3,
         "",
         "error: point enumeration needs a finite prime field\n",
