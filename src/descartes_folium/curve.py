@@ -8,9 +8,11 @@ nonzero of its third, first and second entries is 1, on stored values by
 coordinate over Q).  The classical
 literals O = (0, 0, 1), I = (1, -1, 0) and affine points (x, y, 1) are
 already canonical, so `ProjectivePoint._marked` skips the canonicalizer for
-the z = 1 points the charts build.  Field equality
-is identity, so point equality compares the fields of the x coordinates by
-`is`, and hashing reads that field directly.
+the z = 1 points the charts build.  Point equality answers True for the
+same object before it reads a coordinate: inside a verify run the chart
+memo and the law tables hand back one object for equal points.  Otherwise,
+as field equality is identity, it compares the fields of the x coordinates
+by `is`, and hashing reads that field directly.
 
 The exhaustive scans (point enumeration here, the line scan and the root
 scan in geometry) take their residues from one guard, `_scan_range`, which
@@ -32,6 +34,9 @@ cubic with its denominators cleared on ints over Q).  The oracles
 (evaluate, contains, enumerate_points) never read the mark and keep element
 arithmetic, so the boundary kernel and the oracle that checks it do not
 share a fault.  The mark takes no part in equality, hashing or text.
+
+While verify.run_suite runs on a curve, `Folium._charted` holds that run's
+chart memo (see parametrization); it is None otherwise.
 """
 
 from __future__ import annotations
@@ -116,6 +121,8 @@ class ProjectivePoint:
         return self.z.is_zero()
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ProjectivePoint):
             return NotImplemented
         return (
@@ -194,6 +201,8 @@ class SpecialPoints(NamedTuple):
 
 class Folium:
     """The projective folium x^3 + y^3 - 3axyz = 0 over an exact field, a != 0."""
+
+    _charted = None  # the chart memo of a verify run on this curve; None outside a run
 
     def __init__(self, field: Field, a):
         a = field.element(a)

@@ -34,6 +34,18 @@ on it again; sigma keeps the mark, since the cubic is symmetric in x and y.
 At t^3 = -1, where 3at is nonzero, pbar(t) is the point at infinity
 (1 : t : 0), and p_affine raises ParameterAtInfinity.
 
+A verify run charts the same few slopes over and over, so while run_suite
+runs, the curve holds a chart memo, `Folium._charted`, and `_pair_point`
+answers from it: one point per key, where the key of (n : d) is the residue
+n/d over F_p and the pair in lowest terms with d > 0 over Q, or (1 : 0)
+for d = 0 in both, together with the `swap` flag.  So pbar and pbarbar stay
+two charts, each computed by the kernel.  Only a miss runs the kernel and
+`ProjectivePoint._marked`; a kernel that raises stores nothing, and the
+affine refusal is checked on the answered point.  Outside a run `_charted`
+is None and no key is computed: the curve commands and library callers
+neither pay for the memo nor hold one, which over Q would grow without
+bound.
+
 The charts, their inverses and the on-curve check of a point not built by a
 chart (`fields._cubic_vanishes`) compute on stored values.  The oracles that
 check them (Folium.evaluate and contains, enumerate_points,
@@ -46,17 +58,50 @@ behind the same fault in its checker.
 from __future__ import annotations
 
 from enum import Enum
+from math import gcd
 
 from .curve import Folium, ProjectivePoint
 from .errors import ParameterAtInfinity
 from .fields import FieldElement, _pair_coordinates, _quotient
 
 
+def _chart_key(p: int, n: int, d: int, swap: bool) -> tuple:
+    """The memo key of the slope (n : d) under pbar, or pbarbar when `swap`: one key per point of P^1.
+
+    Over F_p the residue n/d, or (1 : 0); over Q the pair in lowest terms with
+    d > 0, or (1 : 0).  A pair that is (0 : 0) mod p keys to (0, 0), which is
+    never stored, since the kernel refuses it; over Q the gcd refuses it here.
+    """
+    if p:
+        n, d = n % p, d % p
+        return (n * pow(d, -1, p) % p, 1, swap) if d else (min(n, 1), 0, swap)
+    g = gcd(n, d)
+    if (d or n) < 0:  # the sign of d, or of n where d = 0
+        g = -g
+    return n // g, d // g, swap
+
+
 def _pair_point(curve: Folium, n: int, d: int, swap: bool = False, affine: bool = False) -> ProjectivePoint:
-    """pbar at the slope (n : d), or pbarbar when `swap`; when `affine`, p_affine, which refuses n^3 + d^3 = 0."""
+    """pbar at the slope (n : d), or pbarbar when `swap`; when `affine`, p_affine, which refuses n^3 + d^3 = 0.
+
+    Inside a verify run the point comes from the curve's chart memo, `_charted`.
+    """
+    charted = curve._charted
+    if charted is None:
+        point = _charted_point(curve, n, d, swap)
+    else:
+        key = _chart_key(curve.field.characteristic, n, d, swap)
+        point = charted.get(key)
+        if point is None:
+            point = charted[key] = _charted_point(curve, n, d, swap)
+    if affine and point.z.value == 0:  # (1 : t : 0) with t^3 = -1
+        raise ParameterAtInfinity(f"t = {point.y} satisfies t^3 = -1; no affine image")
+    return point
+
+
+def _charted_point(curve: Folium, n: int, d: int, swap: bool) -> ProjectivePoint:
+    """The point the kernel builds at the slope (n : d), swapped when `swap`, marked with the curve."""
     x, y, z = _pair_coordinates(curve.field, curve.three_a.value, n, d)
-    if affine and z.value == 0:  # (1 : t : 0) with t^3 = -1
-        raise ParameterAtInfinity(f"t = {y} satisfies t^3 = -1; no affine image")
     return ProjectivePoint._marked(y, x, z, curve) if swap else ProjectivePoint._marked(x, y, z, curve)
 
 

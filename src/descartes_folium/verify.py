@@ -32,6 +32,14 @@ is freed with the rows of the suite that built it.  Over the rationals and
 larger primes, where products rarely repeat, a table is the law bound to
 the curve.
 
+run_suite opens the curve's chart memo for the length of the run and closes
+it in a `finally`, so every chart and law of the run builds one point per
+slope and chart (see parametrization).  The law tables stay beside it: the
+memo saves the kernel, but a table also saves the law's own checks and the
+composition of the slope pairs for each repeated pair, and without the
+tables a `run_report(all)` over fp:5 or fp:13 takes about three times as
+long.
+
 The geometry suite's slope-cubic row asks the line oracle once per chord
 line: many chords share a line, so a suite-local cache holds the points
 `_curve_points_on_line` finds on it and the verdict of slope_cubic_check on
@@ -836,7 +844,11 @@ def run_suite(curve: Folium, name: str, seed: int = 0, samples: int = 1000) -> l
         raise UnknownSuite(f"unknown suite {name!r}; choose from: {known}")
     ctx = _Context(curve, seed, samples)
     suites = SUITES.values() if name == "all" else [SUITES[name]]
-    return [result for suite in suites for result in suite(ctx)]
+    curve._charted = {}  # the run's chart memo, read by parametrization._pair_point
+    try:
+        return [result for suite in suites for result in suite(ctx)]
+    finally:
+        curve._charted = None
 
 
 def run_report(curve: Folium, name: str, seed: int = 0, samples: int = 1000) -> dict:

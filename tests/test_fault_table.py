@@ -6,9 +6,10 @@ must then FAIL at least one row.  Only those suites run, not `all`.  `star`
 is named for the faults it catches: with its parity chains read from law
 tables it takes about 30 ms over fp:5, as `axioms` and `geometry` do over q.
 Unpatched, every suite passes; tests/golden pins both reports.  The first
-five faults sit in the charts, which the public maps and the laws share:
+six faults sit in the charts, which the public maps and the laws share:
 three in the pair kernel `_pair_coordinates`, one in `_pair_point`, which
-builds a point from it, and one in the pair inverse chart `_pair_param`.
+builds a point from it, one in the key of the chart memo that a run opens,
+and one in the pair inverse chart `_pair_param`.
 One gives the curve 4a where it prints a, which only a row that builds a
 point from the printed a can tell.  Four patch a row of the law table LAWS,
 whose columns hold the operations on slope pairs (n : d), t = n/d.  Every
@@ -95,6 +96,12 @@ def _scaled_chart_ignores_swap(monkeypatch):
         return real(curve, n, d, False, affine) if point.is_affine else point
 
     _patch_everywhere(monkeypatch, real, pair_point)
+
+
+def _chart_memo_drops_swap(monkeypatch):
+    # inside a run, pbar and pbarbar of one slope share a memo key, so each answers the other's stored point
+    real = parametrization._chart_key
+    monkeypatch.setattr(parametrization, "_chart_key", lambda p, n, d, swap: real(p, n, d, False))
 
 
 def _inverse_chart_divides_the_wrong_way(monkeypatch):
@@ -200,6 +207,7 @@ FAULTS = {
     "chart_point_keeps_w": (_chart_point_keeps_w, (*CHART_SUITES, "southmul", "star")),
     "w_zero_branch_dropped": (_w_zero_branch_dropped, (*CHART_SUITES, "star")),
     "scaled_chart_ignores_swap": (_scaled_chart_ignores_swap, ("parametrize", "axioms", "coincidence", "fieldstructure")),
+    "chart_memo_drops_swap": (_chart_memo_drops_swap, ("parametrize", "axioms", "coincidence", "fieldstructure")),
     "inverse_chart_divides_the_wrong_way": (_inverse_chart_divides_the_wrong_way, (*CHART_SUITES, "southmul", "star")),
     "three_a_is_4a": (_three_a_is_4a, ("parametrize",)),
     "wrong_law_op": (_wrong_law_op, ("axioms", "star")),

@@ -6,7 +6,8 @@ on-curve kernel _cubic_vanishes and apply_law replaced, at every module
 name that holds them, by functions that raise, the point enumeration, the
 cubic evaluation, the line scan, the line-incidence filter, the sign-based
 branch label and the cube-root residue scan still give their unpatched
-answers.  The refusal texts of the scans and the canonical-form errors of
+answers, also inside a verify run whose chart memo the laws have filled.
+The refusal texts of the scans and the canonical-form errors of
 points and lines are pinned here too.  The element store of a prime field
 (`_elements`) is not patched: it is element construction itself, which the
 oracles share with everything else, not a kernel that a chart or a law runs
@@ -115,6 +116,24 @@ def test_oracles_give_the_same_answers_without_the_charts_and_laws(field, monkey
         verify.pbar(curve, field.one)
     # a new curve, so the enumeration runs under the patch instead of answering from its cache
     assert _oracles(Folium(field, 1)) == expected
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), Rationals()], ids=["fp:5", "q"])
+def test_oracles_give_the_same_answers_beside_a_filled_chart_memo(field, monkeypatch):
+    expected = _oracles(Folium(field, 1))
+    answers = []
+
+    def probe(ctx):
+        verify.SUITES["axioms"](ctx)  # the laws fill the run's chart memo
+        assert ctx.curve._charted
+        _forbid(monkeypatch)
+        answers.append(_oracles(ctx.curve))
+        return []
+
+    monkeypatch.setitem(verify.SUITES, "probe", probe)
+    # a new curve, so the enumeration runs under the patch instead of answering from its cache
+    run_suite(Folium(field, 1), "probe", seed=0, samples=40)
+    assert answers == [expected]
 
 
 def test_oracle_answers_over_fp5():

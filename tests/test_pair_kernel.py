@@ -11,6 +11,10 @@ drawn everywhere.  Refusals are part of the reference: the node under a
 multiplicative law and under perp and third_intersection, a point at
 infinity or a field with epsilon roots under an exotic law, the node's field
 inverse, and p_affine where 1 + t^3 = 0.
+
+The chart memo of a verify run is scoped here too: it is open only while
+run_suite runs, it answers one object per slope and chart, and the kernel
+runs once per memo key.
 """
 
 import itertools
@@ -32,11 +36,13 @@ from descartes_folium import (
     apply_law,
     fields,
     law_inverse,
+    parametrization,
     pbar,
     perp,
     third_intersection,
 )
-from descartes_folium.parametrization import p_affine, p_affine_prime
+from descartes_folium.parametrization import p_affine, p_affine_prime, pbarbar
+from descartes_folium.verify import SUITES, run_report, run_suite
 from helpers import prime_curve, rational_curve
 
 
@@ -183,3 +189,106 @@ def _law_calls(curve, points):
         yield lambda P=P: perp(curve, P)
         for Q in points:
             yield lambda P=P, Q=Q: third_intersection(curve, P, Q)
+
+
+def _in_a_run(curve, monkeypatch, probe):
+    """probe(curve) called inside run_suite, through a suite of its own; its value."""
+    seen = []
+    monkeypatch.setitem(SUITES, "probe", lambda ctx: seen.append(probe(ctx.curve)) or [])
+    run_suite(curve, "probe")
+    return seen[0]
+
+
+MEMO_CURVES = [rational_curve(Fraction(2, 3)), prime_curve(13, 2)]
+
+
+@pytest.mark.parametrize("curve", MEMO_CURVES, ids=str)
+def test_the_chart_memo_is_open_only_inside_a_run(curve, monkeypatch):
+    assert curve._charted is None
+    run_suite(curve, "parametrize", seed=0, samples=20)
+    assert curve._charted is None
+
+    def raising(ctx):
+        pbar(ctx.curve, 2)
+        raise RuntimeError("a row raised")
+
+    monkeypatch.setitem(SUITES, "raising", raising)
+    with pytest.raises(RuntimeError, match="a row raised"):
+        run_suite(curve, "raising")
+    assert curve._charted is None
+
+
+@pytest.mark.parametrize("curve", MEMO_CURVES, ids=str)
+def test_a_run_answers_one_point_per_slope_and_chart(curve, monkeypatch):
+    # the slope 2/5, V at 1/1, and the node at 1/0, each as (n : d), (3n : 3d) and (-n : -d)
+    slopes = [(2, 5), (1, 1), (1, 0)]
+
+    def charts(curve):
+        return [
+            [parametrization._pair_point(curve, k * n, k * d, swap) for k in (1, 3, -1)]
+            for n, d in slopes
+            for swap in (False, True)
+        ]
+
+    inside = _in_a_run(curve, monkeypatch, charts)
+    for same in inside:
+        assert same[0] is same[1] is same[2]
+    assert inside[0][0] != inside[1][0]  # pbar and pbarbar keep their own points
+    assert inside[-1][0] == curve.origin
+    outside = charts(curve)
+    assert outside == inside
+    assert all(P is not Q for row, same in zip(outside, inside) for P, Q in zip(row, same))
+    t = curve.field.element(2) / curve.field.element(5)
+    first, again = pbar(curve, t), pbar(curve, t)
+    assert first == again and first is not again
+
+
+@pytest.mark.parametrize("curve", MEMO_CURVES, ids=str)
+def test_a_memo_answer_keeps_the_affine_refusal(curve, monkeypatch):
+    def refusal(curve):
+        at_infinity = pbar(curve, -1)
+        message = rf"^t = {curve.field.element(-1)} satisfies t\^3 = -1; no affine image$"
+        with pytest.raises(ParameterAtInfinity, match=message):
+            p_affine(curve, -1)
+        return at_infinity, pbar(curve, -1), pbarbar(curve, 1)
+
+    at_infinity, again, swapped = _in_a_run(curve, monkeypatch, refusal)
+    assert at_infinity is again and at_infinity.is_at_infinity and swapped.is_affine
+
+
+def test_each_run_starts_with_an_empty_memo(monkeypatch):
+    curve = prime_curve(5)
+    sizes = []
+
+    def probe(ctx):
+        sizes.append(len(ctx.curve._charted))
+        pbar(ctx.curve, 2)
+        return []
+
+    monkeypatch.setitem(SUITES, "probe", probe)
+    run_suite(curve, "probe")
+    run_suite(curve, "probe")
+    assert sizes == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "curve, calls",
+    [(rational_curve(), 3075), (prime_curve(5), 10), (prime_curve(13), 26), (prime_curve(31), 62)],
+    ids=["q", "fp:5", "fp:13", "fp:31"],
+)
+def test_a_verdict_runs_the_kernel_once_per_memo_key(curve, calls, monkeypatch):
+    kernel, key = parametrization._pair_coordinates, parametrization._chart_key
+    ran, keys = [], set()
+
+    def counted(field, a3, n, d):
+        ran.append((n, d))
+        return kernel(field, a3, n, d)
+
+    def recorded(p, n, d, swap):
+        keys.add(key(p, n, d, swap))
+        return key(p, n, d, swap)
+
+    monkeypatch.setattr(parametrization, "_pair_coordinates", counted)
+    monkeypatch.setattr(parametrization, "_chart_key", recorded)
+    run_report(curve, "all", 1, 200)
+    assert len(ran) == len(keys) == calls
