@@ -37,8 +37,8 @@ it in a `finally`, so every chart and law of the run builds one point per
 slope and chart (see parametrization).  The law tables stay beside it: the
 memo saves the kernel, but a table also saves the law's own checks and the
 composition of the slope pairs for each repeated pair, and without the
-tables a `run_report(all)` over fp:5 or fp:13 takes about three times as
-long.
+tables a warm `run_report(all)` over fp:5 or fp:13 takes about three times
+as long (CPython 3.11, 2 vCPUs).
 
 The geometry suite's slope-cubic row asks the line oracle once per chord
 line: many chords share a line, so a suite-local cache holds the points

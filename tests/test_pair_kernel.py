@@ -258,17 +258,13 @@ def test_a_memo_answer_keeps_the_affine_refusal(curve, monkeypatch):
 
 def test_each_run_starts_with_an_empty_memo(monkeypatch):
     curve = prime_curve(5)
-    sizes = []
 
-    def probe(ctx):
-        sizes.append(len(ctx.curve._charted))
-        pbar(ctx.curve, 2)
-        return []
+    def size_then_chart(curve):
+        size = len(curve._charted)
+        pbar(curve, 2)
+        return size
 
-    monkeypatch.setitem(SUITES, "probe", probe)
-    run_suite(curve, "probe")
-    run_suite(curve, "probe")
-    assert sizes == [0, 0]
+    assert [_in_a_run(curve, monkeypatch, size_then_chart) for _ in range(2)] == [0, 0]
 
 
 @pytest.mark.parametrize(
