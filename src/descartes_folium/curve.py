@@ -7,8 +7,8 @@ nonzero of its third, first and second entries is 1, on stored values by
 `fields._scaled` (one modular inverse per triple over F_p, one Fraction per
 coordinate over Q).  The classical
 literals O = (0, 0, 1), I = (1, -1, 0) and affine points (x, y, 1) are
-already canonical, so `ProjectivePoint._marked` skips the canonicalizer for
-the z = 1 points the charts build.  Point equality answers True for the
+already canonical, and `_canonical` returns such a triple as it stands; it
+alone decides that, for every constructor.  Point equality answers True for the
 same object before it reads a coordinate: inside a verify run the chart
 memo and the law tables hand back one object for equal points.  Otherwise,
 as field equality is identity, it compares the fields of the x coordinates
@@ -97,14 +97,10 @@ class ProjectivePoint:
     def _marked(cls, x: FieldElement, y: FieldElement, z: FieldElement, on) -> "ProjectivePoint":
         """The point (x : y : z) of one field, marked with the Folium `on` (or None) that it lies on.
 
-        The caller vouches for the mark.  A point with z = 1 is canonical as it
-        stands; any other goes through the canonicalizer.
+        The caller vouches for the mark; `_canonical` shapes the triple.
         """
         point = object.__new__(cls)
-        if z.value == 1:
-            point.x, point.y, point.z = x, y, z
-        else:
-            point.x, point.y, point.z = _canonical(x, y, z, "point coordinates", "projective point")
+        point.x, point.y, point.z = _canonical(x, y, z, "point coordinates", "projective point")
         point.on = on
         return point
 

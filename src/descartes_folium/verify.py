@@ -251,12 +251,8 @@ class _Context:
 
 
 def _table(ctx: _Context, law: Callable) -> Callable:
-    """`(P, Q) -> law(curve, P, Q)`.  Where every pair of the field's p points is a case
-    (p * p <= EXHAUSTIVE_PAIR_BOUND, so p <= 173), a lazy Cayley table: each ordered pair
-    is computed once, when first asked, and stored under the six coordinate residues of
-    (P, Q), which name a pair of canonical points of the curve's field; equal results
-    share one stored point, and the table is freed with the rows that hold it.  Elsewhere
-    products rarely repeat, and it is the law bound to the curve."""
+    """`(P, Q) -> law(curve, P, Q)`: a lazy Cayley table where p * p <= EXHAUSTIVE_PAIR_BOUND,
+    else the law bound to the curve (the module docstring describes the tables)."""
     curve = ctx.curve
     if not (ctx.exhaustive and curve.field.characteristic ** 2 <= EXHAUSTIVE_PAIR_BOUND):
         return functools.partial(law, curve)
@@ -480,29 +476,11 @@ def _chain_cases(ctx: _Context) -> list:
 def _chain_folds(star: Callable, dot: Callable) -> Callable[[tuple], tuple]:
     """A function from a chain of points to its left folds under the binary laws (star, dot).
 
-    It keeps the last chain's folds, one pair per prefix length, and folds a
-    new chain only past the longest prefix it shares with the last one, so
-    chains in lexicographic order cost about one product per law each.  The
-    prefix is compared by identity, since the chains reuse the pool's own
-    point objects: an equal point that is a distinct object is folded again,
-    never folded wrong.
+    Each chain is folded from its first point.  Over the small fields where
+    chains are exhaustive, `star` and `dot` are the suite's law tables, so a
+    product that chains share is a lookup.
     """
-    stack: list = []  # (point, star fold, dot fold) for each prefix of the last chain
-
-    def fold(points: tuple) -> tuple:
-        shared = 0
-        while shared < min(len(stack), len(points)) and stack[shared][0] is points[shared]:
-            shared += 1
-        del stack[shared:]
-        for point in points[shared:]:
-            if stack:
-                _, star_acc, dot_acc = stack[-1]
-                stack.append((point, star(star_acc, point), dot(dot_acc, point)))
-            else:
-                stack.append((point, point, point))
-        return stack[len(points) - 1][1:]
-
-    return fold
+    return lambda points: (functools.reduce(star, points), functools.reduce(dot, points))
 
 
 def _suite_star(ctx: _Context) -> list:

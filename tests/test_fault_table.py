@@ -4,7 +4,8 @@ Each entry patches one fault into the package with monkeypatch and names the
 suites that catch it: over q and over fp:5 (seed 0, 40 samples) each of them
 must then FAIL at least one row.  Only those suites run, not `all`.  `star`
 is named for the faults it catches: with its parity chains read from law
-tables it takes about 30 ms over fp:5, as `axioms` and `geometry` do over q.
+tables it takes about 16 ms warm over fp:5 (CPython 3.11, 2 vCPUs), a little
+more than `axioms` over q.
 Unpatched, every suite passes; tests/golden pins both reports.  The first
 six faults sit in the charts, which the public maps and the laws share:
 three in the pair kernel `_pair_coordinates`, one in `_pair_point`, which

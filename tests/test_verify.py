@@ -257,7 +257,9 @@ def _spec_curve(spec):
 
 @pytest.mark.parametrize("spec, chains", [("fp:5", 5466), ("fp:13", 1912), ("q", 60)], ids=["fp:5", "fp:13", "q"])
 def test_shared_chain_folds_match_folds_from_scratch(spec, chains):
-    # the parity-chain row holds for any chain, so it cannot see a fold of the wrong chain; this can
+    # the parity-chain row holds for any chain, so it cannot see a fold of the wrong chain; this can.
+    # The folder keeps no state; the out-of-order and copied-chain sections below stay as regression
+    # checks against a folder that reuses an earlier chain's folds
     curve = _spec_curve(spec)
     ctx = verify._Context(curve, 0, 40)
     cases = verify._chain_cases(ctx)
@@ -265,13 +267,13 @@ def test_shared_chain_folds_match_folds_from_scratch(spec, chains):
     star, dot = verify._table(ctx, star_mul), verify._table(ctx, proj_mul)
     fold = verify._chain_folds(star, dot)
     assert [fold(chain) for chain in cases] == [_folds_from_scratch(curve, chain) for chain in cases]
-    # out of order too: a prefix after the longer chain, a chain after itself, and after its own prefix
+    # out of order: a prefix after the longer chain, a chain after itself, and after its own prefix
     shuffled = random.Random(5).sample(cases, min(300, len(cases)))
     shuffled += [cases[-1], cases[-1][:3], cases[-1][:3], cases[-1]]
     fold = verify._chain_folds(star, dot)
     assert [fold(chain) for chain in shuffled] == [_folds_from_scratch(curve, chain) for chain in shuffled]
-    # the prefix is compared by identity, so equal copies of the pool points are folded again, never
-    # wrong: each copied chain runs after its original, and a chain that starts with a copy after it
+    # equal copies of the pool points fold as the originals do: each copied chain runs after its
+    # original, and a chain that starts with a copy after it
     originals = cases[:: max(1, len(cases) // 300)]
     copies = [tuple(ProjectivePoint(P.x, P.y, P.z) for P in chain) for chain in originals]
     assert copies == originals and all(c[0] is not o[0] for c, o in zip(copies, originals))
@@ -382,10 +384,11 @@ def test_the_slope_cubic_row_asks_the_line_oracle_once_per_chord_line(monkeypatc
         assert len(asked) == calls
 
 
-@pytest.mark.parametrize("name", ["star", "geometry"])
-def test_a_suite_computes_each_product_of_an_ordered_pair_once(name, monkeypatch):
-    # over fp:13 every row of the suite reads dot and star from its tables, so each law
-    # meets an ordered pair of points once; the star suite asks for all 144 pairs of both
+@pytest.mark.parametrize("name, p", [("star", 13), ("geometry", 13), ("star", 5)], ids=["star", "geometry", "star-fp:5"])
+def test_a_suite_computes_each_product_of_an_ordered_pair_once(name, p, monkeypatch):
+    # over fp:5 and fp:13 every row of the suite reads dot and star from its tables, so each law
+    # meets an ordered pair of points once; the star suite asks for all (p - 1)^2 pairs of both.
+    # Over fp:5 the parity chains are exhaustive, so a fold that bypassed the tables fails here
     calls = {"star_mul": [], "proj_mul": []}
     for law, pairs in calls.items():
         real = getattr(verify, law)
@@ -395,11 +398,11 @@ def test_a_suite_computes_each_product_of_an_ordered_pair_once(name, monkeypatch
             return real(curve, P, Q)
 
         monkeypatch.setattr(verify, law, counted)
-    assert all(row.passed for row in run_suite(prime_curve(13), name, seed=0, samples=40))
+    assert all(row.passed for row in run_suite(prime_curve(p), name, seed=0, samples=40))
     for law, pairs in calls.items():
         assert pairs and len(pairs) == len(set(pairs)), (law, len(pairs), len(set(pairs)))
     if name == "star":
-        assert len(calls["star_mul"]) == len(calls["proj_mul"]) == 12 * 12
+        assert len(calls["star_mul"]) == len(calls["proj_mul"]) == (p - 1) ** 2
 
 
 def test_a_raising_product_fails_its_row_at_the_same_case(monkeypatch):
