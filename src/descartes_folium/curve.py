@@ -63,9 +63,9 @@ def _canonical(first, second, third, parts: str, noun: str) -> tuple:
     if second.field is not field or third.field is not field:
         raise MixedFields(f"{parts} must share one field")
     for pivot in (third.value, first.value, second.value):
+        if pivot == 1:  # asked first: over Q each test is a Fraction comparison
+            return first, second, third
         if pivot != 0:
-            if pivot == 1:
-                return first, second, third
             return _scaled(field, pivot, first.value, second.value, third.value)
     raise BadLiteral(f"(0 : 0 : 0) is not a {noun}")
 
