@@ -7,8 +7,8 @@ nonzero of its third, first and second entries is 1, on stored values by
 `fields._scaled` (one modular inverse per triple over F_p, one Fraction per
 coordinate over Q).  The classical
 literals O = (0, 0, 1), I = (1, -1, 0) and affine points (x, y, 1) are
-already canonical, and `_canonical` returns such a triple as it stands; it
-alone decides that, for every constructor.  Point equality answers True for the
+already canonical, and `_canonical`, which every constructor calls, returns
+such a triple as it stands.  Point equality answers True for the
 same object before it reads a coordinate: inside a verify run the chart
 memo and the law tables hand back one object for equal points.  Otherwise,
 as field equality is identity, it compares the fields of the x coordinates
@@ -63,7 +63,7 @@ def _canonical(first, second, third, parts: str, noun: str) -> tuple:
     if second.field is not field or third.field is not field:
         raise MixedFields(f"{parts} must share one field")
     for pivot in (third.value, first.value, second.value):
-        if pivot == 1:  # asked first: over Q each test is a Fraction comparison
+        if pivot == 1:  # before `!= 0`, so a z = 1 triple costs one test (a Fraction call over Q)
             return first, second, third
         if pivot != 0:
             return _scaled(field, pivot, first.value, second.value, third.value)
