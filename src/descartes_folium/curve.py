@@ -22,7 +22,8 @@ instance: the curve keeps the points as a tuple and every call returns a new
 list, so at most p + 3 points are held per curve.
 
 A point built by a chart (pbar, pbarbar, p_affine, and the curve's own
-origin, infinity and vertex) lies on the curve by construction, so it
+origin, infinity and vertex, which its first `vertex()` call builds once
+and later calls answer) lies on the curve by construction, so it
 carries that Folium in its `on` slot.  Only the private constructor
 `ProjectivePoint._marked` sets the mark, for the charts, sigma and the
 curve itself; the public constructors leave it None, so a caller cannot
@@ -199,6 +200,7 @@ class Folium:
     """The projective folium x^3 + y^3 - 3axyz = 0 over an exact field, a != 0."""
 
     _charted = None  # the chart memo of a verify run on this curve; None outside a run
+    _vertex = None  # vertex(), once it has been built
 
     def __init__(self, field: Field, a):
         a = field.element(a)
@@ -244,8 +246,13 @@ class Folium:
             raise NotOnCurve(f"{point} is not on {self}")
 
     def vertex(self) -> ProjectivePoint:
-        """The point (3a : 3a : 2); coincides with the infinite point in char 2."""
-        return ProjectivePoint._marked(self.three_a, self.three_a, self.field.element(2), self)
+        """The point (3a : 3a : 2); coincides with the infinite point in char 2.
+
+        Built by the first call, from `three_a` as it is then; later calls answer that point.
+        """
+        if self._vertex is None:
+            self._vertex = ProjectivePoint._marked(self.three_a, self.three_a, self.field.element(2), self)
+        return self._vertex
 
     def special_points(self) -> SpecialPoints:
         roots = self.field.epsilon_roots()

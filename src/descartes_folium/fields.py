@@ -38,10 +38,11 @@ divide a slope pair with it.  The cold operators are derived from these:
 goes through `Field.element`, so none of them repeats the reduction or the
 store lookup.  `_pair_coordinates` is the one chart kernel,
 which the public charts and every law share: the homogenized pbar, (n : d) ->
-(3and^2 : 3an^2d : n^3 + d^3), on a slope pair of ints, scaled to canonical
-form.  Over F_p that takes one modular inverse; over Q one gcd reduces the
-pair and each coordinate is one Fraction, with 3a = A/B read as ints.  The
-laws compose slope pairs on ints, so a law call divides only here.
+(3and^2 : 3an^2d : n^3 + d^3), on the slope pair of ints that
+parametrization._chart_key normalizes, scaled to canonical form.  Over F_p
+that takes one modular inverse; over Q each coordinate is one Fraction, with
+3a = A/B read as ints.  The laws compose slope pairs on ints, so a law call
+divides only in that normalization and here.
 
 Two more kernels admit raw points in curve.py.  `_scaled` divides a triple by
 its pivot, with one modular inverse per triple over F_p and one Fraction per
@@ -62,7 +63,6 @@ import sys
 import threading
 import weakref
 from fractions import Fraction
-from math import gcd
 
 from .errors import BadLiteral, DivisionByZero, MixedFields
 
@@ -132,32 +132,30 @@ def _quotient(field, u, v) -> "FieldElement":
 
 
 def _pair_coordinates(field, a3, n, d) -> "tuple[FieldElement, FieldElement, FieldElement]":
-    """The canonical coordinates of pbar at the slope (n : d), for ints n and d not both zero.
+    """The canonical coordinates of pbar at a normalized slope (n : d).
 
-    Homogenized, pbar is (n : d) -> (a3 n d^2 : a3 n^2 d : n^3 + d^3), so the node
-    is the image of (0 : 1) and of (1 : 0) alike.  Where w = n^3 + d^3 is nonzero
-    the point is scaled to z = 1 by one modular inverse over F_p, or over Q, after
-    one gcd reduces the pair, as one Fraction per coordinate.  Where w = 0 it is
-    (1 : n/d : 0).  This is the one division a chart or a law makes.
+    The pair is parametrization._chart_key's: over F_p (t : 1) for a residue t,
+    or (1 : 0); over Q in lowest terms with d > 0, or (1 : 0).  Homogenized, pbar
+    is (n : d) -> (a3 n d^2 : a3 n^2 d : n^3 + d^3), so the node is the image of
+    (0 : 1) and of (1 : 0) alike.  Where w = n^3 + d^3 is nonzero the point is
+    scaled to z = 1 by one modular inverse over F_p, or over Q as one Fraction
+    per coordinate.  Where w = 0, d is 1 and the point is (1 : n : 0).  Besides
+    the key's n/d mod p, this is the one division a chart or a law makes.
     """
     p = field.characteristic
     if p:
         store = field._elements
-        n, d = n % p, d % p
         w = (n * n * n + d * d * d) % p
         if w == 0:
-            y = n * pow(d, -1, p) % p
-            return field.one, store[y] if store else FieldElement(field, y), field.zero
+            return field.one, store[n] if store else FieldElement(field, n), field.zero
         s = a3 * n * d * pow(w, -1, p)
         x, y = s * d % p, s * n % p
         if store:
             return store[x], store[y], field.one
         return FieldElement(field, x), FieldElement(field, y), field.one
-    g = gcd(n, d)
-    n, d = n // g, d // g
     w = n * n * n + d * d * d
     if w == 0:
-        return field.one, FieldElement(field, Fraction(n, d)), field.zero
+        return field.one, FieldElement(field, Fraction(n)), field.zero
     scale, denominator = a3.numerator * n * d, a3.denominator * w
     return (
         FieldElement(field, Fraction(scale * d, denominator)),

@@ -7,8 +7,9 @@ parameters multiply to -1.  Everything here is exact; the slope cubic and
 the full line enumeration over small prime fields serve as oracles that are
 independent of the transported laws.
 
-Roots come from one synthetic division on ints: over F_p at every residue,
-over Q at one integer per monotone run of the cubic scaled to integer roots.
+Roots come from one synthetic division on ints: over F_p the cubic is
+evaluated at every residue, deflated at the roots; over Q it is deflated at
+one integer per monotone run of the cubic scaled to integer roots.
 The line-point oracle filters the curve's enumeration by incidence over F_p
 and substitutes the line into the curve's cubic over Q; slope_cubic_check
 asks it for the line's points itself, so it takes only the curve and the
@@ -157,16 +158,18 @@ def _integer_candidates(values: list) -> list:
 def roots_with_multiplicity(field: Field, coeffs: list) -> list:
     """Roots of a monic cubic in the base field, with multiplicity, in ascending order.
 
-    The work is on ints.  Over F_p every residue is a candidate.  Over Q the
-    cubic, cleared to L t^3 + B t^2 + C t + D, becomes the monic int cubic
-    s^3 + B s^2 + CL s + DL^2 in s = L t, whose rational roots are integers:
-    `_integer_candidates` finds them.  A candidate's multiplicity is the count
-    of `_deflate` divisions that leave no remainder (mod p over F_p).
+    The work is on ints.  Over F_p the cubic is evaluated at every residue
+    (Horner, mod p) and deflated at the roots.  Over Q the cubic, cleared to
+    L t^3 + B t^2 + C t + D, becomes the monic int cubic s^3 + B s^2 + CL s + DL^2
+    in s = L t, whose rational roots are integers: `_integer_candidates` finds
+    them.  A candidate's multiplicity is the count of `_deflate` divisions that
+    leave no remainder (mod p over F_p).
     """
     p = field.characteristic
     values = [c.value for c in coeffs]
     if p:
-        candidates = _scan_range(field, "root scan")
+        _, b, c, d = values
+        candidates = [r for r in _scan_range(field, "root scan") if (((r + b) * r + c) * r + d) % p == 0]
     else:
         scale = lcm(*(v.denominator for v in values))
         _, b, c, d = (v.numerator * (scale // v.denominator) for v in values)

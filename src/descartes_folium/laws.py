@@ -10,21 +10,24 @@ polynomial map of the pairs: a product is (n1 n2 : d1 d2), star's is
 (-n1 n2 : d1 d2) and a sum is (n1 d2 + n2 d1 : d1 d2); the exotic laws
 multiply the shifted slopes tau = t + 1 = (n + d : d) and shift the product
 back.  The inverses are (d : n) and (-n : d), and (-n : n + d) for the
-exotic laws.  So a law call divides once, in the chart that builds its
-result, `fields._pair_coordinates`.
+exotic laws.  So a law call divides only in the chart that builds its
+result, which normalizes the pair (`parametrization._chart_key`) and
+scales the point (`fields._pair_coordinates`).
 
 A law is a chart, a pair operation, a neutral pair, an inverse and a
 domain.  The charts are pbar and pbarbar; the exotic laws read only affine
 points and build only affine ones, p_affine and p_affine_prime.  The domain
 is the whole curve ("all"), the curve without the node ("nonzero"), or the
 affine curve ("affine"), which needs -1 to be the only cube root of -1,
-without which the affine charts are not bijections: Law.param refuses the
-node of a "nonzero" law, Law.require_field a field with epsilon roots for
-an "affine" one, and Law.invert the node where only the nonzero points are
-units.  The law table LAWS states each law once: apply_law, law_inverse,
-law_neutral, nonzero_param and the per-law names all look their row up
-there when called, so a row patched or wrapped in the table is seen by
-every caller.  fieldmul is plain multiplication through pbar, so the node
+without which the affine charts are not bijections.  Law.apply and
+Law.invert ask Law.require_field, which refuses a field with epsilon roots,
+of an "affine" law, and refuse the node of a "nonzero" law as they read each
+operand (Law.param, which perp and third_intersection read through, checks
+it the same way); Law.invert also refuses the node where only the nonzero
+points are units.  The law table LAWS states each law once: apply_law,
+law_inverse, law_neutral, nonzero_param and the per-law names all look their
+row up there when called, so a row patched or wrapped in the table is seen
+by every caller.  fieldmul is plain multiplication through pbar, so the node
 absorbs (pbar(0 t) = O); with addsouth it makes the curve a field.
 """
 
@@ -42,6 +45,9 @@ from .errors import (
 )
 from .fields import FieldElement, _quotient
 from .parametrization import _pair_param, _pair_point, sigma
+
+
+_NODE_EXCLUDED = "the node (0 : 0 : 1) is excluded here"
 
 
 class LawKind(Enum):
@@ -79,7 +85,8 @@ class Law(NamedTuple):
     units: str | None = None  # the invertible points, when narrower than the domain
 
     def require_field(self, curve: Folium) -> None:
-        if self.domain == "affine" and not curve.field.has_unique_cube_root():
+        """Refuse a field with epsilon roots; apply and invert ask it of an "affine" law."""
+        if not curve.field.has_unique_cube_root():
             raise FieldLacksUniqueCubeRoot(
                 f"{curve.field} has epsilon roots, so the affine parametrization "
                 "is not a bijection onto the affine curve"
@@ -88,19 +95,33 @@ class Law(NamedTuple):
     def param(self, curve: Folium, point: ProjectivePoint) -> tuple:
         n, d = self.chart.param(curve, point)
         if self.domain == "nonzero" and n == 0:
-            raise OriginNotInGroup("the node (0 : 0 : 1) is excluded here")
+            raise OriginNotInGroup(_NODE_EXCLUDED)
         return n, d
 
+    # apply and invert read domain and chart once and check the node inline, where param would
+    # add a frame; they raise as param does: the field first, then each operand in turn.
     def apply(self, curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
-        self.require_field(curve)
-        return self.chart.point(curve, *self.op(*self.param(curve, p1), *self.param(curve, p2)))
+        domain, chart = self.domain, self.chart
+        if domain == "affine":
+            self.require_field(curve)
+        n1, d1 = chart.param(curve, p1)
+        if n1 == 0 and domain == "nonzero":
+            raise OriginNotInGroup(_NODE_EXCLUDED)
+        n2, d2 = chart.param(curve, p2)
+        if n2 == 0 and domain == "nonzero":
+            raise OriginNotInGroup(_NODE_EXCLUDED)
+        return chart.point(curve, *self.op(n1, d1, n2, d2))
 
     def invert(self, curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
-        self.require_field(curve)
-        n, d = self.param(curve, point)
+        domain, chart = self.domain, self.chart
+        if domain == "affine":
+            self.require_field(curve)
+        n, d = chart.param(curve, point)
+        if n == 0 and domain == "nonzero":
+            raise OriginNotInGroup(_NODE_EXCLUDED)
         if n == 0 and self.units == "nonzero":
             raise DivisionByZeroPoint("the node (0 : 0 : 1) has no multiplicative inverse")
-        return self.chart.point(curve, *self.inverse(n, d))
+        return chart.point(curve, *self.inverse(n, d))
 
 
 # The charts call the pair maps and sigma by their module-level names, so a

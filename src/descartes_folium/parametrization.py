@@ -13,38 +13,39 @@ Homogenized, pbar is the normalization P^1 -> curve,
 (n : d) -> (3and^2 : 3an^2d : n^3 + d^3), which sends both (0 : 1) and
 (1 : 0) to the node; off the node its inverse is (x : y : z) -> (y : x),
 with no division.  So the maps work on slope pairs of ints: `_pair_point`
-builds the point of a pair through the one kernel
-`fields._pair_coordinates`, and `_pair_param` reads the pair of a point,
-(y : x) over F_p and (Y dx : X dy) over Q for y = Y/dy and x = X/dx, and
-(0 : 1) at the node; pbarbar swaps the coordinates of pbar's point, and its
-inverse reads (x : y).  The public maps take the pair (t : 1) over F_p and
+normalizes a pair with `_chart_key` and builds its point through the one
+kernel `fields._pair_coordinates`, and `_pair_param` reads the pair of a
+point, (y : x) over F_p and (Y dx : X dy) over Q for y = Y/dy and x = X/dx,
+and (0 : 1) at the node; pbarbar swaps the coordinates of pbar's point, and
+its inverse reads (x : y).  The public maps take the pair (t : 1) over F_p and
 (n : d) for t = n/d over Q, and pbar_inv and pbarbar_inv divide the pair
 once.  The laws (laws.py) compose the pairs themselves, so a law call
 divides only in the kernel.
 
 The inverses are totalized at the node with value 0, which makes pbar a
 bijection K -> curve and lets the additive laws act on the whole curve.
-After require_on_curve they find the node by one coordinate: on the curve
-x = 0 forces y^3 = 0 and y = 0 forces x^3 = 0, so either vanishes at the
-node alone.
+On the curve they find the node by one coordinate: x = 0 forces y^3 = 0
+and y = 0 forces x^3 = 0, so either vanishes at the node alone.
 
 Each map marks the point it builds with its curve, through
-`ProjectivePoint._marked`, so require_on_curve does not evaluate the cubic
-on it again; sigma keeps the mark, since the cubic is symmetric in x and y.
+`ProjectivePoint._marked`, so `_pair_param` calls require_on_curve only for
+a point that the curve did not build (`point.on is not curve`); sigma keeps
+the mark, since the cubic is symmetric in x and y.
 At t^3 = -1, where 3at is nonzero, pbar(t) is the point at infinity
 (1 : t : 0), and p_affine raises ParameterAtInfinity.
 
-A verify run charts the same few slopes over and over, so while run_suite
-runs, the curve holds a chart memo, `Folium._charted`, and `_pair_point`
-answers from it: one point per key, where the key of (n : d) is the residue
-n/d over F_p and the pair in lowest terms with d > 0 over Q, or (1 : 0)
-for d = 0 in both, together with the `swap` flag.  So pbar and pbarbar stay
-two charts, each computed by the kernel.  Only a miss runs the kernel and
-`ProjectivePoint._marked`; a kernel that raises stores nothing, and the
-affine refusal is checked on the answered point.  Outside a run `_charted`
-is None and no key is computed: the curve commands and library callers
-neither pay for the memo nor hold one, which over Q would grow without
-bound.
+The key of (n : d) is its normalized pair, (n/d mod p : 1) over F_p and
+the pair in lowest terms with d > 0 over Q, or (1 : 0) for d = 0 in both,
+together with the `swap` flag.  Every call computes it, in a verify run and
+outside one, and the kernel builds the point from that pair, so the code a
+run checks is the code every caller runs.  A verify run charts the same few
+slopes over and over, so while run_suite runs, the curve holds a chart
+memo, `Folium._charted`, and `_pair_point` answers from it: one point per
+key, so pbar and pbarbar stay two charts, each computed by the kernel.
+Only a miss runs the kernel and `ProjectivePoint._marked`; a kernel that
+raises stores nothing, and the affine refusal is checked on the answered
+point.  Outside a run `_charted` is None: the curve commands and library
+callers hold no memo, which over Q would grow without bound.
 
 The charts, their inverses and the on-curve check of a point not built by a
 chart (`fields._cubic_vanishes`) compute on stored values.  The oracles that
@@ -66,15 +67,15 @@ from .fields import FieldElement, _pair_coordinates, _quotient
 
 
 def _chart_key(p: int, n: int, d: int, swap: bool) -> tuple:
-    """The memo key of the slope (n : d) under pbar, or pbarbar when `swap`: one key per point of P^1.
+    """The slope (n : d) normalized, with `swap` for pbarbar: one key per point of P^1 and chart.
 
-    Over F_p the residue n/d, or (1 : 0); over Q the pair in lowest terms with
-    d > 0, or (1 : 0).  A pair that is (0 : 0) mod p keys to (0, 0), which is
-    never stored, since the kernel refuses it; over Q the gcd refuses it here.
+    Over F_p (n/d mod p : 1), or (1 : 0); over Q the pair in lowest terms with
+    d > 0, or (1 : 0).  The pair (0 : 0), mod p or over Q, raises
+    ZeroDivisionError: it is no point of P^1.
     """
     if p:
         n, d = n % p, d % p
-        return (n * pow(d, -1, p) % p, 1, swap) if d else (min(n, 1), 0, swap)
+        return (n * pow(d, -1, p) % p, 1, swap) if d else (n // n, 0, swap)
     g = gcd(n, d)
     if (d or n) < 0:  # the sign of d, or of n where d = 0
         g = -g
@@ -84,35 +85,33 @@ def _chart_key(p: int, n: int, d: int, swap: bool) -> tuple:
 def _pair_point(curve: Folium, n: int, d: int, swap: bool = False, affine: bool = False) -> ProjectivePoint:
     """pbar at the slope (n : d), or pbarbar when `swap`; when `affine`, p_affine, which refuses n^3 + d^3 = 0.
 
-    Inside a verify run the point comes from the curve's chart memo, `_charted`.
+    The kernel always gets the normalized pair of `_chart_key`, and inside a
+    verify run the point comes from the curve's chart memo, `_charted`, under that key.
     """
+    n, d, _ = key = _chart_key(curve.field.characteristic, n, d, swap)  # the point reads `swap` from the call
     charted = curve._charted
-    if charted is None:
-        point = _charted_point(curve, n, d, swap)
-    else:
-        key = _chart_key(curve.field.characteristic, n, d, swap)
-        point = charted.get(key)
-        if point is None:
-            point = charted[key] = _charted_point(curve, n, d, swap)
+    point = None if charted is None else charted.get(key)
+    if point is None:
+        x, y, z = _pair_coordinates(curve.field, curve.three_a.value, n, d)
+        point = ProjectivePoint._marked(y, x, z, curve) if swap else ProjectivePoint._marked(x, y, z, curve)
+        if charted is not None:
+            charted[key] = point
     if affine and point.z.value == 0:  # (1 : t : 0) with t^3 = -1
         raise ParameterAtInfinity(f"t = {point.y} satisfies t^3 = -1; no affine image")
     return point
 
 
-def _charted_point(curve: Folium, n: int, d: int, swap: bool) -> ProjectivePoint:
-    """The point the kernel builds at the slope (n : d), swapped when `swap`, marked with the curve."""
-    x, y, z = _pair_coordinates(curve.field, curve.three_a.value, n, d)
-    return ProjectivePoint._marked(y, x, z, curve) if swap else ProjectivePoint._marked(x, y, z, curve)
-
-
 def _pair_param(curve: Folium, point: ProjectivePoint, swap: bool = False) -> tuple:
     """The slope (y : x) of a curve point as a pair of ints, or (x : y) when `swap`; (0 : 1) at the node."""
-    curve.require_on_curve(point)
+    if point.on is not curve:  # a point this curve built is on it
+        curve.require_on_curve(point)
     x, y = point.x.value, point.y.value
     if swap:
         x, y = y, x
-    xn, xd = x.as_integer_ratio()  # an int's ratio is (x, 1)
     # On the curve x = 0 forces y^3 = 0, and y = 0 forces x^3 = 0: either marks the node alone.
+    if curve.field.characteristic:  # ints mod p
+        return (y, x) if x else (0, 1)
+    xn, xd = x.as_integer_ratio()
     if xn == 0:
         return 0, 1
     yn, yd = y.as_integer_ratio()

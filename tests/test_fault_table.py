@@ -9,8 +9,9 @@ more than `axioms` over q.
 Unpatched, every suite passes; tests/golden pins both reports.  The first
 six faults sit in the charts, which the public maps and the laws share:
 three in the pair kernel `_pair_coordinates`, one in `_pair_point`, which
-builds a point from it, one in the key of the chart memo that a run opens,
-and one in the pair inverse chart `_pair_param`.
+builds a point from it, one in `_chart_key`, which normalizes every pair the
+kernel gets and keys the chart memo that a run opens, and one in the pair
+inverse chart `_pair_param`.
 One gives the curve 4a where it prints a, which only a row that builds a
 point from the printed a can tell.  Four patch a row of the law table LAWS,
 whose columns hold the operations on slope pairs (n : d), t = n/d.  Every

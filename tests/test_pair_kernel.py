@@ -28,7 +28,9 @@ from descartes_folium import (
     DivisionByZeroPoint,
     FieldElement,
     FieldLacksUniqueCubeRoot,
+    Folium,
     LawKind,
+    NotOnCurve,
     OriginNotInGroup,
     ParameterAtInfinity,
     PointAtInfinity,
@@ -177,6 +179,63 @@ def test_a_law_call_divides_only_in_the_pair_kernel(curve, monkeypatch):
             monkeypatch.setattr(module, "_quotient", refuse)
     monkeypatch.setattr(FieldElement, "inverse", refuse)
     assert [_outcome(call) for call in _law_calls(curve, points)] == expected
+
+
+THIN_PATH_CURVES = [rational_curve(Fraction(2, 3)), prime_curve(5), prime_curve(65537, 2)]
+
+
+@pytest.mark.parametrize("curve", THIN_PATH_CURVES, ids=str)
+def test_a_law_call_asks_no_on_curve_check_of_points_the_curve_built(curve, monkeypatch):
+    # a chart point carries its curve's mark, so reading its slope pair needs no call to
+    # require_on_curve; the same points rebuilt from raw coordinates are checked
+    points = [curve.origin, curve.infinity, curve.vertex(), *(pbar(curve, t) for t in (2, -3)), pbarbar(curve, 5)]
+    raw = [curve.point(P.x.value, P.y.value, P.z.value) for P in points]
+    checked = []
+    real = Folium.require_on_curve
+    monkeypatch.setattr(Folium, "require_on_curve", lambda self, point: checked.append(point) or real(self, point))
+    built = [_outcome(call) for call in _law_calls(curve, points)]
+    assert checked == [] and any(isinstance(outcome, ProjectivePoint) for outcome in built)
+    assert [_outcome(call) for call in _law_calls(curve, raw)] == built
+    assert set(checked) == set(raw)
+
+
+@pytest.mark.parametrize("curve", THIN_PATH_CURVES, ids=str)
+def test_an_off_curve_point_is_refused_unless_the_curve_built_it(curve):
+    # off the curve for each a here: 1 + 8 - 6a is 5, 3 and -3
+    off = curve.point(1, 2)
+    twin = Folium(curve.field, curve.a)
+    assert twin == curve and twin is not curve
+    forged = ProjectivePoint._marked(off.x, off.y, off.z, twin)  # vouched for by an equal curve, not this one
+    on = pbar(curve, 2)
+    for bad in (off, forged):
+        for kind in LawKind:
+            for operands in ((bad, on), (on, bad)):
+                with pytest.raises(NotOnCurve):
+                    apply_law(curve, kind, *operands)
+            with pytest.raises(NotOnCurve):
+                law_inverse(curve, kind, bad)
+        with pytest.raises(NotOnCurve):
+            perp(curve, bad)
+        for operands in ((bad, on), (on, bad)):
+            with pytest.raises(NotOnCurve):
+                third_intersection(curve, *operands)
+
+
+@pytest.mark.parametrize("curve", [*THIN_PATH_CURVES, prime_curve(13)], ids=str)
+def test_a_law_call_raises_its_first_refusal_in_operand_order(curve):
+    # the field, then the first operand (its on-curve and node checks), then the second
+    off = curve.point(1, 2)
+    for kind in (LawKind.PROJ_MUL, LawKind.PROJ_MUL2, LawKind.STAR_MUL):
+        with pytest.raises(OriginNotInGroup):
+            apply_law(curve, kind, curve.origin, off)
+        with pytest.raises(NotOnCurve):
+            apply_law(curve, kind, off, curve.origin)
+    for kind in (LawKind.SOUTH_MUL, LawKind.WEST_MUL):
+        lacking = curve.field.epsilon_roots() is not None
+        with pytest.raises(FieldLacksUniqueCubeRoot if lacking else NotOnCurve):
+            apply_law(curve, kind, off, curve.infinity)
+        with pytest.raises(FieldLacksUniqueCubeRoot if lacking else PointAtInfinity):
+            apply_law(curve, kind, curve.infinity, off)
 
 
 def _law_calls(curve, points):
