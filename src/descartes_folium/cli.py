@@ -234,14 +234,23 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
-def _samples(text: str) -> int:
-    """The verify --samples value: an int, at least 1."""
+# The most --samples that verify and plot take.  Far larger counts end in a MemoryError; at
+# this bound `verify --suite all --field q` peaks at 268 MB, and every test, demo and
+# benchmark takes 2,000 or fewer.
+_MOST_SAMPLES = 100_000
+
+
+def _samples(text: str, least: int | None = 1) -> int:
+    """A --samples value: an int from `least` to _MOST_SAMPLES; plot passes least=None and
+    refuses fewer than 2 samples itself."""
     try:
         samples = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if samples < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {samples}")
+    if least is not None and samples < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {samples}")
+    if samples > _MOST_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be at most {_MOST_SAMPLES}, got {samples}")
     return samples
 
 
@@ -273,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("plot", parents=[common], help="emit an SVG (or CSV) of the real curve")
     p_plot.add_argument("--t-min", default="-0.9", dest="t_min", help="lower parameter bound")
     p_plot.add_argument("--t-max", default="4", dest="t_max", help="upper parameter bound")
-    p_plot.add_argument("--samples", type=int, default=400)
+    p_plot.add_argument("--samples", type=functools.partial(_samples, least=None), default=400)
     p_plot.add_argument("--overlay", action="append", default=[],
                         help="bisector | asymptote | point:<t> | tangent:<t> | chord:<t1>,<t2>")
     p_plot.add_argument("--exclusion", default=None,

@@ -74,9 +74,7 @@ def third_intersection(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) 
     """
     n1, d1 = _nonzero_pair(curve, p1)
     n2, d2 = _nonzero_pair(curve, p2)
-    result = _pair_point(curve, -d1 * d2, n1 * n2)
-    assert result != curve.origin  # neither -d1 d2 nor n1 n2 vanishes
-    return result
+    return _pair_point(curve, -d1 * d2, n1 * n2)
 
 
 def collinear3(
@@ -200,7 +198,11 @@ def line_curve_intersections(curve: Folium, line: ProjectiveLine) -> list:
 
 
 def _curve_points_on_line(curve: Folium, line: ProjectiveLine) -> list:
-    """The non-node curve points on a line that misses the node, found without the slope cubic or a chart."""
+    """The curve points on a line, found without the slope cubic or a chart.
+
+    The line must miss the node; every caller's does, so the node fails the
+    incidence test and never needs a test of its own.
+    """
     field = curve.field
     char = field.characteristic
     if char:
@@ -210,7 +212,6 @@ def _curve_points_on_line(curve: Folium, line: ProjectiveLine) -> list:
             point
             for point in curve.enumerate_points()
             if (m * point.x.value + n * point.y.value + p * point.z.value) % char == 0
-            and point != curve.origin
         ]
     # z = -(m x + n y) turns the cubic into x^3 + 3am x^2 y + 3an x y^2 + y^3.
     # On the curve y = 0 forces x = 0, the node, so the points are (s : 1 : z) for

@@ -22,13 +22,14 @@ affine curve ("affine"), which needs -1 to be the only cube root of -1,
 without which the affine charts are not bijections.  Law.apply and
 Law.invert ask Law.require_field, which refuses a field with epsilon roots,
 of an "affine" law, and refuse the node of a "nonzero" law as they read each
-operand (Law.param, which perp and third_intersection read through, checks
-it the same way); Law.invert also refuses the node where only the nonzero
-points are units.  The law table LAWS states each law once: apply_law,
-law_inverse, law_neutral, nonzero_param and the per-law names all look their
-row up there when called, so a row patched or wrapped in the table is seen
-by every caller.  fieldmul is plain multiplication through pbar, so the node
-absorbs (pbar(0 t) = O); with addsouth it makes the curve a field.
+operand (`_nonzero_pair`, which perp and third_intersection read through,
+refuses it the same way from proj_mul's chart); Law.invert also refuses the
+node where only the nonzero points are units.  The law table LAWS states
+each law once: apply_law, law_inverse, law_neutral, nonzero_param and the
+per-law names all look their row up there when called, so a row patched or
+wrapped in the table is seen by every caller.  fieldmul is plain
+multiplication through pbar, so the node absorbs (pbar(0 t) = O); with
+addsouth it makes the curve a field.
 """
 
 from __future__ import annotations
@@ -92,14 +93,8 @@ class Law(NamedTuple):
                 "is not a bijection onto the affine curve"
             )
 
-    def param(self, curve: Folium, point: ProjectivePoint) -> tuple:
-        n, d = self.chart.param(curve, point)
-        if self.domain == "nonzero" and n == 0:
-            raise OriginNotInGroup(_NODE_EXCLUDED)
-        return n, d
-
-    # apply and invert read domain and chart once and check the node inline, where param would
-    # add a frame; they raise as param does: the field first, then each operand in turn.
+    # apply and invert read domain and chart once and check the node inline: the field first,
+    # then each operand in turn.
     def apply(self, curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
         domain, chart = self.domain, self.chart
         if domain == "affine":
@@ -187,7 +182,10 @@ def law_inverse(curve: Folium, law: LawKind, point: ProjectivePoint) -> Projecti
 
 def _nonzero_pair(curve: Folium, point: ProjectivePoint) -> tuple:
     """The slope pair (y : x) of a curve point, rejecting the node."""
-    return LAWS[LawKind.PROJ_MUL].param(curve, point)
+    n, d = LAWS[LawKind.PROJ_MUL].chart.param(curve, point)
+    if n == 0:
+        raise OriginNotInGroup(_NODE_EXCLUDED)
+    return n, d
 
 
 def nonzero_param(curve: Folium, point: ProjectivePoint) -> FieldElement:

@@ -27,10 +27,11 @@ keyed on the coordinates of the ordered pair, the six residues of (P, Q),
 so a lookup hashes ints rather than points and a law that is not
 commutative still fails its row; it fills as the cases run, so the first
 failing case and its text are those of the direct calls, and a product that
-raises is never stored.  Equal results share one stored point, and a table
-is freed with the rows of the suite that built it.  Over the rationals and
-larger primes, where products rarely repeat, a table is the law bound to
-the curve.
+raises is never stored.  A table stores each result as the law returns it:
+the chart memo below already makes equal results one point, except
+westmul's, which sigma builds afresh on each call.  A table is freed with
+the rows of the suite that built it.  Over the rationals and larger primes,
+where products rarely repeat, a table is the law bound to the curve.
 
 run_suite opens the curve's chart memo for the length of the run and closes
 it in a `finally`, so every chart and law of the run builds one point per
@@ -257,14 +258,12 @@ def _table(ctx: _Context, law: Callable) -> Callable:
     if not (ctx.exhaustive and curve.field.characteristic ** 2 <= EXHAUSTIVE_PAIR_BOUND):
         return functools.partial(law, curve)
     products: dict = {}
-    results: dict = {}
 
     def product(P, Q):
         key = (P.x.value, P.y.value, P.z.value, Q.x.value, Q.y.value, Q.z.value)
         value = products.get(key)
         if value is None:
-            value = law(curve, P, Q)
-            value = products[key] = results.setdefault(value, value)
+            value = products[key] = law(curve, P, Q)
         return value
 
     return product

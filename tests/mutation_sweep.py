@@ -8,9 +8,12 @@ integer constant, or drops a unary `-` or `not`.  A fresh interpreter then
 imports the mutated package and runs run_report(curve, "all", 0, 40) over q,
 fp:5, fp:7 and fp:2 with a = 1, two mutants at a time.  fp:7 reaches the
 p = 1 (mod 3) code, and fp:2 the smallest field.  The mutant is killed when
-a row FAILs, the run raises, or it passes the time or memory limit; otherwise
-it survives.  The survivors, one line each, go to tests/mutation_survivors.txt
-by default.  A survivor may carry a third field, written by hand: why it is
+a row FAILs, the run raises (a MemoryError past the memory limit included),
+or it passes the time limit; otherwise it survives.  A run that only passed
+the time limit may have been slowed by the load beside it, so that mutant
+runs again alone and counts as killed only if that run kills it too.  The
+survivors, one line each, go to tests/mutation_survivors.txt by default,
+under a header that counts the kills by reason.  A survivor may carry a third field, written by hand: why it is
 equivalent, or which tier-1 test kills it.  A new sweep keeps that field for
 every survivor whose module, column, mutation and quoted line still match.
 At its end the sweep runs each kept `tier-1:` note's test on that note's
@@ -33,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -153,8 +157,13 @@ def mutate(source: str, index: int) -> str:
     return ast.unparse(ast.fix_missing_locations(tree))
 
 
+# Why a run killed its mutant, in the order the header counts them.
+ROW_FAILED, RAISED, TIME_LIMIT = "a failing row", "a raise", "the time limit"
+
+
 def run_check(package_root: Path) -> tuple:
-    """(survived, detail) for the package under `package_root`."""
+    """(kill, detail) for the package under `package_root`: kill is None when every row
+    passed, else ROW_FAILED, RAISED or TIME_LIMIT."""
     try:
         done = subprocess.run(
             [sys.executable, "-c", CHECK],
@@ -164,14 +173,14 @@ def run_check(package_root: Path) -> tuple:
             timeout=TIME_LIMIT_S,
         )
     except subprocess.TimeoutExpired:
-        return False, "timeout"
+        return TIME_LIMIT, f"no verdict in {TIME_LIMIT_S} s"
     if done.returncode == 0:
-        return True, "all rows passed"
+        return None, "all rows passed"
     lines = done.stdout.strip().splitlines()
     if lines and lines[-1].startswith("["):
-        return False, f"{len(json.loads(lines[-1]))} rows failed"
+        return ROW_FAILED, f"{len(json.loads(lines[-1]))} rows failed"
     error = done.stderr.strip().splitlines()
-    return False, f"raised: {error[-1] if error else done.returncode}"
+    return RAISED, f"raised: {error[-1] if error else done.returncode}"
 
 
 def run_mutant(module: str, source: str, index: int, scratch: Path) -> tuple:
@@ -236,22 +245,30 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(ROOT / "tests" / "mutation_survivors.txt"))
     args = parser.parse_args(argv)
 
-    survived, detail = run_check(PACKAGE.parent)
-    if not survived:
+    kill, detail = run_check(PACKAGE.parent)
+    if kill:
         print(f"the unmutated package does not pass: {detail}", file=sys.stderr)
         return 2
 
     start = time.monotonic()
     notes = _notes(Path(args.out))
     lines, totals, noted = [], [], []
+    kills, rerun, spared = Counter(), 0, 0
     with tempfile.TemporaryDirectory() as scratch, ThreadPoolExecutor(JOBS) as pool:
         for module in MODULES:
             source = (PACKAGE / f"{module}.py").read_text()
             found = sites(ast.parse(source))
-            outcomes = pool.map(functools.partial(run_mutant, module, source, scratch=Path(scratch)), range(len(found)))
+            run = functools.partial(run_mutant, module, source, scratch=Path(scratch))
+            outcomes = [kill for kill, _ in pool.map(run, range(len(found)))]
+            for index, kill in enumerate(outcomes):
+                if kill == TIME_LIMIT:  # the pool is idle here, so this run is alone
+                    rerun += 1
+                    outcomes[index], _ = run(index)
+                    spared += outcomes[index] is None
+            kills.update(kill for kill in outcomes if kill)
             alive = 0
-            for index, ((target, kind, description), (survived, _)) in enumerate(zip(found, outcomes)):
-                if survived:
+            for index, ((target, kind, description), kill) in enumerate(zip(found, outcomes)):
+                if kill is None:
                     alive += 1
                     line, column, _ = _position(target)
                     text = source.splitlines()[line - 1].strip()
@@ -269,6 +286,8 @@ def main(argv=None) -> int:
         "# One line per surviving mutant: module:line:column, kind, mutation, and the original line.",
         "# A third field, kept across sweeps, says 'equivalent: why' or 'tier-1: the test that kills it'.",
         *(f"# {total}" for total in totals),
+        f"# kills: {', '.join(f'{kills[kind]} by {kind}' for kind in (ROW_FAILED, RAISED, TIME_LIMIT))};"
+        f" {rerun} time-limit kills ran again alone, and {spared} of them survived that run",
         f"# {len(lines)} survivors",
     ]
     Path(args.out).write_text("\n".join([*header, *lines]) + "\n")

@@ -16,7 +16,7 @@ from descartes_folium import (
     Rationals,
     field_from_spec,
 )
-from descartes_folium.cli import parse_point
+from descartes_folium.cli import _MOST_SAMPLES, build_parser, parse_point
 from descartes_folium.fields import MILLER_RABIN_BOUND
 from descartes_folium.plotting import parse_overlay, parse_rational
 from helpers import python_process, run_main
@@ -166,6 +166,21 @@ def test_verify_samples_below_one_is_a_usage_error(samples):
     proc = run_main("verify", "--field", "fp:5", "--suite", "field", "--samples", samples)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.endswith(f"error: argument --samples: must be at least 1, got {samples}\n")
+
+
+@pytest.mark.parametrize("command", [("verify", "--field", "q", "--suite", "parametrize"), ("plot", "--out", os.devnull)])
+def test_samples_above_the_bound_is_a_usage_error(command):
+    over = _MOST_SAMPLES + 1
+    proc = run_main(*command, "--samples", str(over))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(f"error: argument --samples: must be at most {_MOST_SAMPLES}, got {over}\n")
+
+
+def test_samples_at_the_bound_are_accepted():
+    # parse only: a report or a plot at the bound would run for minutes
+    for command in ("verify", "plot"):
+        args = build_parser().parse_args([command, "--samples", str(_MOST_SAMPLES)])
+        assert args.samples == _MOST_SAMPLES
 
 
 def test_verify_q_with_one_sample_skips_the_empty_row():

@@ -34,9 +34,10 @@ from descartes_folium import (
     proj_mul2,
     south_mul,
     star_mul,
+    third_intersection,
     west_mul,
 )
-from descartes_folium.laws import LAWS, south_inv, west_inv
+from descartes_folium.laws import LAWS, nonzero_param, south_inv, west_inv
 from helpers import prime_curve, rational_curve
 
 CURVES = [("q", a) for a in (1, 2)] + [
@@ -185,8 +186,10 @@ def test_invalid_operand_errors(spec, a):
 def test_node_errors(spec, a):
     curve = build_curve(spec, a)
     node, vertex = curve.origin, curve.vertex()
-    for fn in (perp, proj_inv):
+    for fn in (perp, proj_inv, nonzero_param):
         expect_error(OriginNotInGroup, NODE_EXCLUDED_MESSAGE, fn, curve, node)
+    for pair in ((node, vertex), (vertex, node)):
+        expect_error(OriginNotInGroup, NODE_EXCLUDED_MESSAGE, third_intersection, curve, *pair)
     expect_error(DivisionByZeroPoint, NODE_INVERSE_MESSAGE, law_inverse, curve, LawKind.FIELD_MUL, node)
     expect_error(DivisionByZeroPoint, NODE_INVERSE_MESSAGE, folium_inv, curve, node)
     expect_error(DivisionByZeroPoint, NODE_INVERSE_MESSAGE, folium_div, curve, vertex, node)

@@ -292,7 +292,7 @@ def _difference_law(calls):
 
 
 @pytest.mark.parametrize("p", [5, 13])
-def test_law_tables_answer_as_the_law_does(p):
+def test_law_tables_answer_as_the_law_does(p, monkeypatch):
     curve = prime_curve(p)
     ctx = verify._Context(curve, 0, 40)
     laws = [(star_mul, "nonzero"), (proj_mul, "nonzero"), (folium_mul, "all"), (add_south, "all"), (add_west, "all")]
@@ -306,17 +306,23 @@ def test_law_tables_answer_as_the_law_does(p):
             for Q in points:
                 assert table(P, Q) == law(curve, P, Q), (law, P, Q)
                 assert table(P, Q) is table(P, Q)
-    # the ordered pair is the key: (P, Q) and (Q, P) are computed apart, each once
-    calls = []
-    difference = verify._table(ctx, _difference_law(calls))
-    points = ctx.points("all")
-    for _ in range(2):
-        for P in points:
-            for Q in points:
-                assert difference(P, Q) == pbar(curve, pbar_inv(curve, P) - pbar_inv(curve, Q))
-    assert len(calls) == len(set(calls)) == len(points) ** 2
-    # equal results share one stored point
-    assert difference(points[1], points[0]) is difference(points[2], points[1])
+    # the ordered pair is the key: (P, Q) and (Q, P) are computed apart, each once; the table
+    # fills inside a run, as a suite's table does, with the chart memo open
+    def ordered_pairs(ctx):
+        calls = []
+        difference = verify._table(ctx, _difference_law(calls))
+        points = ctx.points("all")
+        for _ in range(2):
+            for P in points:
+                for Q in points:
+                    assert difference(P, Q) == pbar(curve, pbar_inv(curve, P) - pbar_inv(curve, Q))
+        assert len(calls) == len(set(calls)) == len(points) ** 2
+        # equal results share one point: the memo's point for their slope
+        assert difference(points[1], points[0]) is difference(points[2], points[1])
+        return []
+
+    monkeypatch.setitem(SUITES, "ordered_pairs", ordered_pairs)
+    assert run_suite(curve, "ordered_pairs") == []
 
 
 def test_law_tables_are_freed_with_their_suite(monkeypatch):
