@@ -13,9 +13,10 @@ or it passes the time limit; otherwise it survives.  A run that only passed
 the time limit may have been slowed by the load beside it, so that mutant
 runs again alone and counts as killed only if that run kills it too.  The
 survivors, one line each, go to tests/mutation_survivors.txt by default,
-under a header that counts the kills by reason.  A survivor may carry a third field, written by hand: why it is
-equivalent, or which tier-1 test kills it.  A new sweep keeps that field for
-every survivor whose module, column, mutation and quoted line still match.
+under a header that counts the kills by reason.  A survivor may carry a
+third field, written by hand: why it is equivalent, or which tier-1 test
+kills it.  A new sweep keeps that field for every survivor whose module,
+column, mutation and quoted line still match.
 At its end the sweep runs each kept `tier-1:` note's test on that note's
 mutant, in a copy of the repository whose src/ holds the mutant, and lists
 every note whose test passes there: such a note is stale, and the sweep
