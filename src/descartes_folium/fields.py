@@ -10,6 +10,8 @@ Each field is one object: `Rationals()` always returns the same instance,
 and `PrimeField(p)` returns the one live instance for p, creating it (after
 validation, under a lock) when there is none.  So field equality and hashing
 are `object`'s identity, and each field builds its `zero` and `one` once.
+The modulus is read with `operator.index`, so a float or a string such as
+7.9 or "13" is refused with BadLiteral, not truncated or parsed.
 
 A prime field with p <= ENUMERATION_BOUND also stores its elements, one per
 residue, in the tuple `_elements`, built with the field (the table method of
@@ -436,7 +438,10 @@ class PrimeField(Field):
     """The prime field F_p, p prime, p != 3 and p < MILLER_RABIN_BOUND; one live instance per p."""
 
     def __new__(cls, p: int):
-        p = int(p)
+        try:
+            p = operator.index(p)
+        except TypeError:
+            raise BadLiteral(f"modulus must be an int, got {p!r}") from None
         with _PRIME_FIELDS_LOCK:
             field = _PRIME_FIELDS.get(p)
             if field is None:

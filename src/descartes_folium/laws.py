@@ -14,18 +14,22 @@ exotic laws.  So a law call divides only in the chart that builds its
 result, which normalizes the pair (`parametrization._chart_key`) and
 scales the point (`fields._pair_coordinates`).
 
-A law is a chart, a pair operation, a neutral pair, an inverse and a
-domain.  The charts are pbar and pbarbar; the exotic laws read only affine
-points and build only affine ones, p_affine and p_affine_prime.  The domain
-is the whole curve ("all"), the curve without the node ("nonzero"), or the
-affine curve ("affine"), which needs -1 to be the only cube root of -1,
-without which the affine charts are not bijections.  Law.apply and
-Law.invert ask Law.require_field, which refuses a field with epsilon roots,
-of an "affine" law, and refuse the node of a "nonzero" law as they read each
-operand (`_nonzero_pair`, which perp and third_intersection read through,
-refuses it the same way from proj_mul's chart); Law.invert also refuses the
-node where only the nonzero points are units.  The law table LAWS states
-each law once: apply_law, law_inverse, law_neutral, nonzero_param and the
+A law is a chart flag, a pair operation, a neutral pair, an inverse and a
+domain.  The flag `swap` names the chart: pbar, or pbarbar = sigma . pbar
+for projmul2, addwest and westmul, so sigma carries each law onto its
+swapped twin.  The domain is the whole curve ("all"), the curve without the
+node ("nonzero"), or the affine curve ("affine"), which needs -1 to be the
+only cube root of -1, without which the affine charts are not bijections.
+The exotic laws, southmul and westmul, are the "affine" ones: they read each
+operand through `_require_affine` and build their result with `affine` set,
+so their charts are p_affine and p_affine_prime = sigma . p_affine, and the
+shifted slope tau = t + 1 they multiply is never zero (t != -1).  Law.apply
+and Law.invert ask Law.require_field, which refuses a field with epsilon
+roots, of an "affine" law, and refuse the node of a "nonzero" law as they
+read each operand (`_nonzero_pair`, which perp and third_intersection read
+through, refuses it the same way from pbar's slope); Law.invert also
+refuses the node where only the nonzero points are units.  The law table
+LAWS states each law once: apply_law, law_inverse, law_neutral and the
 per-law names all look their row up there when called, so a row patched or
 wrapped in the table is seen by every caller.  fieldmul is plain
 multiplication through pbar, so the node absorbs (pbar(0 t) = O); with
@@ -45,7 +49,7 @@ from .errors import (
     OriginNotInGroup,
 )
 from .fields import FieldElement, _quotient
-from .parametrization import _pair_param, _pair_point, sigma
+from .parametrization import _pair_param, _pair_point
 
 
 _NODE_EXCLUDED = "the node (0 : 0 : 1) is excluded here"
@@ -68,17 +72,10 @@ class LawKind(Enum):
     __hash__ = object.__hash__
 
 
-class Chart(NamedTuple):
-    """A parametrization on slope pairs: point(curve, n, d) and its inverse param(curve, P) = (n, d)."""
-
-    point: Callable
-    param: Callable
-
-
 class Law(NamedTuple):
-    """One transported law: P o Q = chart.point(*op(*chart.param(P), *chart.param(Q)))."""
+    """One transported law: P o Q = pair_point(*op(*pair_param(P), *pair_param(Q))), through pbarbar when `swap`."""
 
-    chart: Chart
+    swap: bool  # the chart: pbarbar = sigma . pbar when True, else pbar
     op: Callable  # (n1, d1, n2, d2) -> (n, d)
     neutral: tuple  # the chart's slope pair of the neutral element
     inverse: Callable  # (n, d) -> (n, d)
@@ -93,48 +90,42 @@ class Law(NamedTuple):
                 "is not a bijection onto the affine curve"
             )
 
-    # apply and invert read domain and chart once and check the node inline: the field first,
-    # then each operand in turn.
+    # apply and invert read domain and swap once and check the node inline: the field first,
+    # then each operand in turn.  They call the pair maps by their module-level names, so a
+    # wrapper installed on those names sees every call a law makes.
     def apply(self, curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
-        domain, chart = self.domain, self.chart
-        if domain == "affine":
+        domain, swap = self.domain, self.swap
+        affine = domain == "affine"
+        if affine:
             self.require_field(curve)
-        n1, d1 = chart.param(curve, p1)
+        n1, d1 = _pair_param(curve, _require_affine(p1) if affine else p1, swap)
         if n1 == 0 and domain == "nonzero":
             raise OriginNotInGroup(_NODE_EXCLUDED)
-        n2, d2 = chart.param(curve, p2)
+        n2, d2 = _pair_param(curve, _require_affine(p2) if affine else p2, swap)
         if n2 == 0 and domain == "nonzero":
             raise OriginNotInGroup(_NODE_EXCLUDED)
-        return chart.point(curve, *self.op(n1, d1, n2, d2))
+        return _pair_point(curve, *self.op(n1, d1, n2, d2), swap, affine)
 
     def invert(self, curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
-        domain, chart = self.domain, self.chart
-        if domain == "affine":
+        domain, swap = self.domain, self.swap
+        affine = domain == "affine"
+        if affine:
             self.require_field(curve)
-        n, d = chart.param(curve, point)
+        n, d = _pair_param(curve, _require_affine(point) if affine else point, swap)
         if n == 0 and domain == "nonzero":
             raise OriginNotInGroup(_NODE_EXCLUDED)
         if n == 0 and self.units == "nonzero":
             raise DivisionByZeroPoint("the node (0 : 0 : 1) has no multiplicative inverse")
-        return chart.point(curve, *self.inverse(n, d))
+        return _pair_point(curve, *self.inverse(n, d), swap, affine)
 
 
-# The charts call the pair maps and sigma by their module-level names, so a
-# wrapper installed on those names sees every call a law makes.  The exotic
-# laws read tau = t + 1, which is never zero on an affine point (t != -1);
-# their charts are p_affine and p_affine_prime = sigma . p_affine.
-_PBAR = Chart(lambda c, n, d: _pair_point(c, n, d), lambda c, P: _pair_param(c, P))
-_PBARBAR = Chart(lambda c, n, d: _pair_point(c, n, d, True), lambda c, P: _pair_param(c, P, True))
-_SOUTH = Chart(lambda c, n, d: _pair_point(c, n, d, affine=True), lambda c, P: _pair_param(c, _require_affine(P)))
-_WEST = Chart(
-    lambda c, n, d: sigma(_pair_point(c, n, d, affine=True)),
-    lambda c, P: _pair_param(c, _require_affine(P), True),
-)
-
-
-# The pair forms of t1 t2, t1 + t2 and (t1 + 1)(t2 + 1) - 1 for t1 = n1/d1 and t2 = n2/d2.
+# The pair forms of t1 t2, -t1 t2, t1 + t2 and (t1 + 1)(t2 + 1) - 1 for t1 = n1/d1 and t2 = n2/d2.
 def _product(n1, d1, n2, d2):
     return n1 * n2, d1 * d2
+
+
+def _negated_product(n1, d1, n2, d2):
+    return -n1 * n2, d1 * d2
 
 
 def _sum(n1, d1, n2, d2):
@@ -150,14 +141,14 @@ def _shifted_product(n1, d1, n2, d2):
 
 # The inverses are 1/t, -t and, for the exotic laws, 1/(t + 1) - 1 = -t/(t + 1).
 LAWS = {
-    LawKind.PROJ_MUL: Law(_PBAR, _product, (1, 1), lambda n, d: (d, n), "nonzero"),
-    LawKind.PROJ_MUL2: Law(_PBARBAR, _product, (1, 1), lambda n, d: (d, n), "nonzero"),
-    LawKind.STAR_MUL: Law(_PBAR, lambda n1, d1, n2, d2: (-n1 * n2, d1 * d2), (-1, 1), lambda n, d: (d, n), "nonzero"),
-    LawKind.ADD_SOUTH: Law(_PBAR, _sum, (0, 1), lambda n, d: (-n, d), "all"),
-    LawKind.ADD_WEST: Law(_PBARBAR, _sum, (0, 1), lambda n, d: (-n, d), "all"),
-    LawKind.SOUTH_MUL: Law(_SOUTH, _shifted_product, (0, 1), lambda n, d: (-n, n + d), "affine"),
-    LawKind.WEST_MUL: Law(_WEST, _shifted_product, (0, 1), lambda n, d: (-n, n + d), "affine"),
-    LawKind.FIELD_MUL: Law(_PBAR, _product, (1, 1), lambda n, d: (d, n), "all", "nonzero"),
+    LawKind.PROJ_MUL: Law(False, _product, (1, 1), lambda n, d: (d, n), "nonzero"),
+    LawKind.PROJ_MUL2: Law(True, _product, (1, 1), lambda n, d: (d, n), "nonzero"),
+    LawKind.STAR_MUL: Law(False, _negated_product, (-1, 1), lambda n, d: (d, n), "nonzero"),
+    LawKind.ADD_SOUTH: Law(False, _sum, (0, 1), lambda n, d: (-n, d), "all"),
+    LawKind.ADD_WEST: Law(True, _sum, (0, 1), lambda n, d: (-n, d), "all"),
+    LawKind.SOUTH_MUL: Law(False, _shifted_product, (0, 1), lambda n, d: (-n, n + d), "affine"),
+    LawKind.WEST_MUL: Law(True, _shifted_product, (0, 1), lambda n, d: (-n, n + d), "affine"),
+    LawKind.FIELD_MUL: Law(False, _product, (1, 1), lambda n, d: (d, n), "all", "nonzero"),
 }
 
 
@@ -169,7 +160,7 @@ def apply_law(curve: Folium, law: LawKind, p1: ProjectivePoint, p2: ProjectivePo
 def law_neutral(curve: Folium, law: LawKind) -> ProjectivePoint:
     """The neutral element of the law (V for the multiplicative laws, I for star, O otherwise)."""
     record = LAWS[law]
-    return record.chart.point(curve, *record.neutral)
+    return _pair_point(curve, *record.neutral, record.swap, record.domain == "affine")
 
 
 def law_inverse(curve: Folium, law: LawKind, point: ProjectivePoint) -> ProjectivePoint:
@@ -182,7 +173,7 @@ def law_inverse(curve: Folium, law: LawKind, point: ProjectivePoint) -> Projecti
 
 def _nonzero_pair(curve: Folium, point: ProjectivePoint) -> tuple:
     """The slope pair (y : x) of a curve point, rejecting the node."""
-    n, d = LAWS[LawKind.PROJ_MUL].chart.param(curve, point)
+    n, d = _pair_param(curve, point)
     if n == 0:
         raise OriginNotInGroup(_NODE_EXCLUDED)
     return n, d

@@ -16,8 +16,9 @@ with no division.  So the maps work on slope pairs of ints: `_pair_point`
 normalizes a pair with `_chart_key` and builds its point through the one
 kernel `fields._pair_coordinates`, and `_pair_param` reads the pair of a
 point, (y : x) over F_p and (Y dx : X dy) over Q for y = Y/dy and x = X/dx,
-and (0 : 1) at the node; pbarbar swaps the coordinates of pbar's point, and
-its inverse reads (x : y).  The public maps take the pair (t : 1) over F_p and
+and (0 : 1) at the node.  For pbarbar `_pair_point` returns sigma of pbar's
+point, so pbarbar = sigma . pbar and p_affine_prime = sigma . p_affine are
+the code itself, and the inverse reads (x : y).  The public maps take the pair (t : 1) over F_p and
 (n : d) for t = n/d over Q, and pbar_inv and pbarbar_inv divide the pair
 once.  The laws (laws.py) compose the pairs themselves, so a law call
 divides only in the kernel.
@@ -32,7 +33,9 @@ Each map marks the point it builds with its curve, through
 a point that the curve did not build (`point.on is not curve`); sigma keeps
 the mark, since the cubic is symmetric in x and y.
 At t^3 = -1, where 3at is nonzero, pbar(t) is the point at infinity
-(1 : t : 0), and p_affine raises ParameterAtInfinity.
+(1 : t : 0), and p_affine and p_affine_prime raise ParameterAtInfinity.  The
+key of such a slope is (t : 1), so the refusal names t by the key's n, the
+same for either chart.
 
 The key of (n : d) is its normalized pair, (n/d mod p : 1) over F_p and
 the pair in lowest terms with d > 0 over Q, or (1 : 0) for d = 0 in both,
@@ -41,7 +44,8 @@ outside one, and the kernel builds the point from that pair, so the code a
 run checks is the code every caller runs.  A verify run charts the same few
 slopes over and over, so while run_suite runs, the curve holds a chart
 memo, `Folium._charted`, and `_pair_point` answers from it: one point per
-key, so pbar and pbarbar stay two charts, each computed by the kernel.
+key, so pbar and pbarbar stay two charts, each computed by the kernel and
+pbarbar's swapped by sigma.
 Only a miss runs the kernel and `ProjectivePoint._marked`; a kernel that
 raises stores nothing, and the affine refusal is checked on the answered
 point.  Outside a run `_charted` is None: the curve commands and library
@@ -92,12 +96,13 @@ def _pair_point(curve: Folium, n: int, d: int, swap: bool = False, affine: bool 
     charted = curve._charted
     point = None if charted is None else charted.get(key)
     if point is None:
-        x, y, z = _pair_coordinates(curve.field, curve.three_a.value, n, d)
-        point = ProjectivePoint._marked(y, x, z, curve) if swap else ProjectivePoint._marked(x, y, z, curve)
+        point = ProjectivePoint._marked(*_pair_coordinates(curve.field, curve.three_a.value, n, d), curve)
+        if swap:
+            point = sigma(point)
         if charted is not None:
             charted[key] = point
-    if affine and point.z.value == 0:  # (1 : t : 0) with t^3 = -1
-        raise ParameterAtInfinity(f"t = {point.y} satisfies t^3 = -1; no affine image")
+    if affine and point.z.value == 0:  # (1 : t : 0) or its swap, t^3 = -1, where the key is (t : 1)
+        raise ParameterAtInfinity(f"t = {n} satisfies t^3 = -1; no affine image")
     return point
 
 
@@ -151,7 +156,7 @@ def p_affine(curve: Folium, t) -> ProjectivePoint:
 
 def p_affine_prime(curve: Folium, t) -> ProjectivePoint:
     """The swapped affine parametrization sigma . p_affine."""
-    return sigma(p_affine(curve, t))
+    return _chart_point(curve, t, swap=True, affine=True)
 
 
 def alpha(tau: FieldElement) -> FieldElement:

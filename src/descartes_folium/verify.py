@@ -28,9 +28,8 @@ so a lookup hashes ints rather than points and a law that is not
 commutative still fails its row; it fills as the cases run, so the first
 failing case and its text are those of the direct calls, and a product that
 raises is never stored.  A table stores each result as the law returns it:
-the chart memo below already makes equal results one point, except
-westmul's, which sigma builds afresh on each call.  A table is freed with
-the rows of the suite that built it.  Over the rationals and larger primes,
+the chart memo below already makes equal results one point.  A table is
+freed with the rows of the suite that built it.  Over the rationals and larger primes,
 where products rarely repeat, a table is the law bound to the curve.
 
 run_suite opens the curve's chart memo for the length of the run and closes

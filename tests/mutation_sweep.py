@@ -13,10 +13,11 @@ or it passes the time limit; otherwise it survives.  A run that only passed
 the time limit may have been slowed by the load beside it, so that mutant
 runs again alone and counts as killed only if that run kills it too.  The
 survivors, one line each, go to tests/mutation_survivors.txt by default,
-under a header that counts the kills by reason.  A survivor may carry a
-third field, written by hand: why it is equivalent, or which tier-1 test
-kills it.  A new sweep keeps that field for every survivor whose module,
-column, mutation and quoted line still match.
+under a header that counts the kills by reason and names, as
+module:line:column and mutation, each mutant that only the time limit
+killed.  A survivor may carry a third field, written by hand: why it is
+equivalent, or which tier-1 test kills it.  A new sweep keeps that field
+for every survivor whose module, column, mutation and quoted line still match.
 At its end the sweep runs each kept `tier-1:` note's test on that note's
 mutant, in a copy of the repository whose src/ holds the mutant, and lists
 every note whose test passes there: such a note is stale, and the sweep
@@ -253,7 +254,7 @@ def main(argv=None) -> int:
 
     start = time.monotonic()
     notes = _notes(Path(args.out))
-    lines, totals, noted = [], [], []
+    lines, totals, noted, timed = [], [], [], []
     kills, rerun, spared = Counter(), 0, 0
     with tempfile.TemporaryDirectory() as scratch, ThreadPoolExecutor(JOBS) as pool:
         for module in MODULES:
@@ -269,9 +270,11 @@ def main(argv=None) -> int:
             kills.update(kill for kill in outcomes if kill)
             alive = 0
             for index, ((target, kind, description), kill) in enumerate(zip(found, outcomes)):
+                line, column, _ = _position(target)
+                if kill == TIME_LIMIT:
+                    timed.append(f"{module}.py:{line}:{column} ({description})")
                 if kill is None:
                     alive += 1
-                    line, column, _ = _position(target)
                     text = source.splitlines()[line - 1].strip()
                     note = notes.get((f"{module}.py", column, f"{kind}  {description}", text))
                     lines.append(f"{module}.py:{line}:{column}  {kind}  {description}  |  {text}" + (f"  |  {note}" if note else ""))
@@ -289,6 +292,7 @@ def main(argv=None) -> int:
         *(f"# {total}" for total in totals),
         f"# kills: {', '.join(f'{kills[kind]} by {kind}' for kind in (ROW_FAILED, RAISED, TIME_LIMIT))};"
         f" {rerun} time-limit kills ran again alone, and {spared} of them survived that run",
+        f"# killed by the time limit alone: {', '.join(timed) or 'none'}",
         f"# {len(lines)} survivors",
     ]
     Path(args.out).write_text("\n".join([*header, *lines]) + "\n")

@@ -13,16 +13,24 @@ builds a point from it, one in `_chart_key`, which normalizes every pair the
 kernel gets and keys the chart memo that a run opens, and one in the pair
 inverse chart `_pair_param`.
 One gives the curve 4a where it prints a, which only a row that builds a
-point from the printed a can tell.  Four patch a row of the law table LAWS,
-whose columns hold the operations on slope pairs (n : d), t = n/d.  Every
-per-law name reads its row there when called, so such a
-fault reaches each suite that composes points with that law, not `axioms`
-alone: star without its sign also FAILs `star`, and an addsouth that is not
-a group also FAILs `fieldstructure`; only `law_neutral` reads the neutral
-column, so a wrong neutral stays an `axioms` fault.  Two of them give
+point from the printed a can tell.  Six patch a row of the law table LAWS,
+whose columns hold the chart flag and the operations on slope pairs
+(n : d), t = n/d.  Every per-law name reads its row there when called, so
+such a fault reaches each suite that composes points with that law, not
+`axioms` alone: star without its sign also FAILs `star`, and an addsouth
+that is not a group also FAILs `fieldstructure`; only `law_neutral` reads
+the neutral column, so a wrong neutral stays an `axioms` fault.  Two of them give
 addsouth an operation that is not commutative or not associative, which a
 product table keyed on unordered pairs, or one that answered the wrong
-pair, would let pass.  Two empty the line-point oracle and the root finder,
+pair, would let pass.  Two name pbar for the chart of a swapped law:
+addwest, caught by `coincidence` and `fieldstructure`, and westmul, which
+then reads and builds through p_affine and is caught by `coincidence` and
+`southmul`.  The four multiplicative rows get no such fault: t -> 1/t is an
+automorphism of their group (it fixes 1 and -1, and pbar sends 1/0 to the
+node as it sends 0), and pbarbar = pbar . (t -> 1/t), so either chart
+carries the same law; projmul2 through pbar passes every suite.
+tests/mutation_sweep.py mutates int constants, never True or False, so no
+mutant flips the flag.  Two empty the line-point oracle and the root finder,
 which a geometry row that checked nothing would let pass.  The last five
 add one to a reflected operator or to `**`.  A fault that survives is a gap
 in the suites: add a property that catches it, never drop the fault.  The
@@ -161,6 +169,11 @@ def _not_associative(n1, d1, n2, d2):
     return (n1 * d2 + n2 * d1) * d + n1 * n1 * n2 * n2, d * d
 
 
+def _reads_through_pbar(kind):
+    # the law's row names pbar for its chart in place of pbarbar
+    return lambda monkeypatch: monkeypatch.setitem(LAWS, kind, LAWS[kind]._replace(swap=False))
+
+
 def _identity_sigma(monkeypatch):
     _patch_everywhere(monkeypatch, parametrization.sigma, lambda point: point)
 
@@ -216,6 +229,8 @@ FAULTS = {
     "wrong_neutral": (_wrong_neutral, ("axioms",)),
     "non_commutative_op": (_add_south_op(_difference), ("axioms", "fieldstructure")),
     "non_associative_op": (_add_south_op(_not_associative), ("axioms", "fieldstructure")),
+    "addwest_reads_through_pbar": (_reads_through_pbar(LawKind.ADD_WEST), ("coincidence", "fieldstructure")),
+    "westmul_reads_through_p_affine": (_reads_through_pbar(LawKind.WEST_MUL), ("coincidence", "southmul")),
     "identity_sigma": (_identity_sigma, ("parametrize", "axioms", "southmul", "fieldstructure")),
     "third_intersection_is_proj_mul": (_third_intersection_is_proj_mul, ("geometry", "collinearity")),
     "collinear3_always_true": (_collinear3_always_true, ("collinearity", "star")),

@@ -241,6 +241,15 @@ def test_constructor_rejects_non_primes(bad):
         PrimeField(bad)
 
 
+@pytest.mark.parametrize("bad, shown", [(7.9, "7.9"), ("13", "'13'"), (None, "None")])
+def test_constructor_rejects_a_modulus_that_is_not_an_int(bad, shown):
+    # int() would truncate 7.9 to fp:7 and parse "13" as fp:13
+    live = PrimeField(13)
+    with pytest.raises(BadLiteral, match=f"^modulus must be an int, got {re.escape(shown)}$"):
+        PrimeField(bad)
+    assert PrimeField(13) is live
+
+
 def test_both_fields_are_fields():
     assert isinstance(Rationals(), Field)
     assert isinstance(PrimeField(5), Field)

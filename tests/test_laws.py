@@ -32,8 +32,10 @@ from descartes_folium import (
     sigma,
     south_mul,
     star_mul,
+    third_intersection,
     west_mul,
 )
+from descartes_folium import laws
 from descartes_folium.laws import LAWS, nonzero_param, south_inv, west_inv
 from helpers import (
     affine_points,
@@ -406,11 +408,18 @@ def test_each_per_law_name_reads_its_row_of_the_law_table(name, kind, column, mo
             call()
 
 
-def test_nonzero_param_reads_the_projmul_chart_of_the_law_table(monkeypatch):
+def test_the_node_checks_read_the_pair_param_that_the_laws_read(monkeypatch):
+    # nonzero_param, perp and third_intersection read a slope through laws' own name for the pair
+    # inverse, as proj_mul does, so a wrapper installed there sees all of them
     curve = rational_curve(1)
-    row = LAWS[LawKind.PROJ_MUL]
-    monkeypatch.setitem(LAWS, LawKind.PROJ_MUL, row._replace(chart=row.chart._replace(param=_raise)))
-    with pytest.raises(_RowRead):
-        nonzero_param(curve, curve.vertex())
-    with pytest.raises(_RowRead):
-        apply_law(curve, LawKind.PROJ_MUL, curve.vertex(), curve.vertex())
+    vertex = curve.vertex()
+    monkeypatch.setattr(laws, "_pair_param", _raise)
+    calls = [
+        lambda: nonzero_param(curve, vertex),
+        lambda: perp(curve, vertex),
+        lambda: third_intersection(curve, vertex, vertex),
+        lambda: apply_law(curve, LawKind.PROJ_MUL, vertex, vertex),
+    ]
+    for call in calls:
+        with pytest.raises(_RowRead):
+            call()
