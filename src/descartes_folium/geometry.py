@@ -34,8 +34,8 @@ from .errors import (
     VertexNotAllowed,
 )
 from .fields import Field, _collinear_vanishes
-from .laws import _nonzero_pair, perp
-from .parametrization import _pair_point, pbar, pbar_inv
+from .laws import perp
+from .parametrization import _pair_param, _pair_point, pbar, pbar_inv
 
 
 def line_through(p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectiveLine:
@@ -70,10 +70,11 @@ def third_intersection(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) 
     """The third curve point on the chord (or tangent) of two non-node points.
 
     Computed from the slope-product identity t1 t2 t3 = -1 on slope pairs,
-    t3 = (-d1 d2 : n1 n2), so the result is exact and never the node.
+    t3 = (-d1 d2 : n1 n2), so the result is exact and never the node.  Each
+    operand is read in the "nonzero" domain, which refuses the node.
     """
-    n1, d1 = _nonzero_pair(curve, p1)
-    n2, d2 = _nonzero_pair(curve, p2)
+    n1, d1 = _pair_param(curve, p1, False, "nonzero")
+    n2, d2 = _pair_param(curve, p2, False, "nonzero")
     return _pair_point(curve, -d1 * d2, n1 * n2)
 
 

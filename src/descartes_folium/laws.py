@@ -20,15 +20,17 @@ for projmul2, addwest and westmul, so sigma carries each law onto its
 swapped twin.  The domain is the whole curve ("all"), the curve without the
 node ("nonzero"), or the affine curve ("affine"), which needs -1 to be the
 only cube root of -1, without which the affine charts are not bijections.
-The exotic laws, southmul and westmul, are the "affine" ones: they read each
-operand through `_require_affine` and build their result with `affine` set,
-so their charts are p_affine and p_affine_prime = sigma . p_affine, and the
-shifted slope tau = t + 1 they multiply is never zero (t != -1).  Law.apply
-and Law.invert ask Law.require_field, which refuses a field with epsilon
-roots, of an "affine" law, and refuse the node of a "nonzero" law as they
-read each operand (`_nonzero_pair`, which perp and third_intersection read
-through, refuses it the same way from pbar's slope); Law.invert also
-refuses the node where only the nonzero points are units.  The law table
+The domain is a fact about the chart, so a law hands it to both ends of
+its chart: `_pair_param` refuses the node of a "nonzero" law, and a point
+at infinity of an "affine" law, as it reads each operand, and `_pair_point`
+refuses to build an "affine" law's point at infinity.  The exotic laws,
+southmul and westmul, are the "affine" ones, so their charts are p_affine
+and p_affine_prime = sigma . p_affine, and the shifted slope tau = t + 1
+they multiply is never zero (t != -1).  perp and third_intersection read
+pbar's slope in the "nonzero" domain the same way.  Law.apply and
+Law.invert first ask Law.require_field, which refuses a field with epsilon
+roots, of an "affine" law; Law.invert also refuses the node where only the
+nonzero points are units.  The law table
 LAWS states each law once: apply_law, law_inverse, law_neutral and the
 per-law names all look their row up there when called, so a row patched or
 wrapped in the table is seen by every caller.  fieldmul is plain
@@ -42,17 +44,9 @@ from collections.abc import Callable
 from enum import Enum
 from typing import NamedTuple
 
-from .curve import Folium, ProjectivePoint, _require_affine
-from .errors import (
-    DivisionByZeroPoint,
-    FieldLacksUniqueCubeRoot,
-    OriginNotInGroup,
-)
-from .fields import FieldElement, _quotient
+from .curve import Folium, ProjectivePoint
+from .errors import DivisionByZeroPoint, FieldLacksUniqueCubeRoot
 from .parametrization import _pair_param, _pair_point
-
-
-_NODE_EXCLUDED = "the node (0 : 0 : 1) is excluded here"
 
 
 class LawKind(Enum):
@@ -90,33 +84,25 @@ class Law(NamedTuple):
                 "is not a bijection onto the affine curve"
             )
 
-    # apply and invert read domain and swap once and check the node inline: the field first,
-    # then each operand in turn.  They call the pair maps by their module-level names, so a
-    # wrapper installed on those names sees every call a law makes.
+    # apply and invert check the field first, then read each operand in turn; the pair maps
+    # refuse what the domain excludes.  They call the pair maps by their module-level names,
+    # so a wrapper installed on those names sees every call a law makes.
     def apply(self, curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
         domain, swap = self.domain, self.swap
-        affine = domain == "affine"
-        if affine:
+        if domain == "affine":
             self.require_field(curve)
-        n1, d1 = _pair_param(curve, _require_affine(p1) if affine else p1, swap)
-        if n1 == 0 and domain == "nonzero":
-            raise OriginNotInGroup(_NODE_EXCLUDED)
-        n2, d2 = _pair_param(curve, _require_affine(p2) if affine else p2, swap)
-        if n2 == 0 and domain == "nonzero":
-            raise OriginNotInGroup(_NODE_EXCLUDED)
-        return _pair_point(curve, *self.op(n1, d1, n2, d2), swap, affine)
+        n1, d1 = _pair_param(curve, p1, swap, domain)
+        n2, d2 = _pair_param(curve, p2, swap, domain)
+        return _pair_point(curve, *self.op(n1, d1, n2, d2), swap, domain)
 
     def invert(self, curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
         domain, swap = self.domain, self.swap
-        affine = domain == "affine"
-        if affine:
+        if domain == "affine":
             self.require_field(curve)
-        n, d = _pair_param(curve, _require_affine(point) if affine else point, swap)
-        if n == 0 and domain == "nonzero":
-            raise OriginNotInGroup(_NODE_EXCLUDED)
+        n, d = _pair_param(curve, point, swap, domain)
         if n == 0 and self.units == "nonzero":
             raise DivisionByZeroPoint("the node (0 : 0 : 1) has no multiplicative inverse")
-        return _pair_point(curve, *self.inverse(n, d), swap, affine)
+        return _pair_point(curve, *self.inverse(n, d), swap, domain)
 
 
 # The pair forms of t1 t2, -t1 t2, t1 + t2 and (t1 + 1)(t2 + 1) - 1 for t1 = n1/d1 and t2 = n2/d2.
@@ -160,7 +146,7 @@ def apply_law(curve: Folium, law: LawKind, p1: ProjectivePoint, p2: ProjectivePo
 def law_neutral(curve: Folium, law: LawKind) -> ProjectivePoint:
     """The neutral element of the law (V for the multiplicative laws, I for star, O otherwise)."""
     record = LAWS[law]
-    return _pair_point(curve, *record.neutral, record.swap, record.domain == "affine")
+    return _pair_point(curve, *record.neutral, record.swap, record.domain)
 
 
 def law_inverse(curve: Folium, law: LawKind, point: ProjectivePoint) -> ProjectivePoint:
@@ -169,19 +155,6 @@ def law_inverse(curve: Folium, law: LawKind, point: ProjectivePoint) -> Projecti
 
 
 # -- the laws by name -----------------------------------------------------
-
-
-def _nonzero_pair(curve: Folium, point: ProjectivePoint) -> tuple:
-    """The slope pair (y : x) of a curve point, rejecting the node."""
-    n, d = _pair_param(curve, point)
-    if n == 0:
-        raise OriginNotInGroup(_NODE_EXCLUDED)
-    return n, d
-
-
-def nonzero_param(curve: Folium, point: ProjectivePoint) -> FieldElement:
-    """Slope parameter of a curve point, rejecting the node."""
-    return _quotient(curve.field, *_nonzero_pair(curve, point))
 
 
 def proj_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
@@ -206,7 +179,7 @@ def star_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> Project
 
 def perp(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
     """The involution P -> pbar(-1/t); exchanges V and I."""
-    n, d = _nonzero_pair(curve, point)
+    n, d = _pair_param(curve, point, False, "nonzero")
     return _pair_point(curve, -d, n)
 
 
@@ -233,16 +206,6 @@ def south_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> Projec
 def west_mul(curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
     """The swapped affine exotic law: transport through p_affine_prime . alpha."""
     return LAWS[LawKind.WEST_MUL].apply(curve, p1, p2)
-
-
-def south_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
-    """Inverse under south_mul: shifted parameter tau goes to 1/tau."""
-    return LAWS[LawKind.SOUTH_MUL].invert(curve, point)
-
-
-def west_inv(curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
-    """Inverse under west_mul."""
-    return LAWS[LawKind.WEST_MUL].invert(curve, point)
 
 
 # -- the curve as a field ----------------------------------------------

@@ -16,12 +16,17 @@ with no division.  So the maps work on slope pairs of ints: `_pair_point`
 normalizes a pair with `_chart_key` and builds its point through the one
 kernel `fields._pair_coordinates`, and `_pair_param` reads the pair of a
 point, (y : x) over F_p and (Y dx : X dy) over Q for y = Y/dy and x = X/dx,
-and (0 : 1) at the node.  For pbarbar `_pair_point` returns sigma of pbar's
-point, so pbarbar = sigma . pbar and p_affine_prime = sigma . p_affine are
-the code itself, and the inverse reads (x : y).  The public maps take the pair (t : 1) over F_p and
-(n : d) for t = n/d over Q, and pbar_inv and pbarbar_inv divide the pair
-once.  The laws (laws.py) compose the pairs themselves, so a law call
-divides only in the kernel.
+and (0 : 1) at the node.  Both take the domain of the law or map that calls
+them: "all", "nonzero" or "affine".  The reader refuses the node in the
+"nonzero" domain, at its one node exit (OriginNotInGroup), and a point at
+infinity in the "affine" domain, before the on-curve check
+(PointAtInfinity); the builder refuses the point at infinity of an
+"affine" slope (ParameterAtInfinity).  For pbarbar `_pair_point` returns
+sigma of pbar's point, so pbarbar = sigma . pbar and p_affine_prime =
+sigma . p_affine are the code itself, and the inverse reads (x : y).  The
+public maps take the pair (t : 1) over F_p and (n : d) for t = n/d over Q,
+and pbar_inv and pbarbar_inv divide the pair once.  The laws (laws.py)
+compose the pairs themselves, so a law call divides only in the kernel.
 
 The inverses are totalized at the node with value 0, which makes pbar a
 bijection K -> curve and lets the additive laws act on the whole curve.
@@ -33,7 +38,8 @@ Each map marks the point it builds with its curve, through
 a point that the curve did not build (`point.on is not curve`); sigma keeps
 the mark, since the cubic is symmetric in x and y.
 At t^3 = -1, where 3at is nonzero, pbar(t) is the point at infinity
-(1 : t : 0), and p_affine and p_affine_prime raise ParameterAtInfinity.  The
+(1 : t : 0), and p_affine and p_affine_prime, which build in the "affine"
+domain, raise ParameterAtInfinity.  The
 key of such a slope is (t : 1), so the refusal names t by the key's n, the
 same for either chart.
 
@@ -65,9 +71,12 @@ from __future__ import annotations
 from enum import Enum
 from math import gcd
 
-from .curve import Folium, ProjectivePoint
-from .errors import ParameterAtInfinity
+from .curve import Folium, ProjectivePoint, _require_affine
+from .errors import OriginNotInGroup, ParameterAtInfinity
 from .fields import FieldElement, _pair_coordinates, _quotient
+
+
+_NODE_EXCLUDED = "the node (0 : 0 : 1) is excluded here"
 
 
 def _chart_key(p: int, n: int, d: int, swap: bool) -> tuple:
@@ -86,8 +95,8 @@ def _chart_key(p: int, n: int, d: int, swap: bool) -> tuple:
     return n // g, d // g, swap
 
 
-def _pair_point(curve: Folium, n: int, d: int, swap: bool = False, affine: bool = False) -> ProjectivePoint:
-    """pbar at the slope (n : d), or pbarbar when `swap`; when `affine`, p_affine, which refuses n^3 + d^3 = 0.
+def _pair_point(curve: Folium, n: int, d: int, swap: bool = False, domain: str = "all") -> ProjectivePoint:
+    """pbar at the slope (n : d), or pbarbar when `swap`; in the "affine" domain p_affine, which refuses n^3 + d^3 = 0.
 
     The kernel always gets the normalized pair of `_chart_key`, and inside a
     verify run the point comes from the curve's chart memo, `_charted`, under that key.
@@ -101,13 +110,19 @@ def _pair_point(curve: Folium, n: int, d: int, swap: bool = False, affine: bool 
             point = sigma(point)
         if charted is not None:
             charted[key] = point
-    if affine and point.z.value == 0:  # (1 : t : 0) or its swap, t^3 = -1, where the key is (t : 1)
+    if domain == "affine" and point.z.value == 0:  # (1 : t : 0) or its swap, t^3 = -1, where the key is (t : 1)
         raise ParameterAtInfinity(f"t = {n} satisfies t^3 = -1; no affine image")
     return point
 
 
-def _pair_param(curve: Folium, point: ProjectivePoint, swap: bool = False) -> tuple:
-    """The slope (y : x) of a curve point as a pair of ints, or (x : y) when `swap`; (0 : 1) at the node."""
+def _pair_param(curve: Folium, point: ProjectivePoint, swap: bool = False, domain: str = "all") -> tuple:
+    """The slope (y : x) of a curve point as a pair of ints, or (x : y) when `swap`; (0 : 1) at the node.
+
+    The "affine" domain refuses a point at infinity before the on-curve check,
+    and the "nonzero" domain refuses the node.
+    """
+    if domain == "affine":
+        _require_affine(point)
     if point.on is not curve:  # a point this curve built is on it
         curve.require_on_curve(point)
     x, y = point.x.value, point.y.value
@@ -115,18 +130,22 @@ def _pair_param(curve: Folium, point: ProjectivePoint, swap: bool = False) -> tu
         x, y = y, x
     # On the curve x = 0 forces y^3 = 0, and y = 0 forces x^3 = 0: either marks the node alone.
     if curve.field.characteristic:  # ints mod p
-        return (y, x) if x else (0, 1)
-    xn, xd = x.as_integer_ratio()
-    if xn == 0:
-        return 0, 1
-    yn, yd = y.as_integer_ratio()
-    return yn * xd, xn * yd
+        if x:
+            return y, x
+    else:
+        xn, xd = x.as_integer_ratio()
+        if xn:
+            yn, yd = y.as_integer_ratio()
+            return yn * xd, xn * yd
+    if domain == "nonzero":
+        raise OriginNotInGroup(_NODE_EXCLUDED)
+    return 0, 1
 
 
-def _chart_point(curve: Folium, t, swap: bool = False, affine: bool = False) -> ProjectivePoint:
+def _chart_point(curve: Folium, t, swap: bool = False, domain: str = "all") -> ProjectivePoint:
     """The chart at the parameter t: the pair (t : 1) over F_p, (n : d) for t = n/d over Q."""
     n, d = curve.field.element(t).value.as_integer_ratio()
-    return _pair_point(curve, n, d, swap, affine)
+    return _pair_point(curve, n, d, swap, domain)
 
 
 def pbar(curve: Folium, t) -> ProjectivePoint:
@@ -151,12 +170,12 @@ def pbarbar_inv(curve: Folium, point: ProjectivePoint) -> FieldElement:
 
 def p_affine(curve: Folium, t) -> ProjectivePoint:
     """Affine parametrization (3at/(1+t^3), 3at^2/(1+t^3)) as a z = 1 point."""
-    return _chart_point(curve, t, affine=True)
+    return _chart_point(curve, t, domain="affine")
 
 
 def p_affine_prime(curve: Folium, t) -> ProjectivePoint:
     """The swapped affine parametrization sigma . p_affine."""
-    return _chart_point(curve, t, swap=True, affine=True)
+    return _chart_point(curve, t, swap=True, domain="affine")
 
 
 def alpha(tau: FieldElement) -> FieldElement:

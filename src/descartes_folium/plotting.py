@@ -239,9 +239,11 @@ def write_plot(
     overlays=(),
     exclusion: Fraction = DEFAULT_EXCLUSION,
 ) -> None:
-    """Write SVG (or CSV when the path ends in .csv) to the given path."""
+    """Write SVG (or CSV when the path ends in .csv, which refuses overlays) to the given path."""
     try:
         if str(path).lower().endswith(".csv"):
+            if overlays:
+                raise BadLiteral(f"overlays are drawn only on an SVG plot, not on the CSV path {path}")
             payload = render_csv(a, t_min, t_max, samples, exclusion)
         else:
             payload = render_svg(a, t_min, t_max, samples, overlays, exclusion)

@@ -23,6 +23,15 @@ def prime_curve(p: int, a=1) -> Folium:
     return Folium(field, field.element(a))
 
 
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace a function at every package module name bound to it."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "descartes_folium" or module_name.startswith("descartes_folium."):
+            for attribute, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attribute, replacement)
+
+
 def random_fraction(rng, max_num: int = 20, max_den: int = 12) -> Fraction:
     return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
 

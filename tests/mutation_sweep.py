@@ -9,17 +9,19 @@ imports the mutated package and runs run_report(curve, "all", 0, 40) over q,
 fp:5, fp:7 and fp:2 with a = 1, two mutants at a time.  fp:7 reaches the
 p = 1 (mod 3) code, and fp:2 the smallest field.  The mutant is killed when
 a row FAILs, the run raises (a MemoryError past the memory limit included),
-or it passes the time limit; otherwise it survives.  A run that only passed
-the time limit may have been slowed by the load beside it, so that mutant
-runs again alone and counts as killed only if that run kills it too.  The
-survivors, one line each, go to tests/mutation_survivors.txt by default,
-under a header that counts the kills by reason and names, as
-module:line:column and mutation, each mutant that only the time limit
-killed.  A survivor may carry a third field, written by hand: why it is
+or it passes the time limit; otherwise it survives.  The time limit is
+LIMIT_FACTOR times the wall time of the same check on the unmutated package,
+which runs first.  A run that only passed the time limit may have been
+slowed by the load beside it, so that mutant runs again alone and counts as
+killed only if that run kills it too.  The survivors, one line each, go to
+tests/mutation_survivors.txt by default, under a header that states the time
+limit, counts the kills by reason and names, as module:line:column and
+mutation, each mutant that only the time limit killed.  A survivor may carry a third field, written by hand: why it is
 equivalent, or which tier-1 test kills it.  A new sweep keeps that field
 for every survivor whose module, column, mutation and quoted line still match.
 At its end the sweep runs each kept `tier-1:` note's test on that note's
-mutant, in a copy of the repository whose src/ holds the mutant, and lists
+mutant, in a copy of the repository whose src/ holds the mutant, under the
+fixed limit NOTED_TEST_LIMIT_S, since each is a whole pytest run, and lists
 every note whose test passes there: such a note is stale, and the sweep
 then exits 1.
 
@@ -45,7 +47,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "descartes_folium"
 MODULES = ("parametrization", "laws", "geometry", "curve", "fields")
-TIME_LIMIT_S = 60
+LIMIT_FACTOR = 30  # a mutant's time limit, in runs of the unmutated check
+NOTED_TEST_LIMIT_S = 60
 MEMORY_LIMIT = 1 << 30  # bytes of address space per mutant run
 JOBS = 2  # mutants run at once
 
@@ -163,19 +166,19 @@ def mutate(source: str, index: int) -> str:
 ROW_FAILED, RAISED, TIME_LIMIT = "a failing row", "a raise", "the time limit"
 
 
-def run_check(package_root: Path) -> tuple:
+def run_check(package_root: Path, limit_s: float) -> tuple:
     """(kill, detail) for the package under `package_root`: kill is None when every row
-    passed, else ROW_FAILED, RAISED or TIME_LIMIT."""
+    passed, else ROW_FAILED, RAISED or TIME_LIMIT, when no verdict came in `limit_s` seconds."""
     try:
         done = subprocess.run(
             [sys.executable, "-c", CHECK],
             env={"PYTHONPATH": str(package_root), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
             capture_output=True,
             text=True,
-            timeout=TIME_LIMIT_S,
+            timeout=limit_s,
         )
     except subprocess.TimeoutExpired:
-        return TIME_LIMIT, f"no verdict in {TIME_LIMIT_S} s"
+        return TIME_LIMIT, f"no verdict in {limit_s:.1f} s"
     if done.returncode == 0:
         return None, "all rows passed"
     lines = done.stdout.strip().splitlines()
@@ -185,12 +188,12 @@ def run_check(package_root: Path) -> tuple:
     return RAISED, f"raised: {error[-1] if error else done.returncode}"
 
 
-def run_mutant(module: str, source: str, index: int, scratch: Path) -> tuple:
+def run_mutant(module: str, source: str, index: int, scratch: Path, limit_s: float) -> tuple:
     root = scratch / f"{module}-{index}"
     shutil.copytree(PACKAGE, root / "descartes_folium", ignore=shutil.ignore_patterns("__pycache__"))
     (root / "descartes_folium" / f"{module}.py").write_text(mutate(source, index))
     try:
-        return run_check(root)
+        return run_check(root, limit_s)
     finally:
         shutil.rmtree(root)
 
@@ -219,7 +222,7 @@ def noted_test_passes(module: str, source: str, index: int, test: str, scratch: 
             cwd=root,
             env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
             capture_output=True,
-            timeout=TIME_LIMIT_S,
+            timeout=NOTED_TEST_LIMIT_S,
         )
     except subprocess.TimeoutExpired:
         return False
@@ -247,7 +250,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(ROOT / "tests" / "mutation_survivors.txt"))
     args = parser.parse_args(argv)
 
-    kill, detail = run_check(PACKAGE.parent)
+    begin = time.monotonic()
+    kill, detail = run_check(PACKAGE.parent, NOTED_TEST_LIMIT_S)
+    unmutated_s = time.monotonic() - begin
+    limit_s = LIMIT_FACTOR * unmutated_s
     if kill:
         print(f"the unmutated package does not pass: {detail}", file=sys.stderr)
         return 2
@@ -260,7 +266,7 @@ def main(argv=None) -> int:
         for module in MODULES:
             source = (PACKAGE / f"{module}.py").read_text()
             found = sites(ast.parse(source))
-            run = functools.partial(run_mutant, module, source, scratch=Path(scratch))
+            run = functools.partial(run_mutant, module, source, scratch=Path(scratch), limit_s=limit_s)
             outcomes = [kill for kill, _ in pool.map(run, range(len(found)))]
             for index, kill in enumerate(outcomes):
                 if kill == TIME_LIMIT:  # the pool is idle here, so this run is alone
@@ -290,6 +296,7 @@ def main(argv=None) -> int:
         "# One line per surviving mutant: module:line:column, kind, mutation, and the original line.",
         "# A third field, kept across sweeps, says 'equivalent: why' or 'tier-1: the test that kills it'.",
         *(f"# {total}" for total in totals),
+        f"# time limit: {limit_s:.1f} s, {LIMIT_FACTOR} times the unmutated check's {unmutated_s:.2f} s",
         f"# kills: {', '.join(f'{kills[kind]} by {kind}' for kind in (ROW_FAILED, RAISED, TIME_LIMIT))};"
         f" {rerun} time-limit kills ran again alone, and {spared} of them survived that run",
         f"# killed by the time limit alone: {', '.join(timed) or 'none'}",

@@ -258,6 +258,15 @@ def test_plot_csv(tmp_path):
     assert out.read_text().startswith("t,x,y")
 
 
+def test_plot_csv_refuses_overlays(tmp_path):
+    # a CSV holds the curve's samples only, so an overlay would be dropped without a word
+    out = tmp_path / "curve.csv"
+    proc = run_main("plot", "--overlay", "chord:1,2", "--out", str(out))
+    message = f"error: overlays are drawn only on an SVG plot, not on the CSV path {out}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+    assert not out.exists()
+
+
 def test_plot_degenerate_range_exits_three(tmp_path):
     run_cli("plot", "--t-min", "2", "--t-max", "2", "--out", str(tmp_path / "x.svg"), expect=3)
 

@@ -41,22 +41,12 @@ that answers the next residue is tested apart too: only F_p stores its
 elements, so that fault has no q case.
 """
 
-import sys
-
 import pytest
 
 from descartes_folium import FieldElement, Folium, PrimeField, Rationals, geometry, laws, parametrization
 from descartes_folium.laws import LAWS, LawKind
 from descartes_folium.verify import run_suite
-
-
-def _patch_everywhere(monkeypatch, original, replacement):
-    """Replace a function at every package module name bound to it."""
-    for module_name, module in list(sys.modules.items()):
-        if module_name == "descartes_folium" or module_name.startswith("descartes_folium."):
-            for attribute, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attribute, replacement)
+from helpers import patch_everywhere
 
 
 def _patch_pair_coordinates(monkeypatch, replacement):
@@ -101,11 +91,11 @@ def _scaled_chart_ignores_swap(monkeypatch):
     # pbarbar builds pbar's point whenever 1 + t^3 is nonzero, in the public charts and the laws alike
     real = parametrization._pair_point
 
-    def pair_point(curve, n, d, swap=False, affine=False):
-        point = real(curve, n, d, swap, affine)
-        return real(curve, n, d, False, affine) if point.is_affine else point
+    def pair_point(curve, n, d, swap=False, domain="all"):
+        point = real(curve, n, d, swap, domain)
+        return real(curve, n, d, False, domain) if point.is_affine else point
 
-    _patch_everywhere(monkeypatch, real, pair_point)
+    patch_everywhere(monkeypatch, real, pair_point)
 
 
 def _chart_memo_drops_swap(monkeypatch):
@@ -117,7 +107,7 @@ def _chart_memo_drops_swap(monkeypatch):
 def _inverse_chart_divides_the_wrong_way(monkeypatch):
     # pbar's inverse chart reads the pair (x : y), the pbarbar parameter, in place of (y : x)
     real = parametrization._pair_param
-    _patch_everywhere(monkeypatch, real, lambda curve, point, swap=False: real(curve, point, True))
+    patch_everywhere(monkeypatch, real, lambda curve, point, swap=False, domain="all": real(curve, point, True, domain))
 
 
 def _chart_leaves_y_unreduced(monkeypatch):
@@ -175,20 +165,20 @@ def _reads_through_pbar(kind):
 
 
 def _identity_sigma(monkeypatch):
-    _patch_everywhere(monkeypatch, parametrization.sigma, lambda point: point)
+    patch_everywhere(monkeypatch, parametrization.sigma, lambda point: point)
 
 
 def _third_intersection_is_proj_mul(monkeypatch):
-    _patch_everywhere(monkeypatch, geometry.third_intersection, laws.proj_mul)
+    patch_everywhere(monkeypatch, geometry.third_intersection, laws.proj_mul)
 
 
 def _collinear3_always_true(monkeypatch):
-    _patch_everywhere(monkeypatch, geometry.collinear3, lambda curve, *points: True)
+    patch_everywhere(monkeypatch, geometry.collinear3, lambda curve, *points: True)
 
 
 def _finds_nothing(original):
     # an oracle that returns no points, or a root finder that returns no roots
-    return lambda monkeypatch: _patch_everywhere(monkeypatch, original, lambda *args: [])
+    return lambda monkeypatch: patch_everywhere(monkeypatch, original, lambda *args: [])
 
 
 def _wrong_epsilon_roots(monkeypatch):

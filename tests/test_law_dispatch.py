@@ -37,7 +37,7 @@ from descartes_folium import (
     third_intersection,
     west_mul,
 )
-from descartes_folium.laws import LAWS, nonzero_param, south_inv, west_inv
+from descartes_folium.laws import LAWS
 from helpers import prime_curve, rational_curve
 
 CURVES = [("q", a) for a in (1, 2)] + [
@@ -60,8 +60,8 @@ INVERSES = {
     LawKind.STAR_MUL: proj_inv,
     LawKind.ADD_SOUTH: neg,
     LawKind.ADD_WEST: neg,
-    LawKind.SOUTH_MUL: south_inv,
-    LawKind.WEST_MUL: west_inv,
+    LawKind.SOUTH_MUL: lambda curve, point: law_inverse(curve, LawKind.SOUTH_MUL, point),
+    LawKind.WEST_MUL: lambda curve, point: law_inverse(curve, LawKind.WEST_MUL, point),
     LawKind.FIELD_MUL: folium_inv,
 }
 NODE_EXCLUDED = (LawKind.PROJ_MUL, LawKind.PROJ_MUL2, LawKind.STAR_MUL)
@@ -186,7 +186,7 @@ def test_invalid_operand_errors(spec, a):
 def test_node_errors(spec, a):
     curve = build_curve(spec, a)
     node, vertex = curve.origin, curve.vertex()
-    for fn in (perp, proj_inv, nonzero_param):
+    for fn in (perp, proj_inv):
         expect_error(OriginNotInGroup, NODE_EXCLUDED_MESSAGE, fn, curve, node)
     for pair in ((node, vertex), (vertex, node)):
         expect_error(OriginNotInGroup, NODE_EXCLUDED_MESSAGE, third_intersection, curve, *pair)

@@ -35,11 +35,12 @@ from descartes_folium import (
     third_intersection,
     west_mul,
 )
-from descartes_folium import laws
-from descartes_folium.laws import LAWS, nonzero_param, south_inv, west_inv
+from descartes_folium import parametrization
+from descartes_folium.laws import LAWS
 from helpers import (
     affine_points,
     nonzero_points,
+    patch_everywhere,
     prime_curve,
     random_fraction,
     random_nonzero_fraction,
@@ -385,8 +386,6 @@ NAMED = [
     (add_west, LawKind.ADD_WEST, "op"),
     (south_mul, LawKind.SOUTH_MUL, "op"),
     (west_mul, LawKind.WEST_MUL, "op"),
-    (south_inv, LawKind.SOUTH_MUL, "inverse"),
-    (west_inv, LawKind.WEST_MUL, "inverse"),
     (folium_add, LawKind.ADD_SOUTH, "op"),
     (folium_mul, LawKind.FIELD_MUL, "op"),
     (folium_inv, LawKind.FIELD_MUL, "inverse"),
@@ -409,13 +408,12 @@ def test_each_per_law_name_reads_its_row_of_the_law_table(name, kind, column, mo
 
 
 def test_the_node_checks_read_the_pair_param_that_the_laws_read(monkeypatch):
-    # nonzero_param, perp and third_intersection read a slope through laws' own name for the pair
-    # inverse, as proj_mul does, so a wrapper installed there sees all of them
+    # perp and third_intersection read a slope through the pair reader that proj_mul reads, which
+    # refuses the node, so a wrapper installed at every name bound to the reader sees all of them
     curve = rational_curve(1)
     vertex = curve.vertex()
-    monkeypatch.setattr(laws, "_pair_param", _raise)
+    patch_everywhere(monkeypatch, parametrization._pair_param, _raise)
     calls = [
-        lambda: nonzero_param(curve, vertex),
         lambda: perp(curve, vertex),
         lambda: third_intersection(curve, vertex, vertex),
         lambda: apply_law(curve, LawKind.PROJ_MUL, vertex, vertex),

@@ -8,8 +8,10 @@ import pytest
 
 from descartes_folium import (
     NotOnCurve,
+    OriginNotInGroup,
     ParameterAtInfinity,
     ParamMap,
+    PointAtInfinity,
     ProjectivePoint,
     Rationals,
     alpha,
@@ -22,6 +24,7 @@ from descartes_folium import (
     pbarbar_inv,
     sigma,
 )
+from descartes_folium.parametrization import _NODE_EXCLUDED, _pair_param
 from helpers import prime_curve, random_fraction, rational_curve
 
 
@@ -269,3 +272,28 @@ def test_chart_coordinates_hold_canonical_values():
         if not (t * t * t + 1).is_zero():
             _assert_canonical_values(p_affine(curve, t))
             _assert_canonical_values(p_affine_prime(curve, t))
+
+
+@pytest.mark.parametrize("curve", [rational_curve(1), prime_curve(5, 1)], ids=["q", "fp:5"])
+def test_the_pair_reader_refuses_what_the_domain_excludes(curve):
+    # the node, as the curve built it and as a caller builds it: "all" reads (0 : 1), "nonzero" refuses it
+    for node in (curve.origin, curve.point(0, 0)):
+        for swap in (False, True):
+            assert _pair_param(curve, node, swap, "all") == (0, 1)
+            with pytest.raises(OriginNotInGroup) as refusal:
+                _pair_param(curve, node, swap, "nonzero")
+            assert str(refusal.value) == _NODE_EXCLUDED == "the node (0 : 0 : 1) is excluded here"
+    # off the node every domain reads the same pair
+    point = pbar(curve, curve.field.element(2))
+    for swap in (False, True):
+        assert {_pair_param(curve, point, swap, domain) for domain in ("all", "nonzero", "affine")} == {
+            _pair_param(curve, point, swap)
+        }
+    # "affine" refuses a point at infinity before it asks whether the point is on the curve
+    off_curve = curve.point(1, 1, 0)
+    assert not curve.contains(off_curve)
+    with pytest.raises(NotOnCurve):
+        _pair_param(curve, off_curve, False, "all")
+    for at_infinity in (off_curve, curve.infinity):
+        with pytest.raises(PointAtInfinity, match="is not an affine point"):
+            _pair_param(curve, at_infinity, False, "affine")
