@@ -55,6 +55,14 @@ denominators cleared, so no Fraction and no gcd; `_collinear_vanishes`
 decides geometry.collinear3's x1 x2 x3 + y1 y2 y3 = 0 the same way.  Over Q,
 `Rationals._raw` stores a value whose type is exactly Fraction as it is: it
 is immutable and already in lowest terms.
+
+Whether -1 is the only cube root of -1, the condition of the affine charts
+and the exotic laws, is one closed form on the characteristic:
+`has_unique_cube_root` is `characteristic % 3 != 1`, since F_p* is cyclic of
+order p - 1 and so holds a primitive sixth root of unity exactly when 3
+divides p - 1, and Q holds none.  `PrimeField.epsilon_roots` asks it before
+it searches for the roots, so the verify row that compares the two checks
+the roots against an independent fact.
 """
 
 from __future__ import annotations
@@ -377,10 +385,11 @@ class Field:
     def has_unique_cube_root(self) -> bool:
         """True iff -1 is the only root of x^3 + 1 = 0 in this field.
 
-        x^3 + 1 = (x + 1)(x^2 - x + 1) and -1 never solves the quadratic
-        away from characteristic 3, so this reduces to the epsilon roots.
+        x^3 + 1 = (x + 1)(x^2 - x + 1), and the other roots are the primitive
+        sixth roots of unity.  F_p* is cyclic of order p - 1, so it holds one
+        exactly when 3 divides p - 1 (p != 2, 3); Q and F_2 hold none.
         """
-        return self.epsilon_roots() is None
+        return self.characteristic % 3 != 1
 
     def random_element(self, rng) -> FieldElement:
         raise NotImplementedError
@@ -473,10 +482,10 @@ class PrimeField(Field):
 
     def epsilon_roots(self):
         # The roots are the primitive sixth roots of unity -w and -w^2, w a
-        # primitive cube root of unity; F_p^* has one exactly when 3 | p - 1.
-        p = self.p
-        if p % 3 == 2:
+        # primitive cube root of unity; has_unique_cube_root says when there are none.
+        if self.has_unique_cube_root():
             return None
+        p = self.p
         g = 2
         while (w := pow(g, (p - 1) // 3, p)) == 1:
             g += 1

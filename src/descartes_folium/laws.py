@@ -20,22 +20,21 @@ for projmul2, addwest and westmul, so sigma carries each law onto its
 swapped twin.  The domain is the whole curve ("all"), the curve without the
 node ("nonzero"), or the affine curve ("affine"), which needs -1 to be the
 only cube root of -1, without which the affine charts are not bijections.
-The domain is a fact about the chart, so a law hands it to both ends of
-its chart: `_pair_param` refuses the node of a "nonzero" law, and a point
-at infinity of an "affine" law, as it reads each operand, and `_pair_point`
-refuses to build an "affine" law's point at infinity.  The exotic laws,
-southmul and westmul, are the "affine" ones, so their charts are p_affine
-and p_affine_prime = sigma . p_affine, and the shifted slope tau = t + 1
-they multiply is never zero (t != -1).  perp and third_intersection read
-pbar's slope in the "nonzero" domain the same way.  Law.apply and
-Law.invert first ask Law.require_field, which refuses a field with epsilon
-roots, of an "affine" law; Law.invert also refuses the node where only the
-nonzero points are units.  The law table
-LAWS states each law once: apply_law, law_inverse, law_neutral and the
-per-law names all look their row up there when called, so a row patched or
-wrapped in the table is seen by every caller.  fieldmul is plain
-multiplication through pbar, so the node absorbs (pbar(0 t) = O); with
-addsouth it makes the curve a field.
+The domain is a fact about the chart, so a law hands it to the reader of
+its chart: as `_pair_param` reads each operand, it refuses the node of a
+"nonzero" law, and a field with epsilon roots, then a point at infinity,
+of an "affine" law.  `_pair_point` only builds, since no law can build a
+point at infinity.  The exotic laws, southmul and westmul, are the
+"affine" ones, so their charts are p_affine and p_affine_prime =
+sigma . p_affine, and the shifted slope tau = t + 1 they multiply is never
+zero (t != -1).  perp and third_intersection read pbar's slope in the
+"nonzero" domain the same way.  Law.invert also refuses the node where
+only the nonzero points are units.  The law table LAWS states each law
+once: apply_law, law_inverse, law_neutral and the per-law names all look
+their row up there when called, so a row patched or wrapped in the table
+is seen by every caller.  fieldmul is plain multiplication through pbar,
+so the node absorbs (pbar(0 t) = O); with addsouth it makes the curve a
+field.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .curve import Folium, ProjectivePoint
-from .errors import DivisionByZeroPoint, FieldLacksUniqueCubeRoot
+from .errors import DivisionByZeroPoint
 from .parametrization import _pair_param, _pair_point
 
 
@@ -76,33 +75,20 @@ class Law(NamedTuple):
     domain: str  # the law's own domain: "all", "nonzero" (no node) or "affine"
     units: str | None = None  # the invertible points, when narrower than the domain
 
-    def require_field(self, curve: Folium) -> None:
-        """Refuse a field with epsilon roots; apply and invert ask it of an "affine" law."""
-        if not curve.field.has_unique_cube_root():
-            raise FieldLacksUniqueCubeRoot(
-                f"{curve.field} has epsilon roots, so the affine parametrization "
-                "is not a bijection onto the affine curve"
-            )
-
-    # apply and invert check the field first, then read each operand in turn; the pair maps
-    # refuse what the domain excludes.  They call the pair maps by their module-level names,
-    # so a wrapper installed on those names sees every call a law makes.
+    # apply and invert read each operand in turn, and the reader refuses what the domain
+    # excludes; the builder refuses nothing.  They call the pair maps by their module-level
+    # names, so a wrapper installed on those names sees every call a law makes.
     def apply(self, curve: Folium, p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectivePoint:
-        domain, swap = self.domain, self.swap
-        if domain == "affine":
-            self.require_field(curve)
+        swap, domain = self.swap, self.domain
         n1, d1 = _pair_param(curve, p1, swap, domain)
         n2, d2 = _pair_param(curve, p2, swap, domain)
-        return _pair_point(curve, *self.op(n1, d1, n2, d2), swap, domain)
+        return _pair_point(curve, *self.op(n1, d1, n2, d2), swap)
 
     def invert(self, curve: Folium, point: ProjectivePoint) -> ProjectivePoint:
-        domain, swap = self.domain, self.swap
-        if domain == "affine":
-            self.require_field(curve)
-        n, d = _pair_param(curve, point, swap, domain)
+        n, d = _pair_param(curve, point, self.swap, self.domain)
         if n == 0 and self.units == "nonzero":
             raise DivisionByZeroPoint("the node (0 : 0 : 1) has no multiplicative inverse")
-        return _pair_point(curve, *self.inverse(n, d), swap, domain)
+        return _pair_point(curve, *self.inverse(n, d), self.swap)
 
 
 # The pair forms of t1 t2, -t1 t2, t1 + t2 and (t1 + 1)(t2 + 1) - 1 for t1 = n1/d1 and t2 = n2/d2.
@@ -146,7 +132,7 @@ def apply_law(curve: Folium, law: LawKind, p1: ProjectivePoint, p2: ProjectivePo
 def law_neutral(curve: Folium, law: LawKind) -> ProjectivePoint:
     """The neutral element of the law (V for the multiplicative laws, I for star, O otherwise)."""
     record = LAWS[law]
-    return _pair_point(curve, *record.neutral, record.swap, record.domain)
+    return _pair_point(curve, *record.neutral, record.swap)
 
 
 def law_inverse(curve: Folium, law: LawKind, point: ProjectivePoint) -> ProjectivePoint:

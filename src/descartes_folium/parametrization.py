@@ -16,16 +16,20 @@ with no division.  So the maps work on slope pairs of ints: `_pair_point`
 normalizes a pair with `_chart_key` and builds its point through the one
 kernel `fields._pair_coordinates`, and `_pair_param` reads the pair of a
 point, (y : x) over F_p and (Y dx : X dy) over Q for y = Y/dy and x = X/dx,
-and (0 : 1) at the node.  Both take the domain of the law or map that calls
-them: "all", "nonzero" or "affine".  The reader refuses the node in the
-"nonzero" domain, at its one node exit (OriginNotInGroup), and a point at
-infinity in the "affine" domain, before the on-curve check
-(PointAtInfinity); the builder refuses the point at infinity of an
-"affine" slope (ParameterAtInfinity).  For pbarbar `_pair_point` returns
-sigma of pbar's point, so pbarbar = sigma . pbar and p_affine_prime =
-sigma . p_affine are the code itself, and the inverse reads (x : y).  The
-public maps take the pair (t : 1) over F_p and (n : d) for t = n/d over Q,
-and pbar_inv and pbarbar_inv divide the pair once.  The laws (laws.py)
+and (0 : 1) at the node.  The reader refuses and the builder only builds.
+`_pair_param` takes the domain of the law or map that calls it: "all",
+"nonzero" or "affine".  It refuses the node in the "nonzero" domain, at its
+one node exit (OriginNotInGroup).  In the "affine" domain it refuses a field
+with epsilon roots (FieldLacksUniqueCubeRoot), then a point at infinity
+(PointAtInfinity), before the on-curve check.  `_pair_point` refuses
+nothing: no law builds a point at infinity (see its docstring), and
+`_chart_point`, the public charts' builder, refuses the parameter at
+infinity of p_affine and p_affine_prime (ParameterAtInfinity).  For
+pbarbar `_pair_point` returns sigma of pbar's point, so pbarbar =
+sigma . pbar and p_affine_prime = sigma . p_affine are the code itself,
+and the inverse reads (x : y).  The public maps take the pair (t : 1)
+over F_p and (n : d) for t = n/d over Q, and pbar_inv and pbarbar_inv
+divide the pair once.  The laws (laws.py)
 compose the pairs themselves, so a law call divides only in the kernel.
 
 The inverses are totalized at the node with value 0, which makes pbar a
@@ -39,8 +43,8 @@ a point that the curve did not build (`point.on is not curve`); sigma keeps
 the mark, since the cubic is symmetric in x and y.
 At t^3 = -1, where 3at is nonzero, pbar(t) is the point at infinity
 (1 : t : 0), and p_affine and p_affine_prime, which build in the "affine"
-domain, raise ParameterAtInfinity.  The
-key of such a slope is (t : 1), so the refusal names t by the key's n, the
+domain, raise ParameterAtInfinity after `_pair_point` has built it.  The
+parameter of such a slope is (t : 1), so the refusal names t by its n, the
 same for either chart.
 
 The key of (n : d) is its normalized pair, (n/d mod p : 1) over F_p and
@@ -53,9 +57,9 @@ memo, `Folium._charted`, and `_pair_point` answers from it: one point per
 key, so pbar and pbarbar stay two charts, each computed by the kernel and
 pbarbar's swapped by sigma.
 Only a miss runs the kernel and `ProjectivePoint._marked`; a kernel that
-raises stores nothing, and the affine refusal is checked on the answered
-point.  Outside a run `_charted` is None: the curve commands and library
-callers hold no memo, which over Q would grow without bound.
+raises stores nothing, and `_chart_point` checks the affine refusal on the
+answered point.  Outside a run `_charted` is None: the curve commands and
+library callers hold no memo, which over Q would grow without bound.
 
 The charts, their inverses and the on-curve check of a point not built by a
 chart (`fields._cubic_vanishes`) compute on stored values.  The oracles that
@@ -72,7 +76,7 @@ from enum import Enum
 from math import gcd
 
 from .curve import Folium, ProjectivePoint, _require_affine
-from .errors import OriginNotInGroup, ParameterAtInfinity
+from .errors import FieldLacksUniqueCubeRoot, OriginNotInGroup, ParameterAtInfinity
 from .fields import FieldElement, _pair_coordinates, _quotient
 
 
@@ -95,11 +99,16 @@ def _chart_key(p: int, n: int, d: int, swap: bool) -> tuple:
     return n // g, d // g, swap
 
 
-def _pair_point(curve: Folium, n: int, d: int, swap: bool = False, domain: str = "all") -> ProjectivePoint:
-    """pbar at the slope (n : d), or pbarbar when `swap`; in the "affine" domain p_affine, which refuses n^3 + d^3 = 0.
+def _pair_point(curve: Folium, n: int, d: int, swap: bool = False) -> ProjectivePoint:
+    """pbar at the slope (n : d), or pbarbar when `swap`; it refuses nothing.
 
     The kernel always gets the normalized pair of `_chart_key`, and inside a
     verify run the point comes from the curve's chart memo, `_charted`, under that key.
+    No law builds a point at infinity, so no law needs a refusal here: an
+    "affine" law's field has -1 as its only cube root, so n^3 + d^3 = 0 only
+    where n + d = 0.  Every affine operand's pair has n + d != 0, since the
+    node is the only affine curve point with x + y = 0 and it reads (0 : 1);
+    a shifted product has n + d = (n1 + d1)(n2 + d2), and an inverse has n + d = d.
     """
     n, d, _ = key = _chart_key(curve.field.characteristic, n, d, swap)  # the point reads `swap` from the call
     charted = curve._charted
@@ -110,18 +119,21 @@ def _pair_point(curve: Folium, n: int, d: int, swap: bool = False, domain: str =
             point = sigma(point)
         if charted is not None:
             charted[key] = point
-    if domain == "affine" and point.z.value == 0:  # (1 : t : 0) or its swap, t^3 = -1, where the key is (t : 1)
-        raise ParameterAtInfinity(f"t = {n} satisfies t^3 = -1; no affine image")
     return point
 
 
 def _pair_param(curve: Folium, point: ProjectivePoint, swap: bool = False, domain: str = "all") -> tuple:
     """The slope (y : x) of a curve point as a pair of ints, or (x : y) when `swap`; (0 : 1) at the node.
 
-    The "affine" domain refuses a point at infinity before the on-curve check,
-    and the "nonzero" domain refuses the node.
+    The "affine" domain refuses a field with epsilon roots, then a point at
+    infinity, before the on-curve check; the "nonzero" domain refuses the node.
     """
     if domain == "affine":
+        if not curve.field.has_unique_cube_root():
+            raise FieldLacksUniqueCubeRoot(
+                f"{curve.field} has epsilon roots, so the affine parametrization "
+                "is not a bijection onto the affine curve"
+            )
         _require_affine(point)
     if point.on is not curve:  # a point this curve built is on it
         curve.require_on_curve(point)
@@ -143,9 +155,16 @@ def _pair_param(curve: Folium, point: ProjectivePoint, swap: bool = False, domai
 
 
 def _chart_point(curve: Folium, t, swap: bool = False, domain: str = "all") -> ProjectivePoint:
-    """The chart at the parameter t: the pair (t : 1) over F_p, (n : d) for t = n/d over Q."""
+    """The chart at the parameter t: the pair (t : 1) over F_p, (n : d) for t = n/d over Q.
+
+    The "affine" domain, p_affine's and p_affine_prime's, refuses t^3 = -1,
+    where d is 1 and the point is (1 : t : 0) or its swap.
+    """
     n, d = curve.field.element(t).value.as_integer_ratio()
-    return _pair_point(curve, n, d, swap, domain)
+    point = _pair_point(curve, n, d, swap)
+    if domain == "affine" and point.z.value == 0:
+        raise ParameterAtInfinity(f"t = {n} satisfies t^3 = -1; no affine image")
+    return point
 
 
 def pbar(curve: Folium, t) -> ProjectivePoint:

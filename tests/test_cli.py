@@ -4,6 +4,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -408,6 +409,30 @@ def test_python_m_exits_with_the_code_main_returns():
         proc, inside = python_process("-m", "descartes_folium", *argv), run_main(*argv)
         assert inside.returncode == code
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, inside.stdout, inside.stderr)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_the_benchmark_cli_mix_prints_the_same_bytes_in_and_out_of_process(monkeypatch):
+    # The cli workload compares each child with cli.main in process and fails on any difference.
+    # Hashes of points and elements include the field's identity hash, which differs from one
+    # process to the next, so an output that follows a set's order, or a cache keyed by id(),
+    # shows up here as a second pass or a child that prints other bytes, in most runs: a
+    # child's order matches the in-process one only by chance.
+    monkeypatch.chdir(ROOT)
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    from workloads import Size, _cli_commands, _in_process, _plot_bytes
+
+    (ROOT / "benchmarks" / "out").mkdir(exist_ok=True)
+    mixes = {seed: _cli_commands(seed, Size()) for seed in range(1, 11)}
+    distinct = list(dict.fromkeys(tuple(argv) for commands in mixes.values() for argv in commands))
+    first = {argv: _in_process(argv) for argv in distinct}
+    assert [argv for argv, (code, _, _) in first.items() if code != 0] == []
+    assert [argv for argv in distinct if _in_process(argv) != first[argv]] == []
+    for argv in map(tuple, mixes[9]):
+        child = python_process("-m", "descartes_folium", *argv, cwd=ROOT)
+        assert (child.returncode, child.stdout, _plot_bytes(argv)) == first[argv], argv
 
 
 LAZY_MODULES = ("descartes_folium.verify", "descartes_folium.plotting", "dataclasses", "json")

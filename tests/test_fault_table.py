@@ -91,9 +91,9 @@ def _scaled_chart_ignores_swap(monkeypatch):
     # pbarbar builds pbar's point whenever 1 + t^3 is nonzero, in the public charts and the laws alike
     real = parametrization._pair_point
 
-    def pair_point(curve, n, d, swap=False, domain="all"):
-        point = real(curve, n, d, swap, domain)
-        return real(curve, n, d, False, domain) if point.is_affine else point
+    def pair_point(curve, n, d, swap=False):
+        point = real(curve, n, d, swap)
+        return real(curve, n, d) if point.is_affine else point
 
     patch_everywhere(monkeypatch, real, pair_point)
 
@@ -261,6 +261,13 @@ def test_a_store_that_answers_the_next_residue_fails_the_field_axioms(p, monkeyp
 def test_wrong_epsilon_roots_fail_where_the_field_has_roots(monkeypatch):
     # over fp:7 the cube-root scan agrees with any non-None pair, so the roots themselves are checked
     _wrong_epsilon_roots(monkeypatch)
+    rows = run_suite(Folium(PrimeField(7), 1), "field", seed=0, samples=40)
+    assert [row.name for row in rows if not row.passed] == ["epsilon_roots_consistent"]
+
+
+def test_epsilon_roots_that_go_missing_fail_where_the_field_has_roots(monkeypatch):
+    # has_unique_cube_root is a closed form on p, so the roots row compares them with an independent fact
+    monkeypatch.setattr(PrimeField, "epsilon_roots", lambda field: None)
     rows = run_suite(Folium(PrimeField(7), 1), "field", seed=0, samples=40)
     assert [row.name for row in rows if not row.passed] == ["epsilon_roots_consistent"]
 

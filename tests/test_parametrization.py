@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from descartes_folium import (
+    FieldLacksUniqueCubeRoot,
     NotOnCurve,
     OriginNotInGroup,
     ParameterAtInfinity,
@@ -274,8 +275,9 @@ def test_chart_coordinates_hold_canonical_values():
             _assert_canonical_values(p_affine_prime(curve, t))
 
 
-@pytest.mark.parametrize("curve", [rational_curve(1), prime_curve(5, 1)], ids=["q", "fp:5"])
+@pytest.mark.parametrize("curve", [rational_curve(1), prime_curve(5, 1), prime_curve(7, 1)], ids=["q", "fp:5", "fp:7"])
 def test_the_pair_reader_refuses_what_the_domain_excludes(curve):
+    lacking = curve.field.characteristic == 7  # 7 = 1 (mod 3): the one field here with epsilon roots
     # the node, as the curve built it and as a caller builds it: "all" reads (0 : 1), "nonzero" refuses it
     for node in (curve.origin, curve.point(0, 0)):
         for swap in (False, True):
@@ -285,15 +287,32 @@ def test_the_pair_reader_refuses_what_the_domain_excludes(curve):
             assert str(refusal.value) == _NODE_EXCLUDED == "the node (0 : 0 : 1) is excluded here"
     # off the node every domain reads the same pair
     point = pbar(curve, curve.field.element(2))
+    domains = ("all", "nonzero") if lacking else ("all", "nonzero", "affine")
     for swap in (False, True):
-        assert {_pair_param(curve, point, swap, domain) for domain in ("all", "nonzero", "affine")} == {
-            _pair_param(curve, point, swap)
-        }
-    # "affine" refuses a point at infinity before it asks whether the point is on the curve
+        assert {_pair_param(curve, point, swap, domain) for domain in domains} == {_pair_param(curve, point, swap)}
+    # "affine" refuses a field with epsilon roots, then a point at infinity, before it asks
+    # whether the point is on the curve
     off_curve = curve.point(1, 1, 0)
     assert not curve.contains(off_curve)
     with pytest.raises(NotOnCurve):
         _pair_param(curve, off_curve, False, "all")
     for at_infinity in (off_curve, curve.infinity):
-        with pytest.raises(PointAtInfinity, match="is not an affine point"):
-            _pair_param(curve, at_infinity, False, "affine")
+        if lacking:
+            message = "^fp:7 has epsilon roots, so the affine parametrization is not a bijection onto the affine curve$"
+            with pytest.raises(FieldLacksUniqueCubeRoot, match=message):
+                _pair_param(curve, at_infinity, False, "affine")
+        else:
+            with pytest.raises(PointAtInfinity, match="is not an affine point"):
+                _pair_param(curve, at_infinity, False, "affine")
+
+
+def test_the_affine_charts_build_over_a_field_with_epsilon_roots_and_refuse_its_parameters_at_infinity():
+    # the charts never ask for the field: over fp:7 they refuse only t^3 = -1, which 3, 5 and 6 satisfy
+    curve = prime_curve(7, 1)
+    assert p_affine(curve, 2) == curve.point(3, 6, 1)
+    assert p_affine_prime(curve, 2) == curve.point(6, 3, 1)
+    for t in (3, 5, 6):
+        for affine_map in (p_affine, p_affine_prime):
+            with pytest.raises(ParameterAtInfinity) as refusal:
+                affine_map(curve, t)
+            assert str(refusal.value) == f"t = {t} satisfies t^3 = -1; no affine image"

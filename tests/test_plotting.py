@@ -140,10 +140,12 @@ def test_overlays_render_marks_and_labels():
             Overlay("chord", (Fraction(2), Fraction(3))),
             Overlay("tangent", (Fraction(1),)),
             Overlay("asymptote"),
+            Overlay("point", (Fraction(1, 2),)),
         ),
     )
-    assert document.count("<circle") == 4  # chord marks three points, tangent marks one
+    assert document.count("<circle") == 5  # chord marks three points, tangent and point one each
     assert "t=-1/6" in document
+    assert "t=1/2" in document
     assert "stroke-dasharray" in document
 
 
