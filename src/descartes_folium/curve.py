@@ -4,13 +4,13 @@ The curve is x^3 + y^3 - 3axyz = 0 in P^2(K) with a != 0.  Points
 (x : y : z) and lines [m : n : p] (for m*x + n*y + p*z = 0) share one
 canonical form, `_canonical`: the triple is scaled so that the first
 nonzero of its third, first and second entries is 1, on stored values by
-`fields._scaled` (one modular inverse per triple over F_p, one Fraction per
-coordinate over Q).  The classical
-literals O = (0, 0, 1), I = (1, -1, 0) and affine points (x, y, 1) are
-already canonical, and `_canonical`, which every constructor calls, returns
-such a triple as it stands.  Point equality answers True for the
-same object before it reads a coordinate: inside a verify run the chart
-memo and the law tables hand back one object for equal points.  Otherwise,
+`fields._scaled`, which the chart kernel shares (one modular inverse per
+triple over F_p, one Fraction per coordinate besides the pivot over Q).
+The classical literals O = (0, 0, 1), I = (1, -1, 0) and affine points
+(x, y, 1) are already canonical, and `_canonical`, which every constructor
+calls, returns such a triple as it stands.  Point equality answers True
+for the same object before it reads a coordinate: inside a verify run the
+chart memo and the law tables hand back one object for equal points.  Otherwise,
 as field equality is identity, it compares the fields of the x coordinates
 by `is`, and hashing reads that field directly.
 

@@ -40,21 +40,22 @@ divide a slope pair with it.  The cold operators are derived from these:
 goes through `Field.element`, so none of them repeats the reduction or the
 store lookup.  `_pair_coordinates` is the one chart kernel,
 which the public charts and every law share: the homogenized pbar, (n : d) ->
-(3and^2 : 3an^2d : n^3 + d^3), on the slope pair of ints that
-parametrization._chart_key normalizes, scaled to canonical form.  Over F_p
-that takes one modular inverse; over Q each coordinate is one Fraction, with
-3a = A/B read as ints.  The laws compose slope pairs on ints, so a law call
-divides only in that normalization and here.
+(3and^2 : 3an^2d : n^3 + d^3), as a triple of ints with 3a = A/B read as
+ints.  It takes any pair that represents the slope; parametrization._chart_key
+normalizes the pair only to key the chart memo.
 
-Two more kernels admit raw points in curve.py.  `_scaled` divides a triple by
-its pivot, with one modular inverse per triple over F_p and one Fraction per
-coordinate over Q, where `pivot.inverse()` and three element products would
-build four.  `_cubic_vanishes` decides x^3 + y^3 - 3axyz = 0 for stored
-values, with one `% p` over F_p and, over Q, on the ints with the
-denominators cleared, so no Fraction and no gcd; `_collinear_vanishes`
-decides geometry.collinear3's x1 x2 x3 + y1 y2 y3 = 0 the same way.  Over Q,
-`Rationals._raw` stores a value whose type is exactly Fraction as it is: it
-is immutable and already in lowest terms.
+`_scaled` alone puts a triple in canonical form, for the kernel's triples and
+for every point and line that curve.py builds: it divides by the pivot, with
+one modular inverse per triple over F_p and one Fraction per other coordinate
+over Q, where `pivot.inverse()` and three element products would build four;
+the pivot coordinate is `one`, with no division.  The laws compose slope
+pairs on ints, so a law call divides only in the key's normalization and in
+`_scaled`.  `_cubic_vanishes`, which admits raw points in curve.py, decides
+x^3 + y^3 - 3axyz = 0 for stored values, with one `% p` over F_p and, over
+Q, on the ints with the denominators cleared, so no Fraction and no gcd;
+`_collinear_vanishes` decides geometry.collinear3's x1 x2 x3 + y1 y2 y3 = 0
+the same way.  Over Q, `Rationals._raw` stores a value whose type is exactly
+Fraction as it is: it is immutable and already in lowest terms.
 
 Whether -1 is the only cube root of -1, the condition of the affine charts
 and the exotic laws, is one closed form on the characteristic:
@@ -142,56 +143,47 @@ def _quotient(field, u, v) -> "FieldElement":
 
 
 def _pair_coordinates(field, a3, n, d) -> "tuple[FieldElement, FieldElement, FieldElement]":
-    """The canonical coordinates of pbar at a normalized slope (n : d).
+    """The canonical coordinates of pbar at the slope (n : d), any pair of ints that is not (0 : 0).
 
-    The pair is parametrization._chart_key's: over F_p (t : 1) for a residue t,
-    or (1 : 0); over Q in lowest terms with d > 0, or (1 : 0).  Homogenized, pbar
-    is (n : d) -> (a3 n d^2 : a3 n^2 d : n^3 + d^3), so the node is the image of
-    (0 : 1) and of (1 : 0) alike.  Where w = n^3 + d^3 is nonzero the point is
-    scaled to z = 1 by one modular inverse over F_p, or over Q as one Fraction
-    per coordinate.  Where w = 0, d is 1 and the point is (1 : n : 0).  Besides
-    the key's n/d mod p, this is the one division a chart or a law makes.
+    Homogenized, pbar is (n : d) -> (3a n d^2 : 3a n^2 d : n^3 + d^3); with
+    3a = A/B it is the triple of ints (A n d^2 : A n^2 d : B (n^3 + d^3)), so
+    (kn : kd) gives the same point for every k that is nonzero in the field,
+    and the node is the image of (0 : 1) and of (1 : 0) alike.  `_scaled`
+    puts the triple in canonical form.  Where n^3 + d^3 = 0, n, d and A are
+    nonzero, so x is the pivot: the point at infinity (1 : n/d : 0).
     """
-    p = field.characteristic
-    if p:
-        store = field._elements
-        w = (n * n * n + d * d * d) % p
-        if w == 0:
-            return field.one, store[n] if store else FieldElement(field, n), field.zero
-        s = a3 * n * d * pow(w, -1, p)
-        x, y = s * d % p, s * n % p
-        if store:
-            return store[x], store[y], field.one
-        return FieldElement(field, x), FieldElement(field, y), field.one
-    w = n * n * n + d * d * d
-    if w == 0:
-        return field.one, FieldElement(field, Fraction(n)), field.zero
-    scale, denominator = a3.numerator * n * d, a3.denominator * w
-    return (
-        FieldElement(field, Fraction(scale * d, denominator)),
-        FieldElement(field, Fraction(scale * n, denominator)),
-        field.one,
-    )
+    x, y, z = a3.numerator * n * d * d, a3.numerator * n * n * d, a3.denominator * (n * n * n + d * d * d)
+    if field.characteristic:
+        z %= field.characteristic
+    return _scaled(field, z or x, x, y, z)
 
 
 def _scaled(field, pivot, x, y, z) -> "tuple[FieldElement, FieldElement, FieldElement]":
-    """The elements x / pivot, y / pivot and z / pivot of stored values; pivot is nonzero.
+    """The elements x / pivot, y / pivot and z / pivot of stored values or ints; pivot is one of them, nonzero.
 
-    Over F_p the three share one modular inverse; over Q each is one Fraction
-    of the cross products of the ints, so one gcd each.
+    The pivot coordinate is `field.one`, with no division: over Q and over a
+    prime field that stores no elements, the coordinate that is the pivot
+    object (an identical value equals the pivot, so its quotient is 1); with a
+    store, `store[1]`.  Over F_p the others share one modular inverse; over Q
+    each is one Fraction of the cross products of the ints, so one gcd each.  The canonical form of every
+    point and line (curve._canonical) and of every chart point
+    (`_pair_coordinates`) comes from here.
     """
-    p = field.characteristic
+    p, one = field.characteristic, field.one
     if p:
         s, store = pow(pivot, -1, p), field._elements
-        x, y, z = x * s % p, y * s % p, z * s % p
-        if store:
-            return store[x], store[y], store[z]
-        return FieldElement(field, x), FieldElement(field, y), FieldElement(field, z)
+        if store:  # the pivot's residue is 1, and store[1] is one
+            return store[x * s % p], store[y * s % p], store[z * s % p]
+        return (
+            one if x is pivot else FieldElement(field, x * s % p),
+            one if y is pivot else FieldElement(field, y * s % p),
+            one if z is pivot else FieldElement(field, z * s % p),
+        )
     n, d = pivot.numerator, pivot.denominator
     return (
-        FieldElement(field, Fraction(x.numerator * d, x.denominator * n)),
-        FieldElement(field, Fraction(y.numerator * d, y.denominator * n)),
-        FieldElement(field, Fraction(z.numerator * d, z.denominator * n)),
+        one if x is pivot else FieldElement(field, Fraction(x.numerator * d, x.denominator * n)),
+        one if y is pivot else FieldElement(field, Fraction(y.numerator * d, y.denominator * n)),
+        one if z is pivot else FieldElement(field, Fraction(z.numerator * d, z.denominator * n)),
     )
 
 

@@ -13,10 +13,11 @@ Homogenized, pbar is the normalization P^1 -> curve,
 (n : d) -> (3and^2 : 3an^2d : n^3 + d^3), which sends both (0 : 1) and
 (1 : 0) to the node; off the node its inverse is (x : y : z) -> (y : x),
 with no division.  So the maps work on slope pairs of ints: `_pair_point`
-normalizes a pair with `_chart_key` and builds its point through the one
-kernel `fields._pair_coordinates`, and `_pair_param` reads the pair of a
-point, (y : x) over F_p and (Y dx : X dy) over Q for y = Y/dy and x = X/dx,
-and (0 : 1) at the node.  The reader refuses and the builder only builds.
+builds the point of a pair through the one kernel `fields._pair_coordinates`,
+which states that formula on ints for any representative of the slope and
+leaves the canonical form to `fields._scaled`, and `_pair_param` reads the
+pair of a point, (y : x) over F_p and (Y dx : X dy) over Q for y = Y/dy and
+x = X/dx, and (0 : 1) at the node.  The reader refuses and the builder only builds.
 `_pair_param` takes the domain of the law or map that calls it: "all",
 "nonzero" or "affine".  It refuses the node in the "nonzero" domain, at its
 one node exit (OriginNotInGroup).  In the "affine" domain it refuses a field
@@ -49,9 +50,11 @@ same for either chart.
 
 The key of (n : d) is its normalized pair, (n/d mod p : 1) over F_p and
 the pair in lowest terms with d > 0 over Q, or (1 : 0) for d = 0 in both,
-together with the `swap` flag.  Every call computes it, in a verify run and
-outside one, and the kernel builds the point from that pair, so the code a
-run checks is the code every caller runs.  A verify run charts the same few
+together with the `swap` flag.  It serves the memo only: the kernel is
+homogeneous, so every representative of a slope gives it the same point.
+Every call computes the key, in a verify run and outside one, and hands the
+kernel the key's pair, the smallest over Q, so the code a run checks is the
+code every caller runs.  A verify run charts the same few
 slopes over and over, so while run_suite runs, the curve holds a chart
 memo, `Folium._charted`, and `_pair_point` answers from it: one point per
 key, so pbar and pbarbar stay two charts, each computed by the kernel and
@@ -84,10 +87,10 @@ _NODE_EXCLUDED = "the node (0 : 0 : 1) is excluded here"
 
 
 def _chart_key(p: int, n: int, d: int, swap: bool) -> tuple:
-    """The slope (n : d) normalized, with `swap` for pbarbar: one key per point of P^1 and chart.
+    """The slope (n : d) normalized, with `swap` for pbarbar: one chart-memo key per point of P^1 and chart.
 
     Over F_p (n/d mod p : 1), or (1 : 0); over Q the pair in lowest terms with
-    d > 0, or (1 : 0).  The pair (0 : 0), mod p or over Q, raises
+    d > 0, or (1 : 0).  The kernel does not need it: it takes any representative.  The pair (0 : 0), mod p or over Q, raises
     ZeroDivisionError: it is no point of P^1.
     """
     if p:
@@ -102,8 +105,9 @@ def _chart_key(p: int, n: int, d: int, swap: bool) -> tuple:
 def _pair_point(curve: Folium, n: int, d: int, swap: bool = False) -> ProjectivePoint:
     """pbar at the slope (n : d), or pbarbar when `swap`; it refuses nothing.
 
-    The kernel always gets the normalized pair of `_chart_key`, and inside a
-    verify run the point comes from the curve's chart memo, `_charted`, under that key.
+    The kernel gets the pair of `_chart_key`, though any representative would
+    give it the same point; inside a verify run the point comes from the
+    curve's chart memo, `_charted`, under that key.
     No law builds a point at infinity, so no law needs a refusal here: an
     "affine" law's field has -1 as its only cube root, so n^3 + d^3 = 0 only
     where n + d = 0.  Every affine operand's pair has n + d != 0, since the

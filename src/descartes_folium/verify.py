@@ -367,6 +367,14 @@ def _suite_parametrize(ctx: _Context) -> list:
         vertex = curve.point(v, v)
         return curve.contains(vertex) and curve.vertex() == vertex
 
+    def affine_formula(t):
+        # each chart against (3at/(1+t^3), 3at^2/(1+t^3)) by element arithmetic, or its swap: inside a run
+        # p_affine and pbar answer one memo point, so they cannot check each other
+        charted = p_affine(curve, t), pbar(curve, t), p_affine_prime(curve, t), pbarbar(curve, t)
+        x = curve.three_a * t / (1 + t * t * t)
+        P, swapped = curve.point(x, y := x * t), curve.point(y, x)
+        return charted == (P, P, swapped, swapped)
+
     return [
         _Prop("pbar_round_trip", lambda t: pbar_inv(curve, pbar(curve, t)) == t, params),
         _Prop(
@@ -393,12 +401,7 @@ def _suite_parametrize(ctx: _Context) -> list:
             lambda t: sigma(pbar(curve, t)) == pbar(curve, t.inverse()),
             ctx.singles("nonzero"),
         ),
-        _Prop(
-            "affine_matches_projective",
-            lambda t: p_affine(curve, t) == pbar(curve, t)
-            and p_affine_prime(curve, t) == pbarbar(curve, t),
-            ctx.singles("affine"),
-        ),
+        _Prop("affine_matches_projective", affine_formula, ctx.singles("affine")),
         _Prop(
             "alpha_round_trip",
             lambda t: alpha(alpha_inv(t)) == t and alpha_inv(alpha(t)) == t,

@@ -7,11 +7,15 @@ is named for the faults it catches: with its parity chains read from law
 tables it takes about 16 ms warm over fp:5 (CPython 3.11, 2 vCPUs), a little
 more than `axioms` over q.
 Unpatched, every suite passes; tests/golden pins both reports.  The first
-six faults sit in the charts, which the public maps and the laws share:
-three in the pair kernel `_pair_coordinates`, one in `_pair_point`, which
-builds a point from it, one in `_chart_key`, which normalizes every pair the
-kernel gets and keys the chart memo that a run opens, and one in the pair
-inverse chart `_pair_param`.
+seven faults sit in the charts, which the public maps and the laws share:
+three in the pair kernel `_pair_coordinates`, one in `_scaled`, the one
+canonical scaling that the kernel and every point and line constructor
+share, one in `_pair_point`, which builds a point from the kernel, one in
+`_chart_key`, which keys the chart memo that a run opens, and one in the
+pair inverse chart `_pair_param`.  `_scaled` is point construction, which
+the oracles share as they share the element store, so
+tests/test_oracle_independence.py does not patch it; its fault FAILs the
+chart suites all the same.
 One gives the curve 4a where it prints a, which only a row that builds a
 point from the printed a can tell.  Six patch a row of the law table LAWS,
 whose columns hold the chart flag and the operations on slope pairs
@@ -43,7 +47,8 @@ elements, so that fault has no q case.
 
 import pytest
 
-from descartes_folium import FieldElement, Folium, PrimeField, Rationals, geometry, laws, parametrization
+from descartes_folium import FieldElement, Folium, PrimeField, Rationals, fields, geometry, laws, parametrization
+from descartes_folium.fields import _quotient
 from descartes_folium.laws import LAWS, LawKind
 from descartes_folium.verify import run_suite
 from helpers import patch_everywhere
@@ -61,13 +66,13 @@ def _slope(field, n, d):
 
 
 def _wrong_chart_coefficient(monkeypatch):
-    # 6a in place of 3a, in the branch that scales (x : x t : 1) itself
+    # 6a in place of 3a in the kernel's triple (3a n d^2 : 3a n^2 d : n^3 + d^3)
     _patch_pair_coordinates(monkeypatch, lambda real, field, a3, n, d: real(field, a3 + a3, n, d))
 
 
 def _chart_point_keeps_w(monkeypatch):
-    # the scaled branch divides by w but keeps z = w: (3at/w : 3at^2/w : w), still marked,
-    # which is the point (3at/w^2 : 3at^2/w^2 : 1)
+    # an affine chart point divided by w = 1 + t^3 that keeps z = w: (3at/w : 3at^2/w : w), still
+    # marked, which is the point (3at/w^2 : 3at^2/w^2 : 1)
     def pair_coordinates(real, field, a3, n, d):
         x, y, z = real(field, a3, n, d)
         if z.is_zero():
@@ -78,13 +83,22 @@ def _chart_point_keeps_w(monkeypatch):
 
 
 def _w_zero_branch_dropped(monkeypatch):
-    # every parameter takes the scaled branch, so t^3 = -1 divides by zero
+    # a kernel that always pivots on z, dividing by w = 1 + t^3, so t^3 = -1 divides by zero where
+    # the pivot must move to x
     def pair_coordinates(real, field, a3, n, d):
         t = _slope(field, n, d)
         x = field.element(a3) * t / (t * t * t + 1)
         return x, x * t, field.one
 
     _patch_pair_coordinates(monkeypatch, pair_coordinates)
+
+
+def _scaled_divides_y_twice(monkeypatch):
+    # the shared scaling divides y by the pivot twice, in chart points and raw points alike
+    real = fields._scaled
+    patch_everywhere(
+        monkeypatch, real, lambda field, pivot, x, y, z: real(field, pivot, x, _quotient(field, y, pivot).value, z)
+    )
 
 
 def _scaled_chart_ignores_swap(monkeypatch):
@@ -211,6 +225,7 @@ FAULTS = {
     "wrong_chart_coefficient": (_wrong_chart_coefficient, ("parametrize", "geometry", "star")),
     "chart_point_keeps_w": (_chart_point_keeps_w, (*CHART_SUITES, "southmul", "star")),
     "w_zero_branch_dropped": (_w_zero_branch_dropped, (*CHART_SUITES, "star")),
+    "scaled_divides_y_twice": (_scaled_divides_y_twice, CHART_SUITES),
     "scaled_chart_ignores_swap": (_scaled_chart_ignores_swap, ("parametrize", "axioms", "coincidence", "fieldstructure")),
     "chart_memo_drops_swap": (_chart_memo_drops_swap, ("parametrize", "axioms", "coincidence", "fieldstructure")),
     "inverse_chart_divides_the_wrong_way": (_inverse_chart_divides_the_wrong_way, (*CHART_SUITES, "southmul", "star")),
@@ -249,6 +264,14 @@ def test_every_seeded_fault_fails_a_row(fault, spec, monkeypatch):
         assert [row.name for row in rows if not row.passed], f"{fault} survived the {suite} suite over {spec}"
 
 
+@pytest.mark.parametrize("spec", FIELDS)
+def test_a_wrong_chart_coefficient_fails_the_affine_row(spec, monkeypatch):
+    # inside a run p_affine and pbar answer one memo point, so only the affine formula can tell
+    _wrong_chart_coefficient(monkeypatch)
+    rows = run_suite(Folium(FIELDS[spec](), 1), "parametrize", seed=0, samples=40)
+    assert "affine_matches_projective" in [row.name for row in rows if not row.passed]
+
+
 @pytest.mark.parametrize("p", [5, 13])
 def test_a_store_that_answers_the_next_residue_fails_the_field_axioms(p, monkeypatch):
     # only F_p stores its elements, so this fault has no q case and stays out of FAULTS
@@ -273,10 +296,15 @@ def test_epsilon_roots_that_go_missing_fail_where_the_field_has_roots(monkeypatc
 
 
 def test_an_unreduced_chart_coordinate_fails_a_row(monkeypatch):
-    # over q there is nothing to reduce; over fp:5 the stored product compares unequal to its residue
+    # over q there is nothing to reduce; over fp:5 the stored product compares unequal to its residue,
+    # also to the affine formula's y, which element arithmetic reduces
     _chart_leaves_y_unreduced(monkeypatch)
     rows = run_suite(Folium(PrimeField(5), 1), "parametrize", seed=0, samples=40)
-    assert [row.name for row in rows if not row.passed] == ["pbar_image_is_whole_curve", "sigma_inverts_parameter"]
+    assert [row.name for row in rows if not row.passed] == [
+        "pbar_image_is_whole_curve",
+        "sigma_inverts_parameter",
+        "affine_matches_projective",
+    ]
 
 
 @pytest.mark.parametrize(

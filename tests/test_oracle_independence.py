@@ -11,7 +11,9 @@ The refusal texts of the scans and the canonical-form errors of
 points and lines are pinned here too.  The element store of a prime field
 (`_elements`) is not patched: it is element construction itself, which the
 oracles share with everything else, not a kernel that a chart or a law runs
-in their place.
+in their place.  Nor is the canonical scaling `fields._scaled`, which the
+pair kernel calls: it is point construction, which the line-point oracle
+over Q shares in the same way; tests/test_fault_table.py seeds a fault in it.
 """
 
 import sys

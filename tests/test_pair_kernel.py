@@ -1,7 +1,9 @@
 """The laws on slope pairs against element arithmetic on the drawn parameters.
 
 Every law composes the int slope pairs (n : d) of its operands and divides
-once, in the pair kernel `fields._pair_coordinates`.  The reference here
+once, in the pair kernel `fields._pair_coordinates`, through the canonical
+scaling `fields._scaled`.  The kernel is homogeneous: every representative
+(kn : kd) of a slope gives it the same point, at infinity too.  The reference here
 builds each point as (3at : 3at^2 : 1 + t^3), or its swap for the pbarbar
 laws, with element arithmetic and the canonicalizing constructor, and
 applies the law's field operation to the parameters t it drew: over q at
@@ -160,6 +162,30 @@ def test_the_affine_charts_refuse_exactly_the_parameters_at_infinity(curve, ts):
             assert p_affine(curve, t) == _point(curve, t) and p_affine_prime(curve, t) == _point(curve, t, True)
     # -1 everywhere, and the two epsilon roots over fp:7 and fp:13
     assert at_infinity == (1 if curve.field.epsilon_roots() is None else 3)
+
+
+def _homogeneity_pairs(curve):
+    """Slope pairs with the points at infinity among them: a grid over q, every (t : 1) and (1 : 0) over F_p."""
+    p = curve.field.characteristic
+    if not p:
+        return [(n, d) for n in range(-3, 4) for d in range(4) if n or d]  # (-1 : 1), (-2 : 2) and (-3 : 3) at infinity
+    residues = range(p) if p < 100 else (0, 1, 2, 12345, p - 1)
+    return [(1, 0), *((t, 1) for t in residues)]
+
+
+@pytest.mark.parametrize(
+    "curve, at_infinity",
+    [(rational_curve(Fraction(2, 3)), 3), (prime_curve(7), 3), (prime_curve(65537, 2), 1)],
+    ids=["q", "fp:7", "fp:65537"],
+)
+def test_the_pair_kernel_gives_every_representative_of_a_slope_one_point(curve, at_infinity):
+    # (kn : kd) is the slope (n : d) for every nonzero k, so the kernel must not read the pair's format
+    field, a3 = curve.field, curve.three_a.value
+    points = {(n, d): fields._pair_coordinates(field, a3, n, d) for n, d in _homogeneity_pairs(curve)}
+    for (n, d), point in points.items():
+        for k in (2, -3, 5):
+            assert fields._pair_coordinates(field, a3, k * n, k * d) == point, (n, d, k)
+    assert sum(z.is_zero() for _, _, z in points.values()) == at_infinity
 
 
 @pytest.mark.parametrize("curve", [rational_curve(Fraction(2, 3)), prime_curve(5), prime_curve(65537, 2)], ids=str)
