@@ -165,9 +165,9 @@ def _scaled(field, pivot, x, y, z) -> "tuple[FieldElement, FieldElement, FieldEl
     prime field that stores no elements, the coordinate that is the pivot
     object (an identical value equals the pivot, so its quotient is 1); with a
     store, `store[1]`.  Over F_p the others share one modular inverse; over Q
-    each is one Fraction of the cross products of the ints, so one gcd each.  The canonical form of every
-    point and line (curve._canonical) and of every chart point
-    (`_pair_coordinates`) comes from here.
+    each is one Fraction of the cross products of the ints, so one gcd each.
+    The canonical form of every point and line (curve._canonical) and of
+    every chart point (`_pair_coordinates`) comes from here.
     """
     p, one = field.characteristic, field.one
     if p:

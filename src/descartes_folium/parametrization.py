@@ -15,9 +15,9 @@ Homogenized, pbar is the normalization P^1 -> curve,
 with no division.  So the maps work on slope pairs of ints: `_pair_point`
 builds the point of a pair through the one kernel `fields._pair_coordinates`,
 which states that formula on ints for any representative of the slope and
-leaves the canonical form to `fields._scaled`, and `_pair_param` reads the
-pair of a point, (y : x) over F_p and (Y dx : X dy) over Q for y = Y/dy and
-x = X/dx, and (0 : 1) at the node.  The reader refuses and the builder only builds.
+leaves canonical form to `fields._scaled`.  `_pair_param` reads the pair of a
+point, (y : x) over F_p and (Y dx : X dy) over Q for y = Y/dy and x = X/dx,
+and (0 : 1) at the node.  The reader refuses and the builder only builds.
 `_pair_param` takes the domain of the law or map that calls it: "all",
 "nonzero" or "affine".  It refuses the node in the "nonzero" domain, at its
 one node exit (OriginNotInGroup).  In the "affine" domain it refuses a field
@@ -90,7 +90,8 @@ def _chart_key(p: int, n: int, d: int, swap: bool) -> tuple:
     """The slope (n : d) normalized, with `swap` for pbarbar: one chart-memo key per point of P^1 and chart.
 
     Over F_p (n/d mod p : 1), or (1 : 0); over Q the pair in lowest terms with
-    d > 0, or (1 : 0).  The kernel does not need it: it takes any representative.  The pair (0 : 0), mod p or over Q, raises
+    d > 0, or (1 : 0).  The kernel does not need it: it takes any
+    representative.  The pair (0 : 0), mod p or over Q, raises
     ZeroDivisionError: it is no point of P^1.
     """
     if p:
