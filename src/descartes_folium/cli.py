@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .branches import classify_branch
@@ -254,6 +255,14 @@ def _samples(text: str, least: int | None = 1) -> int:
     return samples
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that it reads a negative fraction such as -3/7 as a value, as it reads -3."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="q", help="base field: q or fp:<prime> (default q)")
@@ -261,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized suites (default 0)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="folium",
         description="Exact arithmetic on the Descartes folium: parametrizations, "
         "composition laws, chord-tangent geometry, and verification suites.",

@@ -37,7 +37,9 @@ arithmetic, so the boundary kernel and the oracle that checks it do not
 share a fault.  The mark takes no part in equality, hashing or text.
 
 While verify.run_suite runs on a curve, `Folium._charted` holds that run's
-chart memo (see parametrization); it is None otherwise.
+chart memo and, over a prime field small enough for law tables,
+`Folium._front` its residue front (see parametrization); both are None
+otherwise.
 """
 
 from __future__ import annotations
@@ -200,6 +202,7 @@ class Folium:
     """The projective folium x^3 + y^3 - 3axyz = 0 over an exact field, a != 0."""
 
     _charted = None  # the chart memo of a verify run on this curve; None outside a run
+    _front = None  # that memo's residue front, in a run over a field small enough for law tables
     _vertex = None  # vertex(), once it has been built
 
     def __init__(self, field: Field, a):

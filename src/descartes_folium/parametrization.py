@@ -52,17 +52,24 @@ The key of (n : d) is its normalized pair, (n/d mod p : 1) over F_p and
 the pair in lowest terms with d > 0 over Q, or (1 : 0) for d = 0 in both,
 together with the `swap` flag.  It serves the memo only: the kernel is
 homogeneous, so every representative of a slope gives it the same point.
-Every call computes the key, in a verify run and outside one, and hands the
-kernel the key's pair, the smallest over Q, so the code a run checks is the
-code every caller runs.  A verify run charts the same few
+Outside a verify run every call computes the key and hands the kernel the
+key's pair, the smallest over Q, and a run takes that same path wherever
+its memo misses, so the code a run checks is the code every caller runs.
+A verify run charts the same few
 slopes over and over, so while run_suite runs, the curve holds a chart
 memo, `Folium._charted`, and `_pair_point` answers from it: one point per
 key, so pbar and pbarbar stay two charts, each computed by the kernel and
 pbarbar's swapped by sigma.
 Only a miss runs the kernel and `ProjectivePoint._marked`; a kernel that
 raises stores nothing, and `_chart_point` checks the affine refusal on the
-answered point.  Outside a run `_charted` is None: the curve commands and
-library callers hold no memo, which over Q would grow without bound.
+answered point.  Over a prime field small enough for the run's law tables
+(see verify), the memo has a residue front, `Folium._front`: `_pair_point`
+first looks up (n mod p, d mod p, swap), with no inverse, and a miss takes
+the key path and then files the point under those residues too, so a run
+computes each slope's inverse once and the front holds at most 2p^2
+points.  Outside a run `_charted` and `_front` are None: the curve commands
+and library callers hold no memo, which over Q would grow without bound,
+and pay one None test for the front.
 
 The charts, their inverses and the on-curve check of a point not built by a
 chart (`fields._cubic_vanishes`) compute on stored values.  The oracles that
@@ -108,14 +115,20 @@ def _pair_point(curve: Folium, n: int, d: int, swap: bool = False) -> Projective
 
     The kernel gets the pair of `_chart_key`, though any representative would
     give it the same point; inside a verify run the point comes from the
-    curve's chart memo, `_charted`, under that key.
+    curve's chart memo, `_charted`, under that key, and over a small prime
+    field from the memo's residue front, `_front`, before the key is computed.
     No law builds a point at infinity, so no law needs a refusal here: an
     "affine" law's field has -1 as its only cube root, so n^3 + d^3 = 0 only
     where n + d = 0.  Every affine operand's pair has n + d != 0, since the
     node is the only affine curve point with x + y = 0 and it reads (0 : 1);
     a shifted product has n + d = (n1 + d1)(n2 + d2), and an inverse has n + d = d.
     """
-    n, d, _ = key = _chart_key(curve.field.characteristic, n, d, swap)  # the point reads `swap` from the call
+    p, front = curve.field.characteristic, curve._front
+    if front is not None:
+        point = front.get(residues := (n % p, d % p, swap))
+        if point is not None:
+            return point
+    n, d, _ = key = _chart_key(p, n, d, swap)  # the point reads `swap` from the call
     charted = curve._charted
     point = None if charted is None else charted.get(key)
     if point is None:
@@ -124,6 +137,8 @@ def _pair_point(curve: Folium, n: int, d: int, swap: bool = False) -> Projective
             point = sigma(point)
         if charted is not None:
             charted[key] = point
+    if front is not None:
+        front[residues] = point
     return point
 
 

@@ -10,6 +10,7 @@ Output is a pure function of the inputs, byte for byte.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -121,16 +122,14 @@ def _clip_line_to_box(m: float, n: float, c: float, box) -> tuple | None:
             x = -(n * y + c) / m
             if x0 - 1e-12 <= x <= x1 + 1e-12:
                 hits.append((x, y))
-    best = None
-    for i in range(len(hits)):
-        for j in range(i + 1, len(hits)):
-            (ax, ay), (bx, by) = hits[i], hits[j]
-            gap = (ax - bx) ** 2 + (ay - by) ** 2
-            if best is None or gap > best[0]:
-                best = (gap, (ax, ay), (bx, by))
-    if best is None or best[0] == 0.0:
-        return None
-    return best[1], best[2]
+
+    def gap(ends):
+        (ax, ay), (bx, by) = ends
+        return (ax - bx) ** 2 + (ay - by) ** 2
+
+    # the two crossings farthest apart, the first such pair in the order the hits were found
+    ends = max(itertools.combinations(hits, 2), key=gap, default=None)
+    return None if ends is None or gap(ends) == 0.0 else ends
 
 
 def _overlay_elements(curve: Folium, overlays, box) -> tuple:
@@ -164,13 +163,11 @@ def _overlay_elements(curve: Folium, overlays, box) -> tuple:
         elif overlay.kind == "asymptote":
             # x + y + a = 0 is the asymptote of the real curve
             rule(curve.line(1, 1, curve.a), _GUIDE_STYLE, dashed=True)
-        elif overlay.kind == "point":
-            (t,) = overlay.params
-            mark(p_affine(curve, field.element(t)), f"t={t}")
-        elif overlay.kind == "tangent":
+        elif overlay.kind in ("point", "tangent"):
             (t,) = overlay.params
             point = p_affine(curve, field.element(t))
-            rule(tangent_at(curve, point), _OVERLAY_LINE_STYLE)
+            if overlay.kind == "tangent":
+                rule(tangent_at(curve, point), _OVERLAY_LINE_STYLE)
             mark(point, f"t={t}")
         elif overlay.kind == "chord":
             t1, t2 = overlay.params

@@ -16,29 +16,35 @@ existence row's cases are sampled, it goes on to its pool's pairs in order,
 so a witness the draws missed still counts.
 
 Over prime fields small enough that every pair of points is a case
-(p <= 173), the rows that compose points read each binary law from a lazy
-Cayley table, `_table`: the associative, commutative, neutral and inverse
-rows of `axioms`; every dot (proj_mul) and star (star_mul) product of the
-`star` and `geometry` suites, their parity chains and `_collinearity_tests`
-included; and `folium_mul`, `add_south` and `add_west` in
-`fieldstructure`.  So a suite computes each law's product of an ordered pair
-once.  A table wraps the function the row would call and is
-keyed on the coordinates of the ordered pair, the six residues of (P, Q),
-so a lookup hashes ints rather than points and a law that is not
-commutative still fails its row; it fills as the cases run, so the first
-failing case and its text are those of the direct calls, and a product that
-raises is never stored.  A table stores each result as the law returns it:
-the chart memo below already makes equal results one point.  A table is
-freed with the rows of the suite that built it.  Over the rationals and larger primes,
+(p * p <= EXHAUSTIVE_PAIR_BOUND, so p <= 173), every row that composes two
+points reads the binary law from a lazy Cayley table, `_table`: the rows of
+`axioms` and `coincidence`, every dot (proj_mul) and star (star_mul) product
+of the `star`, `geometry` and `collinearity` suites, their parity chains and
+`_collinearity_tests` included, the exotic laws of `southmul`, and
+`folium_mul`, `add_south` and `add_west` in `fieldstructure`.  The tables
+belong to the run: `_Context` holds one per law callable, so every suite
+that names the same law reads one table, and a run computes each law's
+product of an ordered pair once.  `axioms` reads each kind's law by its
+name in this module as the suite is built, as the other suites do, so a
+name patched here reaches every row of that law.  A table is keyed on the
+coordinates of the ordered pair, the six residues of (P, Q), so a lookup
+hashes ints rather than points and a law that is not commutative still
+fails its row; it fills as the cases run, so the first failing case and its
+text are those of the direct calls, and a product that raises is never
+stored.  A table stores each result as the law returns it: the chart memo
+below already makes equal results one point.  The tables are freed with
+the context when run_suite returns.  Over the rationals and larger primes,
 where products rarely repeat, a table is the law bound to the curve.
 
 run_suite opens the curve's chart memo for the length of the run and closes
 it in a `finally`, so every chart and law of the run builds one point per
-slope and chart (see parametrization).  The law tables stay beside it: the
-memo saves the kernel, but a table also saves the law's own checks and the
-composition of the slope pairs for each repeated pair, and without the
-tables a warm `run_report(all)` takes about six times as long over fp:5 and
-three times over fp:13 (CPython 3.11, 2 vCPUs).
+slope and chart (see parametrization).  Under the same bound as the tables
+it also opens the memo's residue front, which answers a slope pair by its
+residues before the memo's key is computed.  The law tables stay beside
+the memo: the memo saves the kernel, but a table also saves the law's own
+checks and the composition of the slope pairs for each repeated pair, and
+without the tables a warm `run_report(all)` takes about six times as long
+over fp:5 and three times over fp:13 (CPython 3.11, 2 vCPUs).
 
 The geometry suite's slope-cubic row asks the line oracle once per chord
 line: many chords share a line, so a suite-local cache holds the points
@@ -79,7 +85,6 @@ from .laws import (
     LawKind,
     add_south,
     add_west,
-    apply_law,
     folium_inv,
     folium_mul,
     law_inverse,
@@ -174,6 +179,9 @@ class _Context:
         self.samples = max(1, samples)
         self.finite = curve.field.characteristic != 0
         self.exhaustive = 0 < curve.field.characteristic <= EXHAUSTIVE_PAIR_BOUND
+        # The run's law tables, one per law callable, where every ordered pair of points is a case: the one
+        # bound of the tables and of the chart memo's residue front.  None over q and larger primes.
+        self.tables = {} if self.exhaustive and curve.field.characteristic ** 2 <= EXHAUSTIVE_PAIR_BOUND else None
         self.affine_note = _gate(
             curve.field.has_unique_cube_root(),
             "skipped: the field has epsilon roots (no unique cube root of -1)",
@@ -251,12 +259,12 @@ class _Context:
 
 
 def _table(ctx: _Context, law: Callable) -> Callable:
-    """`(P, Q) -> law(curve, P, Q)`: a lazy Cayley table where p * p <= EXHAUSTIVE_PAIR_BOUND,
-    else the law bound to the curve (the module docstring describes the tables)."""
+    """`(P, Q) -> law(curve, P, Q)`: the run's lazy Cayley table of `law` where the context keeps
+    tables, else the law bound to the curve (the module docstring describes the tables)."""
     curve = ctx.curve
-    if not (ctx.exhaustive and curve.field.characteristic ** 2 <= EXHAUSTIVE_PAIR_BOUND):
+    if ctx.tables is None:
         return functools.partial(law, curve)
-    products: dict = {}
+    products = ctx.tables.setdefault(law, {})
 
     def product(P, Q):
         key = (P.x.value, P.y.value, P.z.value, Q.x.value, Q.y.value, Q.z.value)
@@ -410,12 +418,12 @@ def _suite_parametrize(ctx: _Context) -> list:
     ]
 
 
-def _law_axioms(ctx: _Context, kind: LawKind) -> list:
+def _law_axioms(ctx: _Context, kind: LawKind, named: Callable) -> list:
     curve = ctx.curve
     law = LAWS[kind]
     skip = ctx.affine_note if law.domain == "affine" else None
     neutral = functools.cache(lambda: law_neutral(curve, kind))
-    op = _table(ctx, lambda c, P, Q: apply_law(c, kind, P, Q))
+    op = _table(ctx, named)
     rows = [
         (
             "associative",
@@ -435,28 +443,33 @@ def _law_axioms(ctx: _Context, kind: LawKind) -> list:
 
 
 def _suite_axioms(ctx: _Context) -> list:
-    return [row for kind in LawKind for row in _law_axioms(ctx, kind)]
+    # each kind's law by its name in this module, read as the suite is built, so these rows share
+    # the run's tables with every other suite, and a name patched here reaches them as well
+    named = (proj_mul, proj_mul2, star_mul, add_south, add_west, south_mul, west_mul, folium_mul)
+    return [row for kind, law in zip(LawKind, named) for row in _law_axioms(ctx, kind, law)]
 
 
 def _suite_coincidence(ctx: _Context) -> list:
-    curve = ctx.curve
-    tiny = curve.field.characteristic == 2
+    tiny = ctx.curve.field.characteristic == 2
+    dot, dot2 = _table(ctx, proj_mul), _table(ctx, proj_mul2)
+    south, west = _table(ctx, add_south), _table(ctx, add_west)
+    south_exotic, west_exotic = _table(ctx, south_mul), _table(ctx, west_mul)
     return [
         _Prop(
             "projmul_equals_projmul2",
-            lambda P, Q: proj_mul(curve, P, Q) == proj_mul2(curve, P, Q),
+            lambda P, Q: dot(P, Q) == dot2(P, Q),
             ctx.tuples("nonzero", 2),
         ),
         _Prop(
             "additive_laws_differ",
-            lambda P, Q: add_south(curve, P, Q) != add_west(curve, P, Q),
+            lambda P, Q: south(P, Q) != west(P, Q),
             ctx.witness_pairs("all"),
             skip=_gate(not tiny, "skipped: the two points over F_2 admit a single structure"),
             exists=True,
         ),
         _Prop(
             "exotic_affine_laws_differ",
-            lambda P, Q: south_mul(curve, P, Q) != west_mul(curve, P, Q),
+            lambda P, Q: south_exotic(P, Q) != west_exotic(P, Q),
             ctx.witness_pairs("affine"),
             skip=ctx.affine_note
             or _gate(not tiny, "skipped: the affine curve over F_2 is a single point"),
@@ -645,25 +658,26 @@ def _suite_southmul(ctx: _Context) -> list:
     skip, O = ctx.affine_note, curve.origin
     tau_pairs = ctx.tuples("nonzero", 2, params=True)
     singles = ctx.tuples("affine", 1)
+    south, west = _table(ctx, south_mul), _table(ctx, west_mul)
 
     def transport(mul, chart):
         def holds(tau1, tau2):
-            lhs = mul(curve, chart(curve, alpha(tau1)), chart(curve, alpha(tau2)))
+            lhs = mul(chart(curve, alpha(tau1)), chart(curve, alpha(tau2)))
             return lhs == chart(curve, alpha(tau1 * tau2))
 
         return holds
 
     return [
-        _Prop("southmul_transport", transport(south_mul, p_affine), tau_pairs, skip),
-        _Prop("westmul_transport", transport(west_mul, p_affine_prime), tau_pairs, skip),
+        _Prop("southmul_transport", transport(south, p_affine), tau_pairs, skip),
+        _Prop("westmul_transport", transport(west, p_affine_prime), tau_pairs, skip),
         _Prop(
             "sigma_intertwines_south_west",
-            lambda P, Q: sigma(south_mul(curve, P, Q)) == west_mul(curve, sigma(P), sigma(Q)),
+            lambda P, Q: sigma(south(P, Q)) == west(sigma(P), sigma(Q)),
             ctx.tuples("affine", 2),
             skip,
         ),
-        _Prop("south_neutral_node", lambda P: south_mul(curve, P, O) == P, singles, skip),
-        _Prop("west_neutral_node", lambda P: west_mul(curve, P, O) == P, singles, skip),
+        _Prop("south_neutral_node", lambda P: south(P, O) == P, singles, skip),
+        _Prop("west_neutral_node", lambda P: west(P, O) == P, singles, skip),
     ]
 
 
@@ -824,10 +838,11 @@ def run_suite(curve: Folium, name: str, seed: int = 0, samples: int = 1000) -> l
     ctx = _Context(curve, seed, samples)
     suites = SUITES.values() if name == "all" else [SUITES[name]]
     curve._charted = {}  # the run's chart memo, read by parametrization._pair_point
+    curve._front = None if ctx.tables is None else {}  # its residue front, where the run keeps tables
     try:
         return [result for suite in suites for result in suite(ctx)]
     finally:
-        curve._charted = None
+        curve._charted = curve._front = None
 
 
 def run_report(curve: Folium, name: str, seed: int = 0, samples: int = 1000) -> dict:

@@ -162,6 +162,34 @@ def test_usage_errors_exit_two():
     run_cli(expect=2)
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (("eval", "--map", "pbar"), "--t", "-3/7"),
+        (("eval", "--map", "pbarbar", "--t", "2"), "--a", "-1/2"),
+        (("plot", "--samples", "20"), "--t-min", "-1/2"),
+        (("plot", "--samples", "20", "--t-min", "-3/4"), "--t-max", "-1/3"),
+    ],
+    ids=["--t", "--a", "--t-min", "--t-max"],
+)
+def test_a_negative_fraction_is_a_value_as_its_own_word(command, flag, value, tmp_path):
+    # `--t -3/7` reads as `--t=-3/7` does, and as `--t -3` always has: not as a flag without its value
+    outputs = []
+    for words, out in (((flag, value), tmp_path / "apart.svg"), ((f"{flag}={value}",), tmp_path / "joined.svg")):
+        extra = ("--out", str(out)) if command[0] == "plot" else ()
+        proc = run_main(*command, *words, *extra)
+        assert proc.returncode == 0, (words, proc.stderr)
+        outputs.append(out.read_bytes() if extra else proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_a_word_that_is_no_number_after_a_flag_stays_a_usage_error():
+    proc = run_main("eval", "--map", "pbar", "--t", "-x")
+    assert proc.returncode == 2 and "argument --t: expected one argument" in proc.stderr
+    proc = run_main("eval", "--map", "pbar", "--t", "-3/7/2")
+    assert proc.returncode == 2 and "argument --t: expected one argument" in proc.stderr
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_samples_below_one_is_a_usage_error(samples):
     proc = run_main("verify", "--field", "fp:5", "--suite", "field", "--samples", samples)

@@ -387,3 +387,32 @@ def test_a_verdict_runs_the_kernel_once_per_memo_key(curve, calls, monkeypatch):
     monkeypatch.setattr(parametrization, "_chart_key", recorded)
     run_report(curve, "all", 1, 200)
     assert len(ran) == len(keys) == calls
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_the_residue_front_answers_the_point_of_the_key_path(p, monkeypatch):
+    # every residue pair (n : d) but (0 : 0), with both swaps: a front hit, here for (n + p : d - 2p),
+    # is the very point that the memo holds under the pair's key, and the point built outside a run
+    pairs = [(n, d, swap) for n in range(p) for d in range(p) if n or d for swap in (False, True)]
+
+    def answers(curve):
+        found = []
+        for n, d, swap in pairs:
+            first = parametrization._pair_point(curve, n, d, swap)
+            assert curve._front[n, d, swap] is first
+            again = parametrization._pair_point(curve, n + p, d - 2 * p, swap)
+            keyed = curve._charted[parametrization._chart_key(p, n, d, swap)]
+            found.append(first is again is keyed)
+        return found, len(curve._front)
+
+    curve = prime_curve(p)
+    found, filed = _in_a_run(curve, monkeypatch, answers)
+    assert all(found) and filed == len(pairs)
+    inside = _in_a_run(curve, monkeypatch, lambda curve: [parametrization._pair_point(curve, *pair) for pair in pairs])
+    assert inside == [parametrization._pair_point(curve, *pair) for pair in pairs]
+
+
+@pytest.mark.parametrize("curve", [rational_curve(), prime_curve(179), prime_curve(65537)], ids=str)
+def test_no_front_opens_where_pairs_of_points_are_sampled(curve, monkeypatch):
+    # past p = 173 a run keeps no law tables, so the chart memo has no residue front either
+    assert _in_a_run(curve, monkeypatch, lambda curve: (curve._front, curve._charted)) == (None, {})

@@ -26,6 +26,7 @@ from descartes_folium import (
     verify,
 )
 from descartes_folium.cli import main
+from descartes_folium import laws
 from descartes_folium.laws import LAWS, LawKind
 from descartes_folium.verify import SUITES, run_report, run_suite
 from helpers import prime_curve, rational_curve
@@ -325,23 +326,25 @@ def test_law_tables_answer_as_the_law_does(p, monkeypatch):
     assert run_suite(curve, "ordered_pairs") == []
 
 
-def test_law_tables_are_freed_with_their_suite(monkeypatch):
-    # each suite builds its own tables, and nothing outlives its rows: freed by
-    # reference counting when the suite returns, with no collection pass
-    built = []
+def test_law_tables_and_the_residue_front_are_freed_with_their_run(monkeypatch):
+    # the suites of one run share its tables, and nothing outlives the run: each run starts with
+    # empty tables, memo and front, and its context is freed by reference counting when it returns
+    curve, seen = prime_curve(13), []
 
-    def table(ctx, law):
-        product = tables(ctx, law)
-        built.append(weakref.ref(product))
-        return product
+    def probe(ctx):
+        seen.append((len(ctx.tables), len(ctx.curve._charted), len(ctx.curve._front), weakref.ref(ctx)))
+        verify._table(ctx, star_mul)(pbar(curve, 2), pbar(curve, 3))
+        return []
 
-    tables = verify._table
-    monkeypatch.setattr(verify, "_table", table)
-    ctx = verify._Context(prime_curve(13), 0, 40)
-    for name in ("axioms", "star", "geometry", "collinearity", "fieldstructure"):
-        built.clear()
-        assert SUITES[name](ctx)
-        assert built and all(ref() is None for ref in built), name
+    monkeypatch.setitem(SUITES, "probe", probe)
+    for _ in range(2):
+        run_suite(curve, "probe")
+        assert seen[-1][:3] == (0, 0, 0) and seen[-1][3]() is None
+        assert curve._charted is None and curve._front is None
+    ctx = verify._Context(curve, 0, 40)
+    star = verify._table(ctx, star_mul)
+    P, Q = ctx.points("nonzero")[1:3]
+    assert verify._table(ctx, star_mul)(P, Q) is star(P, Q) and len(ctx.tables[star_mul]) == 1
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:179", "fp:1009", "fp:65537"])
@@ -390,12 +393,20 @@ def test_the_slope_cubic_row_asks_the_line_oracle_once_per_chord_line(monkeypatc
         assert len(asked) == calls
 
 
-@pytest.mark.parametrize("name, p", [("star", 13), ("geometry", 13), ("star", 5)], ids=["star", "geometry", "star-fp:5"])
+_LAW_NAMES = ("proj_mul", "proj_mul2", "star_mul", "add_south", "add_west", "south_mul", "west_mul", "folium_mul")
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [("star", 13), ("geometry", 13), ("star", 5), ("all", 13), ("all", 5)],
+    ids=["star", "geometry", "star-fp:5", "all", "all-fp:5"],
+)
 def test_a_suite_computes_each_product_of_an_ordered_pair_once(name, p, monkeypatch):
-    # over fp:5 and fp:13 every row of the suite reads dot and star from its tables, so each law
-    # meets an ordered pair of points once; the star suite asks for all (p - 1)^2 pairs of both.
-    # Over fp:5 the parity chains are exhaustive, so a fold that bypassed the tables fails here
-    calls = {"star_mul": [], "proj_mul": []}
+    # over fp:5 and fp:13 every row reads its binary laws from the run's tables, so each law
+    # meets an ordered pair of points once in a run, whichever suites name it; the star suite
+    # asks for all (p - 1)^2 pairs of dot and star.  Over fp:5 the parity chains are exhaustive,
+    # so a fold that bypassed the tables fails here
+    calls = {law: [] for law in _LAW_NAMES}
     for law, pairs in calls.items():
         real = getattr(verify, law)
 
@@ -405,10 +416,29 @@ def test_a_suite_computes_each_product_of_an_ordered_pair_once(name, p, monkeypa
 
         monkeypatch.setattr(verify, law, counted)
     assert all(row.passed for row in run_suite(prime_curve(p), name, seed=0, samples=40))
+    assert calls["star_mul"] and calls["proj_mul"]
     for law, pairs in calls.items():
-        assert pairs and len(pairs) == len(set(pairs)), (law, len(pairs), len(set(pairs)))
+        assert len(pairs) == len(set(pairs)), (law, len(pairs), len(set(pairs)))
     if name == "star":
         assert len(calls["star_mul"]) == len(calls["proj_mul"]) == (p - 1) ** 2
+    if name == "all":  # fp:13 has epsilon roots, so its affine rows skip
+        assert [law for law, pairs in calls.items() if not pairs] == ([] if p == 5 else ["south_mul", "west_mul"])
+
+
+@pytest.mark.parametrize("law", _LAW_NAMES)
+def test_the_axioms_rows_read_each_law_by_its_name_here(law, monkeypatch):
+    # a law patched at its name in verify fails the four axioms rows of its own kind, and only those
+    def refusing(curve, P, Q):
+        raise ParameterAtInfinity("injected fault")
+
+    monkeypatch.setattr(verify, law, refusing)
+    failed = {result.name for result in run_suite(prime_curve(5), "axioms", seed=0, samples=20) if not result.passed}
+    kind = dict(zip(_LAW_NAMES, LawKind))[law]
+    assert failed == {f"{kind.value}_{row}" for row in ("associative", "commutative", "neutral", "inverse")}
+    # and the name is the law of that kind: pbar(2) o pbar(3) as apply_law gives it
+    curve = prime_curve(5)
+    P, Q = pbar(curve, 2), pbar(curve, 3)
+    assert getattr(laws, law)(curve, P, Q) == apply_law(curve, kind, P, Q)
 
 
 def test_a_raising_product_fails_its_row_at_the_same_case(monkeypatch):
