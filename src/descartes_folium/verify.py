@@ -85,6 +85,7 @@ from .laws import (
     LawKind,
     add_south,
     add_west,
+    apply_law,
     folium_inv,
     folium_mul,
     law_inverse,
@@ -423,7 +424,8 @@ def _law_axioms(ctx: _Context, kind: LawKind, named: Callable) -> list:
     law = LAWS[kind]
     skip = ctx.affine_note if law.domain == "affine" else None
     neutral = functools.cache(lambda: law_neutral(curve, kind))
-    op = _table(ctx, named)
+    # without tables there is nothing to share, and apply_law names the kind of each call to a tracer
+    op = functools.partial(apply_law, curve, kind) if ctx.tables is None else _table(ctx, named)
     rows = [
         (
             "associative",
@@ -443,8 +445,8 @@ def _law_axioms(ctx: _Context, kind: LawKind, named: Callable) -> list:
 
 
 def _suite_axioms(ctx: _Context) -> list:
-    # each kind's law by its name in this module, read as the suite is built, so these rows share
-    # the run's tables with every other suite, and a name patched here reaches them as well
+    # each kind's law by its name in this module, read as the suite is built, so where the run keeps
+    # tables these rows share them with every other suite, and a name patched here reaches them as well
     named = (proj_mul, proj_mul2, star_mul, add_south, add_west, south_mul, west_mul, folium_mul)
     return [row for kind, law in zip(LawKind, named) for row in _law_axioms(ctx, kind, law)]
 

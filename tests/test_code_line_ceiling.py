@@ -9,7 +9,7 @@ not less code.
 
 from code_lines import PACKAGE, code_lines
 
-CEILING = 1998
+CEILING = 1999
 
 
 def test_the_package_stays_within_its_code_line_ceiling():
