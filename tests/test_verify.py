@@ -1,6 +1,7 @@
 """The suite runner: coverage, skips, determinism, and the report schema."""
 
 import functools
+import gc
 import random
 import weakref
 
@@ -327,24 +328,38 @@ def test_law_tables_answer_as_the_law_does(p, monkeypatch):
 
 
 def test_law_tables_and_the_residue_front_are_freed_with_their_run(monkeypatch):
-    # the suites of one run share its tables, and nothing outlives the run: each run starts with
-    # empty tables, memo and front, and its context is freed by reference counting when it returns
-    curve, seen = prime_curve(13), []
+    # the suites of one run share its tables, and nothing outlives the run: with no collection pass,
+    # a whole run's context (its tables with it) and every table it built are freed by reference
+    # counting when run_suite returns, and the chart memo and its front are closed
+    contexts, built = [], []
+    real_context, real_table = verify._Context, verify._table
 
-    def probe(ctx):
-        seen.append((len(ctx.tables), len(ctx.curve._charted), len(ctx.curve._front), weakref.ref(ctx)))
-        verify._table(ctx, star_mul)(pbar(curve, 2), pbar(curve, 3))
-        return []
+    def context(*args):
+        ctx = real_context(*args)
+        contexts.append(weakref.ref(ctx))
+        return ctx
 
-    monkeypatch.setitem(SUITES, "probe", probe)
-    for _ in range(2):
-        run_suite(curve, "probe")
-        assert seen[-1][:3] == (0, 0, 0) and seen[-1][3]() is None
+    def table(ctx, law):
+        product = real_table(ctx, law)
+        built.append(weakref.ref(product))
+        return product
+
+    monkeypatch.setattr(verify, "_Context", context)
+    monkeypatch.setattr(verify, "_table", table)
+    curve = prime_curve(13)
+    gc.disable()
+    try:
+        first = run_suite(curve, "all", 0, 40)
+        assert len(contexts) == 1 and contexts[0]() is None
+        assert len(built) > 8 and all(ref() is None for ref in built)
         assert curve._charted is None and curve._front is None
-    ctx = verify._Context(curve, 0, 40)
-    star = verify._table(ctx, star_mul)
+        assert run_suite(curve, "all", 0, 40) == first and contexts[1]() is None
+    finally:
+        gc.enable()
+    ctx = real_context(curve, 0, 40)
+    star = real_table(ctx, star_mul)
     P, Q = ctx.points("nonzero")[1:3]
-    assert verify._table(ctx, star_mul)(P, Q) is star(P, Q) and len(ctx.tables[star_mul]) == 1
+    assert real_table(ctx, star_mul)(P, Q) is star(P, Q) and len(ctx.tables[star_mul]) == 1
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:179", "fp:1009", "fp:65537"])
