@@ -13,6 +13,12 @@ are `object`'s identity, and each field builds its `zero` and `one` once.
 The modulus is read with `operator.index`, so a float or a string such as
 7.9 or "13" is refused with BadLiteral, not truncated or parsed.
 
+`Field` states once what all fields share: `element`, `epsilon_roots`,
+`has_unique_cube_root`, `__str__` (the spec string) and `__reduce__`, which
+pickles and copies a field as `field_from_spec` of its spec string, so to
+the same object.  Each field states only what its values are: `_raw`,
+`from_literal`, `random_element`, `spec_string` and `__repr__`.
+
 A prime field with p <= ENUMERATION_BOUND also stores its elements, one per
 residue, in the tuple `_elements`, built with the field (the table method of
 finite-field arithmetic).  Every element of such a field that this module
@@ -61,9 +67,9 @@ Whether -1 is the only cube root of -1, the condition of the affine charts
 and the exotic laws, is one closed form on the characteristic:
 `has_unique_cube_root` is `characteristic % 3 != 1`, since F_p* is cyclic of
 order p - 1 and so holds a primitive sixth root of unity exactly when 3
-divides p - 1, and Q holds none.  `PrimeField.epsilon_roots` asks it before
-it searches for the roots, so the verify row that compares the two checks
-the roots against an independent fact.
+divides p - 1, and Q holds none.  `Field.epsilon_roots` asks it before it
+searches for the roots, so the verify row that compares the two checks the
+roots against an independent fact.
 """
 
 from __future__ import annotations
@@ -351,7 +357,12 @@ class Field:
         return self
 
     def element(self, value) -> FieldElement:
-        """One of this field's own elements, or the element of a plain value `_raw` accepts."""
+        """One of this field's own elements, or the element of a plain value.
+
+        A plain value is an int over F_p, an int or Fraction over Q; `_raw`
+        gives its stored value and raises TypeError for any other value, and
+        another field's element raises MixedFields.
+        """
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise MixedFields(f"{value!r} does not belong to {self}")
@@ -359,20 +370,22 @@ class Field:
         raw = self._raw(value)
         return self._elements[raw] if self._elements else FieldElement(self, raw)
 
-    def _raw(self, value):
-        """The stored value of a plain int (or Fraction, over Q); TypeError for any other value."""
-        raise NotImplementedError
-
-    def from_literal(self, text: str) -> FieldElement:
-        raise NotImplementedError
-
     def epsilon_roots(self):
         """Both roots of e^2 - e + 1 = 0 in this field, or None if there are none.
 
         The roots, when present, are the parameters of the two extra points
-        at infinity; they satisfy e^3 = -1 and multiply to 1.
+        at infinity; they satisfy e^3 = -1 and multiply to 1.  They are the
+        primitive sixth roots of unity -w and -w^2, w a primitive cube root
+        of unity; `has_unique_cube_root` says when there are none, over Q
+        always.
         """
-        raise NotImplementedError
+        if self.has_unique_cube_root():
+            return None
+        p = self.characteristic
+        g = 2
+        while (w := pow(g, (p - 1) // 3, p)) == 1:
+            g += 1
+        return tuple(self.element(root) for root in sorted((-w % p, -w * w % p)))
 
     def has_unique_cube_root(self) -> bool:
         """True iff -1 is the only root of x^3 + 1 = 0 in this field.
@@ -383,11 +396,8 @@ class Field:
         """
         return self.characteristic % 3 != 1
 
-    def random_element(self, rng) -> FieldElement:
-        raise NotImplementedError
-
-    def spec_string(self) -> str:
-        raise NotImplementedError
+    def __reduce__(self):
+        return (field_from_spec, (self.spec_string(),))
 
     def __str__(self):
         return self.spec_string()
@@ -400,9 +410,6 @@ class Rationals(Field):
 
     def __new__(cls):
         return _RATIONALS
-
-    def __reduce__(self):
-        return (Rationals, ())
 
     def _raw(self, value):
         if type(value) is Fraction:  # immutable and already in lowest terms
@@ -419,11 +426,6 @@ class Rationals(Field):
             return FieldElement(self, Fraction(_within_digit_limit(text).replace(" ", "")))
         except ZeroDivisionError as exc:
             raise BadLiteral(f"zero denominator in literal {text!r}") from exc
-
-    def epsilon_roots(self):
-        # The discriminant of e^2 - e + 1 is -3, which is not a rational
-        # square, so there is never a rational root.
-        return None
 
     def random_element(self, rng) -> FieldElement:
         return FieldElement(self, Fraction(rng.randint(-99, 99), rng.randint(1, 40)))
@@ -458,9 +460,6 @@ class PrimeField(Field):
                 _PRIME_FIELDS[p] = field._with_constants(elements)
             return field
 
-    def __reduce__(self):
-        return (PrimeField, (self.p,))
-
     def _raw(self, value):
         if isinstance(value, int):
             return value % self.p
@@ -471,17 +470,6 @@ class PrimeField(Field):
         if not _INTEGER_LITERAL.match(text):
             raise BadLiteral(f"bad residue literal {text!r}; expected <int>")
         return self.element(int(_within_digit_limit(text)))
-
-    def epsilon_roots(self):
-        # The roots are the primitive sixth roots of unity -w and -w^2, w a
-        # primitive cube root of unity; has_unique_cube_root says when there are none.
-        if self.has_unique_cube_root():
-            return None
-        p = self.p
-        g = 2
-        while (w := pow(g, (p - 1) // 3, p)) == 1:
-            g += 1
-        return tuple(self.element(root) for root in sorted((-w % p, -w * w % p)))
 
     def random_element(self, rng) -> FieldElement:
         return self.element(rng.randrange(self.p))

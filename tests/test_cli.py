@@ -442,24 +442,25 @@ def test_python_m_exits_with_the_code_main_returns():
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_the_benchmark_cli_mix_prints_the_same_bytes_in_and_out_of_process(monkeypatch):
+def test_the_benchmark_cli_mix_prints_the_same_bytes_in_and_out_of_process(monkeypatch, tmp_path):
     # The cli workload compares each child with cli.main in process and fails on any difference.
     # Hashes of points and elements include the field's identity hash, which differs from one
     # process to the next, so an output that follows a set's order, or a cache keyed by id(),
     # shows up here as a second pass or a child that prints other bytes, in most runs: a
-    # child's order matches the in-process one only by chance.
-    monkeypatch.chdir(ROOT)
+    # child's order matches the in-process one only by chance.  The plot path is relative, so
+    # the commands run in tmp_path and write nothing into the checkout.
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     from workloads import Size, _cli_commands, _in_process, _plot_bytes
 
-    (ROOT / "benchmarks" / "out").mkdir(exist_ok=True)
+    (tmp_path / "benchmarks" / "out").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
     mixes = {seed: _cli_commands(seed, Size()) for seed in range(1, 11)}
     distinct = list(dict.fromkeys(tuple(argv) for commands in mixes.values() for argv in commands))
     first = {argv: _in_process(argv) for argv in distinct}
     assert [argv for argv, (code, _, _) in first.items() if code != 0] == []
     assert [argv for argv in distinct if _in_process(argv) != first[argv]] == []
     for argv in map(tuple, mixes[9]):
-        child = python_process("-m", "descartes_folium", *argv, cwd=ROOT)
+        child = python_process("-m", "descartes_folium", *argv, cwd=tmp_path)
         assert (child.returncode, child.stdout, _plot_bytes(argv)) == first[argv], argv
 
 

@@ -35,19 +35,25 @@ node as it sends 0), and pbarbar = pbar . (t -> 1/t), so either chart
 carries the same law; projmul2 through pbar passes every suite.
 tests/mutation_sweep.py mutates int constants, never True or False, so no
 mutant flips the flag.  Two empty the line-point oracle and the root finder,
-which a geometry row that checked nothing would let pass.  The last five
-add one to a reflected operator or to `**`.  A fault that survives is a gap
+which a geometry row that checked nothing would let pass.  Five add one to
+a reflected operator or to `**`.  Three break `field_axioms` at its
+associativity, commutativity and identity checks in turn: `*` plus one, a
+`+` that answers its left operand, which still associates, and a `-x` that
+answers x.  The last gives the checker a `folium_inv` that answers the node
+where it must refuse it.  A fault that survives is a gap
 in the suites: add a property that catches it, never drop the fault.  The
 `neg`-as-identity fault is pinned by test_law_dispatch.py instead: it
 replaces the name `neg`, and `verify` reads the additive inverses from the
 law table through `law_inverse`, never through that name.  An element store
 that answers the next residue is tested apart too: only F_p stores its
-elements, so that fault has no q case.
+elements, so that fault has no q case.  So is a perpendicularity check that
+always holds: the suite that reads it skips over F_p.
 """
 
 import pytest
 
-from descartes_folium import FieldElement, Folium, PrimeField, Rationals, fields, geometry, laws, parametrization
+from descartes_folium import Field, FieldElement, Folium, PrimeField, Rationals
+from descartes_folium import fields, geometry, laws, parametrization, verify
 from descartes_folium.fields import _quotient
 from descartes_folium.laws import LAWS, LawKind
 from descartes_folium.verify import run_suite
@@ -201,8 +207,7 @@ def _wrong_epsilon_roots(monkeypatch):
         minus_one = -field.one
         return (minus_one, minus_one)
 
-    monkeypatch.setattr(Rationals, "epsilon_roots", roots)
-    monkeypatch.setattr(PrimeField, "epsilon_roots", roots)
+    monkeypatch.setattr(Field, "epsilon_roots", roots)
 
 
 def _plus_one(name):
@@ -217,6 +222,16 @@ def _plus_one(name):
         monkeypatch.setattr(FieldElement, name, method)
 
     return patch
+
+
+def _replaced(name, method):
+    # FieldElement's operator replaced by `method`
+    return lambda monkeypatch: monkeypatch.setattr(FieldElement, name, method)
+
+
+def _node_inverse_is_the_node(monkeypatch):
+    # the checker's folium_inv answers its operand, so the node's inverse is the node, not a refusal
+    monkeypatch.setattr(verify, "folium_inv", lambda curve, point: point)
 
 
 # Each fault with the suites that catch it over q and over fp:5.
@@ -247,6 +262,11 @@ FAULTS = {
     "rmul_plus_one": (_plus_one("__rmul__"), ("field",)),
     "rtruediv_plus_one": (_plus_one("__rtruediv__"), ("field",)),
     "pow_plus_one": (_plus_one("__pow__"), ("field",)),
+    # associativity, commutativity and the identities in turn: over q each breaks field_axioms at its own check
+    "mul_plus_one": (_plus_one("__mul__"), ("field",)),
+    "add_answers_its_left_operand": (_replaced("__add__", lambda self, other: self), ("field",)),
+    "neg_answers_its_operand": (_replaced("__neg__", lambda self: self), ("field",)),
+    "node_inverse_is_the_node": (_node_inverse_is_the_node, ("fieldstructure",)),
 }
 
 FIELDS = {"q": Rationals, "fp:5": lambda: PrimeField(5)}
@@ -281,6 +301,14 @@ def test_a_store_that_answers_the_next_residue_fails_the_field_axioms(p, monkeyp
     assert "field_axioms" in [row.name for row in rows if not row.passed]
 
 
+def test_a_perpendicular_check_that_always_holds_fails_the_equivalence_row(monkeypatch):
+    # perpendicularity needs the ordered field of rationals, so the suite skips over F_p and this fault has no
+    # fp:5 case; the vertex-chord row still passes, since every vertex chord is perpendicular
+    monkeypatch.setattr(verify, "perpendicular_chord_check", lambda curve, P, Q: True)
+    rows = run_suite(Folium(Rationals(), 1), "perpendicular", seed=0, samples=40)
+    assert [row.name for row in rows if not row.passed] == ["perpendicular_iff_vertex_collinear"]
+
+
 def test_wrong_epsilon_roots_fail_where_the_field_has_roots(monkeypatch):
     # over fp:7 the cube-root scan agrees with any non-None pair, so the roots themselves are checked
     _wrong_epsilon_roots(monkeypatch)
@@ -290,7 +318,7 @@ def test_wrong_epsilon_roots_fail_where_the_field_has_roots(monkeypatch):
 
 def test_epsilon_roots_that_go_missing_fail_where_the_field_has_roots(monkeypatch):
     # has_unique_cube_root is a closed form on p, so the roots row compares them with an independent fact
-    monkeypatch.setattr(PrimeField, "epsilon_roots", lambda field: None)
+    monkeypatch.setattr(Field, "epsilon_roots", lambda field: None)
     rows = run_suite(Folium(PrimeField(7), 1), "field", seed=0, samples=40)
     assert [row.name for row in rows if not row.passed] == ["epsilon_roots_consistent"]
 

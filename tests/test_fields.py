@@ -411,6 +411,17 @@ def test_epsilon_roots_absent_over_f65537():
     assert PrimeField(65537).has_unique_cube_root()
 
 
+def test_epsilon_roots_match_a_residue_scan():
+    # Field.epsilon_roots asks the closed form, then searches; the scan asks neither
+    for p in filter(is_prime, range(2, 500)):
+        if p == 3:
+            continue
+        field = PrimeField(p)
+        scan = [field._elements[r] for r in range(p) if (r * r - r + 1) % p == 0]
+        assert field.epsilon_roots() == (tuple(scan) if scan else None), p
+    assert Rationals().epsilon_roots() is None
+
+
 def test_cube_root_unique_examples():
     assert PrimeField(5).has_unique_cube_root()
     assert not PrimeField(7).has_unique_cube_root()
