@@ -266,3 +266,10 @@ def test_line_canonical_form_and_incidence():
     assert line.contains(ProjectivePoint.of(q, Fraction(3, 2), Fraction(3, 2), 1))
     assert not line.contains(ProjectivePoint.of(q, 0, 0, 1))
     assert ProjectiveLine.of(q, 1, 1, 0).through_origin
+
+
+def test_a_point_or_a_line_reads_unequal_to_a_non_instance():
+    field = PrimeField(5)
+    point, line = ProjectivePoint.of(field, 0, 0, 1), ProjectiveLine.of(field, 1, 1, 0)
+    assert point != (0, 0, 1) and not point == "O"
+    assert line != (1, 1, 0) and not line == point

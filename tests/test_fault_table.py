@@ -47,7 +47,10 @@ replaces the name `neg`, and `verify` reads the additive inverses from the
 law table through `law_inverse`, never through that name.  An element store
 that answers the next residue is tested apart too: only F_p stores its
 elements, so that fault has no q case.  So is a perpendicularity check that
-always holds: the suite that reads it skips over F_p.
+always holds: the suite that reads it skips over F_p.  Under the eight field
+faults, over q, fp:5 and fp:13, and under the store fault, `field_axioms`'s
+first failing case is pinned with its count and text, so a check that moved
+it would show.
 """
 
 import pytest
@@ -292,13 +295,19 @@ def test_a_wrong_chart_coefficient_fails_the_affine_row(spec, monkeypatch):
     assert "affine_matches_projective" in [row.name for row in rows if not row.passed]
 
 
+def _field_axioms(field):
+    rows = run_suite(Folium(field, 1), "field", seed=0, samples=40)
+    [row] = [row for row in rows if row.name == "field_axioms"]
+    return row
+
+
 @pytest.mark.parametrize("p", [5, 13])
 def test_a_store_that_answers_the_next_residue_fails_the_field_axioms(p, monkeypatch):
     # only F_p stores its elements, so this fault has no q case and stays out of FAULTS
     field = PrimeField(p)
     monkeypatch.setattr(field, "_elements", tuple(FieldElement(field, (r + 1) % p) for r in range(p)))
-    rows = run_suite(Folium(field, 1), "field", seed=0, samples=40)
-    assert "field_axioms" in [row.name for row in rows if not row.passed]
+    row = _field_axioms(field)
+    assert (row.passed, row.instances, row.counterexample) == (False, 1, "1, 1, 1")
 
 
 def test_a_perpendicular_check_that_always_holds_fails_the_equivalence_row(monkeypatch):
@@ -374,3 +383,27 @@ def test_a_law_that_is_not_a_group_fails_its_rows_from_the_tables(fault, failure
     FAULTS[fault][0](monkeypatch)
     rows = run_suite(Folium(PrimeField(13), 1), "axioms", seed=0, samples=40)
     assert [(row.name, row.instances, row.counterexample) for row in rows if not row.passed] == failures
+
+
+# field_axioms's first failing case, as (instances, counterexample), under each field fault over q, fp:5 and fp:13
+# (seed 0, 40 samples): a check that ran once per distinct argument, not once per triple, must fail at the same case
+FIELD_AXIOMS_FIRST_FAILURES = {
+    "radd_plus_one": ((1, "-1/27, -89/17, 31/32"), (1, "0, 0, 0"), (1, "0, 0, 0")),
+    "rsub_plus_one": ((1, "-1/27, -89/17, 31/32"), (1, "0, 0, 0"), (1, "0, 0, 0")),
+    "rmul_plus_one": ((1, "-1/27, -89/17, 31/32"), (1, "0, 0, 0"), (1, "0, 0, 0")),
+    "rtruediv_plus_one": ((1, "-1/27, -89/17, 31/32"), (26, "1, 0, 0"), (170, "1, 0, 0")),
+    "pow_plus_one": ((1, "-1/27, -89/17, 31/32"), (1, "0, 0, 0"), (1, "0, 0, 0")),
+    "mul_plus_one": ((1, "-1/27, -89/17, 31/32"), (1, "0, 0, 0"), (1, "0, 0, 0")),
+    "add_answers_its_left_operand": ((1, "-1/27, -89/17, 31/32"), (1, "0, 0, 0"), (1, "0, 0, 0")),
+    "neg_answers_its_operand": ((1, "-1/27, -89/17, 31/32"), (26, "1, 0, 0"), (170, "1, 0, 0")),
+}
+PINNED_FIELDS = {"q": Rationals, "fp:5": lambda: PrimeField(5), "fp:13": lambda: PrimeField(13)}
+
+
+@pytest.mark.parametrize("spec", PINNED_FIELDS)
+@pytest.mark.parametrize("fault", FIELD_AXIOMS_FIRST_FAILURES)
+def test_a_field_fault_fails_field_axioms_at_its_pinned_first_case(fault, spec, monkeypatch):
+    FAULTS[fault][0](monkeypatch)
+    row = _field_axioms(PINNED_FIELDS[spec]())
+    expected = FIELD_AXIOMS_FIRST_FAILURES[fault][list(PINNED_FIELDS).index(spec)]
+    assert (row.passed, row.instances, row.counterexample) == (False, *expected)

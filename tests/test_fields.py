@@ -598,3 +598,12 @@ def test_the_registry_keeps_no_field_alive():
     del field
     gc.collect()
     assert p not in fields._PRIME_FIELDS
+
+
+def test_an_element_reads_unequal_to_a_non_instance():
+    # __eq__ answers NotImplemented, so an int or a Fraction of the same value is another object
+    assert PrimeField(7).element(3) != 3 and not Rationals().element(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_the_fields_repr_as_their_constructor_calls():
+    assert repr(Rationals()) == "Rationals()" and repr(PrimeField(7)) == "PrimeField(7)"

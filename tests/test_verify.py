@@ -473,3 +473,33 @@ def test_a_raising_product_fails_its_row_at_the_same_case(monkeypatch):
         ("projmul_associative", 55, f"(8 : 8 : 1), (6 : 4 : 1), (10 : 5 : 1) {raised}"),
         ("projmul_commutative", 55, f"(6 : 4 : 1), (10 : 5 : 1) {raised}"),
     ]
+
+
+def test_field_axioms_checks_each_element_once_per_run(monkeypatch):
+    # over fp:13 the 2,197 triples read each of the 12 nonzero residues as u 169 times, but its
+    # checks run once: one u.inverse() and one inside u**-2; the other two rows call no inverse
+    real, inverted = FieldElement.inverse, []
+
+    def inverse(self):
+        inverted.append(self.value)
+        return real(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", inverse)
+    results = {row.name: row for row in run_suite(prime_curve(13), "field", seed=0, samples=40)}
+    assert all(row.passed for row in results.values())
+    assert results["field_axioms"].instances == 2197
+    assert len(inverted) == 24 and sorted(set(inverted)) == list(range(1, 13))
+
+
+def test_a_raising_single_element_check_fails_field_axioms_at_the_same_case(monkeypatch):
+    # a check that raises stores no verdict: the row fails at the first case that reads u = 5, by its raise
+    real = FieldElement.inverse
+
+    def inverse(self):
+        if self.value == 5:
+            raise ParameterAtInfinity("injected fault")
+        return real(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", inverse)
+    results = run_suite(prime_curve(13), "field", seed=0, samples=40)
+    assert _failures(results) == [("field_axioms", 846, "5, 0, 0 raised ParameterAtInfinity: injected fault")]
