@@ -2,13 +2,21 @@
 
 The curve is x^3 + y^3 - 3axyz = 0 in P^2(K) with a != 0.  Points
 (x : y : z) and lines [m : n : p] (for m*x + n*y + p*z = 0) share one
-canonical form, `_canonical`: the triple is scaled so that the first
-nonzero of its third, first and second entries is 1, on stored values by
-`fields._scaled`, which the chart kernel shares (one modular inverse per
-triple over F_p, one Fraction per coordinate besides the pivot over Q).
-The classical literals O = (0, 0, 1), I = (1, -1, 0) and affine points
-(x, y, 1) are already canonical, and `_canonical`, which every constructor
-calls, returns such a triple as it stands.  Point equality answers True
+canonical form: the triple is scaled so that the first nonzero of its
+third, first and second entries is 1, on stored values by
+`fields._scaled`, which the chart kernel and geometry.line_through share
+(one modular inverse per triple over F_p, one Fraction per coordinate
+besides the pivot over Q).  The classical literals O = (0, 0, 1),
+I = (1, -1, 0) and affine points (x, y, 1) are already canonical, and a
+triple at a unit pivot is kept as it stands.  Two readers pick the pivot.
+`_canonical` takes three elements, for `__init__` and `_marked`, whose
+callers hold elements already (kernel output, sigma).  `_read` takes
+elements or plain values, for `ProjectivePoint.of` and
+`ProjectiveLine.of` and so `Folium.point` and `Folium.line`: it reads
+each coordinate's stored value once, under `Field.element`'s rules, and
+hands the values to `_scaled`, so no element is built that the point or
+line does not keep.  `ProjectiveLine._built` takes a line's canonical
+elements as they stand.  Point equality answers True
 for the same object before it reads a coordinate: inside a verify run the
 chart memo and the law tables hand back one object for equal points.  Otherwise,
 as field equality is identity, it compares the fields of the x coordinates
@@ -73,6 +81,33 @@ def _canonical(first, second, third, parts: str, noun: str) -> tuple:
     raise BadLiteral(f"(0 : 0 : 0) is not a {noun}")
 
 
+def _read(field: Field, coordinates: tuple, noun: str) -> list:
+    """The canonical elements of a triple of `field`'s elements or plain values, each value read once.
+
+    Each coordinate is read as `Field.element` reads it: the field's own
+    element gives its stored value, another field's goes to `Field.element`,
+    which raises MixedFields, and `_raw` gives a plain value's stored value
+    or raises TypeError.  At a unit pivot an element given is kept as it is
+    and a plain value becomes its element; at any other pivot `_scaled`
+    builds the only elements kept.
+    """
+    values = []
+    for value in coordinates:
+        if isinstance(value, FieldElement):
+            values.append((value if value.field is field else field.element(value)).value)
+        else:
+            values.append(field._raw(value))
+    x, y, z = values
+    for pivot in (z, x, y):
+        if pivot == 1:
+            store = field._elements
+            return [given if isinstance(given, FieldElement) else store[value] if store else FieldElement(field, value)
+                    for given, value in zip(coordinates, values)]
+        if pivot != 0:
+            return _scaled(field, pivot, x, y, z)
+    raise BadLiteral(f"(0 : 0 : 0) is not a {noun}")
+
+
 def _require_affine(point: ProjectivePoint) -> ProjectivePoint:
     if point.is_at_infinity:
         raise PointAtInfinity(f"{point} is not an affine point")
@@ -94,7 +129,10 @@ class ProjectivePoint:
 
     @classmethod
     def of(cls, field: Field, x, y, z=1) -> "ProjectivePoint":
-        return cls(field.element(x), field.element(y), field.element(z))
+        point = object.__new__(cls)
+        point.x, point.y, point.z = _read(field, (x, y, z), "projective point")
+        point.on = None
+        return point
 
     @classmethod
     def _marked(cls, x: FieldElement, y: FieldElement, z: FieldElement, on) -> "ProjectivePoint":
@@ -150,7 +188,14 @@ class ProjectiveLine:
 
     @classmethod
     def of(cls, field: Field, m, n, p) -> "ProjectiveLine":
-        return cls(field.element(m), field.element(n), field.element(p))
+        return cls._built(*_read(field, (m, n, p), "line"))
+
+    @classmethod
+    def _built(cls, m: FieldElement, n: FieldElement, p: FieldElement) -> "ProjectiveLine":
+        """The line of three elements already in canonical form, as `_read` and `_scaled` give them."""
+        line = object.__new__(cls)
+        line.m, line.n, line.p = m, n, p
+        return line
 
     @property
     def field(self) -> Field:

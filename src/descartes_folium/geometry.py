@@ -17,6 +17,14 @@ line.  Behind it, `_slope_cubic_holds` takes the points, so a caller that
 already holds the oracle's answer for a line does not ask for it again.
 collinear3 decides x1 x2 x3 + y1 y2 y3 = 0 on stored ints through
 `fields._collinear_vanishes`, as `fields._cubic_vanishes` decides the cubic.
+line_through takes the cross product on stored values too (residues over
+F_p, each triple with its denominators cleared over Q) and scales it once
+with `fields._scaled`.  The oracles keep element arithmetic, the incidence
+test `ProjectiveLine.contains` and `_curve_points_on_line`, and so do
+`tangent_at` and `perpendicular_chord_check`.  The perpendicularity test is
+collinear3's identity with the vertex times 3a/2, so if both ran on one
+kernel, the verify row perpendicular_iff_vertex_collinear would compare
+that kernel with itself.
 """
 
 from __future__ import annotations
@@ -28,25 +36,41 @@ from .curve import Folium, ProjectiveLine, ProjectivePoint, _require_affine, _sc
 from .errors import (
     CoincidentPoints,
     LineThroughOrigin,
+    MixedFields,
     OriginNotAllowed,
     SingularPoint,
     UnorderedField,
     VertexNotAllowed,
 )
-from .fields import Field, _collinear_vanishes
+from .fields import Field, _collinear_vanishes, _scaled
 from .laws import perp
 from .parametrization import _pair_param, _pair_point, pbar, pbar_inv
 
 
 def line_through(p1: ProjectivePoint, p2: ProjectivePoint) -> ProjectiveLine:
-    """The unique line through two distinct points (cross product of the triples)."""
+    """The unique line through two distinct points: the cross product of their triples.
+
+    The product is taken on stored values: the residues over F_p, and over Q
+    each point's triple with its denominators cleared, so ints either way.
+    `fields._scaled` divides it by its first nonzero of the third, first and
+    second entries, so no element is built but the line's own three.
+    """
     if p1 == p2:
         raise CoincidentPoints(f"{p1} and {p2} do not span a line")
-    return ProjectiveLine(
-        p1.y * p2.z - p1.z * p2.y,
-        p1.z * p2.x - p1.x * p2.z,
-        p1.x * p2.y - p1.y * p2.x,
-    )
+    field = p1.x.field
+    if p2.x.field is not field:
+        raise MixedFields(f"cannot combine elements of {field} and {p2.x.field}")
+    x1, y1, z1, x2, y2, z2 = p1.x.value, p1.y.value, p1.z.value, p2.x.value, p2.y.value, p2.z.value
+    char = field.characteristic
+    if not char:
+        dx, dy, dz = x1.denominator, y1.denominator, z1.denominator
+        x1, y1, z1 = x1.numerator * dy * dz, y1.numerator * dx * dz, z1.numerator * dx * dy
+        dx, dy, dz = x2.denominator, y2.denominator, z2.denominator
+        x2, y2, z2 = x2.numerator * dy * dz, y2.numerator * dx * dz, z2.numerator * dx * dy
+    m, n, p = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+    if char:
+        m, n, p = m % char, n % char, p % char
+    return ProjectiveLine._built(*_scaled(field, p or m or n, m, n, p))
 
 
 def tangent_at(curve: Folium, point: ProjectivePoint) -> ProjectiveLine:

@@ -34,8 +34,12 @@ automorphism of their group (it fixes 1 and -1, and pbar sends 1/0 to the
 node as it sends 0), and pbarbar = pbar . (t -> 1/t), so either chart
 carries the same law; projmul2 through pbar passes every suite.
 tests/mutation_sweep.py mutates int constants, never True or False, so no
-mutant flips the flag.  Two empty the line-point oracle and the root finder,
-which a geometry row that checked nothing would let pass.  Five add one to
+mutant flips the flag.  One swaps the first two coefficients of the chord
+that `line_through` builds on stored values; the rows that test a chord's
+points by the element arithmetic of `ProjectiveLine.contains` FAIL under
+it, and over q so does the perpendicular suite's vertex-chord row.  Two
+empty the line-point oracle and the root finder, which a geometry row that
+checked nothing would let pass.  Five add one to
 a reflected operator or to `**`.  Three break `field_axioms` at its
 associativity, commutativity and identity checks in turn: `*` plus one, a
 `+` that answers its left operand, which still associates, and a `-x` that
@@ -55,7 +59,7 @@ it would show.
 
 import pytest
 
-from descartes_folium import Field, FieldElement, Folium, PrimeField, Rationals
+from descartes_folium import Field, FieldElement, Folium, PrimeField, ProjectiveLine, Rationals
 from descartes_folium import fields, geometry, laws, parametrization, verify
 from descartes_folium.fields import _quotient
 from descartes_folium.laws import LAWS, LawKind
@@ -195,6 +199,17 @@ def _third_intersection_is_proj_mul(monkeypatch):
     patch_everywhere(monkeypatch, geometry.third_intersection, laws.proj_mul)
 
 
+def _chord_swaps_coefficients(monkeypatch):
+    # the chord [m : n : p] answered as [n : m : p], the line through the points' mirror images
+    real = geometry.line_through
+
+    def line_through(p1, p2):
+        line = real(p1, p2)
+        return ProjectiveLine(line.n, line.m, line.p)
+
+    patch_everywhere(monkeypatch, real, line_through)
+
+
 def _collinear3_always_true(monkeypatch):
     patch_everywhere(monkeypatch, geometry.collinear3, lambda curve, *points: True)
 
@@ -256,6 +271,7 @@ FAULTS = {
     "westmul_reads_through_p_affine": (_reads_through_pbar(LawKind.WEST_MUL), ("coincidence", "southmul")),
     "identity_sigma": (_identity_sigma, ("parametrize", "axioms", "southmul", "fieldstructure")),
     "third_intersection_is_proj_mul": (_third_intersection_is_proj_mul, ("geometry", "collinearity")),
+    "chord_swaps_coefficients": (_chord_swaps_coefficients, ("geometry", "collinearity")),
     "collinear3_always_true": (_collinear3_always_true, ("collinearity", "star")),
     "line_points_find_nothing": (_finds_nothing(geometry._curve_points_on_line), ("geometry",)),
     "roots_find_nothing": (_finds_nothing(geometry.roots_with_multiplicity), ("geometry",)),

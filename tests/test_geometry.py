@@ -10,7 +10,9 @@ import pytest
 
 from descartes_folium import (
     CoincidentPoints,
+    Folium,
     LineThroughOrigin,
+    MixedFields,
     NotOnCurve,
     OriginNotAllowed,
     PointAtInfinity,
@@ -24,6 +26,7 @@ from descartes_folium import (
     all_lines,
     chord_or_tangent,
     collinear3,
+    field_from_spec,
     geometric_mul,
     geometric_mul_via_vertex,
     line_curve_intersections,
@@ -65,6 +68,72 @@ def test_line_through_rejects_coincident_points():
     curve = rational_curve(1)
     with pytest.raises(CoincidentPoints):
         line_through(curve.origin, curve.origin)
+
+
+def _reference_line(p1, p2):
+    """The line through two distinct points by element arithmetic: the cross product, then ProjectiveLine."""
+    return ProjectiveLine(p1.y * p2.z - p1.z * p2.y, p1.z * p2.x - p1.x * p2.z, p1.x * p2.y - p1.y * p2.x)
+
+
+def _plane_points(field):
+    """Every point of P^2(F_p) in canonical form: the node and the points at infinity among them."""
+    residues = range(field.characteristic)
+    points = [ProjectivePoint.of(field, x, y, 1) for x in residues for y in residues]
+    return points + [ProjectivePoint.of(field, 1, y, 0) for y in residues] + [ProjectivePoint.of(field, 0, 1, 0)]
+
+
+def _seeded_points(field, seed):
+    """Seeded points: every one with coordinates in -1..1, and random ones, at high height and negative over q."""
+    rng, p = random.Random(seed), field.characteristic
+    small = {ProjectivePoint.of(field, *triple) for triple in itertools.product(range(-1, 2), repeat=3) if any(triple)}
+    drawn = []
+    for _ in range(80):
+        if p:
+            triple = [rng.randrange(p) for _ in range(3)]
+        else:
+            height = rng.choice((12, 2**40))
+            triple = [Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(3)]
+        for index in rng.sample(range(3), rng.choice((0, 0, 1, 2))):  # the node, points at infinity, axes
+            triple[index] = 0
+        if any(triple):
+            drawn.append(ProjectivePoint.of(field, *triple))
+    curve = Folium(field, 1)
+    drawn += [curve.origin, curve.infinity, curve.vertex()]
+    return sorted(small, key=str) + drawn
+
+
+@pytest.mark.parametrize("spec", ["fp:5", "fp:7", "fp:13", "fp:65537", "q"])
+def test_line_through_matches_the_element_cross_product(spec):
+    field = field_from_spec(spec)
+    points = _plane_points(field) if field.characteristic <= 13 and field.characteristic else _seeded_points(field, 37)
+    pairs = 0
+    for p1, p2 in itertools.permutations(points, 2):
+        if p1 == p2:
+            continue
+        line, expected = line_through(p1, p2), _reference_line(p1, p2)
+        assert line == expected, (p1, p2)
+        coefficients = (line.m.value, line.n.value, line.p.value)
+        assert all(type(value) is (int if field.characteristic else Fraction) for value in coefficients), (p1, p2)
+        assert all(element.field is field for element in (line.m, line.n, line.p))
+        pairs += 1
+    assert pairs >= 900
+
+
+def test_line_through_keeps_its_error_types_and_texts():
+    q, f5 = Rationals(), PrimeField(5)
+    point = ProjectivePoint.of(q, 2, 4, 3)
+    with pytest.raises(CoincidentPoints) as refusal:
+        line_through(point, ProjectivePoint.of(q, 4, 8, 6))
+    assert type(refusal.value) is CoincidentPoints
+    assert str(refusal.value) == "(2/3 : 4/3 : 1) and (2/3 : 4/3 : 1) do not span a line"
+    for p1, p2, text in [
+        (point, ProjectivePoint.of(f5, 0, 1, 0), "cannot combine elements of q and fp:5"),
+        (ProjectivePoint.of(f5, 1, 1, 1), point, "cannot combine elements of fp:5 and q"),
+        (ProjectivePoint.of(f5, 1, 1, 1), ProjectivePoint.of(PrimeField(7), 1, 1, 1), "cannot combine elements of fp:5 and fp:7"),
+    ]:
+        with pytest.raises(MixedFields) as refusal:
+            line_through(p1, p2)
+        assert type(refusal.value) is MixedFields and str(refusal.value) == text
 
 
 def test_tangent_examples():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from descartes_folium import (
+    BadLiteral,
     Folium,
     FoliumError,
     LawKind,
@@ -227,3 +228,54 @@ def test_an_exact_fraction_is_stored_as_it_is():
     for value in (5, True, _FractionSubclass(4, 6)):
         stored = q.element(value).value
         assert type(stored) is Fraction and stored == value
+
+
+# -- .of reads each coordinate's stored value once ------------------------------
+#
+# ProjectivePoint.of and ProjectiveLine.of read the stored values of plain values
+# and elements alike and scale them once; the references below build the
+# elements first and go through the public constructors, which scale elements.
+
+OF_FIELDS = [Rationals(), PrimeField(7), PrimeField(65537)]
+OF_IDS = ["q", "fp:7", "fp:65537"]
+
+
+@pytest.mark.parametrize("field", OF_FIELDS, ids=OF_IDS)
+def test_of_from_plain_values_matches_the_element_built_point_and_line(field):
+    triples = [triple for seed, a in enumerate(_curve_parameters(field)) for triple in _raw_triples(field, a, seed)]
+    for triple in triples:
+        elements = [field.element(value) for value in triple]
+        point, line = ProjectivePoint.of(field, *triple), ProjectiveLine.of(field, *triple)
+        assert point == ProjectivePoint(*elements) and point.on is None, triple
+        assert line == ProjectiveLine(*elements), triple
+        assert ProjectivePoint.of(field, *elements) == point and ProjectiveLine.of(field, *elements) == line
+        assert Folium(field, 1).point(*triple) == point and Folium(field, 1).line(*triple) == line
+
+
+@pytest.mark.parametrize("field", OF_FIELDS, ids=OF_IDS)
+def test_of_keeps_the_elements_given_at_a_unit_pivot(field):
+    rng = random.Random(11)
+    for _ in range(20):
+        u, v = (field.element(_draw(field, rng, 2**31)) for _ in range(2))
+        for given in ((u, v, field.one), (field.one, u, field.zero), (field.zero, field.one, field.zero)):
+            for build, read in ((ProjectivePoint.of, lambda P: (P.x, P.y, P.z)), (ProjectiveLine.of, lambda L: (L.m, L.n, L.p))):
+                assert all(kept is element for kept, element in zip(read(build(field, *given)), given)), given
+        point = ProjectivePoint.of(field, u, v.value, 1)
+        assert point.x is u and point.y == v and point.z == field.one
+
+
+def test_of_keeps_its_error_types_and_texts():
+    q, f7 = Rationals(), PrimeField(7)
+    cases = [
+        (lambda: ProjectivePoint.of(q, 1, 1.5, "x"), TypeError, "cannot build a rational from 1.5"),
+        (lambda: ProjectiveLine.of(f7, 1, 2, Fraction(1, 2)), TypeError, "cannot build a residue mod 7 from Fraction(1, 2)"),
+        (lambda: ProjectivePoint.of(q, f7.one, 1, 1), MixedFields, "1 does not belong to q"),
+        (lambda: ProjectiveLine.of(f7, 2, q.element(Fraction(1, 3)), 1), MixedFields, "1/3 does not belong to fp:7"),
+        (lambda: ProjectivePoint.of(q, 0, Fraction(0), q.zero), BadLiteral, "(0 : 0 : 0) is not a projective point"),
+        (lambda: ProjectivePoint.of(f7, 7, -14, 0), BadLiteral, "(0 : 0 : 0) is not a projective point"),
+        (lambda: ProjectiveLine.of(f7, 0, f7.zero, 21), BadLiteral, "(0 : 0 : 0) is not a line"),
+    ]
+    for call, error, text in cases:
+        with pytest.raises(error) as refusal:
+            call()
+        assert type(refusal.value) is error and str(refusal.value) == text
