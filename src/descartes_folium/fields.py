@@ -33,11 +33,16 @@ and nothing decides what an element is by identity.
 Each element rule is stated once: `Field.element` checks membership through
 each field's `_raw`, which also coerces operands; one template makes `+`, `-`
 and `*`; `characteristic` alone tells the fields apart.  The template reads an
-element of the same field directly and reduces the result in place (the
-stored element of `raw % p` where there is one, else a new element of
-`raw % p` over F_p or of `raw` over Q), so an operation on two elements is
-one Python frame besides a new element's; any other operand goes through
-`_coerced`, which raises MixedFields for an element of another field.
+element of the same field directly; any other operand goes through
+`_coerced`, which raises MixedFields for an element of another field.  Over
+F_p it applies the int operator and reduces the result in place (the stored
+element of `raw % p` where there is one, else a new element).  Over Q it
+applies the operator's pair form to the ints of each value's
+`as_integer_ratio()`, e.g. (n1 d2 + n2 d1, d1 d2) for u + v, and builds one
+Fraction of the pair, one gcd, where Fraction's own operators dispatch
+through their fallbacks and property reads, about six frames for one `+`.
+The pair forms are written in this module, not taken from laws.py, so that
+verify's transport rows compare two computations (see `_ring_operation`).
 `_quotient` is division's one body, kept apart: over Q it builds u / v as one
 Fraction from the cross products of the ints, one gcd, where `a * (1 / b)`
 would normalize two; the public inverse charts of parametrization.py
@@ -226,11 +231,18 @@ def _collinear_vanishes(field, x1, x2, x3, y1, y2, y3) -> bool:
     return x1.numerator * x2.numerator * x3.numerator * dy + y1.numerator * y2.numerator * y3.numerator * dx == 0
 
 
-def _ring_operation(combine):
+def _ring_operation(combine, pair):
     """The operator method that combines the stored values and reduces the result.
 
     An element of the same field is read directly; any other operand goes
     through `_coerced`, which raises MixedFields or takes an int or Fraction.
+    Over F_p `combine` is the int operator and the result is reduced mod p.
+    Over Q `pair` is its pair form on the ints of `as_integer_ratio()`, which
+    ints and Fractions both have, and the result is one Fraction of the pair.
+    The pair forms restate laws._sum and laws._product on purpose: verify's
+    `pbar_transports_field_ops` compares chart(u + v), built by this `+`, with
+    add_south, built by the law's pair sum, so over Q one function shared by
+    both would be compared with itself.
     """
 
     def method(self, other):
@@ -242,12 +254,11 @@ def _ring_operation(combine):
             if v is None:
                 return NotImplemented
         p = field.characteristic
-        raw = combine(self.value, v)
         if p:
-            raw %= p
-            if field._elements:
-                return field._elements[raw]
-        return FieldElement(field, raw)
+            raw = combine(self.value, v) % p
+            return field._elements[raw] if field._elements else FieldElement(field, raw)
+        (n1, d1), (n2, d2) = self.value.as_integer_ratio(), v.as_integer_ratio()
+        return FieldElement(field, Fraction(*pair(n1, d1, n2, d2)))
 
     return method
 
@@ -291,10 +302,11 @@ class FieldElement:
         except TypeError:
             return None
 
-    __add__ = __radd__ = _ring_operation(operator.add)
-    __sub__ = _ring_operation(operator.sub)
-    __rsub__ = _ring_operation(lambda value, other: other - value)
-    __mul__ = __rmul__ = _ring_operation(operator.mul)
+    # the int operator over F_p and the pair form over Q, for u = n1/d1 and v = n2/d2
+    __add__ = __radd__ = _ring_operation(operator.add, lambda n1, d1, n2, d2: (n1 * d2 + n2 * d1, d1 * d2))
+    __sub__ = _ring_operation(operator.sub, lambda n1, d1, n2, d2: (n1 * d2 - n2 * d1, d1 * d2))
+    __rsub__ = _ring_operation(lambda value, other: other - value, lambda n1, d1, n2, d2: (n2 * d1 - n1 * d2, d1 * d2))
+    __mul__ = __rmul__ = _ring_operation(operator.mul, lambda n1, d1, n2, d2: (n1 * n2, d1 * d2))
 
     def __truediv__(self, other):
         v = self._coerced(other)

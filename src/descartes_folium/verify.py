@@ -11,9 +11,11 @@ for a universal row whose cases came out empty, which never passes.  Any
 other FoliumError fails its row, naming the case and the error.
 
 Cases are exhaustive over prime fields up to EXHAUSTIVE_PAIR_BOUND and
-seeded random samples over the rationals and over larger primes.  Where an
-existence row's cases are sampled, it goes on to its pool's pairs in order,
-so a witness the draws missed still counts.
+seeded random samples over the rationals and over larger primes.  A sampled
+tuple is `rng.choice` of its pool once per coordinate, mapped without a
+generator frame, in the order of the seeded stream.  Where an existence
+row's cases are sampled, it goes on to its pool's pairs in order, so a
+witness the draws missed still counts.
 
 Over prime fields small enough that every pair of points is a case
 (p * p <= EXHAUSTIVE_PAIR_BOUND, so p <= 173), every row that composes two
@@ -53,7 +55,11 @@ in a dict of the suite run keyed on the stored values, not on the elements,
 so a fault in `FieldElement.__eq__` or `__hash__` cannot merge two cases.
 Each part is read at its place in the chain of checks, and a raise is never
 stored, so the first failing case and its text are those of checking every
-triple in full.
+triple in full.  The `star` suite's cache of perp(pbar(s)) is keyed on the
+stored value of s by the same rule.  So no run hashes an element: an
+element's hash reads its field's, which is the field's address, and a cache
+keyed on elements would meet its collisions, and make its `__eq__` calls,
+differently in each process.
 
 The geometry suite's slope-cubic row asks the line oracle once per chord
 line: many chords share a line, so a suite-local cache holds the points
@@ -261,7 +267,7 @@ class _Context:
         """All tuples over a whole small field when at most `bound`, else `count` seeded draws."""
         if self.whole(pool, arity, bound):
             return list(itertools.product(pool, repeat=arity))
-        return [tuple(self.rng.choice(pool) for _ in range(arity)) for _ in range(count)]
+        return [tuple(map(self.rng.choice, [pool] * arity)) for _ in range(count)]
 
     def singles(self, kind: str) -> Callable[[], list]:
         """A case builder: one-parameter cases over the named pool."""
@@ -537,11 +543,11 @@ def _suite_star(ctx: _Context) -> list:
         cubed = star(star(P, P), P)
         return (cubed == infinity) == (t * t * t == minus_one)
 
-    # perp(pbar(s)) once per parameter of the suite run; the cache is freed with the rows
-    perp_of = functools.cache(lambda s: perp(curve, pbar(curve, s)))
+    # perp(pbar(s)) once per parameter of the suite run, keyed on the stored value; freed with the rows
+    perp_of = functools.cache(lambda value: perp(curve, pbar(curve, value)))
 
     def perp_parameter_collinearity(s1, s2, s3):
-        points = [perp_of(s) for s in (s1, s2, s3)]
+        points = [perp_of(s.value) for s in (s1, s2, s3)]
         return collinear3(curve, *points) == (s1 * s2 * s3 == one)
 
     return [

@@ -16,11 +16,11 @@ scaled raw coordinates over q and fp:65537, the shape of the `ops-coords`
 benchmark: each LawKind through apply_law, law_inverse, third_intersection,
 collinear3 and perp, with the points' construction inside the count.
 
-Each ceiling is the count read on CPython 3.11.7.  Over q an occasional
-process reads 2 or 4 calls more (1 of 12 processes in one check), all of
-them `FieldElement.__eq__`, so q's ceiling is the highest count read.  On earlier trees 3.10 read no
-higher (over q, one call lower), and 3.12 and 3.13 read lower, since a
-comprehension there makes no frame.  The ratchet: a change that lowers a
+Each ceiling is the count read on CPython 3.11.7, the same in every
+process: no run keys a cache on an element, whose hash reads its field's
+address (tests/test_verify_golden.py checks this).  On earlier trees 3.10
+read no higher (over q, one call lower), and 3.12 and 3.13 read lower, since
+a comprehension there makes no frame.  The ratchet: a change that lowers a
 count lowers its ceiling with it, and a change that raises one says why in
 CHANGES.md.  A call is not a unit of time, so this is a tripwire; the
 committed BENCH pairs stay the only speed claims.
@@ -40,7 +40,7 @@ from descartes_folium.laws import apply_law, law_inverse, perp
 from descartes_folium.verify import run_report
 
 PACKAGE = os.path.dirname(descartes_folium.__file__) + os.sep
-CEILINGS = {"fp:5": 101_378, "fp:13": 262_066, "fp:31": 340_558, "q": 434_605}
+CEILINGS = {"fp:5": 101_110, "fp:13": 256_634, "fp:31": 332_488, "q": 425_290}
 OPS_CEILING = 1_130
 
 

@@ -50,12 +50,18 @@ in the suites: add a property that catches it, never drop the fault.  The
 replaces the name `neg`, and `verify` reads the additive inverses from the
 law table through `law_inverse`, never through that name.  An element store
 that answers the next residue is tested apart too: only F_p stores its
-elements, so that fault has no q case.  So is a perpendicularity check that
-always holds: the suite that reads it skips over F_p.  Under the eight field
-faults, over q, fp:5 and fp:13, and under the store fault, `field_axioms`'s
-first failing case is pinned with its count and text, so a check that moved
-it would show.
+elements, so that fault has no q case.  So is a `-` whose Q pair form is
+(n2 d1 - n1 d2, d1 d2), the sign flipped: only Q reads the pair forms, so
+over F_p the `field` suite passes under it and the fault has no fp:5 case.
+The pair forms are element arithmetic, which the oracles share by design,
+so tests/test_oracle_independence.py does not patch them.  So is a
+perpendicularity check that always holds: the suite that reads it skips
+over F_p.  Under the eight field faults, over q, fp:5 and fp:13, and under
+the store and pair-form faults, `field_axioms`'s first failing case is
+pinned with its count and text, so a check that moved it would show.
 """
+
+import operator
 
 import pytest
 
@@ -423,3 +429,14 @@ def test_a_field_fault_fails_field_axioms_at_its_pinned_first_case(fault, spec, 
     row = _field_axioms(PINNED_FIELDS[spec]())
     expected = FIELD_AXIOMS_FIRST_FAILURES[fault][list(PINNED_FIELDS).index(spec)]
     assert (row.passed, row.instances, row.counterexample) == (False, *expected)
+
+
+@pytest.mark.parametrize("spec", PINNED_FIELDS)
+def test_a_rational_difference_with_its_sign_flipped_fails_the_field_axioms(spec, monkeypatch):
+    # `-` rebuilt with the Q pair form of v - u; F_p reads the int operator, never the pair forms, so this
+    # fault has no fp:5 case and stays out of FAULTS: over F_p the suite passes, and over q -u = 0 - u is u
+    flipped = fields._ring_operation(operator.sub, lambda n1, d1, n2, d2: (n2 * d1 - n1 * d2, d1 * d2))
+    monkeypatch.setattr(FieldElement, "__sub__", flipped)
+    row = _field_axioms(PINNED_FIELDS[spec]())
+    expected = {"q": (False, 1, "-1/27, -89/17, 31/32"), "fp:5": (True, 125, None), "fp:13": (True, 2197, None)}
+    assert (row.passed, row.instances, row.counterexample) == expected[spec]

@@ -348,6 +348,46 @@ def test_the_rational_quotient_is_fraction_division():
             assert (quotient.numerator, quotient.denominator) == (expected.numerator, expected.denominator), (u, v)
 
 
+def test_the_rational_ring_operations_are_fraction_arithmetic():
+    # each of + - * and its reflected form is one Fraction of a pair of ints over Q; against Fraction's own
+    # operators on element, int and Fraction operands, zero, both signs and heights of about 10^30
+    q = Rationals()
+    big = 10**30 + 57
+    values = [Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(22, 7), Fraction(-big, 3), Fraction(5, big)]
+    operands = [*values, 0, -4, big, Fraction(-9, 4), Fraction(big, big + 2)]
+    forms = {
+        "__add__": operator.add,
+        "__radd__": lambda u, v: v + u,
+        "__sub__": operator.sub,
+        "__rsub__": lambda u, v: v - u,
+        "__mul__": operator.mul,
+        "__rmul__": lambda u, v: v * u,
+    }
+    for u in values:
+        a = q.element(u)
+        for v in operands:
+            other = q.element(v) if isinstance(v, Fraction) else v
+            for name, fraction_form in forms.items():
+                result, expected = getattr(a, name)(other), fraction_form(u, v)
+                assert type(result) is FieldElement and result.field is q
+                value = result.value
+                assert type(value) is Fraction and value == expected, (name, u, v)
+                assert value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1, (name, u, v)
+            for op in BINARY_OPERATORS[:3]:
+                assert op(v, a).value == op(v, u) and op(a, v).value == op(u, v), (op, u, v)
+    a, foreign = q.element(Fraction(2, 3)), PrimeField(5).element(2)
+    for name in forms:
+        with pytest.raises(MixedFields, match="^cannot combine elements of q and fp:5$"):
+            getattr(a, name)(foreign)
+        assert getattr(a, name)("2") is NotImplemented and getattr(a, name)(1.5) is NotImplemented
+    for op in BINARY_OPERATORS[:3]:
+        for other in ("2", 1.5, None):
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
+
+
 class _RecordingRng:
     """An rng that answers each randint with its upper end and records the ranges asked for."""
 

@@ -14,6 +14,9 @@ oracles share with everything else, not a kernel that a chart or a law runs
 in their place.  Nor is the canonical scaling `fields._scaled`, which the
 pair kernel calls: it is point construction, which the line-point oracle
 over Q shares in the same way; tests/test_fault_table.py seeds a fault in it.
+Nor are the Q pair forms of `+`, `-` and `*` in `fields._ring_operation`:
+they are element arithmetic, which the oracles share by design; a fault in
+the pair form of `-` is seeded there too.
 """
 
 import sys

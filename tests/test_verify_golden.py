@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from descartes_folium import Folium, cli, field_from_spec, verify
+from descartes_folium import FieldElement, Folium, cli, field_from_spec, verify
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIELDS = ("fp:2", "fp:5", "fp:7", "fp:13", "q")
@@ -81,3 +81,17 @@ def test_run_report_keeps_its_digest(spec, a, seed):
     report = verify.run_report(Folium(field_from_spec(spec), a), "all", seed, 200)
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
     assert digest == REPORT_DIGESTS[spec, a, seed]
+
+
+@pytest.mark.parametrize("spec", ("q", "fp:2", "fp:5", "fp:7", "fp:13", "fp:31"))
+def test_no_run_keys_anything_on_an_element(spec, monkeypatch):
+    # an element hashes its field, whose hash is its address, so a cache keyed on elements could
+    # collide differently in each process; every run keys on stored values, points or lines instead
+    def unhashable(element):
+        raise AssertionError(f"a run hashed the element {element}")
+
+    monkeypatch.setattr(FieldElement, "__hash__", unhashable)
+    report = verify.run_report(Folium(field_from_spec(spec), 1), "all", 1, 200)
+    assert all(row["passed"] for row in report["properties"])
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
+    assert digest == REPORT_DIGESTS[spec, 1, 1]
