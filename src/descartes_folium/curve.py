@@ -8,19 +8,22 @@ third, first and second entries is 1, on stored values by
 (one modular inverse per triple over F_p, one Fraction per coordinate
 besides the pivot over Q).  The classical literals O = (0, 0, 1),
 I = (1, -1, 0) and affine points (x, y, 1) are already canonical, and a
-triple at a unit pivot is kept as it stands.  Two readers pick the pivot.
-`_canonical` takes three elements, for `__init__` and `_marked`, whose
-callers hold elements already (kernel output, sigma).  `_read` takes
-elements or plain values, for `ProjectivePoint.of` and
-`ProjectiveLine.of` and so `Folium.point` and `Folium.line`: it reads
-each coordinate's stored value once, under `Field.element`'s rules, and
-hands the values to `_scaled`, so no element is built that the point or
-line does not keep.  `ProjectiveLine._built` takes a line's canonical
-elements as they stand.  Point equality answers True
+triple at a unit pivot is kept as it stands.  One reader, `_read`, picks
+the pivot.  It takes elements or plain values, for the public constructors
+(`__init__` and `.of` of points and lines, and so `Folium.point` and
+`Folium.line`), for the vertex and for sigma at infinity: it reads each
+coordinate's stored value once, under `Field.element`'s rules, and hands
+the values to `_scaled`, so no element is built that the point or line
+does not keep.  `__init__` first refuses elements of two fields with its
+own text.  `ProjectivePoint._marked` and `ProjectiveLine._built` store a
+triple that is canonical already as it stands: the chart kernel's, which
+`_scaled` shaped, sigma's swap of an affine point, where z = 1 stays the
+pivot, and the chord of geometry.line_through.  Point equality answers True
 for the same object before it reads a coordinate: inside a verify run the
 chart memo and the law tables hand back one object for equal points.  Otherwise,
 as field equality is identity, it compares the fields of the x coordinates
-by `is`, and hashing reads that field directly.
+by `is`, and hashing reads that field directly; a line does the same with
+the field of m.
 
 The exhaustive scans (point enumeration here, the line scan and the root
 scan in geometry) take their residues from one guard, `_scan_range`, which
@@ -68,19 +71,6 @@ def _scan_range(field: Field, what: str) -> range:
     return range(p)
 
 
-def _canonical(first, second, third, parts: str, noun: str) -> tuple:
-    """The triple scaled so the first nonzero of (third, first, second) is 1."""
-    field = first.field
-    if second.field is not field or third.field is not field:
-        raise MixedFields(f"{parts} must share one field")
-    for pivot in (third.value, first.value, second.value):
-        if pivot == 1:  # before `!= 0`, so a z = 1 triple costs one test (a Fraction call over Q)
-            return first, second, third
-        if pivot != 0:
-            return _scaled(field, pivot, first.value, second.value, third.value)
-    raise BadLiteral(f"(0 : 0 : 0) is not a {noun}")
-
-
 def _read(field: Field, coordinates: tuple, noun: str) -> list:
     """The canonical elements of a triple of `field`'s elements or plain values, each value read once.
 
@@ -124,8 +114,11 @@ class ProjectivePoint:
     __slots__ = ("x", "y", "z", "on")
 
     def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement):
+        field = x.field
+        if y.field is not field or z.field is not field:
+            raise MixedFields("point coordinates must share one field")
         self.on = None
-        self.x, self.y, self.z = _canonical(x, y, z, "point coordinates", "projective point")
+        self.x, self.y, self.z = _read(field, (x, y, z), "projective point")
 
     @classmethod
     def of(cls, field: Field, x, y, z=1) -> "ProjectivePoint":
@@ -138,10 +131,11 @@ class ProjectivePoint:
     def _marked(cls, x: FieldElement, y: FieldElement, z: FieldElement, on) -> "ProjectivePoint":
         """The point (x : y : z) of one field, marked with the Folium `on` (or None) that it lies on.
 
-        The caller vouches for the mark; `_canonical` shapes the triple.
+        The caller vouches for the mark and for the form: the triple must be
+        canonical already, as `_read` and `_scaled` give it, and is stored as it stands.
         """
         point = object.__new__(cls)
-        point.x, point.y, point.z = _canonical(x, y, z, "point coordinates", "projective point")
+        point.x, point.y, point.z = x, y, z
         point.on = on
         return point
 
@@ -184,7 +178,10 @@ class ProjectiveLine:
     __slots__ = ("m", "n", "p")
 
     def __init__(self, m: FieldElement, n: FieldElement, p: FieldElement):
-        self.m, self.n, self.p = _canonical(m, n, p, "line coefficients", "line")
+        field = m.field
+        if n.field is not field or p.field is not field:
+            raise MixedFields("line coefficients must share one field")
+        self.m, self.n, self.p = _read(field, (m, n, p), "line")
 
     @classmethod
     def of(cls, field: Field, m, n, p) -> "ProjectiveLine":
@@ -214,14 +211,14 @@ class ProjectiveLine:
         if not isinstance(other, ProjectiveLine):
             return NotImplemented
         return (
-            self.field == other.field
+            self.m.field is other.m.field
             and self.m.value == other.m.value
             and self.n.value == other.n.value
             and self.p.value == other.p.value
         )
 
     def __hash__(self):
-        return hash((self.field, self.m.value, self.n.value, self.p.value))
+        return hash((self.m.field, self.m.value, self.n.value, self.p.value))
 
     def __str__(self):
         return f"[{self.m} : {self.n} : {self.p}]"
@@ -299,7 +296,7 @@ class Folium:
         Built by the first call, from `three_a` as it is then; later calls answer that point.
         """
         if self._vertex is None:
-            self._vertex = ProjectivePoint._marked(self.three_a, self.three_a, self.field.element(2), self)
+            self._vertex = ProjectivePoint._marked(*_read(self.field, (self.three_a, self.three_a, 2), "projective point"), self)
         return self._vertex
 
     def special_points(self) -> SpecialPoints:

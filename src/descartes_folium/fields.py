@@ -56,8 +56,8 @@ ints.  It takes any pair that represents the slope; parametrization._chart_key
 normalizes the pair only to key the chart memo.
 
 `_scaled` alone puts a triple in canonical form, for the kernel's triples,
-for every point and line that curve.py builds (`_canonical` on elements,
-`_read` on the stored values of the public `.of` constructors) and for the
+which curve.py stores as they stand, for every point and line that curve.py
+reads (`_read`, on the stored values of the public constructors) and for the
 chord that geometry.line_through takes on ints: it divides by the pivot, with
 one modular inverse per triple over F_p and one Fraction per other coordinate
 over Q, where `pivot.inverse()` and three element products would build four;
@@ -179,9 +179,9 @@ def _scaled(field, pivot, x, y, z) -> "tuple[FieldElement, FieldElement, FieldEl
     object (an identical value equals the pivot, so its quotient is 1); with a
     store, `store[1]`.  Over F_p the others share one modular inverse; over Q
     each is one Fraction of the cross products of the ints, so one gcd each.
-    The canonical form of every point and line (curve._canonical and
-    curve._read), of every chart point (`_pair_coordinates`) and of every
-    chord (geometry.line_through, on ints over Q) comes from here.
+    The canonical form of every point and line (curve._read), of every chart
+    point (`_pair_coordinates`) and of every chord (geometry.line_through, on
+    ints over Q) comes from here.
     """
     p, one = field.characteristic, field.one
     if p:

@@ -41,7 +41,9 @@ and y = 0 forces x^3 = 0, so either vanishes at the node alone.
 Each map marks the point it builds with its curve, through
 `ProjectivePoint._marked`, so `_pair_param` calls require_on_curve only for
 a point that the curve did not build (`point.on is not curve`); sigma keeps
-the mark, since the cubic is symmetric in x and y.
+the mark, since the cubic is symmetric in x and y.  `_marked` stores the
+kernel's canonical triple as it stands, and sigma reads a swapped triple
+through `curve._read` only at infinity, where the pivot moves.
 At t^3 = -1, where 3at is nonzero, pbar(t) is the point at infinity
 (1 : t : 0), and p_affine and p_affine_prime, which build in the "affine"
 domain, raise ParameterAtInfinity after `_pair_point` has built it.  The
@@ -85,7 +87,7 @@ from __future__ import annotations
 from enum import Enum
 from math import gcd
 
-from .curve import Folium, ProjectivePoint, _require_affine
+from .curve import Folium, ProjectivePoint, _read, _require_affine
 from .errors import FieldLacksUniqueCubeRoot, OriginNotInGroup, ParameterAtInfinity
 from .fields import FieldElement, _pair_coordinates, _quotient
 
@@ -231,8 +233,11 @@ def sigma(point: ProjectivePoint) -> ProjectivePoint:
     """The coordinate swap (x : y : z) -> (y : x : z); maps the curve to itself.
 
     The cubic is symmetric in x and y, so the swapped point keeps the mark.
+    Off infinity z = 1 stays the pivot, so the swapped triple is canonical as
+    it stands; only at infinity does `_read` move the pivot to the new x.
     """
-    return ProjectivePoint._marked(point.y, point.x, point.z, point.on)
+    swapped = point.y, point.x, point.z
+    return ProjectivePoint._marked(*(swapped if point.z.value else _read(point.field, swapped, "projective point")), point.on)
 
 
 class ParamMap(Enum):

@@ -80,7 +80,12 @@ def sample_segments(
     samples: int,
     exclusion: Fraction = DEFAULT_EXCLUSION,
 ) -> list:
-    """Polyline segments [(t, x, y)] of the affine curve, split at the excluded window around t = -1."""
+    """Polyline segments [(t, x, y)] of the affine curve, split at the excluded window around t = -1.
+
+    The window's half-width must be positive: with none, a segment would run straight across the asymptote.
+    """
+    if exclusion <= 0:
+        raise DegenerateRange(f"the exclusion half-width must be positive, got {exclusion}")
     segments = [[]]
     for t in _sample_grid(t_min, t_max, samples):
         if abs(t + 1) < exclusion:

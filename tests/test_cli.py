@@ -300,6 +300,15 @@ def test_plot_degenerate_range_exits_three(tmp_path):
     run_cli("plot", "--t-min", "2", "--t-max", "2", "--out", str(tmp_path / "x.svg"), expect=3)
 
 
+@pytest.mark.parametrize("exclusion", ["-1", "0"])
+def test_plot_refuses_an_exclusion_that_is_not_positive(tmp_path, exclusion):
+    out = tmp_path / "x.svg"
+    proc = run_main("plot", "--exclusion", exclusion, "--t-min", "-2", "--t-max", "0", "--samples", "4", "--out", str(out))
+    message = f"error: the exclusion half-width must be positive, got {exclusion}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [

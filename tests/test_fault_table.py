@@ -7,8 +7,10 @@ is named for the faults it catches: with its parity chains read from law
 tables it takes about 16 ms warm over fp:5 (CPython 3.11, 2 vCPUs), a little
 more than `axioms` over q.
 Unpatched, every suite passes; tests/golden pins both reports.  The first
-seven faults sit in the charts, which the public maps and the laws share:
-three in the pair kernel `_pair_coordinates`, one in `_scaled`, the one
+eight faults sit in the charts, which the public maps and the laws share:
+four in the pair kernel `_pair_coordinates`, one of them a kernel that
+hands back its triple of ints unscaled, which `ProjectivePoint._marked`
+stores as it stands, one in `_scaled`, the one
 canonical scaling that the kernel and every point and line constructor
 share, one in `_pair_point`, which builds a point from the kernel, one in
 `_chart_key`, which keys the chart memo that a run opens, and one in the
@@ -110,6 +112,16 @@ def _w_zero_branch_dropped(monkeypatch):
         return x, x * t, field.one
 
     _patch_pair_coordinates(monkeypatch, pair_coordinates)
+
+
+def _kernel_skips_the_scaling(monkeypatch):
+    # the kernel's triple of ints (A n d^2 : A n^2 d : B (n^3 + d^3)) as elements, never divided by its
+    # pivot, so a chart point is marked in a form that no constructor gives
+    def pair_coordinates(field, a3, n, d):
+        x, y, z = a3.numerator * n * d * d, a3.numerator * n * n * d, a3.denominator * (n * n * n + d * d * d)
+        return field.element(x), field.element(y), field.element(z)
+
+    monkeypatch.setattr(parametrization, "_pair_coordinates", pair_coordinates)
 
 
 def _scaled_divides_y_twice(monkeypatch):
@@ -264,6 +276,10 @@ FAULTS = {
     "wrong_chart_coefficient": (_wrong_chart_coefficient, ("parametrize", "geometry", "star")),
     "chart_point_keeps_w": (_chart_point_keeps_w, (*CHART_SUITES, "southmul", "star")),
     "w_zero_branch_dropped": (_w_zero_branch_dropped, (*CHART_SUITES, "star")),
+    "kernel_skips_the_scaling": (
+        _kernel_skips_the_scaling,
+        ("parametrize", "axioms", "coincidence", "geometry", "southmul", "fieldstructure", "star"),
+    ),
     "scaled_divides_y_twice": (_scaled_divides_y_twice, CHART_SUITES),
     "scaled_chart_ignores_swap": (_scaled_chart_ignores_swap, ("parametrize", "axioms", "coincidence", "fieldstructure")),
     "chart_memo_drops_swap": (_chart_memo_drops_swap, ("parametrize", "axioms", "coincidence", "fieldstructure")),

@@ -86,6 +86,16 @@ def test_degenerate_ranges_rejected():
         render_svg(1, 0, 1, 1)
     with pytest.raises(DegenerateRange):
         render_svg(1, Fraction(-1001, 1000), Fraction(-999, 1000), 5)
+    # with no window the grid -2, -4/3, -2/3, 0 would draw one segment from t = -4/3 to t = -2/3,
+    # straight across the asymptote at t = -1
+    for exclusion in (Fraction(-1), Fraction(0)):
+        message = f"^the exclusion half-width must be positive, got {exclusion}$"
+        with pytest.raises(DegenerateRange, match=message):
+            sample_segments(rational_curve(1), Fraction(-2), Fraction(0), 4, exclusion)
+        with pytest.raises(DegenerateRange, match=message):
+            render_svg(1, -2, 0, 4, exclusion=exclusion)
+        with pytest.raises(DegenerateRange, match=message):
+            render_csv(1, -2, 0, 4, exclusion=exclusion)
 
 
 def test_overlay_parsing():

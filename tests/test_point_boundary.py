@@ -18,13 +18,17 @@ from descartes_folium import (
     ProjectiveLine,
     ProjectivePoint,
     Rationals,
+    field_from_spec,
     pbar,
 )
+from descartes_folium import parametrization
 from descartes_folium.branches import classify_branch
 from descartes_folium.cli import point_json, point_text
+from descartes_folium.curve import _read
 from descartes_folium.geometry import chord_or_tangent, collinear3, third_intersection
 from descartes_folium.laws import apply_law, law_inverse, perp
 from descartes_folium.parametrization import p_affine, p_affine_prime, pbarbar, sigma
+from descartes_folium.verify import run_report
 from helpers import rational_curve
 
 CURVE = rational_curve(1)
@@ -107,7 +111,7 @@ def test_no_public_constructor_takes_the_on_curve_mark():
 # -- the boundary kernels against element arithmetic -------------------------
 #
 # A raw point is admitted by two kernels on stored values: the canonical
-# scaling (fields._scaled, through _canonical) and the on-curve check
+# scaling (fields._scaled, through curve._read) and the on-curve check
 # (fields._cubic_vanishes, through require_on_curve).  The tests below hold
 # them to the element-arithmetic answers, on seeded triples over q at anchor
 # heights and at 2^31 heights and over fp:2, 5, 7 and 65537.
@@ -279,3 +283,53 @@ def test_of_keeps_its_error_types_and_texts():
         with pytest.raises(error) as refusal:
             call()
         assert type(refusal.value) is error and str(refusal.value) == text
+
+
+# -- _marked stores the triple it is given -------------------------------------
+#
+# ProjectivePoint._marked keeps its triple as it stands, so each caller hands it
+# a canonical one: the chart kernel scales through fields._scaled, sigma swaps
+# in place where z = 1 stays the pivot and reads the swapped triple through
+# curve._read at infinity, and the vertex is read through _read.
+
+
+def _values(triple):
+    return [element.value for element in triple]
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:5", "fp:7", "fp:13", "fp:31"])
+def test_every_triple_a_report_marks_is_canonical(spec, monkeypatch):
+    field, real, triples = field_from_spec(spec), ProjectivePoint._marked, []
+
+    def marked(cls, x, y, z, on):
+        triples.append((x, y, z))
+        return real(x, y, z, on)
+
+    monkeypatch.setattr(ProjectivePoint, "_marked", classmethod(marked))
+    run_report(Folium(field, 1), "all", 1, 200)
+    assert {z.value for _, _, z in triples} == {0, 1}
+    for triple in triples:
+        assert _values(_read(field, triple, "projective point")) == _values(triple), triple
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7", "fp:13"])
+def test_sigma_reads_the_swapped_triple_at_infinity_only(spec, monkeypatch):
+    field = field_from_spec(spec)
+    curve = Folium(field, 1)
+    charted = [pbar(curve, e) for e in field.epsilon_roots() or ()]
+    at_infinity = curve.special_points().points_at_infinity + charted
+    assert len(at_infinity) == (1 if spec == "q" else 5)
+    for point in at_infinity:
+        swapped = sigma(point)
+        assert swapped == ProjectivePoint.of(field, point.y, point.x, point.z) and swapped.on is point.on, point
+
+    def refuse(*args):
+        raise AssertionError("sigma read an affine point")
+
+    monkeypatch.setattr(parametrization, "_read", refuse)
+    slopes = range(field.characteristic) if field.characteristic else [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 5)]
+    for t in slopes:
+        point = pbar(curve, t)
+        if point.is_affine:
+            swapped = sigma(point)
+            assert (swapped.x, swapped.y, swapped.z) == (point.y, point.x, point.z) and swapped.on is curve, t
