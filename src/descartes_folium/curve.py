@@ -18,12 +18,23 @@ does not keep.  `__init__` first refuses elements of two fields with its
 own text.  `ProjectivePoint._marked` and `ProjectiveLine._built` store a
 triple that is canonical already as it stands: the chart kernel's, which
 `_scaled` shaped, sigma's swap of an affine point, where z = 1 stays the
-pivot, and the chord of geometry.line_through.  Point equality answers True
-for the same object before it reads a coordinate: inside a verify run the
-chart memo and the law tables hand back one object for equal points.  Otherwise,
-as field equality is identity, it compares the fields of the x coordinates
-by `is`, and hashing reads that field directly; a line does the same with
-the field of m.
+pivot, and the chord of geometry.line_through.
+
+The three point constructors, `__init__`, `of` and `_marked`, also store
+the point's `key`, inline so that no frame is added.  Over F_p it is the
+canonical residues packed into one int, x + p*(y + p*z), which is injective
+because each residue lies in [0, p): it is the triple's digits in base p.
+The key is read from the stored values after the triple is canonical, so
+equal points carry equal keys.  verify's law tables key a product on the
+two operands' keys.  Over Q the key is None: no run over Q keeps law
+tables, and a key there would have to be the triple itself.  Equality and
+hashing do not read the key.
+
+Point equality answers True for the same object before it reads a
+coordinate: inside a verify run the chart memo and the law tables hand back
+one object for equal points.  Otherwise, as field equality is identity, it
+compares the fields of the x coordinates by `is`, and hashing reads that
+field directly; a line does the same with the field of m.
 
 The exhaustive scans (point enumeration here, the line scan and the root
 scan in geometry) take their residues from one guard, `_scan_range`, which
@@ -108,22 +119,27 @@ class ProjectivePoint:
     """A point of P^2(K) in canonical form; equality is exact triple equality.
 
     `on` is the Folium that built the point, when a chart did; None otherwise.
-    The public constructors leave it None: only `_marked` sets it.
+    The public constructors leave it None: only `_marked` sets it.  `key` is
+    x + p*(y + p*z) on the canonical residues over F_p, None over Q.
     """
 
-    __slots__ = ("x", "y", "z", "on")
+    __slots__ = ("x", "y", "z", "key", "on")
 
     def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement):
         field = x.field
         if y.field is not field or z.field is not field:
             raise MixedFields("point coordinates must share one field")
         self.on = None
-        self.x, self.y, self.z = _read(field, (x, y, z), "projective point")
+        self.x, self.y, self.z = x, y, z = _read(field, (x, y, z), "projective point")
+        p = field.characteristic
+        self.key = x.value + p * (y.value + p * z.value) if p else None
 
     @classmethod
     def of(cls, field: Field, x, y, z=1) -> "ProjectivePoint":
         point = object.__new__(cls)
-        point.x, point.y, point.z = _read(field, (x, y, z), "projective point")
+        point.x, point.y, point.z = x, y, z = _read(field, (x, y, z), "projective point")
+        p = field.characteristic
+        point.key = x.value + p * (y.value + p * z.value) if p else None
         point.on = None
         return point
 
@@ -136,6 +152,8 @@ class ProjectivePoint:
         """
         point = object.__new__(cls)
         point.x, point.y, point.z = x, y, z
+        p = x.field.characteristic
+        point.key = x.value + p * (y.value + p * z.value) if p else None
         point.on = on
         return point
 

@@ -83,6 +83,7 @@ def sample_segments(
     """Polyline segments [(t, x, y)] of the affine curve, split at the excluded window around t = -1.
 
     The window's half-width must be positive: with none, a segment would run straight across the asymptote.
+    A range that leaves no segment of two samples is refused, so no renderer writes an empty plot.
     """
     if exclusion <= 0:
         raise DegenerateRange(f"the exclusion half-width must be positive, got {exclusion}")
@@ -94,7 +95,10 @@ def sample_segments(
             continue
         point = p_affine(curve, curve.field.element(t))
         segments[-1].append((t, point.x.value, point.y.value))
-    return [segment for segment in segments if len(segment) >= 2]
+    segments = [segment for segment in segments if len(segment) >= 2]
+    if not segments:
+        raise DegenerateRange("the sampled range contains no drawable segment")
+    return segments
 
 
 def render_csv(
@@ -199,8 +203,6 @@ def render_svg(
     """Deterministic SVG document for the real curve with optional overlays."""
     curve = Folium(Rationals(), Fraction(a))
     segments = sample_segments(curve, Fraction(t_min), Fraction(t_max), samples, exclusion)
-    if not segments:
-        raise DegenerateRange("the sampled range contains no drawable segment")
 
     xs = [float(x) for segment in segments for _, x, _ in segment]
     ys = [float(y) for segment in segments for _, _, y in segment]

@@ -29,9 +29,11 @@ that names the same law reads one table, and a run computes each law's
 product of an ordered pair once.  `axioms` reads each kind's law by its
 name in this module as the suite is built, as the other suites do, so a
 name patched here reaches every row of that law.  A table is keyed on the
-coordinates of the ordered pair, the six residues of (P, Q), so a lookup
-hashes ints rather than points and a law that is not commutative still
-fails its row; it fills as the cases run, so the first failing case and its
+ordered pair of the points' keys, `(P.key, Q.key)`: each key is the
+point's three canonical residues packed into one int when it was built
+(see curve), so a lookup reads and hashes two stored ints rather than six
+residues or two points, and a law that is not commutative still fails its
+row; it fills as the cases run, so the first failing case and its
 text are those of the direct calls, and a product that raises is never
 stored.  A table stores each result as the law returns it: the chart memo
 below already makes equal results one point.  The tables are freed with
@@ -283,7 +285,7 @@ def _table(ctx: _Context, law: Callable) -> Callable:
     products = ctx.tables.setdefault(law, {})
 
     def product(P, Q):
-        key = (P.x.value, P.y.value, P.z.value, Q.x.value, Q.y.value, Q.z.value)
+        key = P.key, Q.key
         value = products.get(key)
         if value is None:
             value = products[key] = law(curve, P, Q)

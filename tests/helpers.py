@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import ast
 import contextlib
 import io
 import os
@@ -30,6 +31,28 @@ def patch_everywhere(monkeypatch, original, replacement):
             for attribute, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attribute, replacement)
+
+
+def attribute_writes(attributes) -> list:
+    """Each assignment in src/descartes_folium to an attribute named in `attributes`, sorted, as
+    (module file, enclosing class and function names joined by dots, assigned expression);
+    no module may call setattr."""
+    writes = []
+    for path in sorted((SRC / "descartes_folium").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert "setattr" not in source, path.name
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in attributes:
+                scopes, scope = [], node
+                while (scope := getattr(scope, "parent", None)) is not None:
+                    if isinstance(scope, (ast.ClassDef, ast.FunctionDef)):
+                        scopes.insert(0, scope.name)
+                writes.append((path.name, ".".join(scopes), ast.unparse(node)))
+    return sorted(writes)
 
 
 def random_fraction(rng, max_num: int = 20, max_den: int = 12) -> Fraction:

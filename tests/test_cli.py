@@ -309,6 +309,21 @@ def test_plot_refuses_an_exclusion_that_is_not_positive(tmp_path, exclusion):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".svg"])
+@pytest.mark.parametrize(
+    "bounds",
+    [("--exclusion", "100"), ("--t-min", "-1.0005", "--t-max", "-0.9995", "--samples", "3")],
+    ids=["wide_exclusion", "every_sample_excluded"],
+)
+def test_plot_refuses_a_range_with_no_drawable_segment(tmp_path, bounds, suffix):
+    # every sample falls inside the excluded window, so neither a CSV nor an SVG has a segment to write
+    out = tmp_path / f"empty{suffix}"
+    proc = run_main("plot", *bounds, "--out", str(out))
+    message = "error: the sampled range contains no drawable segment\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [

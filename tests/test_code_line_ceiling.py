@@ -9,7 +9,7 @@ not less code.
 
 from code_lines import PACKAGE, code_lines
 
-CEILING = 2021
+CEILING = 2028
 
 
 def test_the_package_stays_within_its_code_line_ceiling():

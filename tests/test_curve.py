@@ -1,4 +1,4 @@
-"""Curve membership, canonical forms, special points, and the enumeration oracle."""
+"""Curve membership, canonical forms, point keys, special points, and the enumeration oracle."""
 
 import random
 from fractions import Fraction
@@ -17,7 +17,7 @@ from descartes_folium import (
     SpecialPoints,
     pbar,
 )
-from helpers import prime_curve, random_fraction, rational_curve
+from helpers import attribute_writes, prime_curve, random_fraction, rational_curve
 
 
 def test_canonical_affine_point():
@@ -273,3 +273,69 @@ def test_a_point_or_a_line_reads_unequal_to_a_non_instance():
     point, line = ProjectivePoint.of(field, 0, 0, 1), ProjectiveLine.of(field, 1, 1, 0)
     assert point != (0, 0, 1) and not point == "O"
     assert line != (1, 1, 0) and not line == point
+
+
+def test_a_point_keeps_its_coordinates_its_key_and_its_mark_in_slots():
+    assert ProjectivePoint.__slots__ == ("x", "y", "z", "key", "on")
+
+
+def test_only_the_three_point_constructors_assign_a_coordinate_or_the_key():
+    # the law tables read a point's key in place of its residues, so a key that fell out of step with the
+    # coordinates would answer one pair's product for another
+    writes = attribute_writes(("x", "y", "z", "key"))
+    targets = {"__init__": "self", "of": "point", "_marked": "point"}
+    assert writes == sorted(
+        ("curve.py", f"ProjectivePoint.{name}", f"{target}.{attribute}")
+        for name, target in targets.items()
+        for attribute in ("x", "y", "z", "key")
+    )
+
+
+def _canonical_triples(residues):
+    """The canonical triples of P^2(F_p) with entries from `residues`: (x, y, 1), (1, y, 0) and (0, 1, 0)."""
+    return [(x, y, 1) for x in residues for y in residues] + [(1, y, 0) for y in residues] + [(0, 1, 0)]
+
+
+def _assert_packed_keys(p, triples):
+    field = PrimeField(p)
+    points = [ProjectivePoint.of(field, *triple) for triple in triples]
+    assert [(point.x.value, point.y.value, point.z.value) for point in points] == triples
+    assert [point.key for point in points] == [x + p * (y + p * z) for x, y, z in triples]
+    assert len({point.key for point in points}) == len(points)
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 13, 31])
+def test_every_point_of_the_plane_over_fp_carries_its_own_packed_key(p):
+    triples = _canonical_triples(range(p))
+    assert len(triples) == p * p + p + 1
+    _assert_packed_keys(p, triples)
+
+
+def test_points_over_fp_65537_carry_their_packed_keys():
+    p = 65537
+    _assert_packed_keys(p, _canonical_triples((0, 1, 2, p // 2, p - 2, p - 1)))
+    field = PrimeField(p)
+    # a triple that is not canonical is keyed by the form it is scaled to
+    assert ProjectivePoint.of(field, 6, 4, 2).key == 3 + p * (2 + p)
+    assert ProjectivePoint.of(field, -2, 2, 0).key == 1 + p * (p - 1)
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 13, 31])
+def test_every_constructor_keys_a_point_as_of_does(p):
+    field = PrimeField(p)
+    curve = Folium(field, 1)
+    for t in range(p):
+        chart = pbar(curve, t)
+        built = ProjectivePoint(chart.x, chart.y, chart.z)
+        read = ProjectivePoint.of(field, chart.x.value, chart.y.value, chart.z.value)
+        assert chart.key == built.key == read.key
+    assert curve.vertex().key == ProjectivePoint.of(field, 3, 3, 2).key
+    assert curve.infinity.key == 1 + p * (p - 1)
+
+
+def test_a_point_over_q_has_no_key():
+    # no run over q keeps law tables, so nothing reads a rational point's key
+    q = Rationals()
+    curve = Folium(q, 1)
+    points = (ProjectivePoint.of(q, 1, 2), ProjectivePoint(q.one, q.zero, q.one), pbar(curve, 2), curve.vertex(), curve.origin)
+    assert [point.key for point in points] == [None] * len(points)

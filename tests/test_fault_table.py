@@ -58,7 +58,11 @@ over F_p the `field` suite passes under it and the fault has no fp:5 case.
 The pair forms are element arithmetic, which the oracles share by design,
 so tests/test_oracle_independence.py does not patch them.  So is a
 perpendicularity check that always holds: the suite that reads it skips
-over F_p.  Under the eight field faults, over q, fp:5 and fp:13, and under
+over F_p.  So is a point key that drops y, `_marked` keying x + p*p*z: the
+law tables read the keys, so over fp:5 and fp:13 it FAILs `axioms`, `star`,
+`geometry`, `collinearity` and `fieldstructure`, and `southmul` over fp:5,
+but no run over q keeps law tables, so there every suite passes under it.
+Under the eight field faults, over q, fp:5 and fp:13, and under
 the store and pair-form faults, `field_axioms`'s first failing case is
 pinned with its count and text, so a check that moved it would show.
 """
@@ -67,11 +71,11 @@ import operator
 
 import pytest
 
-from descartes_folium import Field, FieldElement, Folium, PrimeField, ProjectiveLine, Rationals
+from descartes_folium import Field, FieldElement, Folium, PrimeField, ProjectiveLine, ProjectivePoint, Rationals
 from descartes_folium import fields, geometry, laws, parametrization, verify
 from descartes_folium.fields import _quotient
 from descartes_folium.laws import LAWS, LawKind
-from descartes_folium.verify import run_suite
+from descartes_folium.verify import SUITES, run_suite
 from helpers import patch_everywhere
 
 
@@ -456,3 +460,38 @@ def test_a_rational_difference_with_its_sign_flipped_fails_the_field_axioms(spec
     row = _field_axioms(PINNED_FIELDS[spec]())
     expected = {"q": (False, 1, "-1/27, -89/17, 31/32"), "fp:5": (True, 125, None), "fp:13": (True, 2197, None)}
     assert (row.passed, row.instances, row.counterexample) == expected[spec]
+
+
+def _table_key_drops_y(monkeypatch):
+    # each chart point keyed x + p*p*z, so (x : y : z) and (x : y' : z) share a key and a law table answers
+    # the product of one pair for another
+    real = ProjectivePoint._marked.__func__
+
+    def marked(cls, x, y, z, on):
+        point = real(cls, x, y, z, on)
+        p = x.field.characteristic
+        point.key = x.value + p * p * z.value if p else None
+        return point
+
+    monkeypatch.setattr(ProjectivePoint, "_marked", classmethod(marked))
+
+
+# the failing rows of each suite under that fault (seed 0, 40 samples)
+TABLE_KEY_FAILURES = {
+    "q": {},
+    "fp:5": {"axioms": 24, "star": 4, "geometry": 3, "collinearity": 1, "southmul": 5, "fieldstructure": 4},
+    "fp:13": {"axioms": 18, "star": 5, "geometry": 3, "collinearity": 1, "fieldstructure": 4},
+}
+
+
+@pytest.mark.parametrize("spec", PINNED_FIELDS)
+def test_a_table_key_that_drops_y_fails_every_suite_that_reads_a_law_table(spec, monkeypatch):
+    # only a run over a small F_p keeps law tables, so over q the fault reaches no row and stays out of FAULTS
+    _table_key_drops_y(monkeypatch)
+    curve = Folium(PINNED_FIELDS[spec](), 1)
+    failures = {}
+    for suite in SUITES:
+        failed = sum(not row.passed for row in run_suite(curve, suite, seed=0, samples=40))
+        if failed:
+            failures[suite] = failed
+    assert failures == TABLE_KEY_FAILURES[spec]

@@ -1,12 +1,10 @@
 """Exact field arithmetic, the element store of a prime field, epsilon roots, and the cube-root predicate."""
 
-import ast
 import copy
 import gc
 import itertools
 import math
 import operator
-import pathlib
 import pickle
 import random
 import re
@@ -34,6 +32,7 @@ from descartes_folium.fields import ENUMERATION_BOUND, MILLER_RABIN_BOUND, is_pr
 from descartes_folium.parametrization import pbar, pbar_inv
 from descartes_folium.verify import run_report
 from descartes_folium.plotting import parse_rational
+from helpers import attribute_writes
 
 
 def test_rational_arithmetic_example():
@@ -142,22 +141,7 @@ def test_a_field_within_the_bound_stores_every_element_and_a_larger_one_builds_t
 
 def test_an_element_is_given_its_field_and_value_only_in_its_init():
     # a stored element is shared by every operation that yields its residue, so nothing may change it
-    writes = []
-    for path in sorted(pathlib.Path(fields.__file__).parent.glob("*.py")):
-        source = path.read_text()
-        assert "setattr" not in source, path.name
-        tree = ast.parse(source)
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                child.parent = node
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in ("field", "value"):
-                scopes, scope = [], node
-                while (scope := getattr(scope, "parent", None)) is not None:
-                    if isinstance(scope, (ast.ClassDef, ast.FunctionDef)):
-                        scopes.insert(0, scope.name)
-                writes.append((path.name, ".".join(scopes), ast.unparse(node)))
-    assert sorted(writes) == [
+    assert attribute_writes(("field", "value")) == [
         ("curve.py", "Folium.__init__", "self.field"),  # the curve's field, not an element's
         ("fields.py", "FieldElement.__init__", "self.field"),
         ("fields.py", "FieldElement.__init__", "self.value"),

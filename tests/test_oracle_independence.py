@@ -16,7 +16,11 @@ pair kernel calls: it is point construction, which the line-point oracle
 over Q shares in the same way; tests/test_fault_table.py seeds a fault in it.
 Nor are the Q pair forms of `+`, `-` and `*` in `fields._ring_operation`:
 they are element arithmetic, which the oracles share by design; a fault in
-the pair form of `-` is seeded there too.
+the pair form of `-` is seeded there too.  Nor is a point's packed key over
+F_p, `x + p*(y + p*z)`, which the law tables read: the three
+`ProjectivePoint` constructors set it inline as they store the coordinates,
+so it is point construction, which the oracles share, and no function of
+its own could be patched; tests/test_fault_table.py seeds a key that drops y.
 """
 
 import sys

@@ -9,6 +9,7 @@ import pytest
 from descartes_folium import DegenerateRange, FileWriteError
 from descartes_folium.parametrization import p_affine
 from descartes_folium.plotting import (
+    DEFAULT_EXCLUSION,
     Overlay,
     parse_overlay,
     parse_rational,
@@ -96,6 +97,21 @@ def test_degenerate_ranges_rejected():
             render_svg(1, -2, 0, 4, exclusion=exclusion)
         with pytest.raises(DegenerateRange, match=message):
             render_csv(1, -2, 0, 4, exclusion=exclusion)
+
+
+@pytest.mark.parametrize(
+    "t_min,t_max,samples,exclusion",
+    [(Fraction(-9, 10), 4, 400, Fraction(100)), (Fraction(-10005, 10000), Fraction(-9995, 10000), 3, DEFAULT_EXCLUSION)],
+    ids=["wide_exclusion", "every_sample_excluded"],
+)
+def test_a_range_with_no_drawable_segment_is_refused_by_both_renderers(t_min, t_max, samples, exclusion):
+    message = "^the sampled range contains no drawable segment$"
+    with pytest.raises(DegenerateRange, match=message):
+        sample_segments(rational_curve(1), Fraction(t_min), Fraction(t_max), samples, exclusion)
+    with pytest.raises(DegenerateRange, match=message):
+        render_csv(1, t_min, t_max, samples, exclusion)
+    with pytest.raises(DegenerateRange, match=message):
+        render_svg(1, t_min, t_max, samples, exclusion=exclusion)
 
 
 def test_overlay_parsing():
